@@ -15,16 +15,18 @@ survives lands in exactly one of four cases:
 * Case 3: one constant level resting on a sphere in the filling, check end
   above an interior critical point.
 
-The enumerator is exhaustive within user bounds (max source winding, max
-class area) and reports when the bounds provably cover everything, so an
-empty answer is a certificate, not an accident.  Counts and signs of actual
-solutions are out of scope; this is the catalog of candidates only.
+Since the budget leaves no other shapes, the catalog comes from a direct
+case solver: for each target it proposes only these four shapes, with the
+windings solved from the level balance, and `classify_type` confirms or
+rejects each proposal.  The catalog is complete within user bounds (max
+source winding, max class area) and reports when the bounds provably cover
+everything, so an empty answer is a certificate, not an accident.  Counts
+and signs of actual solutions are out of scope; this is the catalog of
+candidates only.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -43,6 +45,7 @@ from .grading import (
 from .model import (
     FibreFlag,
     Functional,
+    HomologyLattice,
     LiftedCriticalPoint,
     SetupDescriptor,
     pair,
@@ -51,8 +54,6 @@ from .pearls import IntVector, augmentation_index, multiplicity_balance
 
 BUDGET_CAP_Y_TO_Y = Fraction(1)
 BUDGET_CAP_W_TO_Y = Fraction(0)
-MAX_LEVELS = 2
-MAX_AUG = 2
 
 
 class Case(Enum):
@@ -356,56 +357,11 @@ class EnumerationResult:
         return counts
 
 
-def _sigma_classes(setup: SetupDescriptor, class_bound: int) -> List[IntVector]:
-    """Zero and all positive-area base classes in the search box."""
-    rank = setup.lattice_sigma.rank
-    out = [tuple([0] * rank)]
-    if rank == 0:
-        return out
-    for coords in product(range(-class_bound, class_bound + 1), repeat=rank):
-        v = tuple(coords)
-        if not any(v):
-            continue
-        area = pair(setup.lattice_sigma, v, Functional.OMEGA)
-        if 0 < area <= class_bound:
-            out.append(v)
-    return out
-
-
-def _x_classes(setup: SetupDescriptor, class_bound: int) -> List[IntVector]:
-    """Positive-area filling classes with integer divisor intersection >= 1."""
-    rank = setup.lattice_x.rank
-    out = []
-    if rank == 0:
-        return out
-    for coords in product(range(-class_bound, class_bound + 1), repeat=rank):
-        v = tuple(coords)
-        if not any(v):
-            continue
-        area = pair(setup.lattice_x, v, Functional.OMEGA)
-        if not 0 < area <= class_bound:
-            continue
-        inter = pair(setup.lattice_x, v, Functional.SIGMA_INTERSECTION)
-        if inter.denominator == 1 and inter >= 1:
-            out.append(v)
-    return out
-
-
-def _aug_assignments(setup: SetupDescriptor, n_levels: int,
-                     x_classes: List[IntVector]) -> List[Tuple[AugPuncture, ...]]:
-    """All ways to hang up to MAX_AUG planes off the levels."""
-    out: List[Tuple[AugPuncture, ...]] = [()]
-    singles = []
-    for level in range(1, n_levels + 1):
-        for b in x_classes:
-            mult = int(pair(setup.lattice_x, b, Functional.SIGMA_INTERSECTION))
-            singles.append(AugPuncture(level, b, mult))
-    out.extend((s,) for s in singles)
-    if MAX_AUG >= 2:
-        for i, s1 in enumerate(singles):
-            for s2 in singles[i:]:
-                out.append((s1, s2))
-    return out
+def _box_classes(lattice: HomologyLattice, class_bound: int) -> List[IntVector]:
+    """Nonzero classes in the coordinate box with area in (0, class_bound]."""
+    return [v for v in product(range(-class_bound, class_bound + 1),
+                               repeat=lattice.rank)
+            if any(v) and 0 < pair(lattice, v, Functional.OMEGA) <= class_bound]
 
 
 def _coverage_warnings(setup: SetupDescriptor, target: OrbitGenerator,
@@ -430,9 +386,12 @@ def enumerate_contributions(setup: SetupDescriptor, target: Generator,
                             k_max: int, class_bound: int) -> EnumerationResult:
     """Every feasible cascade type ending on the given target.
 
-    Exhaustive over sources of degree exactly one less, level counts up to
-    MAX_LEVELS, class vectors with area in (0, class_bound], and up to
-    MAX_AUG augmentation planes.  Output is sorted by
+    Sources have degree exactly one less; class vectors have area in
+    (0, class_bound].  Only the shapes the budget allows are proposed: a
+    bare flow (Case 0), one non-constant level (Case 1), one constant level
+    with one augmentation plane (Case 2), one constant level on a filling
+    sphere (Case 3), each with its windings solved from the level balance.
+    `classify_type` confirms every proposal.  Output is sorted by
     (levels, multiplicities, classes, sphere, augmentations, source name)
     and is byte-deterministic.  Warnings flag bound combinations that might
     hide configurations; no warnings means the list is provably complete.
@@ -453,8 +412,6 @@ def enumerate_contributions(setup: SetupDescriptor, target: Generator,
 
     warnings = _coverage_warnings(setup, target, k_max, class_bound)
     kt = target.k
-    sigma_classes = _sigma_classes(setup, class_bound)
-    x_classes = _x_classes(setup, class_bound)
     one = Fraction(1)
 
     # no levels: fibrewise Morse flow at fixed winding
@@ -470,69 +427,59 @@ def enumerate_contributions(setup: SetupDescriptor, target: Generator,
                 if cand.feasible:
                     found.append(cand)
 
-    # orbit-to-orbit with levels: any level forces a check end above a hat
-    # end (the budget has +1 for each non-constant level or augmentation,
-    # and every level carries at least one of those), so prune the rest
+    # any level needs a check target (the budget has +1 for each
+    # non-constant level or augmentation, and every level carries one)
     if target.point.flag is FibreFlag.CHECK:
-        for n_levels in range(1, MAX_LEVELS + 1):
-            aug_options = _aug_assignments(setup, n_levels, x_classes)
-            for q in setup.morse_sigma:
-                for k0 in range(1, min(k_max, kt) + 1):
-                    source = OrbitGenerator(
-                        LiftedCriticalPoint(q, FibreFlag.HAT), k0)
-                    if grade(setup, target) - grade(setup, source) != one:
-                        continue
-                    for classes in product(sigma_classes, repeat=n_levels):
-                        n1 = sum(1 for a in classes if any(a))
-                        if n1 > 1:  # budget prune
-                            continue
-                        for aug in aug_options:
-                            mults = _chain_multiplicities(
-                                setup, k0, classes, aug)
-                            if mults is None or mults[-1] != kt:
-                                continue
-                            cand = classify_type(setup, target, source,
-                                                 mults, classes, None, aug)
-                            if cand.feasible:
-                                found.append(cand)
-
-    # orbit-to-interior: bottom level rests on a filling sphere.  The budget
-    # here must vanish outright, so no hat targets, no non-constant levels,
-    # no augmentation planes; only the sphere class and level count vary.
-    if target.point.flag is FibreFlag.CHECK:
-        for x in setup.morse_w:
-            source = InteriorGenerator(x)
-            if grade(setup, target) - grade(setup, source) != one:
-                continue
-            for n_levels in range(1, MAX_LEVELS + 1):
-                zeros = (tuple([0] * setup.lattice_sigma.rank),) * n_levels
-                for b in x_classes:
-                    k0 = int(pair(setup.lattice_x, b,
-                                  Functional.SIGMA_INTERSECTION))
-                    mults = _chain_multiplicities(setup, k0, zeros, ())
-                    if mults is None or mults[-1] != kt:
-                        continue
-                    cand = classify_type(setup, target, source,
-                                         mults, zeros, b, ())
-                    if cand.feasible:
-                        found.append(cand)
+        for source, mults, classes, sphere_b, aug in _level_shapes(
+                setup, target, k_max, class_bound):
+            cand = classify_type(setup, target, source, mults, classes,
+                                 sphere_b, aug)
+            if cand.feasible:
+                found.append(cand)
 
     found.sort(key=CascadeType.sort_key)
     return EnumerationResult(target, tuple(found), tuple(warnings))
 
 
-def _chain_multiplicities(setup: SetupDescriptor, k0: int,
-                          classes: Sequence[IntVector],
-                          aug: Sequence[AugPuncture]) -> Optional[Tuple[int, ...]]:
-    """Windings k0 <= k1 <= ... forced by per-level balance, or None."""
-    mults = [k0]
-    for i, a in enumerate(classes, start=1):
+def _level_shapes(setup: SetupDescriptor, target: OrbitGenerator,
+                  k_max: int, class_bound: int):
+    """(source, multiplicities, classes, sphere, aug) of Cases 1, 2 and 3.
+
+    Orbit-to-orbit: one level above a hat source at winding k_0, keyed by
+    its step k_t - k_0.  A non-constant level of class A steps K*omega(A)
+    (Case 1); a constant level carrying one plane of class B steps B.Sigma
+    (Case 2).  Orbit-to-interior: the budget must vanish outright, leaving
+    one constant level on a filling sphere with B.Sigma = k_t (Case 3).
+    """
+    kt = target.k
+    zero = tuple([0] * setup.lattice_sigma.rank)
+    planes = []  # filling classes whose divisor intersection is a winding
+    for b in _box_classes(setup.lattice_x, class_bound):
+        m = pair(setup.lattice_x, b, Functional.SIGMA_INTERSECTION)
+        if m.denominator == 1 and m >= 1:
+            planes.append((b, int(m)))
+    by_step: Dict[Fraction, list] = {}
+    for a in _box_classes(setup.lattice_sigma, class_bound):
         step = setup.k_const * pair(setup.lattice_sigma, a, Functional.OMEGA)
-        step += sum(p.multiplicity for p in aug if p.level == i)
-        if step.denominator != 1 or step < 0:
-            return None
-        mults.append(mults[-1] + int(step))
-    return tuple(mults)
+        by_step.setdefault(step, []).append(((a,), ()))
+    for b, m in planes:
+        by_step.setdefault(m, []).append(((zero,), (AugPuncture(1, b, m),)))
+
+    for q in setup.morse_sigma:
+        for k0 in range(1, min(k_max, kt) + 1):
+            source = OrbitGenerator(LiftedCriticalPoint(q, FibreFlag.HAT), k0)
+            if grade(setup, target) - grade(setup, source) != 1:
+                continue
+            for classes, aug in by_step.get(kt - k0, ()):
+                yield source, (k0, kt), classes, None, aug
+
+    for x in setup.morse_w:
+        source = InteriorGenerator(x)
+        if grade(setup, target) - grade(setup, source) != 1:
+            continue
+        for b, m in planes:
+            if m == kt:
+                yield source, (kt, kt), (zero,), b, ()
 
 
 @dataclass(frozen=True)
@@ -642,22 +589,13 @@ def certify_classification(setup: SetupDescriptor, k_max: int,
                            class_bound: int) -> CertificationReport:
     """Enumerate over every generator up to the bounds and check the shapes.
 
-    Every feasible type must match its case's structural constraints; any
-    mismatch is reported as a counterexample.  Honors CASCADIX_THREADS for
-    parallel per-target enumeration; output order never depends on it.
+    The solver only proposes budget-allowed shapes and `classify_type`
+    confirms each one; this re-checks every feasible type against its
+    case's structural constraints and reports any mismatch as a
+    counterexample.  Targets are taken in generator order.
     """
-    targets = enumerate_generators(setup, k_max)
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(
-                lambda t: enumerate_contributions(setup, t, k_max, class_bound),
-                targets))
-    else:
-        results = [enumerate_contributions(setup, t, k_max, class_bound)
-                   for t in targets]
-
-    # pool.map preserves input order, so results are already deterministic
+    results = [enumerate_contributions(setup, t, k_max, class_bound)
+               for t in enumerate_generators(setup, k_max)]
     violations: List[str] = []
     warnings: List[str] = []
     for res in results:
@@ -667,12 +605,3 @@ def certify_classification(setup: SetupDescriptor, k_max: int,
     return CertificationReport(setup.name, k_max, class_bound,
                                tuple(results), tuple(violations),
                                tuple(dict.fromkeys(warnings)))
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("CASCADIX_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise CascadixError(f"CASCADIX_THREADS must be an integer, got {raw!r}")
-    return max(1, n)

@@ -10,6 +10,7 @@ stderr), 2 for usage errors.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import io
@@ -53,6 +54,27 @@ def _load(setup_path):
     setup = load_setup(setup_path)
     validate_setup(setup)
     return setup
+
+
+def _read_instance(path) -> dict:
+    try:
+        raw = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise CascadixError(f"cannot read instance {path}: {exc}") from None
+    if not isinstance(raw, dict):
+        raise CascadixError("instance must be a JSON object")
+    return raw
+
+
+@contextlib.contextmanager
+def _instance_fields():
+    """Missing or ill-typed instance fields become engine errors."""
+    try:
+        yield
+    except KeyError as exc:
+        raise CascadixError(f"instance lacks field {exc}") from None
+    except (AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise CascadixError(f"malformed instance: {exc}") from None
 
 
 def _vec(v) -> str:
@@ -240,12 +262,16 @@ def _cascade_shape(setup, raw):
 def dim_cmd(setup_path, instance_path):
     """Expected dimension of one configuration space."""
     setup = _load(setup_path)
-    raw = json.loads(Path(instance_path).read_text())
+    raw = _read_instance(instance_path)
     kind = raw.get("kind")
     if kind in ("pearl_in_sigma", "pearl_with_sphere"):
-        value = pearls.pearl_dimension(setup, _pearl_spec(setup, raw))
+        with _instance_fields():
+            spec = _pearl_spec(setup, raw)
+        value = pearls.pearl_dimension(setup, spec)
     elif kind in ("cascade_zero", "cascade_y_to_y", "cascade_w_to_y"):
-        value = pearls.cascade_dimension(setup, _cascade_shape(setup, raw))
+        with _instance_fields():
+            shape = _cascade_shape(setup, raw)
+        value = pearls.cascade_dimension(setup, shape)
     else:
         raise CascadixError(f"unknown instance kind {kind!r}")
     click.echo(f"kind: {kind}")
@@ -339,17 +365,20 @@ def _map_from(raw) -> orientation.LinearMapSpec:
 @guarded
 def orient_cmd(instance_path):
     """Oriented kernel of a fibre sum, or a quotient representative."""
-    raw = json.loads(Path(instance_path).read_text())
+    raw = _read_instance(instance_path)
     kind = raw.get("kind")
     if kind == "fibre_sum":
-        frame = orientation.fibre_sum_orientation(
-            _space_from(raw["v1"]), _space_from(raw["v2"]),
-            _space_from(raw["w"]), _map_from(raw["f1"]), _map_from(raw["f2"]))
+        with _instance_fields():
+            spaces = [_space_from(raw[key]) for key in ("v1", "v2", "w")]
+            maps = [_map_from(raw[key]) for key in ("f1", "f2")]
+        frame = orientation.fibre_sum_orientation(*spaces, *maps)
         click.echo("kernel of the difference map:")
     elif kind == "quotient":
-        sub = orientation.IncludedSubspace(_space_from(raw["sub"]),
-                                           _map_from(raw["inclusion"]))
-        frame = orientation.quotient_orientation(_space_from(raw["total"]), sub)
+        with _instance_fields():
+            sub = orientation.IncludedSubspace(_space_from(raw["sub"]),
+                                               _map_from(raw["inclusion"]))
+            total = _space_from(raw["total"])
+        frame = orientation.quotient_orientation(total, sub)
         click.echo("complement representative:")
     else:
         raise CascadixError(f"unknown instance kind {kind!r}")

@@ -224,15 +224,17 @@ def integer_rank(matrix: Matrix) -> int:
 
 def homology(data: MorseData) -> List[Tuple[int, int, Tuple[int, ...]]]:
     """Per degree: (degree, betti rank, torsion invariant factors)."""
-    matrices = differential(data)
+    # one Smith form per boundary matrix: its rank and torsion both come
+    # from the invariant factors
+    factors = {d: smith_invariant_factors(m)
+               for d, m in differential(data).items()}
     out = []
     for d in range(data.max_index() + 1):
         dim = len(data.points_of_degree(d))
-        rank_out = integer_rank(matrices.get(d, ()))
-        above = matrices.get(d + 1, ())
-        rank_in = integer_rank(above)
-        torsion = tuple(f for f in smith_invariant_factors(above) if f > 1)
-        out.append((d, dim - rank_out - rank_in, torsion))
+        rank_out = len(factors.get(d, ()))
+        above = factors.get(d + 1, ())
+        torsion = tuple(f for f in above if f > 1)
+        out.append((d, dim - rank_out - len(above), torsion))
     return out
 
 
@@ -242,7 +244,12 @@ def euler_characteristic(data: MorseData) -> int:
 
 def load_morse_data(path):
     """Read a complex from JSON; a "base" key marks a lifted-complex file."""
-    raw = json.loads(Path(path).read_text())
+    try:
+        raw = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise CascadixError(f"cannot read Morse data {path}: {exc}") from None
+    if not isinstance(raw, dict):
+        raise CascadixError("Morse data must be a JSON object")
     if "base" in raw:
         base = _plain_from_dict(raw["base"])
         flows = _flows_from_list(raw.get("lifted_flows", []))
@@ -254,7 +261,7 @@ def _plain_from_dict(raw: dict) -> MorseData:
     try:
         points = tuple(MorsePoint(p["name"], int(p["index"]))
                        for p in raw["points"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise CascadixError(f"malformed critical point list: {exc}") from None
     return MorseData(points, _flows_from_list(raw.get("flows", [])))
 
@@ -263,5 +270,5 @@ def _flows_from_list(raw) -> Tuple[SignedFlow, ...]:
     try:
         return tuple(SignedFlow(f["source"], f["target"], int(f["count"]))
                      for f in raw)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise CascadixError(f"malformed flow list: {exc}") from None

@@ -1,6 +1,9 @@
 """Frozen expected values and independent oracle computations.
 
-Everything in this file is computed without importing the package under test.
+Everything in this file except `brute_force_contributions` is computed
+without importing the package under test.  That one is the exhaustive
+generate-and-filter cascade search, kept as the reference the case solver is
+compared against; it uses the package's `classify_type` as its judge.
 Derived values were worked out by hand (or by the closed forms below) before
 the corresponding module was written, and the implementation is held to them.
 Do not edit a frozen value to make a test pass; a mismatch means the
@@ -10,6 +13,7 @@ has to be resolved explicitly.
 
 import math
 from fractions import Fraction
+from itertools import product
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +179,157 @@ TAU2_CATALOG = [
     ("m_check_2", "x0", 3, 2, 2, ((0,),), (2,), ()),
 ]
 TAU2_CASE_COUNTS = {0: 3, 1: 5, 2: 4, 3: 2}
+
+
+# ---------------------------------------------------------------------------
+# Brute-force cascade search.
+#
+# Every 1- and 2-level candidate with 0-2 augmentation planes and class
+# vectors in the coordinate box of area (0, class_bound], each handed to
+# classify_type; the feasible ones, sorted, are the reference catalog of one
+# target.  Returns (types, warnings) with the same meaning as the fields of
+# an EnumerationResult.
+
+BRUTE_MAX_LEVELS = 2
+BRUTE_MAX_AUG = 2
+
+
+def _box_classes(lattice, class_bound):
+    """Nonzero class vectors with area in (0, class_bound]."""
+    from cascadix.model import Functional, pair
+    out = []
+    for v in product(range(-class_bound, class_bound + 1), repeat=lattice.rank):
+        if any(v) and 0 < pair(lattice, v, Functional.OMEGA) <= class_bound:
+            out.append(v)
+    return out
+
+
+def _brute_aug_assignments(setup, n_levels, x_classes):
+    from cascadix.cascades import AugPuncture
+    from cascadix.model import Functional, pair
+    out = [()]
+    singles = []
+    for level in range(1, n_levels + 1):
+        for b in x_classes:
+            mult = int(pair(setup.lattice_x, b, Functional.SIGMA_INTERSECTION))
+            singles.append(AugPuncture(level, b, mult))
+    out.extend((s,) for s in singles)
+    if BRUTE_MAX_AUG >= 2:
+        for i, s1 in enumerate(singles):
+            for s2 in singles[i:]:
+                out.append((s1, s2))
+    return out
+
+
+def _brute_chain_multiplicities(setup, k0, classes, aug):
+    """Windings k0 <= k1 <= ... forced by per-level balance, or None."""
+    from cascadix.model import Functional, pair
+    mults = [k0]
+    for i, a in enumerate(classes, start=1):
+        step = setup.k_const * pair(setup.lattice_sigma, a, Functional.OMEGA)
+        step += sum(p.multiplicity for p in aug if p.level == i)
+        if step.denominator != 1 or step < 0:
+            return None
+        mults.append(mults[-1] + int(step))
+    return tuple(mults)
+
+
+def _brute_warnings(setup, target, k_max, class_bound):
+    w = []
+    kt = target.k
+    if k_max < kt:
+        w.append(f"k_max={k_max} below target winding {kt}: sources missed")
+    if setup.k_const * class_bound < kt:
+        w.append(
+            f"class_bound={class_bound} admits areas only up to "
+            f"{class_bound}, need {Fraction(kt, 1) / setup.k_const}"
+        )
+    if setup.lattice_sigma.rank > 1 or setup.lattice_x.rank > 1:
+        w.append("lattice rank > 1: coordinate box search is heuristic")
+    return w
+
+
+def brute_force_contributions(setup, target, k_max, class_bound):
+    from cascadix.cascades import CascadeType, classify_type
+    from cascadix.grading import InteriorGenerator, OrbitGenerator, grade
+    from cascadix.model import (FibreFlag, Functional, LiftedCriticalPoint,
+                                pair)
+
+    found = []
+    if isinstance(target, InteriorGenerator):
+        for y in setup.morse_w:
+            if y.name == target.point.name:
+                continue
+            cand = classify_type(setup, target, InteriorGenerator(y), ())
+            if cand.feasible:
+                found.append(cand)
+        found.sort(key=CascadeType.sort_key)
+        return tuple(found), ()
+
+    warnings = _brute_warnings(setup, target, k_max, class_bound)
+    kt = target.k
+    sigma_classes = [tuple([0] * setup.lattice_sigma.rank)]
+    sigma_classes += _box_classes(setup.lattice_sigma, class_bound)
+    x_classes = []
+    for v in _box_classes(setup.lattice_x, class_bound):
+        inter = pair(setup.lattice_x, v, Functional.SIGMA_INTERSECTION)
+        if inter.denominator == 1 and inter >= 1:
+            x_classes.append(v)
+    one = Fraction(1)
+
+    if kt <= k_max:
+        for q in setup.morse_sigma:
+            for flag in (FibreFlag.CHECK, FibreFlag.HAT):
+                source = OrbitGenerator(LiftedCriticalPoint(q, flag), kt)
+                if source == target:
+                    continue
+                if grade(setup, target) - grade(setup, source) != one:
+                    continue
+                cand = classify_type(setup, target, source, (kt,))
+                if cand.feasible:
+                    found.append(cand)
+
+    if target.point.flag is FibreFlag.CHECK:
+        for n_levels in range(1, BRUTE_MAX_LEVELS + 1):
+            aug_options = _brute_aug_assignments(setup, n_levels, x_classes)
+            for q in setup.morse_sigma:
+                for k0 in range(1, min(k_max, kt) + 1):
+                    source = OrbitGenerator(
+                        LiftedCriticalPoint(q, FibreFlag.HAT), k0)
+                    if grade(setup, target) - grade(setup, source) != one:
+                        continue
+                    for classes in product(sigma_classes, repeat=n_levels):
+                        if sum(1 for a in classes if any(a)) > 1:
+                            continue
+                        for aug in aug_options:
+                            mults = _brute_chain_multiplicities(
+                                setup, k0, classes, aug)
+                            if mults is None or mults[-1] != kt:
+                                continue
+                            cand = classify_type(setup, target, source,
+                                                 mults, classes, None, aug)
+                            if cand.feasible:
+                                found.append(cand)
+
+        for x in setup.morse_w:
+            source = InteriorGenerator(x)
+            if grade(setup, target) - grade(setup, source) != one:
+                continue
+            for n_levels in range(1, BRUTE_MAX_LEVELS + 1):
+                zeros = (tuple([0] * setup.lattice_sigma.rank),) * n_levels
+                for b in x_classes:
+                    k0 = int(pair(setup.lattice_x, b,
+                                  Functional.SIGMA_INTERSECTION))
+                    mults = _brute_chain_multiplicities(setup, k0, zeros, ())
+                    if mults is None or mults[-1] != kt:
+                        continue
+                    cand = classify_type(setup, target, source,
+                                         mults, zeros, b, ())
+                    if cand.feasible:
+                        found.append(cand)
+
+    found.sort(key=CascadeType.sort_key)
+    return tuple(found), tuple(warnings)
 
 
 # ---------------------------------------------------------------------------

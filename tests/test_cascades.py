@@ -1,7 +1,10 @@
+import math
 import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import oracles
 
@@ -16,8 +19,13 @@ from cascadix.cascades import (
     index_identity_y_to_y,
 )
 from cascadix.errors import CascadixError
-from cascadix.grading import grade, interior_generator, orbit_generator
-from cascadix.model import FibreFlag
+from cascadix.grading import (
+    enumerate_generators,
+    grade,
+    interior_generator,
+    orbit_generator,
+)
+from cascadix.model import FibreFlag, parse_setup
 
 
 def gen_by_name(setup, name):
@@ -285,3 +293,90 @@ class TestEnumeration:
     def test_bad_bounds(self, cp2):
         with pytest.raises(CascadixError):
             enumerate_contributions(cp2, gen_by_name(cp2, "m_check_1"), 0, 3)
+
+
+# --- the case solver against the brute-force search ---------------------
+
+
+def assert_matches_brute_force(setup, k_max, class_bound):
+    """Target by target: same types (budget terms included), same warnings.
+
+    Targets run one winding past k_max, so the truncation warning and the
+    sources cut off by k_max are compared too.
+    """
+    for target in enumerate_generators(setup, k_max + 1):
+        res = enumerate_contributions(setup, target, k_max, class_bound)
+        types, warnings = oracles.brute_force_contributions(
+            setup, target, k_max, class_bound)
+        where = (setup.name, k_max, class_bound, target.display_name)
+        assert res.types == types, where
+        assert res.warnings == warnings, where
+
+
+@pytest.mark.parametrize("name", ["cp2", "tau2", "rank0"])
+@pytest.mark.parametrize("k_max,class_bound",
+                         [(1, 1), (2, 5), (3, 3), (4, 8), (8, 3)])
+def test_solver_matches_brute_force_shipped(name, k_max, class_bound, request):
+    assert_matches_brute_force(request.getfixturevalue(name), k_max,
+                               class_bound)
+
+
+def _unit(*rates):
+    """Least positive u with r*u integral for every positive rational r."""
+    num, den = 1, 0
+    for r in rates:
+        num = num * r.denominator // math.gcd(num, r.denominator)
+        den = math.gcd(den, r.numerator)
+    return Fraction(num, den)
+
+
+small_rational = st.builds(Fraction, st.integers(1, 4), st.integers(1, 3))
+
+
+@st.composite
+def monotone_setups(draw):
+    """Random setups that validate_setup accepts: c1 = tau*omega on X,
+    c1 = (tau - K)*omega on Sigma, B.Sigma = K*omega, rank <= 2."""
+    n = draw(st.integers(1, 3))
+    k_const = draw(small_rational)
+    tau = k_const + draw(small_rational)
+
+    def lattice(rank, rates):
+        unit = _unit(*rates)
+        omega = [unit * draw(st.integers(-2, 2)) for _ in range(rank)]
+        return omega, [str(w) for w in omega]
+
+    sigma_rank, x_rank = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    omega_s, omega_s_raw = lattice(sigma_rank, (tau - k_const,))
+    omega_x, omega_x_raw = lattice(x_rank, (tau, k_const))
+    sigma_points = draw(st.lists(st.integers(0, 2 * n - 2), min_size=1,
+                                 max_size=3))
+    w_points = draw(st.lists(st.integers(0, 2 * n), max_size=2))
+    raw = {
+        "name": "random", "n": n, "tau_x": str(tau), "k_const": str(k_const),
+        "t0": 1,
+        "lattice_sigma": {
+            "generators": [f"A{i}" for i in range(sigma_rank)],
+            "omega": omega_s_raw,
+            "c1": [int((tau - k_const) * w) for w in omega_s],
+        },
+        "lattice_x": {
+            "generators": [f"L{i}" for i in range(x_rank)],
+            "omega": omega_x_raw,
+            "c1": [int(tau * w) for w in omega_x],
+            "sigma_intersection": [int(k_const * w) for w in omega_x],
+        },
+        "morse_sigma": [{"name": f"s{i}", "index": m}
+                        for i, m in enumerate(sigma_points)],
+        "morse_w": [{"name": f"w{i}", "index": m}
+                    for i, m in enumerate(w_points)],
+    }
+    return parse_setup(raw)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(setup=monotone_setups(), k_max=st.integers(1, 3),
+       class_bound=st.integers(1, 3))
+def test_solver_matches_brute_force_random(setup, k_max, class_bound):
+    assert_matches_brute_force(setup, k_max, class_bound)

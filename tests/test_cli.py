@@ -180,6 +180,32 @@ def test_morse_rejects_broken_boundary(runner, tmp_path):
     assert "BoundarySquaredNonzero" in result.stderr
 
 
+MALFORMED_INPUTS = {
+    "truncated": '{"kind": "fibre_sum", "v1": {"dim"',
+    "index_not_integer": json.dumps({"points": [{"name": "a", "index": "x"}]}),
+    "fibre_sum_without_fields": json.dumps({"kind": "fibre_sum"}),
+    "pearl_without_fields": json.dumps({"kind": "pearl_in_sigma"}),
+    "not_an_object": json.dumps([1, 2]),
+}
+
+
+@pytest.mark.parametrize("command", ["morse", "orient", "dim"])
+@pytest.mark.parametrize("content", MALFORMED_INPUTS.values(),
+                         ids=MALFORMED_INPUTS.keys())
+def test_malformed_input_is_one_error_line(runner, data_dir, tmp_path,
+                                           command, content):
+    path = tmp_path / "malformed.json"
+    path.write_text(content)
+    args = {"morse": ["morse", "--data", str(path)],
+            "orient": ["orient", "--instance", str(path)],
+            "dim": ["dim", "--setup", str(data_dir / "cp2.json"),
+                    "--instance", str(path)]}[command]
+    result = runner.invoke(cli.main, args)
+    assert result.exit_code == 1
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
+
+
 def test_report_sections_cp2(runner, data_dir):
     result = invoke(runner, "report", "--setup", str(data_dir / "cp2.json"),
                     "--kmax", "3", "--classbound", "3")
