@@ -18,19 +18,21 @@ survives lands in exactly one of four cases:
 Since the budget leaves no other shapes, the catalog comes from a direct
 case solver: for each target it proposes only these four shapes, with the
 windings solved from the level balance, and `classify_type` confirms or
-rejects each proposal.  The catalog is complete within user bounds (max
-source winding, max class area) and reports when the bounds provably cover
-everything, so an empty answer is a certificate, not an accident.  Counts
-and signs of actual solutions are out of scope; this is the catalog of
-candidates only.
+rejects each proposal.  Validation makes every functional a multiple of
+the area, and the balance fixes the area, so each shape takes the one class
+`model.class_of_area` gives, in any lattice rank.  The catalog is complete
+within user bounds (max source winding, max class area, never a coordinate
+box) and reports when the bounds provably cover everything, so an empty
+answer is a certificate, not an accident.  Counts and signs of actual
+solutions are out of scope; this is the catalog of candidates only.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import CascadixError
@@ -45,12 +47,13 @@ from .grading import (
 from .model import (
     FibreFlag,
     Functional,
-    HomologyLattice,
+    IntVector,
     LiftedCriticalPoint,
     SetupDescriptor,
+    class_of_area,
     pair,
 )
-from .pearls import IntVector, augmentation_index, multiplicity_balance
+from .pearls import augmentation_index, multiplicity_balance
 
 BUDGET_CAP_Y_TO_Y = Fraction(1)
 BUDGET_CAP_W_TO_Y = Fraction(0)
@@ -340,6 +343,10 @@ def classify_type(setup: SetupDescriptor, target: Generator, source: Generator,
                        classes_a, sphere_b, aug, label, budget)
 
 
+def _case_counts(types: Sequence[CascadeType]) -> Dict[int, int]:
+    return dict(Counter(t.case_label.value for t in types))
+
+
 @dataclass(frozen=True)
 class EnumerationResult:
     target: Generator
@@ -351,17 +358,7 @@ class EnumerationResult:
         return not self.warnings
 
     def case_counts(self) -> Dict[int, int]:
-        counts: Dict[int, int] = {}
-        for t in self.types:
-            counts[t.case_label.value] = counts.get(t.case_label.value, 0) + 1
-        return counts
-
-
-def _box_classes(lattice: HomologyLattice, class_bound: int) -> List[IntVector]:
-    """Nonzero classes in the coordinate box with area in (0, class_bound]."""
-    return [v for v in product(range(-class_bound, class_bound + 1),
-                               repeat=lattice.rank)
-            if any(v) and 0 < pair(lattice, v, Functional.OMEGA) <= class_bound]
+        return _case_counts(self.types)
 
 
 def _coverage_warnings(setup: SetupDescriptor, target: OrbitGenerator,
@@ -377,8 +374,6 @@ def _coverage_warnings(setup: SetupDescriptor, target: OrbitGenerator,
             f"class_bound={class_bound} admits areas only up to "
             f"{class_bound}, need {Fraction(kt, 1) / setup.k_const}"
         )
-    if setup.lattice_sigma.rank > 1 or setup.lattice_x.rank > 1:
-        w.append("lattice rank > 1: coordinate box search is heuristic")
     return w
 
 
@@ -386,11 +381,12 @@ def enumerate_contributions(setup: SetupDescriptor, target: Generator,
                             k_max: int, class_bound: int) -> EnumerationResult:
     """Every feasible cascade type ending on the given target.
 
-    Sources have degree exactly one less; class vectors have area in
-    (0, class_bound].  Only the shapes the budget allows are proposed: a
-    bare flow (Case 0), one non-constant level (Case 1), one constant level
-    with one augmentation plane (Case 2), one constant level on a filling
-    sphere (Case 3), each with its windings solved from the level balance.
+    Sources have degree exactly one less; classes have area in
+    (0, class_bound], one class per area.  Only the shapes the budget
+    allows are proposed: a bare flow (Case 0), one non-constant level
+    (Case 1), one constant level with one augmentation plane (Case 2), one
+    constant level on a filling sphere (Case 3), each with its windings
+    solved from the level balance.
     `classify_type` confirms every proposal.  Output is sorted by
     (levels, multiplicities, classes, sphere, augmentations, source name)
     and is byte-deterministic.  Warnings flag bound combinations that might
@@ -445,41 +441,40 @@ def _level_shapes(setup: SetupDescriptor, target: OrbitGenerator,
                   k_max: int, class_bound: int):
     """(source, multiplicities, classes, sphere, aug) of Cases 1, 2 and 3.
 
-    Orbit-to-orbit: one level above a hat source at winding k_0, keyed by
-    its step k_t - k_0.  A non-constant level of class A steps K*omega(A)
-    (Case 1); a constant level carrying one plane of class B steps B.Sigma
-    (Case 2).  Orbit-to-interior: the budget must vanish outright, leaving
-    one constant level on a filling sphere with B.Sigma = k_t (Case 3).
+    Orbit-to-orbit: one level above a hat source at winding k_0.  A
+    non-constant level of class A steps K*omega(A) (Case 1); a constant
+    level carrying one plane of class B steps B.Sigma = K*omega(B) (Case 2).
+    Orbit-to-interior: the budget must vanish outright, leaving one constant
+    level on a filling sphere with B.Sigma = k_t (Case 3).  Each class has
+    area step/K, skipped above class_bound.
     """
     kt = target.k
     zero = tuple([0] * setup.lattice_sigma.rank)
-    planes = []  # filling classes whose divisor intersection is a winding
-    for b in _box_classes(setup.lattice_x, class_bound):
-        m = pair(setup.lattice_x, b, Functional.SIGMA_INTERSECTION)
-        if m.denominator == 1 and m >= 1:
-            planes.append((b, int(m)))
-    by_step: Dict[Fraction, list] = {}
-    for a in _box_classes(setup.lattice_sigma, class_bound):
-        step = setup.k_const * pair(setup.lattice_sigma, a, Functional.OMEGA)
-        by_step.setdefault(step, []).append(((a,), ()))
-    for b, m in planes:
-        by_step.setdefault(m, []).append(((zero,), (AugPuncture(1, b, m),)))
+
+    def solve(lattice, step):
+        area = Fraction(step) / setup.k_const
+        return class_of_area(lattice, area) if area <= class_bound else None
 
     for q in setup.morse_sigma:
         for k0 in range(1, min(k_max, kt) + 1):
             source = OrbitGenerator(LiftedCriticalPoint(q, FibreFlag.HAT), k0)
             if grade(setup, target) - grade(setup, source) != 1:
                 continue
-            for classes, aug in by_step.get(kt - k0, ()):
-                yield source, (k0, kt), classes, None, aug
+            a = solve(setup.lattice_sigma, kt - k0)
+            if a is not None:
+                yield source, (k0, kt), (a,), None, ()
+            b = solve(setup.lattice_x, kt - k0)
+            if b is not None:
+                yield (source, (k0, kt), (zero,), None,
+                       (AugPuncture(1, b, kt - k0),))
 
+    b = solve(setup.lattice_x, kt)
+    if b is None:
+        return
     for x in setup.morse_w:
         source = InteriorGenerator(x)
-        if grade(setup, target) - grade(setup, source) != 1:
-            continue
-        for b, m in planes:
-            if m == kt:
-                yield source, (kt, kt), (zero,), b, ()
+        if grade(setup, target) - grade(setup, source) == 1:
+            yield source, (kt, kt), (zero,), b, ()
 
 
 @dataclass(frozen=True)
@@ -500,10 +495,7 @@ class CertificationReport:
         return tuple(t for r in self.results for t in r.types)
 
     def case_counts(self) -> Dict[int, int]:
-        counts: Dict[int, int] = {}
-        for t in self.types:
-            counts[t.case_label.value] = counts.get(t.case_label.value, 0) + 1
-        return counts
+        return _case_counts(self.types)
 
     def summary(self) -> str:
         if not self.certified:

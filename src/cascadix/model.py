@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, Tuple, Union
 
 from .errors import CascadixError
 
@@ -70,6 +70,7 @@ class Functional(Enum):
 
 
 Rational = Union[int, Fraction]
+IntVector = Tuple[int, ...]
 
 
 def parse_rational(value) -> Fraction:
@@ -137,6 +138,31 @@ def pair(lattice: HomologyLattice, cls: Sequence[int], which: Functional) -> Fra
         )
     values = lattice.functional(which)
     return sum((Fraction(c) * Fraction(v) for c, v in zip(cls, values)), Fraction(0))
+
+
+def class_of_area(lattice: HomologyLattice, area: Rational) -> Optional[IntVector]:
+    """m times the unit class if area = m*g with m > 0, else None.
+
+    The areas of the lattice form g*Z.  The unit class of area g comes from
+    the extended Euclidean algorithm over the generators in file order,
+    passing over a generator whose area g so far divides.  In rank 1 it is
+    the only class of its area; in rank 0, or with all areas 0, none exists.
+    """
+    g, unit = Fraction(0), (0,) * lattice.rank
+    for i, w in enumerate(lattice.omega):
+        if g and w % g == 0:
+            continue
+        # Euclid on (area, class) pairs, each class having its pair's area
+        a, b = (g, unit), (w, tuple(int(j == i) for j in range(lattice.rank)))
+        while b[0]:
+            q = a[0] // b[0]
+            a, b = b, (a[0] - q * b[0],
+                       tuple(x - q * y for x, y in zip(a[1], b[1])))
+        g, unit = a if a[0] >= 0 else (-a[0], tuple(-x for x in a[1]))
+    m = Fraction(area) / g if g else Fraction(0)
+    if m.denominator != 1 or m <= 0:
+        return None
+    return tuple(int(m) * c for c in unit)
 
 
 @dataclass(frozen=True)

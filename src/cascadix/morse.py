@@ -40,8 +40,8 @@ class MorsePoint:
     index: int
 
     def __post_init__(self):
-        if not self.name:
-            raise CascadixError("critical point needs a name")
+        if not isinstance(self.name, str) or not self.name:
+            raise CascadixError(f"bad critical point name {self.name!r}")
         if self.index < 0:
             raise CascadixError(f"negative index on {self.name}")
 
@@ -51,6 +51,10 @@ class SignedFlow:
     source: str
     target: str
     count: int
+
+    def __post_init__(self):
+        if not (isinstance(self.source, str) and isinstance(self.target, str)):
+            raise CascadixError(f"bad flow ends {self.source!r} -> {self.target!r}")
 
 
 @dataclass(frozen=True)

@@ -157,18 +157,16 @@ def kernel_basis(m: Matrix, ncols: int) -> List[Vector]:
 
 def _extend_to_basis(cols: List[Vector], candidates: List[Vector],
                      dim: int) -> List[Vector]:
-    """Greedily pick candidates that extend cols to a basis of dimension dim."""
-    chosen: List[Vector] = []
-    current = list(cols)
-    for cand in candidates:
-        if len(current) == dim:
-            break
-        if matrix_rank(_from_columns(current + [cand])) > len(current):
-            current.append(cand)
-            chosen.append(cand)
-    if len(current) != dim:
+    """Extend independent cols to a basis of dimension dim by candidates.
+
+    Greedy left-to-right choice: a candidate is taken when it is not in the
+    span of cols and the candidates taken before it, which is exactly when
+    its column is a pivot of [cols | candidates].
+    """
+    _, pivots = _rref(_from_columns(cols + candidates))
+    if len(pivots) != dim:
         raise CascadixError("could not extend to a full basis")
-    return chosen
+    return [candidates[c - len(cols)] for c in pivots if c >= len(cols)]
 
 
 @dataclass(frozen=True)
@@ -347,15 +345,11 @@ def frame_orientations_agree(a: OrientedFrame, b: OrientedFrame) -> bool:
 
 
 def _independent_rows(m: Matrix, want: int) -> List[int]:
-    chosen: List[int] = []
-    for i in range(len(m)):
-        trial = chosen + [i]
-        rows = tuple(m[j] for j in trial)
-        if matrix_rank(rows) == len(trial):
-            chosen.append(i)
-        if len(chosen) == want:
-            return chosen
-    raise CascadixError("matrix has too few independent rows")
+    """The first `want` rows of m, left to right, independent of those before."""
+    pivots = _rref(tuple(_columns(m)))[1]
+    if len(pivots) < want:
+        raise CascadixError("matrix has too few independent rows")
+    return pivots[:want]
 
 
 def _solve(a: Matrix, b: Matrix) -> Matrix:

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import CascadixError
 from .grading import Generator, InteriorGenerator, OrbitGenerator, grade
-from .model import Ambient, CriticalPoint, Functional, SetupDescriptor, pair
+from .model import (Ambient, CriticalPoint, Functional, IntVector,
+                    SetupDescriptor, class_of_area, pair)
 
 
 class VariantMismatch(CascadixError):
@@ -29,13 +29,6 @@ class NonIntegerDegreeDifference(CascadixError):
 
 class NonPositiveArea(CascadixError):
     """Augmentation plane class has non-positive symplectic area."""
-
-
-IntVector = Tuple[int, ...]
-
-
-def _vec(v: Sequence[int]) -> IntVector:
-    return tuple(int(c) for c in v)
 
 
 @dataclass(frozen=True)
@@ -235,25 +228,14 @@ def augmentation_index(setup: SetupDescriptor, class_b: Sequence[int],
     return value
 
 
-def rigid_plane_classes(setup: SetupDescriptor, omega_bound: Fraction,
-                        coord_bound: int = 12) -> List[IntVector]:
-    """All positive-area classes with zero augmentation index, area <= bound.
+def rigid_plane_classes(setup: SetupDescriptor,
+                        omega_bound: Fraction) -> List[IntVector]:
+    """The class of area 1/(tau - K), if it exists within omega_bound.
 
-    Searches the coordinate box [-coord_bound, coord_bound]^rank of the
-    filling lattice.  A class here is a rigid augmentation plane candidate.
-    """
-    omega_bound = Fraction(omega_bound)
-    rank = setup.lattice_x.rank
-    found = []
-    for coords in product(range(-coord_bound, coord_bound + 1), repeat=rank):
-        b = _vec(coords)
-        area = pair(setup.lattice_x, b, Functional.OMEGA)
-        if area <= 0 or area > omega_bound:
-            continue
-        if augmentation_index(setup, b) == 0:
-            found.append(b)
-    found.sort()
-    return found
+    Only at that area does the index 2((tau - K)*omega(B) - 1) vanish."""
+    area = 1 / (setup.tau_x - setup.k_const)
+    b = class_of_area(setup.lattice_x, area)
+    return [b] if b is not None and area <= Fraction(omega_bound) else []
 
 
 def chern_gate_applies(setup: SetupDescriptor) -> bool:

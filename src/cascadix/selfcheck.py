@@ -16,6 +16,7 @@ from .orientation import (
     NotSurjective,
     OrientedFrame,
     OrientedSpace,
+    _matmul,
     det_sign,
     fibre_sum_orientation,
     frame_orientations_agree,
@@ -156,7 +157,7 @@ def run_basis_independence_trials(seed, instances):
         transformed = []
         for space in (v1, v2, w12):
             p = random_positive_transform(rng, space.dim)
-            new_basis = _right_multiply(space.reference_basis, p)
+            new_basis = _matmul(space.reference_basis, p)
             transformed.append(OrientedSpace(space.dim, new_basis, space.sign))
         again = fibre_sum_orientation(transformed[0], transformed[1],
                                       transformed[2], f1, f2)
@@ -195,13 +196,6 @@ def run_flip_trials(seed, instances, which):
             failures.append(inst)
         checked += 1
     return failures
-
-
-def _right_multiply(a, b):
-    if not a:
-        return ()
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(len(b)))
-                       for j in range(len(b[0]))) for i in range(len(a)))
 
 
 def crossing_identity_failures():

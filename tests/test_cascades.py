@@ -1,6 +1,9 @@
+import json
 import math
 import os
+from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -25,7 +28,8 @@ from cascadix.grading import (
     interior_generator,
     orbit_generator,
 )
-from cascadix.model import FibreFlag, parse_setup
+from cascadix.model import (FibreFlag, Functional, class_of_area, pair,
+                            parse_setup)
 
 
 def gen_by_name(setup, name):
@@ -298,18 +302,39 @@ class TestEnumeration:
 # --- the case solver against the brute-force search ---------------------
 
 
+def _by_area(setup, t):
+    """The type with every class replaced by its area."""
+    sigma, x = setup.lattice_sigma, setup.lattice_x
+    return replace(
+        t,
+        classes_a=tuple(pair(sigma, a, Functional.OMEGA) for a in t.classes_a),
+        sphere_b=(None if t.sphere_b is None
+                  else pair(x, t.sphere_b, Functional.OMEGA)),
+        aug=tuple(replace(p, class_b=pair(x, p.class_b, Functional.OMEGA))
+                  for p in t.aug))
+
+
 def assert_matches_brute_force(setup, k_max, class_bound):
     """Target by target: same types (budget terms included), same warnings.
 
-    Targets run one winding past k_max, so the truncation warning and the
-    sources cut off by k_max are compared too.
+    In rank <= 1 the types must be equal outright.  In rank 2 the brute
+    force may pick a different class of the same area from the solver's, so
+    both sides are compared with every class replaced by its area.  Targets
+    run one winding past k_max, so the truncation warning and the sources
+    cut off by k_max are compared too.
     """
+    rank_le_1 = max(setup.lattice_sigma.rank, setup.lattice_x.rank) <= 1
     for target in enumerate_generators(setup, k_max + 1):
         res = enumerate_contributions(setup, target, k_max, class_bound)
         types, warnings = oracles.brute_force_contributions(
             setup, target, k_max, class_bound)
         where = (setup.name, k_max, class_bound, target.display_name)
-        assert res.types == types, where
+        if rank_le_1:
+            assert res.types == types, where
+        else:
+            mine = [_by_area(setup, t) for t in res.types]
+            assert len(set(mine)) == len(mine), where
+            assert set(mine) == {_by_area(setup, t) for t in types}, where
         assert res.warnings == warnings, where
 
 
@@ -380,3 +405,80 @@ def monotone_setups(draw):
        class_bound=st.integers(1, 3))
 def test_solver_matches_brute_force_random(setup, k_max, class_bound):
     assert_matches_brute_force(setup, k_max, class_bound)
+
+
+# --- one class per area --------------------------------------------------
+
+
+QUARTER = {
+    "name": "quarter", "n": 2, "tau_x": 8, "k_const": 4, "t0": 1,
+    "lattice_sigma": {"generators": ["A"], "omega": ["1/4"], "c1": [1]},
+    "lattice_x": {"generators": ["L"], "omega": ["1/4"], "c1": [2],
+                  "sigma_intersection": [1]},
+    "morse_sigma": [{"name": "m", "index": 0}, {"name": "M", "index": 2}],
+    "morse_w": [{"name": "x0", "index": 0}],
+}
+
+
+def test_classbound_caps_area_not_coordinates(tmp_path):
+    # omega = 1/4: the classes of area 1/2 have coordinate 2, above the
+    # class bound 1, yet their area is within it
+    from click.testing import CliRunner
+
+    from cascadix import cli
+    setup = parse_setup(QUARTER)
+    report, rows = full_catalog(setup, k_max=3, class_bound=1)
+    assert ("m_check_3", "M_hat_1", 1, 1, 3, ((2,),), None, ()) in rows
+    assert ("m_check_2", "x0", 3, 2, 2, ((0,),), (2,), ()) in rows
+    assert report.certified and not report.warnings
+    path = tmp_path / "quarter.json"
+    path.write_text(json.dumps(QUARTER))
+    outputs = [CliRunner().invoke(
+        cli.main, ["enumerate", "--setup", str(path), "--all-targets",
+                   "--kmax", "3", "--classbound", str(cb)])
+        for cb in (1, 8)]
+    assert all(r.exit_code == 0 and r.output for r in outputs)
+    assert outputs[0].output == outputs[1].output
+
+
+def test_rank2_catalog_independent_of_classbound(data_dir):
+    raw = json.loads((data_dir / "cp2.json").read_text())
+    raw["lattice_sigma"] = {"generators": ["A", "B"], "omega": [1, 1],
+                            "c1": [2, 2]}
+    raw["lattice_x"] = {"generators": ["L", "M"], "omega": [1, 1],
+                        "c1": [3, 3], "sigma_intersection": [1, 1]}
+    setup = parse_setup(raw)
+    catalogs = []
+    for class_bound in (2, 3, 5):
+        report, rows = full_catalog(setup, k_max=2, class_bound=class_bound)
+        assert report.certified and not report.warnings
+        assert report.summary().startswith("certified")
+        catalogs.append(rows)
+    assert catalogs[0] == catalogs[1] == catalogs[2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(setup=monotone_setups())
+def test_class_of_area_matches_box(setup):
+    """The class has exactly the area asked for, and exists iff some class
+    of that positive area does, tried on the areas m/d * u for u the least
+    nonzero |omega_i|.  The brute force is a box of side 12: every omega
+    entry `monotone_setups` draws is a multiple of u, so 12 times the
+    generator of area +-u already reaches every area up to 12u."""
+    for lattice in (setup.lattice_sigma, setup.lattice_x):
+        nonzero = [abs(w) for w in lattice.omega if w]
+        u = min(nonzero) if nonzero else Fraction(1)
+        side = 12 if nonzero else 0
+        box = {}
+        for v in product(range(-side, side + 1), repeat=lattice.rank):
+            box.setdefault(pair(lattice, v, Functional.OMEGA), []).append(v)
+        for m in range(-4, 13):
+            for d in range(1, 5):
+                area = Fraction(m, d) * u
+                got = class_of_area(lattice, area)
+                if area > 0 and area in box:
+                    assert pair(lattice, got, Functional.OMEGA) == area
+                    if lattice.rank == 1:
+                        assert [got] == box[area]
+                else:
+                    assert got is None, (lattice, area)

@@ -186,6 +186,10 @@ MALFORMED_INPUTS = {
     "fibre_sum_without_fields": json.dumps({"kind": "fibre_sum"}),
     "pearl_without_fields": json.dumps({"kind": "pearl_in_sigma"}),
     "not_an_object": json.dumps([1, 2]),
+    "name_not_a_string": json.dumps({"points": [{"name": ["a"], "index": 0}]}),
+    "flow_end_not_a_string": json.dumps(
+        {"points": [{"name": "a", "index": 0}, {"name": "b", "index": 1}],
+         "flows": [{"source": ["b"], "target": "a", "count": 1}]}),
 }
 
 
