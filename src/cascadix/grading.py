@@ -134,11 +134,6 @@ def cz_cap(setup: SetupDescriptor, gen: OrbitGenerator,
     return Fraction(gen.point.lifted_index + 1 - setup.n - 2 * gen.k) + 2 * c1b
 
 
-def comparable(setup: SetupDescriptor, a: Generator, b: Generator) -> bool:
-    """True when the two degrees differ by an integer."""
-    return (grade(setup, a) - grade(setup, b)).denominator == 1
-
-
 def coset_label(setup: SetupDescriptor, gen: Generator) -> Fraction:
     """Fractional part of the degree; constant on each interacting block."""
     g = grade(setup, gen)

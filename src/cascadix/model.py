@@ -244,9 +244,11 @@ def _lattice_from_dict(raw: dict, where: str, want_sigma_int: bool) -> HomologyL
     for key in raw:
         if key not in known:
             raise ParseError(f"{where}: unknown key {key!r}")
-    names = tuple(raw.get("generators", ()))
-    if not all(isinstance(s, str) for s in names):
-        raise ParseError(f"{where}: generator names must be strings")
+    names = raw.get("generators", [])
+    if not isinstance(names, list) \
+            or not all(isinstance(s, str) for s in names):
+        raise ParseError(f"{where}: generators must be a list of strings")
+    names = tuple(names)
     rank = len(names)
 
     def vec(key, expect_int):

@@ -222,10 +222,6 @@ def smith_invariant_factors(matrix: Matrix) -> List[int]:
     return factors
 
 
-def integer_rank(matrix: Matrix) -> int:
-    return len(smith_invariant_factors(matrix))
-
-
 def homology(data: MorseData) -> List[Tuple[int, int, Tuple[int, ...]]]:
     """Per degree: (degree, betti rank, torsion invariant factors)."""
     # one Smith form per boundary matrix: its rank and torsion both come

@@ -2,8 +2,11 @@
 
 An OrientedSpace is an abstract rational vector space with a reference basis
 and a sign; every orientation question below reduces to the sign of a
-determinant, computed exactly (fraction-free elimination on integers after
-clearing denominators with positive multipliers, so no sign is ever touched).
+determinant, a rank or a kernel.  All of them read one exact elimination,
+`_echelon`: denominators are cleared row by row with positive multipliers (so
+no sign is ever touched), then a fraction-free (Bareiss) Gauss-Jordan
+elimination runs in integers.  Every pivot entry then equals one nonzero d,
+so the returned rows divided by d are the reduced row echelon form.
 
 Two conventions drive everything:
 
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import List, Sequence, Tuple
 
 from .errors import CascadixError
@@ -74,99 +77,93 @@ def _matmul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def det_sign(m: Matrix) -> int:
-    """Sign of the determinant of a square rational matrix: -1, 0, or +1.
+def _echelon(m: Matrix) -> Tuple[List[List[int]], List[int], int]:
+    """Fraction-free Gauss-Jordan elimination of a rational matrix.
 
-    Denominators are cleared row by row with positive multipliers, then a
-    fraction-free (Bareiss) elimination runs in exact integers.
+    Returns the integer rows, the pivot columns and a sign.  Every pivot
+    entry of the rows equals one nonzero d (1 without pivots), so rows/d is
+    the reduced row echelon form of m.  The sign is the row-swap parity
+    times sign(d); when m has full row rank it is the determinant sign of
+    the square matrix of m's pivot columns (of m itself when m is square).
     """
-    n = len(m)
-    if n == 0:
-        return 1
-    if any(len(row) != n for row in m):
-        raise CascadixError("determinant of a non-square matrix")
-    a: List[List[int]] = []
+    a = []
     for row in m:
-        mult = lcm(*(x.denominator for x in row)) if row else 1
-        a.append([int(x * mult) for x in row])
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    last = a[n - 1][n - 1]
-    return sign * (0 if last == 0 else (1 if last > 0 else -1))
-
-
-def _rref(m: Matrix) -> Tuple[Matrix, List[int]]:
-    """Reduced row echelon form and the pivot column list."""
-    rows = [list(r) for r in m]
-    nrows, ncols = len(rows), (len(m[0]) if m else 0)
+        mult = lcm(*(x.denominator for x in row))
+        a.append([x.numerator * (mult // x.denominator) for x in row])
+    nrows, ncols = len(a), (len(a[0]) if a else 0)
     pivots: List[int] = []
-    r = 0
+    sign, prev = 1, 1
     for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
+        r = len(pivots)
         if r == nrows:
             break
-    return tuple(tuple(row) for row in rows), pivots
+        p = next((i for i in range(r, nrows) if a[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            a[r], a[p] = a[p], a[r]
+            sign = -sign
+        top, pv = a[r], a[r][c]
+        for i in range(nrows):
+            if i != r:
+                f = a[i][c]
+                # every entry is a minor of the cleared m: exact division
+                a[i] = [(pv * x - f * y) // prev for x, y in zip(a[i], top)]
+        pivots.append(c)
+        prev = pv
+    return a, pivots, sign if prev > 0 else -sign
+
+
+def det_sign(m: Matrix) -> int:
+    """Sign of the determinant of a square rational matrix: -1, 0, or +1."""
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise CascadixError("determinant of a non-square matrix")
+    _, pivots, sign = _echelon(m)
+    return sign if len(pivots) == n else 0
 
 
 def matrix_rank(m: Matrix) -> int:
-    return len(_rref(m)[1]) if m else 0
+    return len(_echelon(m)[1])
 
 
 def kernel_basis(m: Matrix, ncols: int) -> List[Vector]:
-    """Canonical primitive integer basis of the kernel, one per free column."""
-    if not m:
-        return [tuple(Fraction(1 if i == j else 0) for i in range(ncols))
-                for j in range(ncols)]
-    rref, pivots = _rref(m)
+    """Canonical primitive integer basis of the kernel, one per free column.
+
+    Each vector has a positive entry at its free column and zeros at the
+    other free columns.
+    """
+    rows, pivots, _ = _echelon(m)
+    d = rows[0][pivots[0]] if pivots else 1
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for row_idx, p in enumerate(pivots):
-            v[p] = -rref[row_idx][f]
-        mult = lcm(*(x.denominator for x in v))
-        basis.append(tuple(x * mult for x in v))
+        v = [0] * ncols
+        v[f] = d
+        for row, p in zip(rows, pivots):
+            v[p] = -row[f]
+        g = gcd(*v) if d > 0 else -gcd(*v)
+        basis.append(tuple(Fraction(x // g) for x in v))
     return basis
 
 
 def _extend_to_basis(cols: List[Vector], candidates: List[Vector],
-                     dim: int) -> List[Vector]:
-    """Extend independent cols to a basis of dimension dim by candidates.
+                     dim: int) -> Tuple[List[Vector], int]:
+    """Extend independent cols by candidates to a basis of dimension dim.
 
     Greedy left-to-right choice: a candidate is taken when it is not in the
     span of cols and the candidates taken before it, which is exactly when
-    its column is a pivot of [cols | candidates].
+    its column is a pivot of [cols | candidates].  Returns the chosen
+    candidates and the determinant sign of [cols | chosen], read off the
+    same elimination.  Raises NotASubspace when cols are dependent.
     """
-    _, pivots = _rref(_from_columns(cols + candidates))
+    _, pivots, sign = _echelon(_from_columns(cols + candidates))
+    k = len(cols)
+    if pivots[:k] != list(range(k)):
+        raise NotASubspace("inclusion image is degenerate")
     if len(pivots) != dim:
         raise CascadixError("could not extend to a full basis")
-    return [candidates[c - len(cols)] for c in pivots if c >= len(cols)]
+    return [candidates[c - k] for c in pivots[k:]], sign
 
 
 @dataclass(frozen=True)
@@ -196,13 +193,6 @@ class OrientedSpace:
 
     def basis_det_sign(self) -> int:
         return det_sign(self.reference_basis)
-
-    def orientation_of(self, vectors: Sequence[Vector]) -> int:
-        """+1 if the given ordered vectors are positively oriented here."""
-        if len(vectors) != self.dim:
-            raise CascadixError("need exactly dim vectors")
-        d = det_sign(_from_columns(list(vectors))) if self.dim else 1
-        return self.sign * d * self.basis_det_sign()
 
 
 @dataclass(frozen=True)
@@ -261,13 +251,13 @@ def quotient_orientation(total: OrientedSpace,
             f"inclusion is {inc.rows}x{inc.cols_or(sub.space.dim)}, need "
             f"{total.dim}x{sub.space.dim}"
         )
+    if sub.space.dim > total.dim:
+        raise NotASubspace("inclusion image is degenerate")
     s_cols = inc.apply_columns(_columns(sub.space.reference_basis)) \
         if sub.space.dim else []
-    if matrix_rank(_from_columns(s_cols)) != sub.space.dim:
-        raise NotASubspace("inclusion image is degenerate")
-    reps = _extend_to_basis(s_cols, _columns(total.reference_basis), total.dim)
-    combined = _from_columns(s_cols + reps)
-    sign = sub.space.sign * total.sign * det_sign(combined) \
+    reps, combined_sign = _extend_to_basis(
+        s_cols, _columns(total.reference_basis), total.dim)
+    sign = sub.space.sign * total.sign * combined_sign \
         * total.basis_det_sign()
     return OrientedFrame(tuple(reps), sign)
 
@@ -309,17 +299,16 @@ def fibre_sum_orientation(v1: OrientedSpace, v2: OrientedSpace,
     if dw == 0:
         return OrientedFrame(tuple(_columns(product.reference_basis)),
                              product.sign)
-    if matrix_rank(diff) != dw:
-        raise NotSurjective("difference map is not onto W")
-
     kernel = kernel_basis(diff, d1 + d2)
-    reps = _extend_to_basis(kernel, _columns(product.reference_basis),
-                            d1 + d2)
+    # rank-nullity: the map is onto W iff its kernel has d1 + d2 - dw vectors
+    if len(kernel) != d1 + d2 - dw:
+        raise NotSurjective("difference map is not onto W")
+    reps, combined_sign = _extend_to_basis(
+        kernel, _columns(product.reference_basis), d1 + d2)
     epsilon = -1 if (d2 * dw) % 2 else 1
     image = _matmul(diff, _from_columns(reps))
     sign_q = epsilon * w.sign * det_sign(image) * w.basis_det_sign()
-    combined = _from_columns(kernel + reps)
-    sign_k = sign_q * product.sign * det_sign(combined) \
+    sign_k = sign_q * product.sign * combined_sign \
         * product.basis_det_sign()
     return OrientedFrame(tuple(kernel), sign_k)
 
@@ -331,32 +320,19 @@ def frame_orientations_agree(a: OrientedFrame, b: OrientedFrame) -> bool:
     if a.dim == 0:
         return a.sign == b.sign
     basis = _from_columns(list(a.vectors))
-    # solve a.vectors * M = b.vectors using a full-rank row subset
     rows_idx = _independent_rows(basis, a.dim)
+    # b lies in the span of the independent a iff [a | b] has rank dim
+    if matrix_rank(_from_columns(list(a.vectors + b.vectors))) != a.dim:
+        raise CascadixError("frames span different subspaces")
+    # b = a M; on the independent rows R, det b_R = det a_R * det M
     sq_a = tuple(basis[i] for i in rows_idx)
     sq_b = tuple(tuple(v[i] for v in b.vectors) for i in rows_idx)
-    m = _solve(sq_a, sq_b)
-    # verify b really lies in the span of a
-    recon = _matmul(basis, m)
-    full_b = _from_columns(list(b.vectors))
-    if recon != full_b:
-        raise CascadixError("frames span different subspaces")
-    return a.sign * b.sign * det_sign(m) == 1
+    return a.sign * b.sign * det_sign(sq_a) * det_sign(sq_b) == 1
 
 
 def _independent_rows(m: Matrix, want: int) -> List[int]:
     """The first `want` rows of m, left to right, independent of those before."""
-    pivots = _rref(tuple(_columns(m)))[1]
+    pivots = _echelon(tuple(_columns(m)))[1]
     if len(pivots) < want:
         raise CascadixError("matrix has too few independent rows")
     return pivots[:want]
-
-
-def _solve(a: Matrix, b: Matrix) -> Matrix:
-    """Solve a @ x = b for square exact a."""
-    n = len(a)
-    aug = tuple(tuple(a[i]) + tuple(b[i]) for i in range(n))
-    rref, pivots = _rref(aug)
-    if pivots != list(range(n)):
-        raise CascadixError("singular system")
-    return tuple(tuple(rref[i][n:]) for i in range(n))

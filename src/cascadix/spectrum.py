@@ -28,11 +28,8 @@ of that perturbation, computed from the windings adjacent to 0:
 and the crossing relation cz(-delta) - cz(+delta) = dim ker holds throughout
 (kernel dimensions 1, 2, 2m respectively).
 
-`discretize_spectrum` assembles the operator in a truncated real Fourier
-basis and diagonalizes numerically.  Because the symmetric part is constant
-in t, the truncation is block-exact: every eigenvalue whose mode is inside
-the cutoff is reproduced to rounding error, which is what makes it an honest
-independent check of the closed forms above.
+The numerical cross-check of these closed forms, a truncated Fourier
+discretization, lives with the test oracles (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -177,64 +174,6 @@ def cz_perturbed(op: AsymptoticOperator, side: Side) -> int:
     if op.c == 0.0:
         return -1 if plus else 1
     return 0 if plus else 1
-
-
-def cz_with_critical(op: AsymptoticOperator, morse_index: int) -> int:
-    """Index of the pair (operator, critical point): cz(+delta) + Morse index."""
-    return cz_perturbed(op, Side.PLUS_SMALL) + morse_index
-
-
-def discretize_spectrum(op: AsymptoticOperator, fourier_cutoff: int = 64):
-    """Eigenvalues of the operator restricted to Fourier modes <= cutoff.
-
-    Returns a sorted numpy array, eigenvalues repeated per multiplicity.
-    Intended as the numerical cross-check of `spectrum_window`; the matrix is
-    assembled in the orthonormal real basis {1, sqrt2 cos(2 pi k t),
-    sqrt2 sin(2 pi k t)} per real coordinate.
-    """
-    import numpy as np
-
-    if fourier_cutoff < 4:
-        raise SpectrumError(f"fourier_cutoff must be >= 4, got {fourier_cutoff}")
-    m = op.complex_rank
-    nreal = 2 * m
-    if isinstance(op, VerticalC):
-        s_diag = [op.c, 0.0]
-    else:
-        s_diag = [0.0] * nreal
-
-    # basis labels: (kind, k) with kind "c" (cos, k >= 0) or "s" (sin, k >= 1)
-    funcs = [("c", 0)] + [(kind, k) for k in range(1, fourier_cutoff + 1)
-                          for kind in ("c", "s")]
-    findex = {f: i for i, f in enumerate(funcs)}
-    dim = nreal * len(funcs)
-    mat = np.zeros((dim, dim))
-
-    def slot(j, f):
-        return j * len(funcs) + findex[f]
-
-    for j in range(nreal):
-        cpx, re_part = divmod(j, 2)
-        # J e_j: real part -> imaginary, imaginary -> minus real
-        jj = 2 * cpx + 1 if re_part == 0 else 2 * cpx
-        jsign = 1.0 if re_part == 0 else -1.0
-        for kind, k in funcs:
-            col = slot(j, (kind, k))
-            # -S e_j * phi
-            mat[slot(j, (kind, k)), col] += -s_diag[j]
-            if k == 0:
-                continue
-            w = TWO_PI * k
-            if kind == "c":
-                # phi' = -w * sin_k; -J e_j phi' = w * jsign * e_jj * sin_k
-                mat[slot(jj, ("s", k)), col] += w * jsign
-            else:
-                # phi' = w * cos_k; -J e_j phi' = -w * jsign * e_jj * cos_k
-                mat[slot(jj, ("c", k)), col] += -w * jsign
-
-    if not np.allclose(mat, mat.T, atol=1e-12):
-        raise SpectrumError("discretized operator failed to be symmetric")
-    return np.sort(np.linalg.eigvalsh(0.5 * (mat + mat.T)))
 
 
 def operator_catalog() -> Iterable[AsymptoticOperator]:

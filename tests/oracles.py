@@ -62,6 +62,59 @@ def vertical_eigenvalue(c, mode, branch):
 
 TWO_PI = 2.0 * math.pi
 
+
+def discretize_spectrum(op, fourier_cutoff=64):
+    """Eigenvalues of an asymptotic operator on Fourier modes <= cutoff.
+
+    The numerical cross-check of the closed-form spectra: the operator is
+    assembled in the orthonormal real basis {1, sqrt2 cos(2 pi k t),
+    sqrt2 sin(2 pi k t)} per real coordinate and diagonalized.  Because the
+    symmetric part is constant in t the truncation is block-exact, so every
+    eigenvalue whose mode is inside the cutoff comes out to rounding error.
+    `op` is read by its attributes only: `complex_rank`, and `c` for the
+    vertical family.  Returns a sorted numpy array, eigenvalues repeated per
+    multiplicity.
+    """
+    import numpy as np
+
+    if fourier_cutoff < 4:
+        raise ValueError(f"fourier_cutoff must be >= 4, got {fourier_cutoff}")
+    nreal = 2 * op.complex_rank
+    c = getattr(op, "c", None)
+    s_diag = [c, 0.0] if c is not None else [0.0] * nreal
+
+    # basis labels: (kind, k) with kind "c" (cos, k >= 0) or "s" (sin, k >= 1)
+    funcs = [("c", 0)] + [(kind, k) for k in range(1, fourier_cutoff + 1)
+                          for kind in ("c", "s")]
+    findex = {f: i for i, f in enumerate(funcs)}
+    dim = nreal * len(funcs)
+    mat = np.zeros((dim, dim))
+
+    def slot(j, f):
+        return j * len(funcs) + findex[f]
+
+    for j in range(nreal):
+        cpx, re_part = divmod(j, 2)
+        # J e_j: real part -> imaginary, imaginary -> minus real
+        jj = 2 * cpx + 1 if re_part == 0 else 2 * cpx
+        jsign = 1.0 if re_part == 0 else -1.0
+        for kind, k in funcs:
+            col = slot(j, (kind, k))
+            # -S e_j * phi
+            mat[col, col] += -s_diag[j]
+            if k == 0:
+                continue
+            w = TWO_PI * k
+            if kind == "c":
+                # phi' = -w * sin_k; -J e_j phi' = w * jsign * e_jj * sin_k
+                mat[slot(jj, ("s", k)), col] += w * jsign
+            else:
+                # phi' = w * cos_k; -J e_j phi' = -w * jsign * e_jj * cos_k
+                mat[slot(jj, ("c", k)), col] += -w * jsign
+
+    assert np.allclose(mat, mat.T, atol=1e-12), "discretization not symmetric"
+    return np.sort(np.linalg.eigvalsh(0.5 * (mat + mat.T)))
+
 # Conley-Zehnder values of the perturbed operators.  Keys: (kind, side) where
 # kind is ("vertical", "pos") for C > 0, ("vertical", "zero") for C = 0, and
 # ("complex", m); side is "+" for the +delta perturbation, "-" for -delta.

@@ -90,7 +90,7 @@ def test_01_spectrum_tables(announce):
     rng = random.Random(20260822)
     for _ in range(50):
         c = rng.uniform(0.0, 100.0)
-        num = spectrum.discretize_spectrum(VerticalC(c), fourier_cutoff=48)
+        num = oracles.discretize_spectrum(VerticalC(c), fourier_cutoff=48)
         lo, hi = -50.0, 50.0
         want = []
         for p in spectrum.spectrum_window(VerticalC(c), lo, hi):

@@ -2,10 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cascadix import cli, pearls
 from cascadix.grading import orbit_generator
@@ -208,6 +211,91 @@ def test_malformed_input_is_one_error_line(runner, data_dir, tmp_path,
     assert result.exit_code == 1
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
+
+
+SETUP_COMMANDS = (["validate"], ["grade"], ["enumerate", "--all-targets"],
+                  ["report"])
+
+
+def _run_setup_command(runner, command, path):
+    """Run one setup command; assert exit 0 or exit 1 with one error line."""
+    result = runner.invoke(cli.main, command + ["--setup", str(path)],
+                           catch_exceptions=False)
+    if result.exit_code != 0:
+        assert result.exit_code == 1, (command, result.output)
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), \
+            (command, result.stderr)
+    return result
+
+
+@pytest.mark.parametrize("command", SETUP_COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("generators", [True, None, 3, "ab", {"A": 1}],
+                         ids=["true", "null", "int", "string", "object"])
+def test_lattice_generators_must_be_a_list_of_strings(runner, data_dir,
+                                                      tmp_path, command,
+                                                      generators):
+    raw = json.loads((data_dir / "cp2.json").read_text())
+    raw["lattice_sigma"]["generators"] = generators
+    path = tmp_path / "setup.json"
+    path.write_text(json.dumps(raw))
+    result = _run_setup_command(runner, command, path)
+    assert result.exit_code == 1
+    assert "generators must be a list of strings" in result.stderr
+
+
+def _node_paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _node_paths(value, prefix + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _node_paths(value, prefix + (i,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-50, 50)
+    | st.floats(-1e3, 1e3) | st.text(max_size=4)
+    | st.sampled_from(["1/2", "-2/3", "3", "0"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_setup_is_exit_zero_or_one_error_line(runner, data_dir, data):
+    """One node of cp2.json replaced by a random JSON value or deleted, or
+    the text truncated: every setup command exits 0, or 1 with one error
+    line and no traceback."""
+    text = (data_dir / "cp2.json").read_text()
+    raw = json.loads(text)
+    kind = data.draw(st.sampled_from(["replace", "delete", "truncate"]))
+    if kind == "truncate":
+        text = text[:data.draw(st.integers(0, len(text) - 1))]
+    else:
+        paths = list(_node_paths(raw))
+        if kind == "delete":
+            paths = paths[1:]
+        path = data.draw(st.sampled_from(paths))
+        if not path:
+            raw = data.draw(JSON_VALUES)
+        else:
+            parent = raw
+            for key in path[:-1]:
+                parent = parent[key]
+            if kind == "delete":
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = data.draw(JSON_VALUES)
+        text = json.dumps(raw)
+    with tempfile.TemporaryDirectory() as tmp:
+        setup = Path(tmp) / "setup.json"
+        setup.write_text(text)
+        for command in SETUP_COMMANDS:
+            _run_setup_command(runner, command, setup)
 
 
 def test_report_sections_cp2(runner, data_dir):

@@ -12,7 +12,6 @@ from cascadix.grading import (
     InteriorGenerator,
     OrbitGenerator,
     UnknownCriticalPoint,
-    comparable,
     coset_label,
     cz_cap,
     enumerate_generators,
@@ -129,7 +128,7 @@ def test_integer_gate_and_cosets(cp2):
     # CP^2 slope ratio is an integer, so everything interacts
     for a in gens:
         for b in gens:
-            assert comparable(cp2, a, b)
+            assert (grade(cp2, a) - grade(cp2, b)).denominator == 1
             assert coset_label(cp2, a) == 0
 
 
@@ -154,15 +153,14 @@ def test_fractional_slope_splits_cosets():
     g2 = orbit_generator(setup, "m", FibreFlag.CHECK, 2)
     g3 = orbit_generator(setup, "m", FibreFlag.CHECK, 3)
     x = interior_generator(setup, "x0")
-    assert not comparable(setup, g1, g2)
-    assert comparable(setup, g1, g1)
-    assert comparable(setup, g3, x)
+    assert grade(setup, g2) - grade(setup, g1) == Fraction(2, 3)
+    assert (grade(setup, g3) - grade(setup, x)).denominator == 1
     assert coset_label(setup, g1) == Fraction(2, 3)
     assert coset_label(setup, g2) == Fraction(1, 3)
     assert coset_label(setup, g3) == 0
     picked = enumerate_generators(setup, 6, degree=grade(setup, g1))
     assert g1 in picked
-    assert all(comparable(setup, g1, g) for g in picked)
+    assert all(grade(setup, g) == grade(setup, g1) for g in picked)
 
 
 @given(k=st.integers(1, 30), delta=st.integers(1, 5))
@@ -171,7 +169,7 @@ def test_comparability_is_winding_congruence(tau2, k, delta):
     # slope ratio 1: all integer degrees
     a = orbit_generator(tau2, "m", FibreFlag.CHECK, k)
     b = orbit_generator(tau2, "M", FibreFlag.HAT, k + delta)
-    assert comparable(tau2, a, b)
+    assert (grade(tau2, b) - grade(tau2, a)).denominator == 1
 
 
 def test_bad_windings(cp2):

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 
@@ -17,6 +20,8 @@ from cascadix.orientation import (
     det_sign,
     fibre_sum_orientation,
     frame_orientations_agree,
+    kernel_basis,
+    matrix_rank,
     quotient_orientation,
 )
 
@@ -202,6 +207,26 @@ def test_frames_of_different_spans_rejected():
         frame_orientations_agree(a, b)
 
 
+def test_dependent_frame_inside_the_span_disagrees():
+    a = OrientedFrame(((Fraction(1), Fraction(0), Fraction(1)),
+                       (Fraction(0), Fraction(1), Fraction(1))), 1)
+    # both vectors of b lie in span(a), but b spans only a line of it
+    b = OrientedFrame(((Fraction(1), Fraction(1), Fraction(2)),
+                       (Fraction(2), Fraction(2), Fraction(4))), 1)
+    assert not frame_orientations_agree(a, b)
+    assert not frame_orientations_agree(a, OrientedFrame(b.vectors, -1))
+
+
+def test_dependent_reference_frame_is_rejected():
+    a = OrientedFrame(((Fraction(1), Fraction(2)),
+                       (Fraction(2), Fraction(4))), 1)
+    b = OrientedFrame(((Fraction(1), Fraction(0)),
+                       (Fraction(0), Fraction(1))), 1)
+    with pytest.raises(CascadixError,
+                       match="^matrix has too few independent rows$"):
+        frame_orientations_agree(a, b)
+
+
 def test_frame_agreement_is_scale_invariant():
     a = OrientedFrame(((Fraction(1), Fraction(2)),), 1)
     b = OrientedFrame(((Fraction(2), Fraction(4)),), 1)
@@ -223,3 +248,53 @@ def test_det_sign_matches_float_determinant():
             assert exact == (1 if approx > 0 else -1)
         else:
             assert exact == 0
+
+
+# --- exact linear algebra against sympy -----------------------------------
+
+
+@st.composite
+def rational_matrices(draw):
+    """0x0 up to 7x9 over the selfcheck entry pool, with zero rows and
+    columns and negative first pivots drawn on purpose."""
+    nrows, ncols = draw(st.integers(0, 7)), draw(st.integers(0, 9))
+    entry = st.sampled_from(props.ENTRY_POOL)
+    m = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    if nrows and draw(st.booleans()):
+        m[draw(st.integers(0, nrows - 1))] = [Fraction(0)] * ncols
+    if ncols and draw(st.booleans()):
+        j = draw(st.integers(0, ncols - 1))
+        for row in m:
+            row[j] = Fraction(0)
+    first = next((row for j in range(ncols) for row in m if row[j]), None)
+    if first is not None and draw(st.booleans()):
+        # the first pivot found is the first nonzero of its column: negate
+        # its row so that pivot is negative
+        lead = next(x for x in first if x)
+        first[:] = [-x if lead > 0 else x for x in first]
+    return tuple(tuple(row) for row in m), ncols
+
+
+def _primitive(vector):
+    """The primitive integer multiple of a rational vector, sign kept."""
+    scaled = [x * lcm(*(Fraction(y).denominator for y in vector))
+              for x in vector]
+    g = gcd(*(int(x) for x in scaled))
+    return tuple(Fraction(int(x) // g) for x in scaled)
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=rational_matrices())
+def test_linear_algebra_matches_sympy(drawn):
+    from sympy import Matrix, Rational, sign
+
+    m, ncols = drawn
+    ref = Matrix(len(m), ncols,
+                 [Rational(x.numerator, x.denominator) for r in m for x in r])
+    assert matrix_rank(m) == ref.rank()
+    want = [_primitive([Fraction(int(x.p), int(x.q)) for x in v])
+            for v in ref.nullspace()]
+    assert kernel_basis(m, ncols) == want
+    n = min(len(m), ncols)
+    square = tuple(row[:n] for row in m[:n])
+    assert det_sign(square) == int(sign(ref[:n, :n].det()))
