@@ -6,6 +6,15 @@ per degree, its square is verified (never assumed), and homology is read off
 a hand-rolled integer Smith normal form: betti numbers from ranks, torsion
 from the invariant factors bigger than one.
 
+Morse boundaries are sparse and mostly +-1, and both exact computations work
+on that.  The d^2 = 0 check multiplies per-column lists of nonzero entries,
+so its cost follows the nonzeros, not the full matrix sizes.  The Smith form
+first takes unit pivots on a sparse row/column form (Markowitz order, each
+one an invariant factor 1; Dumas-Saunders-Villard 2001), and only the part
+with no +-1 entry left goes to the dense elimination.  That dense remainder
+still lets entries grow without bound, so its cost can swing widely with
+the input; a Smith form modulo a determinant would bound it.
+
 Two derived complexes matter downstream:
 
 * the circle-bundle lift, where every base point p contributes a pair of
@@ -132,42 +141,119 @@ def differential(data: MorseData) -> Dict[int, Matrix]:
     The degree-d matrix has one column per index-d point and one row per
     index-(d-1) point, entries the aggregated signed flow counts.
     """
-    counts: Dict[Tuple[str, str], int] = {}
+    sizes: Dict[int, int] = {}
+    slot: Dict[str, Tuple[int, int]] = {}    # name -> (degree, position)
+    for p in data.points:
+        slot[p.name] = (p.index, sizes.get(p.index, 0))
+        sizes[p.index] = slot[p.name][1] + 1
+    rows = {d: [[0] * n for _ in range(sizes.get(d - 1, 0))]
+            for d, n in sizes.items() if d >= 1}
     for f in data.flows:
-        counts[(f.source, f.target)] = counts.get((f.source, f.target), 0) \
-            + f.count
-    matrices: Dict[int, Matrix] = {}
-    for d in range(1, data.max_index() + 1):
-        sources = data.points_of_degree(d)
-        targets = data.points_of_degree(d - 1)
-        if not sources:
-            continue
-        matrices[d] = tuple(
-            tuple(counts.get((s.name, t.name), 0) for s in sources)
-            for t in targets)
+        d, j = slot[f.source]
+        rows[d][slot[f.target][1]][j] += f.count
+    matrices: Dict[int, Matrix] = {
+        d: tuple(map(tuple, rows[d])) for d in sorted(rows)}
     _check_square_zero(data, matrices)
     return matrices
 
 
+def _nonzero_columns(matrix: Matrix, ncols: int) -> List[List[Tuple[int, int]]]:
+    """Per column, its nonzero (row, value) pairs in row order."""
+    cols: List[List[Tuple[int, int]]] = [[] for _ in range(ncols)]
+    for i, row in enumerate(matrix):
+        for j, v in enumerate(row):
+            if v:
+                cols[j].append((i, v))
+    return cols
+
+
 def _check_square_zero(data: MorseData, matrices: Dict[int, Matrix]) -> None:
+    """Raise on the first (source, final) pair, sources then finals in
+    order, where lower @ upper is nonzero.  The product sums over the
+    nonzero entries of each column only."""
+    cols = {d: _nonzero_columns(m, len(data.points_of_degree(d)))
+            for d, m in matrices.items()}
     for d in sorted(matrices):
         if d - 1 not in matrices:
             continue
-        upper, lower = matrices[d], matrices[d - 1]
-        sources = data.points_of_degree(d)
+        upper, lower = cols[d], cols[d - 1]
         finals = data.points_of_degree(d - 2)
-        mids = range(len(data.points_of_degree(d - 1)))
-        for j, src in enumerate(sources):
-            for i, fin in enumerate(finals):
-                total = sum(lower[i][k] * upper[k][j] for k in mids)
-                if total:
-                    raise BoundarySquaredNonzero(
-                        f"d^2 sends {src.name} to {fin.name} "
-                        f"with coefficient {total}")
+        for src, column in zip(data.points_of_degree(d), upper):
+            totals: Dict[int, int] = {}
+            for k, u in column:
+                for i, w in lower[k]:
+                    totals[i] = totals.get(i, 0) + w * u
+            bad = min((i for i, t in totals.items() if t), default=None)
+            if bad is not None:
+                raise BoundarySquaredNonzero(
+                    f"d^2 sends {src.name} to {finals[bad].name} "
+                    f"with coefficient {totals[bad]}")
 
 
 def smith_invariant_factors(matrix: Matrix) -> List[int]:
-    """Positive invariant factors of an integer matrix, in divisibility order."""
+    """Positive invariant factors of an integer matrix, in divisibility order.
+
+    Unit pivots go first, on a sparse form: a +-1 entry of least Markowitz
+    cost (row nonzeros - 1) * (column nonzeros - 1) has its column cleared
+    by exact row operations, then its row and column are dropped, each one
+    an invariant factor 1.  The part with no unit entry left goes to the
+    dense elimination; the Smith form is unique, so the split is exact.
+    """
+    rows: Dict[int, Dict[int, int]] = {}
+    cols: Dict[int, Dict[int, int]] = {}
+    for i, row in enumerate(matrix):
+        for j, v in enumerate(row):
+            if v:
+                rows.setdefault(i, {})[j] = v
+                cols.setdefault(j, {})[i] = v
+    units = 0
+    while (pivot := _unit_pivot(rows, cols)) is not None:
+        i0, j0 = pivot
+        top = rows.pop(i0)
+        v = top.pop(j0)
+        for j in top:
+            del cols[j][i0]
+        del cols[j0][i0]
+        for i, a in cols.pop(j0).items():
+            # v = +-1 is its own inverse: row_i -= a * v * row_i0
+            f = a * v
+            row = rows[i]
+            del row[j0]
+            for j, x in top.items():
+                y = row.get(j, 0) - f * x
+                if y:
+                    row[j] = cols[j][i] = y
+                else:
+                    del row[j], cols[j][i]
+            if not row:
+                del rows[i]
+        for j in top:
+            if not cols[j]:
+                del cols[j]
+        units += 1
+    order = sorted(cols)
+    rest = tuple(tuple(rows[i].get(j, 0) for j in order) for i in sorted(rows))
+    return [1] * units + _dense_smith(rest)
+
+
+def _unit_pivot(rows: Dict[int, Dict[int, int]],
+                cols: Dict[int, Dict[int, int]]):
+    """A +-1 entry (row, column) of least Markowitz cost, or None."""
+    best, pivot = None, None
+    for i, row in rows.items():
+        others = len(row) - 1
+        for j, v in row.items():
+            if v == 1 or v == -1:
+                cost = others * (len(cols[j]) - 1)
+                if not cost:
+                    return i, j
+                if best is None or cost < best:
+                    best, pivot = cost, (i, j)
+    return pivot
+
+
+def _dense_smith(matrix: Matrix) -> List[int]:
+    """Dense elimination with smallest-entry pivots; entries may grow."""
     a = [list(row) for row in matrix]
     nr = len(a)
     nc = len(a[0]) if a else 0

@@ -24,7 +24,7 @@ all formulas extend without special cases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import List, Sequence, Tuple
@@ -173,6 +173,7 @@ class OrientedSpace:
     dim: int
     reference_basis: Matrix = ()
     sign: int = 1
+    _basis_sign: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 0:
@@ -184,15 +185,17 @@ class OrientedSpace:
         object.__setattr__(self, "reference_basis", basis)
         if len(basis) != self.dim or any(len(r) != self.dim for r in basis):
             raise CascadixError("reference basis must be square of size dim")
-        if self.dim >= 1 and det_sign(basis) == 0:
+        basis_sign = det_sign(basis)
+        if basis_sign == 0:
             raise CascadixError("reference basis is singular")
+        object.__setattr__(self, "_basis_sign", basis_sign)
 
     @classmethod
     def standard(cls, dim: int, sign: int = 1) -> "OrientedSpace":
         return cls(dim, _identity(dim), sign)
 
     def basis_det_sign(self) -> int:
-        return det_sign(self.reference_basis)
+        return self._basis_sign
 
 
 @dataclass(frozen=True)

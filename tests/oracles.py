@@ -1,7 +1,8 @@
 """Frozen expected values and independent oracle computations.
 
 Everything in this file except `brute_force_contributions` is computed
-without importing the package under test.  That one is the exhaustive
+without importing the package under test (`first_square_violation` reads a
+complex's points through its `points_of_degree`, nothing else).  That one is the exhaustive
 generate-and-filter cascade search, kept as the reference the case solver is
 compared against; it uses the package's `classify_type` as its judge.
 Derived values were worked out by hand (or by the closed forms below) before
@@ -430,6 +431,92 @@ MORSE_LENS3 = {0: (1, ()), 1: (0, (3,)), 2: (0, ()), 3: (1, ())}
 
 def euler_characteristic(betti_by_degree):
     return sum((-1) ** d * b for d, b in betti_by_degree.items())
+
+
+def dense_smith_invariant_factors(matrix):
+    """Positive invariant factors of an integer matrix by dense elimination.
+
+    Smallest-entry pivots, division with remainder along the pivot row and
+    column, and a row addition whenever the pivot fails to divide the rest.
+    This is the engine's Smith form before it took unit pivots on a sparse
+    form first; it keeps no shortcut for +-1 entries.
+    """
+    a = [list(row) for row in matrix]
+    nr = len(a)
+    nc = len(a[0]) if a else 0
+    factors = []
+    t = 0
+    while t < min(nr, nc):
+        pivot = min(
+            ((i, j) for i in range(t, nr) for j in range(t, nc) if a[i][j]),
+            key=lambda ij: abs(a[ij[0]][ij[1]]), default=None)
+        if pivot is None:
+            break
+        i0, j0 = pivot
+        a[t], a[i0] = a[i0], a[t]
+        for row in a:
+            row[t], row[j0] = row[j0], row[t]
+        while True:
+            restart = False
+            for i in range(t + 1, nr):
+                if a[i][t] == 0:
+                    continue
+                q, r = divmod(a[i][t], a[t][t])
+                for j in range(t, nc):
+                    a[i][j] -= q * a[t][j]
+                if r:
+                    a[t], a[i] = a[i], a[t]
+                    restart = True
+                    break
+            if restart:
+                continue
+            for j in range(t + 1, nc):
+                if a[t][j] == 0:
+                    continue
+                q, r = divmod(a[t][j], a[t][t])
+                for i in range(t, nr):
+                    a[i][j] -= q * a[i][t]
+                if r:
+                    for i in range(t, nr):
+                        a[i][t], a[i][j] = a[i][j], a[i][t]
+                    restart = True
+                    break
+            if restart:
+                continue
+            bad = next(((i, j) for i in range(t + 1, nr)
+                        for j in range(t + 1, nc)
+                        if a[i][j] % a[t][t]), None)
+            if bad is None:
+                break
+            for j in range(t, nc):
+                a[t][j] += a[bad[0]][j]
+        factors.append(abs(a[t][t]))
+        t += 1
+    return factors
+
+
+def first_square_violation(data, matrices):
+    """The error message for the first nonzero entry of d o d, or None.
+
+    `matrices` are dense boundary matrices keyed by source degree (rows =
+    degree d-1 points, columns = degree d points, in `data.points` order).
+    Sources are scanned in order, then finals in order, and every entry of
+    the product is summed over all middle points.
+    """
+    for d in sorted(matrices):
+        if d - 1 not in matrices:
+            continue
+        upper, lower = matrices[d], matrices[d - 1]
+        sources = data.points_of_degree(d)
+        finals = data.points_of_degree(d - 2)
+        mids = range(len(data.points_of_degree(d - 1)))
+        for j, src in enumerate(sources):
+            for i, fin in enumerate(finals):
+                total = sum(lower[i][k] * upper[k][j] for k in mids)
+                if total:
+                    return (f"d^2 sends {src.name} to {fin.name} "
+                            f"with coefficient {total}")
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -217,15 +217,19 @@ SETUP_COMMANDS = (["validate"], ["grade"], ["enumerate", "--all-targets"],
                   ["report"])
 
 
+def _assert_exit_zero_or_one_error_line(result, context):
+    if result.exit_code != 0:
+        assert result.exit_code == 1, (context, result.output)
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), \
+            (context, result.stderr)
+
+
 def _run_setup_command(runner, command, path):
     """Run one setup command; assert exit 0 or exit 1 with one error line."""
     result = runner.invoke(cli.main, command + ["--setup", str(path)],
                            catch_exceptions=False)
-    if result.exit_code != 0:
-        assert result.exit_code == 1, (command, result.output)
-        lines = result.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:"), \
-            (command, result.stderr)
+    _assert_exit_zero_or_one_error_line(result, command)
     return result
 
 
@@ -263,6 +267,29 @@ JSON_VALUES = st.recursive(
     max_leaves=6)
 
 
+def _mutated_text(data, text, values):
+    """One node of the JSON text replaced by a drawn value or deleted, or
+    the text truncated."""
+    raw = json.loads(text)
+    kind = data.draw(st.sampled_from(["replace", "delete", "truncate"]))
+    if kind == "truncate":
+        return text[:data.draw(st.integers(0, len(text) - 1))]
+    paths = list(_node_paths(raw))
+    if kind == "delete":
+        paths = paths[1:]
+    path = data.draw(st.sampled_from(paths))
+    if not path:
+        return json.dumps(data.draw(values))
+    parent = raw
+    for key in path[:-1]:
+        parent = parent[key]
+    if kind == "delete":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(values)
+    return json.dumps(raw)
+
+
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
@@ -270,32 +297,65 @@ def test_mutated_setup_is_exit_zero_or_one_error_line(runner, data_dir, data):
     """One node of cp2.json replaced by a random JSON value or deleted, or
     the text truncated: every setup command exits 0, or 1 with one error
     line and no traceback."""
-    text = (data_dir / "cp2.json").read_text()
-    raw = json.loads(text)
-    kind = data.draw(st.sampled_from(["replace", "delete", "truncate"]))
-    if kind == "truncate":
-        text = text[:data.draw(st.integers(0, len(text) - 1))]
-    else:
-        paths = list(_node_paths(raw))
-        if kind == "delete":
-            paths = paths[1:]
-        path = data.draw(st.sampled_from(paths))
-        if not path:
-            raw = data.draw(JSON_VALUES)
-        else:
-            parent = raw
-            for key in path[:-1]:
-                parent = parent[key]
-            if kind == "delete":
-                del parent[path[-1]]
-            else:
-                parent[path[-1]] = data.draw(JSON_VALUES)
-        text = json.dumps(raw)
+    text = _mutated_text(data, (data_dir / "cp2.json").read_text(),
+                         JSON_VALUES)
     with tempfile.TemporaryDirectory() as tmp:
         setup = Path(tmp) / "setup.json"
         setup.write_text(text)
         for command in SETUP_COMMANDS:
             _run_setup_command(runner, command, setup)
+
+
+# Numbers stay within [-3, 3] and strings carry no digits, so no mutation
+# asks for a large dimension: that is a cost question, not a parse error.
+SMALL_TEXT = st.text(alphabet="Mm_abchtk /-.", max_size=4)
+SMALL_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-3, 3)
+    | SMALL_TEXT
+    | st.sampled_from(["1/2", "-2/3", "3", "0", "m", "M", "m_check_2"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(SMALL_TEXT, inner, max_size=3),
+    max_leaves=6)
+
+ORIENT_INSTANCES = (
+    {"kind": "fibre_sum",
+     "v1": {"dim": 2, "basis": [[1, 0], [1, 1]], "sign": -1},
+     "v2": {"dim": 1}, "w": {"dim": 1},
+     "f1": [[1, "1/2"]], "f2": [[2]]},
+    {"kind": "quotient", "total": {"dim": 2}, "sub": {"dim": 1},
+     "inclusion": [[0], [1]]},
+)
+DIM_INSTANCES = (
+    {"kind": "cascade_y_to_y", "upper": "m_check_2", "lower": "M_hat_1",
+     "levels": 1},
+    {"kind": "pearl_in_sigma", "upper": "M", "lower": "m",
+     "classes": [[1]], "aug_count": 0},
+)
+MORSE_FILES = ("morse_circle", "morse_s2", "morse_hopf", "morse_lens3")
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_instance_is_exit_zero_or_one_error_line(runner, data_dir,
+                                                         data):
+    """A mutated or truncated Morse file, orient instance or dim instance:
+    `morse`, `orient` and `dim` exit 0, or 1 with one error line and no
+    traceback."""
+    cases = [(["morse", "--data"], (data_dir / f"{m}.json").read_text())
+             for m in MORSE_FILES]
+    cases += [(["orient", "--instance"], json.dumps(inst))
+              for inst in ORIENT_INSTANCES]
+    cases += [(["dim", "--setup", str(data_dir / "cp2.json"), "--instance"],
+               json.dumps(inst)) for inst in DIM_INSTANCES]
+    command, text = data.draw(st.sampled_from(cases))
+    text = _mutated_text(data, text, SMALL_JSON_VALUES)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "instance.json"
+        path.write_text(text)
+        result = runner.invoke(cli.main, command + [str(path)],
+                               catch_exceptions=False)
+    _assert_exit_zero_or_one_error_line(result, (command[0], text))
 
 
 def test_report_sections_cp2(runner, data_dir):

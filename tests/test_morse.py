@@ -168,6 +168,122 @@ def test_invariant_factors_match_sympy():
         assert mine == theirs, m
 
 
+@st.composite
+def sparse_integer_matrices(draw):
+    """0x0 to 15x15 matrices heavy in {0, +-1}, with zero rows and columns.
+
+    The entry pool is mixed, free of units (the unit phase finds nothing
+    and the dense elimination does all the work) or units only.
+    """
+    nr, nc = draw(st.integers(0, 15)), draw(st.integers(0, 15))
+    entries = draw(st.sampled_from([
+        st.sampled_from((0, 0, 0, 1, -1)) | st.integers(-6, 6),
+        st.sampled_from((0, 0, 2, -2, 3, -4, 6)),
+        st.sampled_from((0, 0, 1, -1)),
+    ]))
+    flat = draw(st.lists(entries, min_size=nr * nc, max_size=nr * nc))
+    zero_rows = draw(st.sets(st.integers(0, 14), max_size=3))
+    zero_cols = draw(st.sets(st.integers(0, 14), max_size=3))
+    return tuple(
+        tuple(0 if i in zero_rows or j in zero_cols else flat[i * nc + j]
+              for j in range(nc))
+        for i in range(nr))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_integer_matrices())
+def test_invariant_factors_match_dense_elimination(m):
+    mine = smith_invariant_factors(m)
+    assert mine == oracles.dense_smith_invariant_factors(m), m
+    nr, nc = len(m), len(m[0]) if m else 0
+    if 0 < nr <= 6 and 0 < nc <= 6:
+        from sympy import Matrix
+        from sympy.matrices.normalforms import smith_normal_form
+
+        snf = smith_normal_form(Matrix([list(r) for r in m]))
+        theirs = [abs(snf[i, i]) for i in range(min(nr, nc)) if snf[i, i]]
+        assert mine == theirs, m
+
+
+def test_invariant_factors_unit_and_remainder_hand_cases():
+    # units only, a unit beside a 2x2 remainder, and no unit at all
+    assert smith_invariant_factors(((1, 1), (1, -1))) == [1, 2]
+    assert smith_invariant_factors(
+        ((1, 0, 0), (0, 2, 4), (1, 0, 6))) == [1, 2, 6]
+    assert smith_invariant_factors(((2, 4), (6, 8))) == [2, 4]
+    assert smith_invariant_factors(((0, 0), (0, 0))) == []
+    assert smith_invariant_factors(((), ())) == []
+
+
+# --- the d^2 check against the dense triple loop -----------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_square_check_matches_dense_oracle(data):
+    """Elementary pieces under unimodular basis moves have d^2 = 0; one
+    optional bumped flow count may break it.  `differential` must raise
+    exactly the oracle's message, or nothing when the oracle finds none."""
+    top = data.draw(st.integers(1, 4))
+    pieces = data.draw(st.lists(
+        st.tuples(st.integers(0, top), st.sampled_from((0, 1, 1, -1, 2, 3))),
+        min_size=1, max_size=12))
+    # a piece is a free Z in degree d (t = 0) or Z --t--> Z from d + 1 to d
+    counts = [0] * (top + 2)
+    for d, t in pieces:
+        counts[d] += 1
+        counts[d + 1] += bool(t)
+    mats = {d: [[0] * counts[d] for _ in range(counts[d - 1])]
+            for d in range(1, top + 2)}
+    pos = [0] * (top + 2)
+    for d, t in pieces:
+        if t:
+            mats[d + 1][pos[d]][pos[d + 1]] = t
+            pos[d + 1] += 1
+        pos[d] += 1
+    # basis moves e_j <- e_j + c e_i keep d^2 = 0
+    for d in range(top + 2):
+        n = counts[d]
+        if n < 2:
+            continue
+        for _ in range(data.draw(st.integers(0, 4))):
+            i, j = data.draw(st.permutations(range(n)))[:2]
+            c = data.draw(st.sampled_from((-2, -1, 1, 2)))
+            if d >= 1:
+                for row in mats[d]:
+                    row[j] += c * row[i]
+            if d + 1 in mats:
+                m = mats[d + 1]
+                m[i] = [a - c * b for a, b in zip(m[i], m[j])]
+    # bump an entry (i, j) of some d whose change reaches d o d: column i of
+    # the matrix below or row j of the matrix above is nonzero
+    reach = [(d, i, j) for d in mats
+             for i in range(counts[d - 1]) for j in range(counts[d])
+             if (d - 1 in mats and any(r[i] for r in mats[d - 1]))
+             or (d + 1 in mats and any(mats[d + 1][j]))]
+    if reach and data.draw(st.booleans()):
+        d, i, j = data.draw(st.sampled_from(reach))
+        mats[d][i][j] += data.draw(st.sampled_from((-2, -1, 1, 2)))
+    def name(d, k):
+        return f"c{d}_{k}"
+
+    # interleave the degrees: each degree keeps its own order
+    points = sorted((k, d) for d in range(top + 2) for k in range(counts[d]))
+    flows = [SignedFlow(name(d, j), name(d - 1, i), v)
+             for d, rows in mats.items() for i, row in enumerate(rows)
+             for j, v in enumerate(row) if v]
+    complex_ = MorseData(tuple(MorsePoint(name(d, k), d) for k, d in points),
+                         tuple(flows))
+    expected = {d: tuple(map(tuple, mats[d])) for d in mats if counts[d]}
+    want = oracles.first_square_violation(complex_, expected)
+    if want is None:
+        assert differential(complex_) == expected
+    else:
+        with pytest.raises(BoundarySquaredNonzero) as err:
+            differential(complex_)
+        assert str(err.value) == want
+
+
 # --- random complexes from elementary pieces ---------------------------
 
 
