@@ -410,7 +410,7 @@ def morse_cmd(data_path):
         click.echo(f"boundary degree {d} [{cols}]: {mat}")
     click.echo("d^2 = 0: verified")
     click.echo(f"{'degree':>6} {'betti':>6} {'torsion':>8}")
-    for d, betti, torsion in morse.homology(data):
+    for d, betti, torsion in morse.homology_from(data, matrices):
         label = ";".join(str(t) for t in torsion) or "-"
         click.echo(f"{d:>6} {betti:>6} {label:>8}")
 

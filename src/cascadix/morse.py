@@ -310,10 +310,15 @@ def _dense_smith(matrix: Matrix) -> List[int]:
 
 def homology(data: MorseData) -> List[Tuple[int, int, Tuple[int, ...]]]:
     """Per degree: (degree, betti rank, torsion invariant factors)."""
+    return homology_from(data, differential(data))
+
+
+def homology_from(data: MorseData, matrices: Dict[int, Matrix]
+                  ) -> List[Tuple[int, int, Tuple[int, ...]]]:
+    """`homology` from boundary matrices `differential(data)` already built."""
     # one Smith form per boundary matrix: its rank and torsion both come
     # from the invariant factors
-    factors = {d: smith_invariant_factors(m)
-               for d, m in differential(data).items()}
+    factors = {d: smith_invariant_factors(m) for d, m in matrices.items()}
     out = []
     for d in range(data.max_index() + 1):
         dim = len(data.points_of_degree(d))

@@ -2,11 +2,14 @@
 
 An OrientedSpace is an abstract rational vector space with a reference basis
 and a sign; every orientation question below reduces to the sign of a
-determinant, a rank or a kernel.  All of them read one exact elimination,
-`_echelon`: denominators are cleared row by row with positive multipliers (so
-no sign is ever touched), then a fraction-free (Bareiss) Gauss-Jordan
-elimination runs in integers.  Every pivot entry then equals one nonzero d,
-so the returned rows divided by d are the reduced row echelon form.
+determinant, a rank or a kernel.  Each question reads them off one exact
+elimination, `_echelon`: denominators are cleared row by row with positive
+multipliers (so no sign is ever touched), then a fraction-free (Bareiss)
+Gauss-Jordan elimination runs in integers.  Every pivot entry then equals one
+nonzero d, so the returned rows divided by d are the reduced row echelon
+form.  A fibre sum takes surjectivity, kernel and sign from one elimination
+of its difference map; a frame comparison takes independence, span and the
+change-of-basis matrix from one elimination of [a | b].
 
 Two conventions drive everything:
 
@@ -123,17 +126,13 @@ def det_sign(m: Matrix) -> int:
     return sign if len(pivots) == n else 0
 
 
-def matrix_rank(m: Matrix) -> int:
-    return len(_echelon(m)[1])
+def _kernel(rows: List[List[int]], pivots: List[int],
+            ncols: int) -> List[Vector]:
+    """Canonical primitive integer kernel basis from `_echelon`'s output.
 
-
-def kernel_basis(m: Matrix, ncols: int) -> List[Vector]:
-    """Canonical primitive integer basis of the kernel, one per free column.
-
-    Each vector has a positive entry at its free column and zeros at the
+    One vector per free column, positive at its free column and zero at the
     other free columns.
     """
-    rows, pivots, _ = _echelon(m)
     d = rows[0][pivots[0]] if pivots else 1
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
@@ -265,16 +264,6 @@ def quotient_orientation(total: OrientedSpace,
     return OrientedFrame(tuple(reps), sign)
 
 
-def _product_space(v1: OrientedSpace, v2: OrientedSpace) -> OrientedSpace:
-    n1, n2 = v1.dim, v2.dim
-    rows = []
-    for i in range(n1):
-        rows.append(tuple(v1.reference_basis[i]) + tuple([Fraction(0)] * n2))
-    for i in range(n2):
-        rows.append(tuple([Fraction(0)] * n1) + tuple(v2.reference_basis[i]))
-    return OrientedSpace(n1 + n2, tuple(rows), v1.sign * v2.sign)
-
-
 def fibre_sum_orientation(v1: OrientedSpace, v2: OrientedSpace,
                           w: OrientedSpace, f1: LinearMapSpec,
                           f2: LinearMapSpec) -> OrientedFrame:
@@ -289,53 +278,50 @@ def fibre_sum_orientation(v1: OrientedSpace, v2: OrientedSpace,
         if f.rows != dw or f.cols_or(d) != d:
             raise CascadixError(
                 f"{name} is {f.rows}x{f.cols_or(d)}, need {dw}x{d}")
+    product_sign = v1.sign * v2.sign
+    if dw == 0:
+        # the whole product, framed by its block-diagonal reference basis
+        zero1, zero2 = (Fraction(0),) * d1, (Fraction(0),) * d2
+        cols = [col + zero2 for col in _columns(v1.reference_basis)]
+        cols += [zero1 + col for col in _columns(v2.reference_basis)]
+        return OrientedFrame(tuple(cols), product_sign)
 
     # difference map on raw product coordinates
-    diff_rows = []
-    for i in range(dw):
-        row1 = f1.matrix[i] if f1.matrix else ()
-        row2 = f2.matrix[i] if f2.matrix else ()
-        diff_rows.append(tuple(row1) + tuple(-x for x in row2))
-    diff = tuple(diff_rows)
-
-    product = _product_space(v1, v2)
-    if dw == 0:
-        return OrientedFrame(tuple(_columns(product.reference_basis)),
-                             product.sign)
-    kernel = kernel_basis(diff, d1 + d2)
-    # rank-nullity: the map is onto W iff its kernel has d1 + d2 - dw vectors
-    if len(kernel) != d1 + d2 - dw:
+    diff = tuple(
+        tuple(f1.matrix[i]) + tuple(-x for x in f2.matrix[i])
+        for i in range(dw))
+    rows, pivots, pivot_sign = _echelon(diff)
+    if len(pivots) != dw:
         raise NotSurjective("difference map is not onto W")
-    reps, combined_sign = _extend_to_basis(
-        kernel, _columns(product.reference_basis), d1 + d2)
-    epsilon = -1 if (d2 * dw) % 2 else 1
-    image = _matmul(diff, _from_columns(reps))
-    sign_q = epsilon * w.sign * det_sign(image) * w.basis_det_sign()
-    sign_k = sign_q * product.sign * combined_sign \
-        * product.basis_det_sign()
-    return OrientedFrame(tuple(kernel), sign_k)
+    n = d1 + d2
+    kernel = _kernel(rows, pivots, n)
+    # The complement of the kernel is the standard vectors at the pivot
+    # columns (docs/signs.md): d maps it by diff's pivot columns, sign
+    # pivot_sign, and [kernel | complement] with its free rows put first
+    # is triangular with a positive diagonal, so its sign is the parity of
+    # that reordering, one swap per (pivot, later free column) pair.
+    inversions = sum(n - dw - (p - j) for j, p in enumerate(pivots))
+    # (-1)^(dim V2 * dim W) is the interchange twist of W
+    parity = -1 if (d2 * dw + inversions) % 2 else 1
+    sign = product_sign * parity * w.sign * w.basis_det_sign() \
+        * pivot_sign * v1.basis_det_sign() * v2.basis_det_sign()
+    return OrientedFrame(tuple(kernel), sign)
 
 
 def frame_orientations_agree(a: OrientedFrame, b: OrientedFrame) -> bool:
     """Do two oriented frames of the same subspace give the same orientation?"""
     if a.dim != b.dim:
         raise CascadixError("frames have different dimensions")
-    if a.dim == 0:
+    k = a.dim
+    if k == 0:
         return a.sign == b.sign
-    basis = _from_columns(list(a.vectors))
-    rows_idx = _independent_rows(basis, a.dim)
-    # b lies in the span of the independent a iff [a | b] has rank dim
-    if matrix_rank(_from_columns(list(a.vectors + b.vectors))) != a.dim:
-        raise CascadixError("frames span different subspaces")
-    # b = a M; on the independent rows R, det b_R = det a_R * det M
-    sq_a = tuple(basis[i] for i in rows_idx)
-    sq_b = tuple(tuple(v[i] for v in b.vectors) for i in rows_idx)
-    return a.sign * b.sign * det_sign(sq_a) * det_sign(sq_b) == 1
-
-
-def _independent_rows(m: Matrix, want: int) -> List[int]:
-    """The first `want` rows of m, left to right, independent of those before."""
-    pivots = _echelon(tuple(_columns(m)))[1]
-    if len(pivots) < want:
+    rows, pivots, _ = _echelon(_from_columns(list(a.vectors + b.vectors)))
+    if pivots[:k] != list(range(k)):
         raise CascadixError("matrix has too few independent rows")
-    return pivots[:want]
+    # b lies in the span of the independent a iff [a | b] has rank k
+    if len(pivots) != k:
+        raise CascadixError("frames span different subspaces")
+    # b = a M, and the top k rows of the elimination are d [I | M]
+    d_sign = 1 if rows[0][0] > 0 or k % 2 == 0 else -1
+    dm = tuple(tuple(row[k:]) for row in rows[:k])
+    return a.sign * b.sign * det_sign(dm) * d_sign == 1

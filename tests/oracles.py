@@ -1,10 +1,16 @@
 """Frozen expected values and independent oracle computations.
 
-Everything in this file except `brute_force_contributions` is computed
-without importing the package under test (`first_square_violation` reads a
-complex's points through its `points_of_degree`, nothing else).  That one is the exhaustive
-generate-and-filter cascade search, kept as the reference the case solver is
-compared against; it uses the package's `classify_type` as its judge.
+Everything in this file except `brute_force_contributions` and the
+`reference_*` orientation functions is computed without importing the
+package under test (`first_square_violation` reads a complex's points through
+its `points_of_degree`, nothing else).  `brute_force_contributions` is the
+exhaustive generate-and-filter cascade search, kept as the reference the case
+solver is compared against; it uses the package's `classify_type` as its
+judge.  `reference_fibre_sum_orientation` and
+`reference_frame_orientations_agree` are the earlier multi-elimination
+orientation code (product space, basis extension, a `Fraction` product and
+determinant signs), kept as the reference the one-elimination code is
+compared against; they use the package's exact linear-algebra primitives.
 Derived values were worked out by hand (or by the closed forms below) before
 the corresponding module was written, and the implementation is held to them.
 Do not edit a frozen value to make a test pass; a mismatch means the
@@ -417,6 +423,101 @@ FIBRE_SUM_PROJECTION = (((0, 1),), -1)
 # Quotient orientation of R^2 (standard) by a coordinate axis.
 QUOTIENT_BY_E1 = (((0, 1),), 1)       # rep e2, det(e1,e2)=+1
 QUOTIENT_BY_E2 = (((1, 0),), -1)      # rep e1, det(e2,e1)=-1
+
+
+# ---------------------------------------------------------------------------
+# Multi-elimination orientation reference.
+#
+# The fibre sum below builds the block-diagonal product space, extends the
+# kernel to a basis from the product's reference columns, maps those
+# representatives into W and takes determinant signs; the frame comparison
+# finds independent rows of a and compares two square minors.
+
+
+def kernel_basis(m, ncols):
+    from cascadix.orientation import _echelon, _kernel
+    return _kernel(*_echelon(m)[:2], ncols)
+
+
+def matrix_rank(m):
+    from cascadix.orientation import _echelon
+    return len(_echelon(m)[1])
+
+
+def _product_space(v1, v2):
+    from cascadix.orientation import OrientedSpace
+    n1, n2 = v1.dim, v2.dim
+    rows = []
+    for i in range(n1):
+        rows.append(tuple(v1.reference_basis[i]) + tuple([Fraction(0)] * n2))
+    for i in range(n2):
+        rows.append(tuple([Fraction(0)] * n1) + tuple(v2.reference_basis[i]))
+    return OrientedSpace(n1 + n2, tuple(rows), v1.sign * v2.sign)
+
+
+def reference_fibre_sum_orientation(v1, v2, w, f1, f2):
+    from cascadix.errors import CascadixError
+    from cascadix.orientation import (NotSurjective, OrientedFrame, _columns,
+                                      _extend_to_basis, _from_columns,
+                                      _matmul, det_sign)
+    d1, d2, dw = v1.dim, v2.dim, w.dim
+    for f, d, name in ((f1, d1, "f1"), (f2, d2, "f2")):
+        if f.rows != dw or f.cols_or(d) != d:
+            raise CascadixError(
+                f"{name} is {f.rows}x{f.cols_or(d)}, need {dw}x{d}")
+
+    # difference map on raw product coordinates
+    diff_rows = []
+    for i in range(dw):
+        row1 = f1.matrix[i] if f1.matrix else ()
+        row2 = f2.matrix[i] if f2.matrix else ()
+        diff_rows.append(tuple(row1) + tuple(-x for x in row2))
+    diff = tuple(diff_rows)
+
+    product = _product_space(v1, v2)
+    if dw == 0:
+        return OrientedFrame(tuple(_columns(product.reference_basis)),
+                             product.sign)
+    kernel = kernel_basis(diff, d1 + d2)
+    # rank-nullity: the map is onto W iff its kernel has d1 + d2 - dw vectors
+    if len(kernel) != d1 + d2 - dw:
+        raise NotSurjective("difference map is not onto W")
+    reps, combined_sign = _extend_to_basis(
+        kernel, _columns(product.reference_basis), d1 + d2)
+    epsilon = -1 if (d2 * dw) % 2 else 1
+    image = _matmul(diff, _from_columns(reps))
+    sign_q = epsilon * w.sign * det_sign(image) * w.basis_det_sign()
+    sign_k = sign_q * product.sign * combined_sign \
+        * product.basis_det_sign()
+    return OrientedFrame(tuple(kernel), sign_k)
+
+
+def reference_frame_orientations_agree(a, b):
+    from cascadix.errors import CascadixError
+    from cascadix.orientation import _from_columns, det_sign
+    if a.dim != b.dim:
+        raise CascadixError("frames have different dimensions")
+    if a.dim == 0:
+        return a.sign == b.sign
+    basis = _from_columns(list(a.vectors))
+    rows_idx = _independent_rows(basis, a.dim)
+    # b lies in the span of the independent a iff [a | b] has rank dim
+    if matrix_rank(_from_columns(list(a.vectors + b.vectors))) != a.dim:
+        raise CascadixError("frames span different subspaces")
+    # b = a M; on the independent rows R, det b_R = det a_R * det M
+    sq_a = tuple(basis[i] for i in rows_idx)
+    sq_b = tuple(tuple(v[i] for v in b.vectors) for i in rows_idx)
+    return a.sign * b.sign * det_sign(sq_a) * det_sign(sq_b) == 1
+
+
+def _independent_rows(m, want):
+    """The first `want` rows of m, left to right, independent of those before."""
+    from cascadix.errors import CascadixError
+    from cascadix.orientation import _columns, _echelon
+    pivots = _echelon(tuple(_columns(m)))[1]
+    if len(pivots) < want:
+        raise CascadixError("matrix has too few independent rows")
+    return pivots[:want]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cascadix import cli, pearls
+from cascadix import cli, morse, pearls
 from cascadix.grading import orbit_generator
 from cascadix.model import FibreFlag
 
@@ -167,6 +167,21 @@ def test_morse_table(runner, data_dir):
     assert "d^2 = 0: verified" in result.output
     assert any(line.split() == ["1", "0", "3"]
                for line in result.output.splitlines())
+
+
+def test_morse_checks_square_zero_once(runner, data_dir, monkeypatch):
+    calls = []
+    check = morse._check_square_zero
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(morse, "_check_square_zero", counted)
+    result = invoke(runner, "morse", "--data",
+                    str(data_dir / "morse_lens3.json"))
+    assert result.exit_code == 0
+    assert len(calls) == 1
 
 
 def test_morse_rejects_broken_boundary(runner, tmp_path):

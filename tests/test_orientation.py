@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 
+from cascadix import orientation
 from cascadix import selfcheck as props
 from cascadix.errors import CascadixError
 from cascadix.orientation import (
@@ -17,11 +18,11 @@ from cascadix.orientation import (
     NotSurjective,
     OrientedFrame,
     OrientedSpace,
+    _echelon,
+    _kernel,
     det_sign,
     fibre_sum_orientation,
     frame_orientations_agree,
-    kernel_basis,
-    matrix_rank,
     quotient_orientation,
 )
 
@@ -250,6 +251,122 @@ def test_det_sign_matches_float_determinant():
             assert exact == 0
 
 
+# --- one elimination per question, against the multi-elimination oracle --
+
+
+ENTRIES = st.sampled_from(props.ENTRY_POOL)
+NONZERO = st.sampled_from([x for x in props.ENTRY_POOL if x])
+SIGNS = st.sampled_from((1, -1))
+
+
+def _draw_matrix(draw, nrows, ncols):
+    return tuple(tuple(draw(ENTRIES) for _ in range(ncols))
+                 for _ in range(nrows))
+
+
+@st.composite
+def oriented_spaces(draw, dim):
+    """A drawn reference basis, or a scaled identity when that is singular."""
+    basis = _draw_matrix(draw, dim, dim)
+    if det_sign(basis) == 0:
+        scale = draw(NONZERO)
+        basis = tuple(tuple(scale if i == j else Fraction(0)
+                            for j in range(dim)) for i in range(dim))
+    return OrientedSpace(dim, basis, draw(SIGNS))
+
+
+@st.composite
+def fibre_sum_inputs(draw):
+    """dim V1, V2 in 0..6 and dim W in 0..5, with rank-deficient maps and
+    shape mismatches drawn on purpose."""
+    d1, d2 = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    dw = draw(st.integers(0, 5))
+    v1, v2, w = (draw(oriented_spaces(d)) for d in (d1, d2, dw))
+    f1, f2 = _draw_matrix(draw, dw, d1), _draw_matrix(draw, dw, d2)
+    if dw >= 2 and draw(st.booleans()):
+        # the last row of [f1 | f2] a multiple of the first: rank < dim W
+        c = draw(ENTRIES)
+        f1 = f1[:-1] + (tuple(c * x for x in f1[0]),)
+        f2 = f2[:-1] + (tuple(c * x for x in f2[0]),)
+    mismatch = draw(st.integers(0, 9))
+    if mismatch == 0:
+        f1 = tuple(row + (Fraction(1),) for row in f1) if dw \
+            else ((Fraction(1),) * (d1 + 1),)
+    elif mismatch == 1:
+        f2 = f2 + _draw_matrix(draw, 1, d2)
+    return v1, v2, w, LinearMapSpec(f1), LinearMapSpec(f2)
+
+
+@st.composite
+def frame_pairs(draw):
+    """Frames in an ambient space of dim 0..6: b = a M with M possibly
+    singular, unrelated vectors (usually a different span), a dependent a,
+    or frames of different dimensions."""
+    n, k = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    a = list(_draw_matrix(draw, k, n))
+    kind = draw(st.integers(0, 3))
+    if kind == 2 and k >= 2:
+        a[-1] = tuple(draw(ENTRIES) * x for x in a[0])
+    if kind in (0, 2):
+        m = _draw_matrix(draw, k, k)
+        b = [tuple(sum((a[j][t] * m[j][c] for j in range(k)), Fraction(0))
+                   for t in range(n)) for c in range(k)]
+    else:
+        b = _draw_matrix(draw, k + (kind == 3), n)
+    return (OrientedFrame(tuple(a), draw(SIGNS)),
+            OrientedFrame(tuple(b), draw(SIGNS)))
+
+
+def _outcome(fn, *args):
+    try:
+        result = fn(*args)
+    except CascadixError as exc:
+        return type(exc), str(exc)
+    if isinstance(result, OrientedFrame):
+        return result.vectors, result.sign
+    return result
+
+
+@settings(max_examples=300, deadline=None)
+@given(inputs=fibre_sum_inputs())
+def test_fibre_sum_matches_reference(inputs):
+    assert _outcome(fibre_sum_orientation, *inputs) \
+        == _outcome(oracles.reference_fibre_sum_orientation, *inputs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(frames=frame_pairs())
+def test_frame_comparison_matches_reference(frames):
+    assert _outcome(frame_orientations_agree, *frames) \
+        == _outcome(oracles.reference_frame_orientations_agree, *frames)
+
+
+def test_one_elimination_per_orientation_question(monkeypatch):
+    v1 = OrientedSpace(2, ((1, 2), (0, 1)), -1)
+    v2 = OrientedSpace(1, ((3,),))
+    w = OrientedSpace(1, ((-1,),))
+    f1, f2 = LinearMapSpec(((1, 1),)), LinearMapSpec(((2,),))
+    empty = LinearMapSpec(())
+    a = OrientedFrame(((1, 0, 1), (0, 1, 1)), 1)
+    b = OrientedFrame(((1, 1, 2), (1, -1, 0)), -1)
+    calls = []
+    echelon = orientation._echelon
+
+    def counted(m):
+        calls.append(m)
+        return echelon(m)
+
+    monkeypatch.setattr(orientation, "_echelon", counted)
+    fibre_sum_orientation(v1, v2, w, f1, f2)
+    assert len(calls) == 1
+    calls.clear()
+    fibre_sum_orientation(v1, v2, ZERO, empty, empty)
+    assert calls == []
+    calls.clear()
+    frame_orientations_agree(a, b)
+    assert len(calls) <= 2
+
+
 # --- exact linear algebra against sympy -----------------------------------
 
 
@@ -291,10 +408,10 @@ def test_linear_algebra_matches_sympy(drawn):
     m, ncols = drawn
     ref = Matrix(len(m), ncols,
                  [Rational(x.numerator, x.denominator) for r in m for x in r])
-    assert matrix_rank(m) == ref.rank()
+    assert len(_echelon(m)[1]) == ref.rank()
     want = [_primitive([Fraction(int(x.p), int(x.q)) for x in v])
             for v in ref.nullspace()]
-    assert kernel_basis(m, ncols) == want
+    assert _kernel(*_echelon(m)[:2], ncols) == want
     n = min(len(m), ncols)
     square = tuple(row[:n] for row in m[:n])
     assert det_sign(square) == int(sign(ref[:n, :n].det()))
