@@ -17,14 +17,16 @@ survives lands in exactly one of four cases:
 
 Since the budget leaves no other shapes, the catalog comes from a direct
 case solver: for each target it proposes only these four shapes, with the
-windings solved from the level balance, and `classify_type` confirms or
-rejects each proposal.  Validation makes every functional a multiple of
-the area, and the balance fixes the area, so each shape takes the one class
-`model.class_of_area` gives, in any lattice rank.  The catalog is complete
-within user bounds (max source winding, max class area, never a coordinate
-box) and reports when the bounds provably cover everything, so an empty
-answer is a certificate, not an accident.  Counts and signs of actual
-solutions are out of scope; this is the catalog of candidates only.
+source winding solved from the degree equation (degrees are affine in the
+winding, so there is at most one) and the class from the level balance,
+and `classify_type` confirms or rejects each proposal.  Validation makes
+every functional a multiple of the area, and the balance fixes the area, so
+each shape takes the one class `model.class_of_area` gives, in any lattice
+rank.  The catalog is complete within user bounds (max source winding, max
+class area, never a coordinate box) and reports when the bounds provably
+cover everything, so an empty answer is a certificate, not an accident.
+Counts and signs of actual solutions are out of scope; this is the catalog
+of candidates only.
 """
 
 from __future__ import annotations
@@ -385,8 +387,9 @@ def enumerate_contributions(setup: SetupDescriptor, target: Generator,
     (0, class_bound], one class per area.  Only the shapes the budget
     allows are proposed: a bare flow (Case 0), one non-constant level
     (Case 1), one constant level with one augmentation plane (Case 2), one
-    constant level on a filling sphere (Case 3), each with its windings
-    solved from the level balance.
+    constant level on a filling sphere (Case 3).  The source winding is
+    solved from the degree equation, at most one per source critical
+    point, and the class from the level balance.
     `classify_type` confirms every proposal.  Output is sorted by
     (levels, multiplicities, classes, sphere, augmentations, source name)
     and is byte-deterministic.  Warnings flag bound combinations that might
@@ -408,7 +411,7 @@ def enumerate_contributions(setup: SetupDescriptor, target: Generator,
 
     warnings = _coverage_warnings(setup, target, k_max, class_bound)
     kt = target.k
-    one = Fraction(1)
+    deg_t = grade(setup, target)
 
     # no levels: fibrewise Morse flow at fixed winding
     if kt <= k_max:
@@ -417,7 +420,7 @@ def enumerate_contributions(setup: SetupDescriptor, target: Generator,
                 source = OrbitGenerator(LiftedCriticalPoint(q, flag), kt)
                 if source == target:
                     continue
-                if grade(setup, target) - grade(setup, source) != one:
+                if deg_t - grade(setup, source) != 1:
                     continue
                 cand = classify_type(setup, target, source, (kt,))
                 if cand.feasible:
@@ -427,7 +430,7 @@ def enumerate_contributions(setup: SetupDescriptor, target: Generator,
     # non-constant level or augmentation, and every level carries one)
     if target.point.flag is FibreFlag.CHECK:
         for source, mults, classes, sphere_b, aug in _level_shapes(
-                setup, target, k_max, class_bound):
+                setup, target, deg_t, k_max, class_bound):
             cand = classify_type(setup, target, source, mults, classes,
                                  sphere_b, aug)
             if cand.feasible:
@@ -438,17 +441,24 @@ def enumerate_contributions(setup: SetupDescriptor, target: Generator,
 
 
 def _level_shapes(setup: SetupDescriptor, target: OrbitGenerator,
-                  k_max: int, class_bound: int):
+                  deg_t: Fraction, k_max: int, class_bound: int):
     """(source, multiplicities, classes, sphere, aug) of Cases 1, 2 and 3.
 
-    Orbit-to-orbit: one level above a hat source at winding k_0.  A
-    non-constant level of class A steps K*omega(A) (Case 1); a constant
-    level carrying one plane of class B steps B.Sigma = K*omega(B) (Case 2).
-    Orbit-to-interior: the budget must vanish outright, leaving one constant
-    level on a filling sphere with B.Sigma = k_t (Case 3).  Each class has
-    area step/K, skipped above class_bound.
+    Orbit-to-orbit: one level above a hat source at winding k_0.  The degree
+    is affine in the winding with slope 2*(tau - K)/K, positive by
+    validation, so "degree difference 1" solves to
+    k_t - k_0 = (1 - (L_t - L_q)) / (2*(tau - K)/K) for lifted indices L:
+    one k_0 per hat source, kept when it is an integer in [1, min(k_max,
+    k_t)].  A non-constant level of class A steps K*omega(A) (Case 1); a
+    constant level carrying one plane of class B steps B.Sigma = K*omega(B)
+    (Case 2).  Orbit-to-interior: the budget must vanish outright, leaving
+    one constant level on a filling sphere with B.Sigma = k_t (Case 3).
+    Each class has area step/K, skipped above class_bound.  deg_t is the
+    target's degree.
     """
     kt = target.k
+    top = min(k_max, kt)
+    twice_slope = 2 * setup.slope_ratio
     zero = tuple([0] * setup.lattice_sigma.rank)
 
     def solve(lattice, step):
@@ -456,24 +466,27 @@ def _level_shapes(setup: SetupDescriptor, target: OrbitGenerator,
         return class_of_area(lattice, area) if area <= class_bound else None
 
     for q in setup.morse_sigma:
-        for k0 in range(1, min(k_max, kt) + 1):
-            source = OrbitGenerator(LiftedCriticalPoint(q, FibreFlag.HAT), k0)
-            if grade(setup, target) - grade(setup, source) != 1:
-                continue
-            a = solve(setup.lattice_sigma, kt - k0)
-            if a is not None:
-                yield source, (k0, kt), (a,), None, ()
-            b = solve(setup.lattice_x, kt - k0)
-            if b is not None:
-                yield (source, (k0, kt), (zero,), None,
-                       (AugPuncture(1, b, kt - k0),))
+        hat = LiftedCriticalPoint(q, FibreFlag.HAT)
+        k0 = kt - (1 - target.point.lifted_index + hat.lifted_index) \
+            / twice_slope
+        if k0.denominator != 1 or not 1 <= k0 <= top:
+            continue
+        k0 = int(k0)
+        source = OrbitGenerator(hat, k0)
+        a = solve(setup.lattice_sigma, kt - k0)
+        if a is not None:
+            yield source, (k0, kt), (a,), None, ()
+        b = solve(setup.lattice_x, kt - k0)
+        if b is not None:
+            yield (source, (k0, kt), (zero,), None,
+                   (AugPuncture(1, b, kt - k0),))
 
     b = solve(setup.lattice_x, kt)
     if b is None:
         return
     for x in setup.morse_w:
         source = InteriorGenerator(x)
-        if grade(setup, target) - grade(setup, source) == 1:
+        if deg_t - grade(setup, source) == 1:
             yield source, (kt, kt), (zero,), b, ()
 
 

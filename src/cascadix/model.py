@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import Optional, Sequence, Tuple, Union
 
@@ -219,9 +220,13 @@ class SetupDescriptor:
     x_classes_from_sigma: bool = False
     name: str = ""
 
-    @property
+    @cached_property
     def slope_ratio(self) -> Fraction:
-        """(tau - K) / K: the per-multiplicity degree shift is twice this."""
+        """(tau - K) / K: the per-multiplicity degree shift is twice this.
+
+        Computed once per setup; the cache sits outside the fields, so
+        equality, hashing and repr are those of the fields alone.
+        """
         return (self.tau_x - self.k_const) / self.k_const
 
     def sigma_point(self, name: str) -> CriticalPoint:

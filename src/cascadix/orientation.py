@@ -108,8 +108,10 @@ def _echelon(m: Matrix) -> Tuple[List[List[int]], List[int], int]:
             sign = -sign
         top, pv = a[r], a[r][c]
         for i in range(nrows):
-            if i != r:
-                f = a[i][c]
+            f = a[i][c]
+            # with f = 0 the update only scales the row by pv / prev, so
+            # it is a no-op when pv == prev
+            if i != r and (f or pv != prev):
                 # every entry is a minor of the cleared m: exact division
                 a[i] = [(pv * x - f * y) // prev for x, y in zip(a[i], top)]
         pivots.append(c)
@@ -315,6 +317,8 @@ def frame_orientations_agree(a: OrientedFrame, b: OrientedFrame) -> bool:
     k = a.dim
     if k == 0:
         return a.sign == b.sign
+    if len({len(v) for v in a.vectors + b.vectors}) != 1:
+        raise CascadixError("frame vectors live in different ambient spaces")
     rows, pivots, _ = _echelon(_from_columns(list(a.vectors + b.vectors)))
     if pivots[:k] != list(range(k)):
         raise CascadixError("matrix has too few independent rows")

@@ -1,12 +1,15 @@
 """Frozen expected values and independent oracle computations.
 
-Everything in this file except `brute_force_contributions` and the
-`reference_*` orientation functions is computed without importing the
-package under test (`first_square_violation` reads a complex's points through
-its `points_of_degree`, nothing else).  `brute_force_contributions` is the
-exhaustive generate-and-filter cascade search, kept as the reference the case
-solver is compared against; it uses the package's `classify_type` as its
-judge.  `reference_fibre_sum_orientation` and
+Everything in this file except `brute_force_contributions`,
+`scan_level_shapes` and the `reference_*` orientation functions is computed
+without importing the package under test (`first_square_violation` reads a
+complex's points through its `points_of_degree`, nothing else).
+`brute_force_contributions` is the exhaustive generate-and-filter cascade
+search, kept as the reference the case solver is compared against; it uses
+the package's `classify_type` as its judge.  `scan_level_shapes` is the
+earlier winding scan of the case solver, kept as the reference its
+degree-equation solution is compared against; it uses the package's `grade`
+and `class_of_area`.  `reference_fibre_sum_orientation` and
 `reference_frame_orientations_agree` are the earlier multi-elimination
 orientation code (product space, basis extension, a `Fraction` product and
 determinant signs), kept as the reference the one-elimination code is
@@ -404,6 +407,50 @@ def brute_force_contributions(setup, target, k_max, class_bound):
 
 
 # ---------------------------------------------------------------------------
+# Winding scan.
+#
+# The case solver's level shapes with the source winding k_0 found by trying
+# every k_0 in 1..min(k_max, k_t) and keeping those whose degree is one less
+# than the target's, instead of solving the degree equation.  Yields the
+# same (source, multiplicities, classes, sphere, aug) tuples, in the same
+# order, as `cascades._level_shapes`.
+
+
+def scan_level_shapes(setup, target, k_max, class_bound):
+    from cascadix.cascades import AugPuncture
+    from cascadix.grading import InteriorGenerator, OrbitGenerator, grade
+    from cascadix.model import FibreFlag, LiftedCriticalPoint, class_of_area
+
+    kt = target.k
+    zero = tuple([0] * setup.lattice_sigma.rank)
+
+    def solve(lattice, step):
+        area = Fraction(step) / setup.k_const
+        return class_of_area(lattice, area) if area <= class_bound else None
+
+    for q in setup.morse_sigma:
+        for k0 in range(1, min(k_max, kt) + 1):
+            source = OrbitGenerator(LiftedCriticalPoint(q, FibreFlag.HAT), k0)
+            if grade(setup, target) - grade(setup, source) != 1:
+                continue
+            a = solve(setup.lattice_sigma, kt - k0)
+            if a is not None:
+                yield source, (k0, kt), (a,), None, ()
+            b = solve(setup.lattice_x, kt - k0)
+            if b is not None:
+                yield (source, (k0, kt), (zero,), None,
+                       (AugPuncture(1, b, kt - k0),))
+
+    b = solve(setup.lattice_x, kt)
+    if b is None:
+        return
+    for x in setup.morse_w:
+        source = InteriorGenerator(x)
+        if grade(setup, target) - grade(setup, source) == 1:
+            yield source, (kt, kt), (zero,), b, ()
+
+
+# ---------------------------------------------------------------------------
 # Oriented fibre sum, hand computations.
 #
 # Convention under test: for surjective f1 - f2 : V1 + V2 -> W the kernel is
@@ -499,6 +546,8 @@ def reference_frame_orientations_agree(a, b):
         raise CascadixError("frames have different dimensions")
     if a.dim == 0:
         return a.sign == b.sign
+    if len({len(v) for v in a.vectors + b.vectors}) != 1:
+        raise CascadixError("frame vectors live in different ambient spaces")
     basis = _from_columns(list(a.vectors))
     rows_idx = _independent_rows(basis, a.dim)
     # b lies in the span of the independent a iff [a | b] has rank dim

@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 
 import oracles
 
+from cascadix import cascades, grading
 from cascadix.cascades import (
     AugPuncture,
     Case,
     CascadeType,
+    _level_shapes,
     certify_classification,
     classify_type,
     enumerate_contributions,
@@ -23,6 +25,7 @@ from cascadix.cascades import (
 )
 from cascadix.errors import CascadixError
 from cascadix.grading import (
+    OrbitGenerator,
     enumerate_generators,
     grade,
     interior_generator,
@@ -405,6 +408,56 @@ def monotone_setups(draw):
        class_bound=st.integers(1, 3))
 def test_solver_matches_brute_force_random(setup, k_max, class_bound):
     assert_matches_brute_force(setup, k_max, class_bound)
+
+
+# --- the source winding solved against the winding scan ----------------
+
+
+def assert_matches_winding_scan(setup, k_max, class_bound):
+    """Every check target up to one winding past k_max: the degree equation
+    proposes exactly the scan's shapes, in the scan's order."""
+    for target in enumerate_generators(setup, k_max + 1):
+        if not isinstance(target, OrbitGenerator) \
+                or target.point.flag is not FibreFlag.CHECK:
+            continue
+        got = list(_level_shapes(setup, target, grade(setup, target), k_max,
+                                 class_bound))
+        want = list(oracles.scan_level_shapes(setup, target, k_max,
+                                              class_bound))
+        assert got == want, (setup.name, k_max, class_bound,
+                             target.display_name)
+
+
+@pytest.mark.parametrize("name", ["cp2", "tau2", "rank0"])
+def test_solver_matches_winding_scan_shipped(name, request):
+    assert_matches_winding_scan(request.getfixturevalue(name), 40, 40)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(setup=monotone_setups(), k_max=st.integers(1, 30),
+       class_bound=st.integers(1, 30))
+def test_solver_matches_winding_scan_random(setup, k_max, class_bound):
+    assert_matches_winding_scan(setup, k_max, class_bound)
+
+
+def test_grade_calls_linear_in_kmax(tau2, monkeypatch):
+    """One source winding per Sigma point, not a scan over all of them:
+    doubling k_max at most about doubles the degrees computed."""
+    calls = []
+
+    def counted(setup, gen):
+        calls.append(gen)
+        return grade(setup, gen)
+
+    for module in (grading, cascades):
+        monkeypatch.setattr(module, "grade", counted)
+    counts = []
+    for k in (20, 40):
+        calls.clear()
+        certify_classification(tau2, k, k)
+        counts.append(len(calls))
+    assert counts[1] <= 2.5 * counts[0], counts
 
 
 # --- one class per area --------------------------------------------------

@@ -208,6 +208,22 @@ def test_frames_of_different_spans_rejected():
         frame_orientations_agree(a, b)
 
 
+@pytest.mark.parametrize("a,b", [
+    (((1, 0),), ((1, 0, 5),)),
+    (((1, 0, 5),), ((1, 0),)),
+    (((1, 0), (0, 1, 0)), ((1, 0), (0, 1))),
+    (((1, 0), (0, 1)), ((1, 0, 0), (0, 1))),
+])
+def test_frames_in_different_ambient_spaces_rejected(a, b):
+    # either argument order, and a frame whose own vectors differ in length
+    a = OrientedFrame(tuple(tuple(map(Fraction, v)) for v in a), 1)
+    b = OrientedFrame(tuple(tuple(map(Fraction, v)) for v in b), 1)
+    for fn in (frame_orientations_agree,
+               oracles.reference_frame_orientations_agree):
+        with pytest.raises(CascadixError, match="different ambient spaces"):
+            fn(a, b)
+
+
 def test_dependent_frame_inside_the_span_disagrees():
     a = OrientedFrame(((Fraction(1), Fraction(0), Fraction(1)),
                        (Fraction(0), Fraction(1), Fraction(1))), 1)
