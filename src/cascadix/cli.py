@@ -29,7 +29,6 @@ from .model import (
     format_rational,
     load_setup,
     parse_rational,
-    validate_setup,
 )
 
 
@@ -48,12 +47,6 @@ SETUP_OPT = click.option(
     "--setup", "setup_path", required=True,
     type=click.Path(exists=True, dir_okay=False),
     help="setup descriptor JSON")
-
-
-def _load(setup_path):
-    setup = load_setup(setup_path)
-    validate_setup(setup)
-    return setup
 
 
 def _read_instance(path) -> dict:
@@ -114,7 +107,7 @@ def main():
 @guarded
 def validate(setup_path):
     """Check a setup file against all structural invariants."""
-    setup = _load(setup_path)
+    setup = load_setup(setup_path)
     click.echo("monotone triple OK")
     click.echo(f"name: {setup.name}")
     click.echo(f"n: {setup.n}")
@@ -150,7 +143,7 @@ def _generator_rows(setup, k_max, degree):
 @guarded
 def grade(setup_path, kmax, degree, as_csv):
     """List generators with their degrees."""
-    setup = _load(setup_path)
+    setup = load_setup(setup_path)
     wanted = parse_rational(degree) if degree is not None else None
     rows = _generator_rows(setup, kmax, wanted)
     if as_csv:
@@ -261,7 +254,7 @@ def _cascade_shape(setup, raw):
 @guarded
 def dim_cmd(setup_path, instance_path):
     """Expected dimension of one configuration space."""
-    setup = _load(setup_path)
+    setup = load_setup(setup_path)
     raw = _read_instance(instance_path)
     kind = raw.get("kind")
     if kind in ("pearl_in_sigma", "pearl_with_sphere"):
@@ -323,7 +316,7 @@ def enumerate_cmd(setup_path, target, all_targets, kmax, classbound, as_text):
     """Catalog of feasible cascade types, one row per type."""
     if (target is None) == (not all_targets):
         raise click.UsageError("give exactly one of --target or --all-targets")
-    setup = _load(setup_path)
+    setup = load_setup(setup_path)
     if all_targets:
         targets = grading.enumerate_generators(setup, kmax)
     else:
@@ -429,7 +422,7 @@ def morse_cmd(data_path):
 @guarded
 def report_cmd(setup_path, kmax, classbound, profile_spec, levels):
     """One document: generators, actions, cascade catalog, certification."""
-    setup = _load(setup_path)
+    setup = load_setup(setup_path)
     click.echo(f"# report: {setup.name or Path(setup_path).stem}")
     click.echo("")
     click.echo("## setup")

@@ -9,11 +9,13 @@ from the invariant factors bigger than one.
 Morse boundaries are sparse and mostly +-1, and both exact computations work
 on that.  The d^2 = 0 check multiplies per-column lists of nonzero entries,
 so its cost follows the nonzeros, not the full matrix sizes.  The Smith form
-first takes unit pivots on a sparse row/column form (Markowitz order, each
-one an invariant factor 1; Dumas-Saunders-Villard 2001), and only the part
-with no +-1 entry left goes to the dense elimination.  That dense remainder
-still lets entries grow without bound, so its cost can swing widely with
-the input; a Smith form modulo a determinant would bound it.
+is one elimination on a sparse row/column form: the pivot is an entry of
+least absolute value (ties to least Markowitz cost, so +-1 entries go first,
+as in Dumas-Saunders-Villard 2001), its column and row are cleared with
+floor quotients, and a remainder, being smaller than the pivot, is simply
+the next pivot.  The diagonal this leaves becomes the invariant factors by
+gcd/lcm over pairs.  No bound on entry growth is proved, so its cost is
+measured, not guaranteed.
 
 Two derived complexes matter downstream:
 
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import gcd, lcm
 from pathlib import Path
 from typing import Dict, List, Tuple
 
@@ -193,11 +196,9 @@ def _check_square_zero(data: MorseData, matrices: Dict[int, Matrix]) -> None:
 def smith_invariant_factors(matrix: Matrix) -> List[int]:
     """Positive invariant factors of an integer matrix, in divisibility order.
 
-    Unit pivots go first, on a sparse form: a +-1 entry of least Markowitz
-    cost (row nonzeros - 1) * (column nonzeros - 1) has its column cleared
-    by exact row operations, then its row and column are dropped, each one
-    an invariant factor 1.  The part with no unit entry left goes to the
-    dense elimination; the Smith form is unique, so the split is exact.
+    One elimination on a sparse row/column form diagonalises the matrix; the
+    Smith form is unique, so the gcd/lcm pass over the diagonal gives the
+    invariant factors whatever the pivot order.
     """
     rows: Dict[int, Dict[int, int]] = {}
     cols: Dict[int, Dict[int, int]] = {}
@@ -206,106 +207,60 @@ def smith_invariant_factors(matrix: Matrix) -> List[int]:
             if v:
                 rows.setdefault(i, {})[j] = v
                 cols.setdefault(j, {})[i] = v
-    units = 0
-    while (pivot := _unit_pivot(rows, cols)) is not None:
-        i0, j0 = pivot
-        top = rows.pop(i0)
-        v = top.pop(j0)
-        for j in top:
-            del cols[j][i0]
-        del cols[j0][i0]
-        for i, a in cols.pop(j0).items():
-            # v = +-1 is its own inverse: row_i -= a * v * row_i0
-            f = a * v
-            row = rows[i]
-            del row[j0]
-            for j, x in top.items():
-                y = row.get(j, 0) - f * x
-                if y:
-                    row[j] = cols[j][i] = y
-                else:
-                    del row[j], cols[j][i]
-            if not row:
-                del rows[i]
-        for j in top:
-            if not cols[j]:
-                del cols[j]
-        units += 1
-    order = sorted(cols)
-    rest = tuple(tuple(rows[i].get(j, 0) for j in order) for i in sorted(rows))
-    return [1] * units + _dense_smith(rest)
+    diagonal: List[int] = []
+    while rows:
+        i0, j0 = _pivot(rows, cols)
+        _reduce(rows, cols, i0, j0)     # row operations clear column j0
+        _reduce(cols, rows, j0, i0)     # column operations clear row i0
+        # a nonzero remainder is smaller than the pivot: pick again
+        if len(rows[i0]) == 1 and len(cols[j0]) == 1:
+            diagonal.append(abs(rows.pop(i0)[j0]))
+            del cols[j0]
+    rest = sorted(d for d in diagonal if d != 1)
+    for i in range(len(rest)):
+        for j in range(i + 1, len(rest)):
+            a, b = rest[i], rest[j]
+            rest[i], rest[j] = gcd(a, b), lcm(a, b)
+    return [1] * (len(diagonal) - len(rest)) + rest
 
 
-def _unit_pivot(rows: Dict[int, Dict[int, int]],
-                cols: Dict[int, Dict[int, int]]):
-    """A +-1 entry (row, column) of least Markowitz cost, or None."""
+def _pivot(rows: Dict[int, Dict[int, int]],
+           cols: Dict[int, Dict[int, int]]) -> Tuple[int, int]:
+    """The entry (row, column) of least |value|, ties to least Markowitz
+    cost (row nonzeros - 1) * (column nonzeros - 1), first found wins."""
     best, pivot = None, None
     for i, row in rows.items():
         others = len(row) - 1
         for j, v in row.items():
-            if v == 1 or v == -1:
-                cost = others * (len(cols[j]) - 1)
-                if not cost:
+            key = (abs(v), others * (len(cols[j]) - 1))
+            if best is None or key < best:
+                if key == (1, 0):
                     return i, j
-                if best is None or cost < best:
-                    best, pivot = cost, (i, j)
+                best, pivot = key, (i, j)
     return pivot
 
 
-def _dense_smith(matrix: Matrix) -> List[int]:
-    """Dense elimination with smallest-entry pivots; entries may grow."""
-    a = [list(row) for row in matrix]
-    nr = len(a)
-    nc = len(a[0]) if a else 0
-    factors: List[int] = []
-    t = 0
-    while t < min(nr, nc):
-        pivot = min(
-            ((i, j) for i in range(t, nr) for j in range(t, nc) if a[i][j]),
-            key=lambda ij: abs(a[ij[0]][ij[1]]), default=None)
-        if pivot is None:
-            break
-        i0, j0 = pivot
-        a[t], a[i0] = a[i0], a[t]
-        for row in a:
-            row[t], row[j0] = row[j0], row[t]
-        while True:
-            restart = False
-            for i in range(t + 1, nr):
-                if a[i][t] == 0:
-                    continue
-                q, r = divmod(a[i][t], a[t][t])
-                for j in range(t, nc):
-                    a[i][j] -= q * a[t][j]
-                if r:
-                    a[t], a[i] = a[i], a[t]
-                    restart = True
-                    break
-            if restart:
-                continue
-            for j in range(t + 1, nc):
-                if a[t][j] == 0:
-                    continue
-                q, r = divmod(a[t][j], a[t][t])
-                for i in range(t, nr):
-                    a[i][j] -= q * a[i][t]
-                if r:
-                    for i in range(t, nr):
-                        a[i][t], a[i][j] = a[i][j], a[i][t]
-                    restart = True
-                    break
-            if restart:
-                continue
-            bad = next(((i, j) for i in range(t + 1, nr)
-                        for j in range(t + 1, nc)
-                        if a[i][j] % a[t][t]), None)
-            if bad is None:
-                break
-            for j in range(t, nc):
-                a[t][j] += a[bad[0]][j]
-        factors.append(abs(a[t][t]))
-        t += 1
-    return factors
+def _reduce(lines: Dict[int, Dict[int, int]], cross: Dict[int, Dict[int, int]],
+            i0: int, j0: int) -> None:
+    """line_i -= (a // v) * line_i0 for every other line i, where a is its
+    entry in cross line j0 and v the pivot; each entry left in cross line
+    j0 is then a remainder, smaller than |v|.  Rows as lines and columns
+    as cross lines give row operations, swapped they give column ones."""
+    top = lines[i0]
+    v = top[j0]
+    for i, a in list(cross[j0].items()):
+        if i == i0:
+            continue
+        q = a // v
+        line = lines[i]
+        for j, x in top.items():
+            y = line.get(j, 0) - q * x
+            if y:
+                line[j] = cross[j][i] = y
+            else:
+                del line[j], cross[j][i]
+        if not line:
+            del lines[i]
 
 
 def homology(data: MorseData) -> List[Tuple[int, int, Tuple[int, ...]]]:

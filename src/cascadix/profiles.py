@@ -31,7 +31,6 @@ from typing import Callable, Optional
 
 from .errors import CascadixError
 
-DOMAIN_FLOOR = 2.0
 ROOT_TOL = 1e-12
 
 
@@ -53,7 +52,6 @@ class Profile:
     h: Callable[[float], float]
     h_prime: Callable[[float], float]
     h_double_prime: Callable[[float], float]
-    domain_floor: float = DOMAIN_FLOOR
 
 
 @dataclass(frozen=True)

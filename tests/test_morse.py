@@ -172,8 +172,8 @@ def test_invariant_factors_match_sympy():
 def sparse_integer_matrices(draw):
     """0x0 to 15x15 matrices heavy in {0, +-1}, with zero rows and columns.
 
-    The entry pool is mixed, free of units (the unit phase finds nothing
-    and the dense elimination does all the work) or units only.
+    The entry pool is mixed, free of units (every pivot leaves remainders
+    or needs the gcd/lcm pass) or units only.
     """
     nr, nc = draw(st.integers(0, 15)), draw(st.integers(0, 15))
     entries = draw(st.sampled_from([
@@ -213,6 +213,13 @@ def test_invariant_factors_unit_and_remainder_hand_cases():
     assert smith_invariant_factors(((2, 4), (6, 8))) == [2, 4]
     assert smith_invariant_factors(((0, 0), (0, 0))) == []
     assert smith_invariant_factors(((), ())) == []
+    # diagonals that are no divisibility chain: every pair needs gcd/lcm
+    assert smith_invariant_factors(((2, 0, 0), (0, 3, 0), (0, 0, 4))) \
+        == [1, 2, 12]
+    assert smith_invariant_factors(((6, 0, 0), (0, 10, 0), (0, 0, 15))) \
+        == [1, 30, 30]
+    # a remainder below the least entry forces a second pivot
+    assert smith_invariant_factors(((-2, 3), (4, -5))) == [1, 2]
 
 
 # --- the d^2 check against the dense triple loop -----------------------
@@ -307,13 +314,17 @@ def _expected_torsion(coeffs):
     return tuple(sorted(f for f in factors if f > 1))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(
+PIECES = st.lists(
     st.tuples(st.integers(min_value=0, max_value=3),
               st.integers(min_value=-6, max_value=6)),
-    max_size=6))
-def test_elementary_assembly(pieces):
-    points, flows = [], []
+    max_size=6)
+
+
+def _assembly(pieces):
+    """A direct sum of pieces Z --c--> Z from degree d + 1 to d (c = 0:
+    two free Z) as (points, boundary counts by (source, target), betti
+    numbers by degree, torsion coefficients by degree)."""
+    points, boundary = [], {}
     betti = {}
     torsion_coeffs = {}
     for i, (d, c) in enumerate(pieces):
@@ -323,10 +334,13 @@ def test_elementary_assembly(pieces):
             betti[d] = betti.get(d, 0) + 1
             betti[d + 1] = betti.get(d + 1, 0) + 1
         else:
-            flows.append(SignedFlow(hi, lo, c))
+            boundary[hi, lo] = c
             if abs(c) > 1:
                 torsion_coeffs.setdefault(d, []).append(c)
-    data = MorseData(tuple(points), tuple(flows))
+    return points, boundary, betti, torsion_coeffs
+
+
+def _check_homology(data, betti, torsion_coeffs):
     result = homology(data)
     for d, b, tors in result:
         assert b == betti.get(d, 0)
@@ -334,6 +348,41 @@ def test_elementary_assembly(pieces):
             torsion_coeffs.get(d, []))
     assert sum((-1) ** d * b for d, b, _ in result) \
         == euler_characteristic(data)
+
+
+def _complex(points, boundary):
+    flows = tuple(SignedFlow(s, t, c) for (s, t), c in boundary.items() if c)
+    return MorseData(tuple(points), flows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(PIECES)
+def test_elementary_assembly(pieces):
+    points, boundary, betti, torsion_coeffs = _assembly(pieces)
+    _check_homology(_complex(points, boundary), betti, torsion_coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(PIECES, st.data())
+def test_elementary_assembly_under_basis_moves(pieces, data):
+    """The pieces after up to 20 unimodular basis moves per degree: the
+    boundary is no longer diagonal, the homology is unchanged."""
+    points, boundary, betti, torsion_coeffs = _assembly(pieces)
+    for d in range(5):
+        names = [p.name for p in points if p.index == d]
+        if len(names) < 2:
+            continue
+        for _ in range(data.draw(st.integers(0, 20))):
+            # e_j <- e_j + c e_i: c times the boundary of e_i joins that of
+            # e_j, and every boundary landing on e_j gives -c of it to e_i
+            i, j = data.draw(st.permutations(names))[:2]
+            c = data.draw(st.sampled_from((-1, 1)))
+            for (s, t), a in list(boundary.items()):
+                if s == i:
+                    boundary[j, t] = boundary.get((j, t), 0) + c * a
+                if t == j:
+                    boundary[s, i] = boundary.get((s, i), 0) - c * a
+    _check_homology(_complex(points, boundary), betti, torsion_coeffs)
 
 
 # --- agreement with the cascade enumerator -----------------------------
