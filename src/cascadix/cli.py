@@ -5,31 +5,21 @@ for `selftest`) give byte-identical output.  CSV is RFC 4180 (CRLF line
 ends, minimal quoting); rationals render as p/q; floating point columns use
 12 significant digits.  Exit codes: 0 success, 1 for any validation or
 feasibility error raised by the engine (printed module-qualified on
-stderr), 2 for usage errors.
+stderr), 2 for usage errors.  Each command imports the engine modules it
+runs itself, so a launch loads only those and starts quickly.
 """
 
 from __future__ import annotations
 
 import contextlib
-import csv
 import functools
-import io
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import click
 
-from . import cascades, fredholm, grading, morse, orientation, pearls, \
-    profiles, selfcheck, spectrum
 from .errors import CascadixError
-from .model import (
-    FibreFlag,
-    format_rational,
-    load_setup,
-    parse_rational,
-)
 
 
 def guarded(fn):
@@ -74,11 +64,10 @@ def _vec(v) -> str:
     return "(" + ",".join(str(int(c)) for c in v) + ")"
 
 
-def _frac_vec(v) -> str:
-    return "(" + ",".join(format_rational(c) for c in v) + ")"
-
-
 def _emit_csv(header, rows):
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)
@@ -87,6 +76,9 @@ def _emit_csv(header, rows):
 
 
 def _generator_by_name(setup, name):
+    from . import grading
+    from .model import FibreFlag
+
     parts = name.rsplit("_", 2)
     if len(parts) == 3 and parts[1] in ("check", "hat") and parts[2].isdigit():
         flag = FibreFlag.CHECK if parts[1] == "check" else FibreFlag.HAT
@@ -107,6 +99,8 @@ def main():
 @guarded
 def validate(setup_path):
     """Check a setup file against all structural invariants."""
+    from .model import format_rational, load_setup
+
     setup = load_setup(setup_path)
     click.echo("monotone triple OK")
     click.echo(f"name: {setup.name}")
@@ -125,6 +119,9 @@ GEN_HEADER = ["name", "kind", "degree", "coset"]
 
 
 def _generator_rows(setup, k_max, degree):
+    from . import grading
+    from .model import format_rational
+
     rows = []
     for gen in grading.enumerate_generators(setup, k_max, degree):
         rows.append([gen.display_name, gen.kind,
@@ -143,6 +140,8 @@ def _generator_rows(setup, k_max, degree):
 @guarded
 def grade(setup_path, kmax, degree, as_csv):
     """List generators with their degrees."""
+    from .model import load_setup, parse_rational
+
     setup = load_setup(setup_path)
     wanted = parse_rational(degree) if degree is not None else None
     rows = _generator_rows(setup, kmax, wanted)
@@ -167,6 +166,8 @@ def grade(setup_path, kmax, degree, as_csv):
 @guarded
 def spectrum_cmd(c_value, complex_rank, window):
     """Eigenvalues, multiplicities, and windings in a window."""
+    from . import spectrum
+
     try:
         lo, hi = (float(part) for part in window.split(","))
     except ValueError:
@@ -198,6 +199,8 @@ def spectrum_cmd(c_value, complex_rank, window):
 @guarded
 def index_cmd(n, c1, bottom, aug):
     """Fredholm index breakdown of one split cylinder."""
+    from . import fredholm
+
     vertical, horizontal = fredholm.split_cylinder_problems(
         n, c1, bottom=bottom, aug_count=aug)
     for label, prob in (("vertical", vertical), ("horizontal", horizontal)):
@@ -218,6 +221,8 @@ def index_cmd(n, c1, bottom, aug):
 
 
 def _pearl_spec(setup, raw):
+    from . import pearls
+
     classes = tuple(tuple(int(c) for c in a) for a in raw.get("classes", []))
     aug_classes = raw.get("aug_classes")
     if aug_classes is not None:
@@ -235,6 +240,8 @@ def _pearl_spec(setup, raw):
 
 
 def _cascade_shape(setup, raw):
+    from . import pearls
+
     kind = raw["kind"]
     upper = _generator_by_name(setup, raw["upper"])
     if kind == "cascade_zero":
@@ -254,6 +261,9 @@ def _cascade_shape(setup, raw):
 @guarded
 def dim_cmd(setup_path, instance_path):
     """Expected dimension of one configuration space."""
+    from . import pearls
+    from .model import load_setup
+
     setup = load_setup(setup_path)
     raw = _read_instance(instance_path)
     kind = raw.get("kind")
@@ -281,8 +291,11 @@ CATALOG_HEADER = [
 ]
 
 
-def _catalog_row(setup, t):
-    return [
+def _catalog_rows(setup, types):
+    from . import grading
+    from .model import format_rational
+
+    return [[
         t.target.display_name,
         t.source.display_name,
         str(t.case_label.value),
@@ -298,7 +311,7 @@ def _catalog_row(setup, t):
         ";".join(f"{a.level}:{_vec(a.class_b)}" for a in t.aug),
         format_rational(grading.grade(setup, t.target)),
         format_rational(grading.grade(setup, t.source)),
-    ]
+    ] for t in types]
 
 
 @main.command("enumerate")
@@ -314,6 +327,9 @@ def _catalog_row(setup, t):
 @guarded
 def enumerate_cmd(setup_path, target, all_targets, kmax, classbound, as_text):
     """Catalog of feasible cascade types, one row per type."""
+    from . import cascades, grading
+    from .model import load_setup
+
     if (target is None) == (not all_targets):
         raise click.UsageError("give exactly one of --target or --all-targets")
     setup = load_setup(setup_path)
@@ -324,7 +340,7 @@ def enumerate_cmd(setup_path, target, all_targets, kmax, classbound, as_text):
     rows, warnings = [], []
     for tgt in targets:
         result = cascades.enumerate_contributions(setup, tgt, kmax, classbound)
-        rows.extend(_catalog_row(setup, t) for t in result.types)
+        rows.extend(_catalog_rows(setup, result.types))
         warnings.extend(result.warnings)
     for message in dict.fromkeys(warnings):
         click.echo(f"warning: {message}", err=True)
@@ -339,14 +355,22 @@ def enumerate_cmd(setup_path, target, all_targets, kmax, classbound, as_text):
 # --- orient ------------------------------------------------------------
 
 
-def _space_from(raw) -> orientation.OrientedSpace:
+def _space_from(raw):
+    from fractions import Fraction
+
+    from . import orientation
+
     basis = tuple(tuple(Fraction(str(x)) for x in row)
                   for row in raw.get("basis") or [])
     return orientation.OrientedSpace(int(raw["dim"]), basis,
                                      int(raw.get("sign", 1)))
 
 
-def _map_from(raw) -> orientation.LinearMapSpec:
+def _map_from(raw):
+    from fractions import Fraction
+
+    from . import orientation
+
     return orientation.LinearMapSpec(
         tuple(tuple(Fraction(str(x)) for x in row) for row in raw))
 
@@ -358,6 +382,10 @@ def _map_from(raw) -> orientation.LinearMapSpec:
 @guarded
 def orient_cmd(instance_path):
     """Oriented kernel of a fibre sum, or a quotient representative."""
+    from fractions import Fraction
+
+    from . import orientation
+
     raw = _read_instance(instance_path)
     kind = raw.get("kind")
     if kind == "fibre_sum":
@@ -377,7 +405,8 @@ def orient_cmd(instance_path):
         raise CascadixError(f"unknown instance kind {kind!r}")
     click.echo(f"dim: {frame.dim}")
     for vec in frame.vectors:
-        click.echo(f"basis: {_frac_vec(vec)}")
+        cells = ",".join(str(Fraction(c)) for c in vec)
+        click.echo(f"basis: ({cells})")
     click.echo(f"sign: {frame.sign:+d}")
 
 
@@ -391,6 +420,8 @@ def orient_cmd(instance_path):
 @guarded
 def morse_cmd(data_path):
     """Boundary matrices, d^2 check, homology table."""
+    from . import morse
+
     data = morse.load_morse_data(data_path)
     if isinstance(data, morse.LiftedMorseData):
         click.echo(f"lifted complex over {len(data.base.points)} base points")
@@ -422,7 +453,23 @@ def morse_cmd(data_path):
 @guarded
 def report_cmd(setup_path, kmax, classbound, profile_spec, levels):
     """One document: generators, actions, cascade catalog, certification."""
+    from . import cascades, profiles
+    from .model import format_rational, load_setup
+
+    # Everything is computed before the first line goes out, so a rejected
+    # input prints nothing on stdout.
     setup = load_setup(setup_path)
+    generators = _generator_rows(setup, kmax, None)
+    prof = profiles.make_profile(profile_spec)
+    admissibility = profiles.check_admissible(prof)
+    if not admissibility.ok:
+        raise profiles.ProfileParseError(
+            f"profile {profile_spec!r} rejected: {admissibility.first_violation}")
+    actions = [profiles.orbit_level(prof, k, setup.t0)
+               for k in range(1, levels + 1)]
+    certification = cascades.certify_classification(setup, kmax, classbound)
+    catalog = _catalog_rows(setup, certification.types)
+
     click.echo(f"# report: {setup.name or Path(setup_path).stem}")
     click.echo("")
     click.echo("## setup")
@@ -432,26 +479,19 @@ def report_cmd(setup_path, kmax, classbound, profile_spec, levels):
     click.echo("")
     click.echo(f"## generators (kmax={kmax})")
     click.echo(" ".join(GEN_HEADER))
-    for row in _generator_rows(setup, kmax, None):
+    for row in generators:
         click.echo(" ".join(row))
     click.echo("")
     click.echo(f"## actions ({profile_spec}, T0={format_rational(setup.t0)})")
-    prof = profiles.make_profile(profile_spec)
-    admissibility = profiles.check_admissible(prof)
-    if not admissibility.ok:
-        raise profiles.ProfileParseError(
-            f"profile {profile_spec!r} rejected: {admissibility.first_violation}")
     click.echo("k rho action vertical_C")
-    for k in range(1, levels + 1):
-        level = profiles.orbit_level(prof, k, setup.t0)
+    for k, level in enumerate(actions, 1):
         click.echo(f"{k} {level.rho:.12g} {level.action:.12g} "
                    f"{level.vertical_c:.12g}")
     click.echo("")
     click.echo(f"## cascade catalog (kmax={kmax}, classbound={classbound})")
-    certification = cascades.certify_classification(setup, kmax, classbound)
     click.echo(" ".join(CATALOG_HEADER))
-    for t in certification.types:
-        click.echo(" ".join(cell or "-" for cell in _catalog_row(setup, t)))
+    for row in catalog:
+        click.echo(" ".join(cell or "-" for cell in row))
     click.echo("")
     click.echo("## certification")
     click.echo(certification.summary())
@@ -470,6 +510,10 @@ def report_cmd(setup_path, kmax, classbound, profile_spec, levels):
 @guarded
 def selftest_cmd(seed, instances):
     """Exhaustive crossing identity plus randomized orientation properties."""
+    from . import selfcheck
+
+    if instances < 1:
+        raise CascadixError(f"instances must be >= 1, got {instances}")
     problems = []
     bad_ops = selfcheck.crossing_identity_failures()
     if bad_ops:

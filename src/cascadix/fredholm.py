@@ -222,6 +222,8 @@ def split_cylinder_problems(
     """
     if n < 2:
         raise PunctureMismatch("split cylinders need n >= 2")
+    if aug_count < 0:
+        raise PunctureMismatch(f"aug_count must be >= 0, got {aug_count}")
     if bottom not in ("ham", "reeb"):
         raise ValueError(f"bottom must be 'ham' or 'reeb', got {bottom!r}")
 

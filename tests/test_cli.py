@@ -86,6 +86,20 @@ def test_index_frozen_value(runner):
     assert "horizontal: rank 1, rel c1 2" in result.output
 
 
+def _assert_one_error_line(result):
+    assert result.exit_code == 1, result.output
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
+    return lines[0]
+
+
+def test_index_rejects_negative_augmentation_count(runner):
+    result = runner.invoke(cli.main, ["index", "--n", "2", "--aug", "-1"])
+    line = _assert_one_error_line(result)
+    assert "PunctureMismatch" in line
+
+
 def test_grade_csv_row(runner, data_dir):
     result = invoke(runner, "grade", "--setup", str(data_dir / "cp2.json"),
                     "--kmax", "1", "--csv")
@@ -408,6 +422,18 @@ def test_report_rejects_inadmissible_profile(runner, data_dir):
     assert "h'' not positive" in result.stderr
 
 
+@pytest.mark.parametrize("extra", [["--classbound", "-1"],
+                                   ["--profile", "nosuch"],
+                                   ["--profile", "expr:rho;1;0"]],
+                         ids=["classbound", "unknown-profile",
+                              "inadmissible-profile"])
+def test_report_rejected_input_prints_nothing(runner, data_dir, extra):
+    """A rejected report writes no part of the document to stdout."""
+    result = runner.invoke(cli.main, [
+        "report", "--setup", str(data_dir / "cp2.json"), *extra])
+    _assert_one_error_line(result)
+
+
 def test_report_accepts_custom_expr_profile(runner, data_dir):
     result = invoke(runner, "report", "--setup", str(data_dir / "cp2.json"),
                     "--profile", "expr:(rho-2)**2;2*(rho-2);2",
@@ -428,6 +454,13 @@ def test_selftest_passes(runner):
     assert result.output.startswith("selftest OK")
 
 
+@pytest.mark.parametrize("instances", ["0", "-1"])
+def test_selftest_rejects_vacuous_instance_count(runner, instances):
+    result = runner.invoke(cli.main, ["selftest", "--instances", instances])
+    line = _assert_one_error_line(result)
+    assert f"instances must be >= 1, got {instances}" in line
+
+
 # --- byte determinism and the golden catalog ---------------------------
 
 
@@ -437,11 +470,12 @@ def test_selftest_passes(runner):
 PACKAGE_ROOT = Path(cli.__file__).resolve().parents[1]
 
 
-def run_script(*args):
+def run_script(*args, flags=()):
+    """`python [flags] -m cascadix args` on the source tree under test."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(PACKAGE_ROOT), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "cascadix", *args],
+    return subprocess.run([sys.executable, *flags, "-m", "cascadix", *args],
                           capture_output=True, env=env, timeout=120)
 
 
@@ -465,3 +499,30 @@ def test_enumerate_byte_deterministic(data_dir, command):
     assert first.returncode == second.returncode == 0
     assert first.stdout
     assert first.stdout == second.stdout
+
+
+# --- lean launches -------------------------------------------------------
+
+
+@pytest.mark.parametrize("command, engine", [
+    (["morse", "--data", "{data}/morse_circle.json"], {"morse"}),
+    (["orient", "--instance", "{tmp}/fs.json"], {"orientation"}),
+    (["validate", "--setup", "{data}/cp2.json"], {"model"}),
+    (["--help"], set()),
+], ids=["morse", "orient", "validate", "help"])
+def test_launch_imports_only_the_engine_modules_it_runs(data_dir, tmp_path,
+                                                        command, engine):
+    (tmp_path / "fs.json").write_text(json.dumps({
+        "kind": "fibre_sum",
+        "v1": {"dim": 1}, "v2": {"dim": 1}, "w": {"dim": 1},
+        "f1": [[1]], "f2": [[1]]}))
+    argv = [arg.format(data=data_dir, tmp=tmp_path) for arg in command]
+    proc = run_script(*argv, flags=("-X", "importtime"))
+    assert proc.returncode == 0, proc.stderr
+    loaded = {line.rsplit("|", 1)[-1].strip()
+              for line in proc.stderr.decode().splitlines()
+              if line.startswith("import time:")}
+    cascadix_modules = {name for name in loaded
+                        if name.split(".")[0] == "cascadix"}
+    assert cascadix_modules == {"cascadix", "cascadix.cli", "cascadix.errors"} \
+        | {f"cascadix.{name}" for name in engine}
