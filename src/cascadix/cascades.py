@@ -55,7 +55,8 @@ from .model import (
     class_of_area,
     pair,
 )
-from .pearls import augmentation_index, multiplicity_balance
+from .pearls import (augmentation_index, filling_class_term,
+                     multiplicity_balance)
 
 BUDGET_CAP_Y_TO_Y = Fraction(1)
 BUDGET_CAP_W_TO_Y = Fraction(0)
@@ -130,52 +131,44 @@ class CascadeType:
                 self.source.display_name)
 
 
-def _total_class(classes_a: Sequence[IntVector],
-                 rank: int) -> IntVector:
-    total = [0] * rank
-    for a in classes_a:
-        for i, c in enumerate(a):
-            total[i] += c
-    return tuple(total)
+def _level_terms(setup: SetupDescriptor, cascade: CascadeType) -> Fraction:
+    """The terms both index identities share: 2<c1(T Sigma), sum A>
+    + 2 * (number of augmentations) + sum of augmentation orbit weights."""
+    value = Fraction(2 * cascade.aug_count)
+    for a in cascade.classes_a:
+        value += 2 * pair(setup.lattice_sigma, a, Functional.C1)
+    for a in cascade.aug:
+        value += grade_reeb(setup, a.multiplicity)
+    return value
 
 
 def index_identity_y_to_y(setup: SetupDescriptor, cascade: CascadeType) -> Fraction:
     """Expand the degree difference of an orbit-to-orbit cascade.
 
-    i(target) + M(target) - i(source) - M(source) + 2<c1(T Sigma), sum A>
-    + 2 * (number of augmentations) + sum of augmentation orbit weights.
+    i(target) + M(target) - i(source) - M(source) plus the level terms.
     Equals 1 exactly for the feasible degree-1 types.
     """
     t, s = cascade.target, cascade.source
     if not isinstance(t, OrbitGenerator) or not isinstance(s, OrbitGenerator):
         raise CascadixError("identity applies to orbit-to-orbit cascades")
-    total_a = _total_class(cascade.classes_a, setup.lattice_sigma.rank)
-    value = Fraction(t.point.lifted_index - s.point.lifted_index)
-    value += 2 * pair(setup.lattice_sigma, total_a, Functional.C1)
-    value += 2 * cascade.aug_count
-    for a in cascade.aug:
-        value += grade_reeb(setup, a.multiplicity)
-    return value
+    return (t.point.lifted_index - s.point.lifted_index
+            + _level_terms(setup, cascade))
 
 
 def index_identity_w_to_y(setup: SetupDescriptor, cascade: CascadeType) -> Fraction:
-    """Expand the degree difference of an orbit-to-interior cascade."""
+    """Expand the degree difference of an orbit-to-interior cascade.
+
+    i(target) + M(target) + 1 - 2n + M(source) plus the level terms plus
+    the filling-class term 2(<c1(TX), B> - B.Sigma) of the sphere.
+    """
     t, s = cascade.target, cascade.source
     if not isinstance(t, OrbitGenerator) or not isinstance(s, InteriorGenerator):
         raise CascadixError("identity applies to orbit-to-interior cascades")
     if cascade.sphere_b is None:
         raise CascadixError("orbit-to-interior cascades carry a filling sphere")
-    total_a = _total_class(cascade.classes_a, setup.lattice_sigma.rank)
-    value = Fraction(t.point.lifted_index + 1 - 2 * setup.n
-                     + s.point.morse_index)
-    value += 2 * pair(setup.lattice_sigma, total_a, Functional.C1)
-    value += 2 * (pair(setup.lattice_x, cascade.sphere_b, Functional.C1)
-                  - pair(setup.lattice_x, cascade.sphere_b,
-                         Functional.SIGMA_INTERSECTION))
-    value += 2 * cascade.aug_count
-    for a in cascade.aug:
-        value += grade_reeb(setup, a.multiplicity)
-    return value
+    return (t.point.lifted_index + 1 - 2 * setup.n + s.point.morse_index
+            + _level_terms(setup, cascade)
+            + filling_class_term(setup, cascade.sphere_b))
 
 
 def _infeasible(target, source, multiplicities, classes_a, sphere_b, aug,
@@ -384,79 +377,61 @@ def enumerate_contributions(setup: SetupDescriptor, target: Generator,
     """Every feasible cascade type ending on the given target.
 
     Sources have degree exactly one less; classes have area in
-    (0, class_bound], one class per area.  Only the shapes the budget
-    allows are proposed: a bare flow (Case 0), one non-constant level
-    (Case 1), one constant level with one augmentation plane (Case 2), one
-    constant level on a filling sphere (Case 3).  The source winding is
-    solved from the degree equation, at most one per source critical
-    point, and the class from the level balance.
-    `classify_type` confirms every proposal.  Output is sorted by
-    (levels, multiplicities, classes, sphere, augmentations, source name)
-    and is byte-deterministic.  Warnings flag bound combinations that might
-    hide configurations; no warnings means the list is provably complete.
+    (0, class_bound], one class per area.  `_proposals` offers only the
+    shapes the budget allows and `classify_type` confirms every one.
+    Output is sorted by (levels, multiplicities, classes, sphere,
+    augmentations, source name) and is byte-deterministic.  Warnings flag
+    bound combinations that might hide configurations; no warnings means
+    the list is provably complete.
     """
     if k_max < 1 or class_bound < 1:
         raise CascadixError("enumeration bounds must be positive")
-    found: List[CascadeType] = []
-
-    if isinstance(target, InteriorGenerator):
-        for y in setup.morse_w:
-            if y.name == target.point.name:
-                continue
-            cand = classify_type(setup, target, InteriorGenerator(y), ())
-            if cand.feasible:
-                found.append(cand)
-        found.sort(key=CascadeType.sort_key)
-        return EnumerationResult(target, tuple(found), ())
-
-    warnings = _coverage_warnings(setup, target, k_max, class_bound)
-    kt = target.k
-    deg_t = grade(setup, target)
-
-    # no levels: fibrewise Morse flow at fixed winding
-    if kt <= k_max:
-        for q in setup.morse_sigma:
-            for flag in (FibreFlag.CHECK, FibreFlag.HAT):
-                source = OrbitGenerator(LiftedCriticalPoint(q, flag), kt)
-                if source == target:
-                    continue
-                if deg_t - grade(setup, source) != 1:
-                    continue
-                cand = classify_type(setup, target, source, (kt,))
-                if cand.feasible:
-                    found.append(cand)
-
-    # any level needs a check target (the budget has +1 for each
-    # non-constant level or augmentation, and every level carries one)
-    if target.point.flag is FibreFlag.CHECK:
-        for source, mults, classes, sphere_b, aug in _level_shapes(
-                setup, target, deg_t, k_max, class_bound):
-            cand = classify_type(setup, target, source, mults, classes,
-                                 sphere_b, aug)
-            if cand.feasible:
-                found.append(cand)
-
+    warnings = (() if isinstance(target, InteriorGenerator)
+                else _coverage_warnings(setup, target, k_max, class_bound))
+    found = [t for t in (classify_type(setup, target, *shape) for shape
+                         in _proposals(setup, target, k_max, class_bound))
+             if t.feasible]
     found.sort(key=CascadeType.sort_key)
     return EnumerationResult(target, tuple(found), tuple(warnings))
 
 
-def _level_shapes(setup: SetupDescriptor, target: OrbitGenerator,
-                  deg_t: Fraction, k_max: int, class_bound: int):
-    """(source, multiplicities, classes, sphere, aug) of Cases 1, 2 and 3.
+def _proposals(setup: SetupDescriptor, target: Generator, k_max: int,
+               class_bound: int):
+    """(source, multiplicities, classes, sphere, aug) of every shape the
+    budget allows on the target.
 
-    Orbit-to-orbit: one level above a hat source at winding k_0.  The degree
-    is affine in the winding with slope 2*(tau - K)/K, positive by
-    validation, so "degree difference 1" solves to
+    Interior target: a Morse flow from every other interior point.  Orbit
+    target: a bare flow at the target's winding from each lift of degree
+    one less (Case 0).  Any level needs a check target (the budget has +1
+    for each non-constant level or augmentation, and every level carries
+    one).  Orbit-to-orbit: one level above a hat source at winding k_0.
+    The degree is affine in the winding with slope 2*(tau - K)/K, positive
+    by validation, so "degree difference 1" solves to
     k_t - k_0 = (1 - (L_t - L_q)) / (2*(tau - K)/K) for lifted indices L:
     one k_0 per hat source, kept when it is an integer in [1, min(k_max,
     k_t)].  A non-constant level of class A steps K*omega(A) (Case 1); a
     constant level carrying one plane of class B steps B.Sigma = K*omega(B)
     (Case 2).  Orbit-to-interior: the budget must vanish outright, leaving
     one constant level on a filling sphere with B.Sigma = k_t (Case 3).
-    Each class has area step/K, skipped above class_bound.  deg_t is the
-    target's degree.
+    Each class has area step/K, skipped above class_bound.
     """
+    if isinstance(target, InteriorGenerator):
+        for y in setup.morse_w:
+            if y.name != target.point.name:
+                yield InteriorGenerator(y), (), (), None, ()
+        return
+
     kt = target.k
+    deg_t = grade(setup, target)
+    if kt <= k_max:
+        for q in setup.morse_sigma:
+            for flag in (FibreFlag.CHECK, FibreFlag.HAT):
+                source = OrbitGenerator(LiftedCriticalPoint(q, flag), kt)
+                if source != target and deg_t - grade(setup, source) == 1:
+                    yield source, (kt,), (), None, ()
+    if target.point.flag is not FibreFlag.CHECK:
+        return
+
     top = min(k_max, kt)
     twice_slope = 2 * setup.slope_ratio
     zero = tuple([0] * setup.lattice_sigma.rank)
@@ -492,20 +467,13 @@ def _level_shapes(setup: SetupDescriptor, target: OrbitGenerator,
 
 @dataclass(frozen=True)
 class CertificationReport:
-    setup_name: str
-    k_max: int
-    class_bound: int
-    results: Tuple[EnumerationResult, ...]
+    types: Tuple[CascadeType, ...]
     violations: Tuple[str, ...]
     warnings: Tuple[str, ...]
 
     @property
     def certified(self) -> bool:
         return not self.violations
-
-    @property
-    def types(self) -> Tuple[CascadeType, ...]:
-        return tuple(t for r in self.results for t in r.types)
 
     def case_counts(self) -> Dict[int, int]:
         return _case_counts(self.types)
@@ -599,14 +567,12 @@ def certify_classification(setup: SetupDescriptor, k_max: int,
     case's structural constraints and reports any mismatch as a
     counterexample.  Targets are taken in generator order.
     """
-    results = [enumerate_contributions(setup, t, k_max, class_bound)
-               for t in enumerate_generators(setup, k_max)]
-    violations: List[str] = []
+    types: List[CascadeType] = []
     warnings: List[str] = []
-    for res in results:
+    for target in enumerate_generators(setup, k_max):
+        res = enumerate_contributions(setup, target, k_max, class_bound)
+        types.extend(res.types)
         warnings.extend(res.warnings)
-        for t in res.types:
-            violations.extend(_structural_violations(setup, t))
-    return CertificationReport(setup.name, k_max, class_bound,
-                               tuple(results), tuple(violations),
+    violations = [v for t in types for v in _structural_violations(setup, t)]
+    return CertificationReport(tuple(types), tuple(violations),
                                tuple(dict.fromkeys(warnings)))

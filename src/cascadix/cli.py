@@ -178,9 +178,10 @@ def spectrum_cmd(c_value, complex_rank, window):
         op = spectrum.ComplexLinear(complex_rank)
     else:
         op = spectrum.VerticalC(c_value)
+    points = spectrum.spectrum_window(op, lo, hi)
     click.echo(f"operator: {op.label}")
     click.echo(f"{'eigenvalue':>16} {'mode':>5} {'mult':>5} {'winding':>8}")
-    for pt in spectrum.spectrum_window(op, lo, hi):
+    for pt in points:
         click.echo(f"{pt.eigenvalue:>16.12g} {pt.mode:>5} "
                    f"{pt.multiplicity:>5} {pt.winding:>8}")
 
@@ -458,6 +459,8 @@ def report_cmd(setup_path, kmax, classbound, profile_spec, levels):
 
     # Everything is computed before the first line goes out, so a rejected
     # input prints nothing on stdout.
+    if levels < 1:
+        raise CascadixError(f"levels must be >= 1, got {levels}")
     setup = load_setup(setup_path)
     generators = _generator_rows(setup, kmax, None)
     prof = profiles.make_profile(profile_spec)

@@ -6,29 +6,27 @@ operator from `spectrum` and one of two decorations:
 
 * `Weighted(DECAY)` / `Weighted(GROWTH)`: an exponential weight at the
   puncture.  A positive weight delta > 0 always means exponential decay;
-  growth is the negative weight.  The index formula is
-
-      ind = n*chi + 2*c1 + sum_{z positive} cz(A_z + delta_z)
-                         - sum_{z negative} cz(A_z - delta_z)
-
-  where delta_z is the chosen weight at z, so a decay puncture contributes
-  cz(+delta) at a positive end and -cz(-delta) at a negative end, and a
-  growth puncture swaps the perturbation side.
+  growth is the negative weight.  In the textbook form a decay puncture
+  contributes cz(+delta) at a positive end and -cz(-delta) at a negative
+  end, and a growth puncture swaps the perturbation side.
 
 * `KernelSubspace(dim_v)`: sections decay only up to a chosen dim_v
   dimensional subspace V of the operator kernel (the directions the end is
-  allowed to slide in, e.g. along an orbit family).  The index becomes
+  allowed to slide in, e.g. along an orbit family).  The index is
 
       ind = n*chi + 2*c1 + sum_{z positive} (cz(A_z + delta) + dim V_z)
                          - sum_{z negative} (cz(A_z + delta) + codim V_z)
 
-  with codim V = dim ker - dim V.  V = 0 reproduces the decay weight and
-  V = ker reproduces the growth weight (same kernel and cokernel), which is
-  why the two vocabularies can be mixed freely: weighted decorations are
-  normalized to kernel subspaces internally.
+  with codim V = dim ker - dim V.
 
-The perturbation-side sign convention lives entirely in `_dim_v_of`; nothing
-else in the package chooses a side.
+By the crossing relation cz(-delta) = cz(+delta) + dim ker, V = 0 gives the
+decay weight and V = ker the growth weight, so both vocabularies share the
+one formula above: `_dim_v_of` normalizes a weight to its kernel subspace,
+`per_puncture_breakdown` is the only per-puncture sum, and `index_weighted`
+and `index_morse_bott` both read it.  The perturbation-side convention lives
+entirely in `_dim_v_of`; nothing else in the package chooses a side.  The
+textbook cz(+-delta) form of the weighted index is kept in the test oracles
+as the reference these are checked against.
 
 `split_floer_index` adds the two triangular blocks of a split cylinder
 linearization (vertical rank 1, horizontal rank n-1) and then adds 2 per
@@ -40,9 +38,9 @@ fixed-domain operators.  The bare `index_morse_bott` never includes them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import List, Sequence, Tuple, Union
+from typing import List, Tuple, Union
 
 from .errors import CascadixError
 from .spectrum import (
@@ -139,31 +137,14 @@ def index_weighted(problem: PuncturedProblem) -> int:
     for p in problem.punctures:
         if not isinstance(p.decoration, Weighted):
             raise PunctureMismatch("index_weighted needs Weighted decorations only")
-    total = problem.bundle_rank * problem.euler_characteristic + 2 * problem.rel_c1
-    for p in problem.punctures:
-        decay = p.decoration.side is WeightSide.DECAY
-        if p.sign is Sign.POSITIVE:
-            side = Side.PLUS_SMALL if decay else Side.MINUS_SMALL
-            total += cz_perturbed(p.operator, side)
-        else:
-            side = Side.MINUS_SMALL if decay else Side.PLUS_SMALL
-            total -= cz_perturbed(p.operator, side)
-    return total
+    return index_morse_bott(problem)
 
 
 def index_morse_bott(problem: PuncturedProblem) -> int:
     """Fredholm index with kernel-subspace decorations (weights allowed too)."""
-    _check_rank(problem)
-    total = problem.bundle_rank * problem.euler_characteristic + 2 * problem.rel_c1
-    for p in problem.punctures:
-        dim_v = _dim_v_of(p)
-        base = cz_perturbed(p.operator, Side.PLUS_SMALL)
-        if p.sign is Sign.POSITIVE:
-            total += base + dim_v
-        else:
-            codim = kernel_dimension(p.operator) - dim_v
-            total -= base + codim
-    return total
+    return (problem.bundle_rank * problem.euler_characteristic
+            + 2 * problem.rel_c1
+            + sum(c for _, c in per_puncture_breakdown(problem)))
 
 
 def per_puncture_breakdown(problem: PuncturedProblem) -> List[Tuple[Puncture, int]]:

@@ -65,6 +65,13 @@ def _check_point(point: CriticalPoint, ambient: Ambient, role: str) -> None:
         raise VariantMismatch(f"{role} must be a {ambient.value} critical point")
 
 
+def filling_class_term(setup: SetupDescriptor,
+                       class_b: Sequence[int]) -> Fraction:
+    """2(<c1(TX), B> - B.Sigma): the index a filling class B contributes."""
+    return 2 * (pair(setup.lattice_x, class_b, Functional.C1)
+                - pair(setup.lattice_x, class_b, Functional.SIGMA_INTERSECTION))
+
+
 def _aug_term(setup: SetupDescriptor, spec: PearlChainSpec) -> Fraction:
     if spec.aug_count_k < 0:
         raise VariantMismatch("augmentation count must be >= 0")
@@ -75,12 +82,8 @@ def _aug_term(setup: SetupDescriptor, spec: PearlChainSpec) -> Fraction:
             f"{len(spec.aug_classes)} augmentation classes for count "
             f"{spec.aug_count_k}"
         )
-    total = Fraction(0)
-    for b in spec.aug_classes:
-        c1 = pair(setup.lattice_x, b, Functional.C1)
-        inter = pair(setup.lattice_x, b, Functional.SIGMA_INTERSECTION)
-        total += 2 * c1 - 2 * inter
-    return total
+    return sum((filling_class_term(setup, b) for b in spec.aug_classes),
+               Fraction(0))
 
 
 def pearl_dimension(setup: SetupDescriptor, spec: PearlChainSpec) -> int:
@@ -110,10 +113,8 @@ def pearl_dimension(setup: SetupDescriptor, spec: PearlChainSpec) -> int:
         _check_point(variant.x, Ambient.W, "x")
         if not any(variant.sphere_b):
             raise VariantMismatch("filling sphere class must be nonzero")
-        c1b = pair(setup.lattice_x, variant.sphere_b, Functional.C1)
-        inter = pair(setup.lattice_x, variant.sphere_b,
-                     Functional.SIGMA_INTERSECTION)
-        total += variant.p.morse_index + 2 * (c1b - inter)
+        total += variant.p.morse_index \
+            + filling_class_term(setup, variant.sphere_b)
         total += variant.x.morse_index - 2 * (setup.n - 1)
     else:
         raise VariantMismatch(f"unknown variant {variant!r}")
@@ -214,9 +215,7 @@ def augmentation_index(setup: SetupDescriptor, class_b: Sequence[int],
     area = pair(setup.lattice_x, class_b, Functional.OMEGA)
     if area <= 0:
         raise NonPositiveArea(f"omega(B) = {area} is not positive")
-    c1b = pair(setup.lattice_x, class_b, Functional.C1)
-    inter = pair(setup.lattice_x, class_b, Functional.SIGMA_INTERSECTION)
-    value = 2 * (c1b - inter - 1)
+    value = filling_class_term(setup, class_b) - 2
     if value < 0:
         raise CascadixError(
             f"augmentation index {value} negative on a positive-area class"

@@ -105,7 +105,13 @@ def _compile_expr(src: str, label: str) -> Callable[[float], float]:
     def call(r: float) -> float:
         if r <= 2.0:
             return 0.0
-        return float(eval(code, {"__builtins__": {}}, {**_EXPR_NAMES, "rho": r}))
+        try:
+            return float(eval(code, {"__builtins__": {}},
+                              {**_EXPR_NAMES, "rho": r}))
+        except (ArithmeticError, TypeError, ValueError) as exc:
+            raise ProfileParseError(
+                f"{label} expression {src!r} fails at rho={r!r}: {exc}"
+            ) from None
 
     return call
 

@@ -112,28 +112,26 @@ def vertical_eigenvalue(c: float, mode: int, branch: int) -> float:
 
 
 def spectrum_window(op: AsymptoticOperator, lo: float, hi: float) -> List[SpectralPoint]:
-    """All spectral points with lo <= eigenvalue <= hi, sorted ascending."""
+    """All spectral points with lo <= eigenvalue <= hi, sorted ascending.
+
+    Both ends must be finite.  On the spectrum 2 pi Z the window is widened
+    by 1e-15 at each end.
+    """
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise SpectrumError(f"window [{lo}, {hi}] must have finite ends")
     if lo > hi:
         raise SpectrumError(f"empty window [{lo}, {hi}]")
     pts: List[SpectralPoint] = []
-    if isinstance(op, ComplexLinear):
-        m = op.rank
+    if isinstance(op, ComplexLinear) or op.c == 0.0:
         j = math.ceil(lo / TWO_PI - 1e-15)
         while j * TWO_PI <= hi + 1e-15:
             ev = j * TWO_PI
             if ev >= lo - 1e-15:
-                pts.append(SpectralPoint(ev, abs(j), 2 * m, j))
+                pts.append(SpectralPoint(ev, abs(j), 2 * op.complex_rank, j))
             j += 1
         return pts
 
     c = op.c
-    if c == 0.0:
-        j = math.ceil(lo / TWO_PI - 1e-15)
-        while j * TWO_PI <= hi + 1e-15:
-            pts.append(SpectralPoint(j * TWO_PI, abs(j), 2, j))
-            j += 1
-        return pts
-
     # c > 0: mode 0 gives the two simple eigenvalues -c and 0
     for ev in (-c, 0.0):
         if lo <= ev <= hi:

@@ -1,9 +1,14 @@
 """Frozen expected values and independent oracle computations.
 
-Everything in this file except `brute_force_contributions`,
-`scan_level_shapes` and the `reference_*` orientation functions is computed
-without importing the package under test (`first_square_violation` reads a
-complex's points through its `points_of_degree`, nothing else).
+Everything in this file except `weighted_index`,
+`brute_force_contributions`, `scan_level_shapes` and the `reference_*`
+orientation functions is computed without importing the package under test
+(`first_square_violation` reads a complex's points through its
+`points_of_degree`, nothing else).  `weighted_index` is the textbook
+cz(+-delta) form of the weighted Fredholm index, kept as the reference the
+package's kernel-subspace sum is compared against; it imports only the
+package's decoration and operator types and reads CZ indices from the
+frozen tables below.
 `brute_force_contributions` is the exhaustive generate-and-filter cascade
 search, kept as the reference the case solver is compared against; it uses
 the package's `classify_type` as its judge.  `scan_level_shapes` is the
@@ -149,6 +154,30 @@ KERNEL_DIMS = {"vertical_pos": 1, "vertical_zero": 2}  # complex rank m: 2m
 WEIGHTED_CYLINDER_DECAY = -1          # rank 1, chi 0, Ham both ends, decay
 WEIGHTED_TWO_EXTRA_PUNCTURES = -5     # same plus two negative Reeb decay punctures
 WEIGHTED_REEB_HAM = -2                # positive Reeb end, negative Ham end, decay
+
+
+def weighted_index(problem):
+    """n*chi + 2*c1 + sum_{z positive} cz(A_z + delta_z)
+    - sum_{z negative} cz(A_z - delta_z), delta_z > 0 at a decay puncture
+    and < 0 at a growth one."""
+    from cascadix.fredholm import Sign, WeightSide
+    from cascadix.spectrum import ComplexLinear
+
+    total = problem.bundle_rank * (2 - len(problem.punctures)) \
+        + 2 * problem.rel_c1
+    for p in problem.punctures:
+        positive = p.sign is Sign.POSITIVE
+        side = "+" if (p.decoration.side is WeightSide.DECAY) == positive \
+            else "-"
+        op = p.operator
+        if isinstance(op, ComplexLinear):
+            cz = cz_complex(op.rank, side)
+        else:
+            kind = "vertical_zero" if op.c == 0.0 else "vertical_pos"
+            cz = CZ_FROZEN[(kind, side)]
+        total += cz if positive else -cz
+    return total
+
 
 MB_HAM_HAM_DECORATED = 1              # kernel subspaces: i*R at both Ham ends
 MB_HAM_REEB_DECORATED = 2             # i*R at Ham end, full C at Reeb end
@@ -413,7 +442,7 @@ def brute_force_contributions(setup, target, k_max, class_bound):
 # every k_0 in 1..min(k_max, k_t) and keeping those whose degree is one less
 # than the target's, instead of solving the degree equation.  Yields the
 # same (source, multiplicities, classes, sphere, aug) tuples, in the same
-# order, as `cascades._level_shapes`.
+# order, as the two-multiplicity proposals of `cascades._proposals`.
 
 
 def scan_level_shapes(setup, target, k_max, class_bound):

@@ -15,7 +15,7 @@ from cascadix.cascades import (
     AugPuncture,
     Case,
     CascadeType,
-    _level_shapes,
+    _proposals,
     certify_classification,
     classify_type,
     enumerate_contributions,
@@ -122,6 +122,9 @@ class TestIdentities:
             (cp2, "m_check_2", "M_hat_1", (1, 2), ((1,),), ()),
             (tau2, "m_check_3", "M_hat_1", (1, 3), ((2,),), ()),
             (tau2, "m_check_2", "m_hat_1", (1, 2), ((0,),),
+             (AugPuncture(1, (1,), 1),)),
+            # a plane whose Reeb orbit weight is 2, not 0: degree gap 3
+            (cp2, "m_check_2", "m_hat_1", (1, 2), ((0,),),
              (AugPuncture(1, (1,), 1),)),
         ]:
             target, source = gen_by_name(setup, name_t), gen_by_name(setup, name_s)
@@ -425,8 +428,9 @@ def assert_matches_winding_scan(setup, k_max, class_bound):
         if not isinstance(target, OrbitGenerator) \
                 or target.point.flag is not FibreFlag.CHECK:
             continue
-        got = list(_level_shapes(setup, target, grade(setup, target), k_max,
-                                 class_bound))
+        got = [shape for shape in _proposals(setup, target, k_max,
+                                             class_bound)
+               if len(shape[1]) == 2]
         want = list(oracles.scan_level_shapes(setup, target, k_max,
                                               class_bound))
         assert got == want, (setup.name, k_max, class_bound,

@@ -94,6 +94,20 @@ def _assert_one_error_line(result):
     return lines[0]
 
 
+@pytest.mark.parametrize("operator", [["--C", "1"], ["--C", "0"],
+                                      ["--complex-rank", "1"]],
+                         ids=["vertical", "degenerate", "complex"])
+@pytest.mark.parametrize("window", ["nan,1", "inf,inf", "-inf,0", "0,inf",
+                                    "nan,nan", "3,-3"])
+def test_spectrum_rejects_unusable_window(runner, operator, window):
+    """A window with a non-finite or reversed pair of ends is one error
+    line and an empty stdout, never a traceback or an endless listing."""
+    result = runner.invoke(cli.main, ["spectrum", *operator,
+                                      f"--window={window}"])
+    line = _assert_one_error_line(result)
+    assert "SpectrumError" in line
+
+
 def test_index_rejects_negative_augmentation_count(runner):
     result = runner.invoke(cli.main, ["index", "--n", "2", "--aug", "-1"])
     line = _assert_one_error_line(result)
@@ -424,9 +438,16 @@ def test_report_rejects_inadmissible_profile(runner, data_dir):
 
 @pytest.mark.parametrize("extra", [["--classbound", "-1"],
                                    ["--profile", "nosuch"],
-                                   ["--profile", "expr:rho;1;0"]],
+                                   ["--profile", "expr:rho;1;0"],
+                                   ["--levels", "0"],
+                                   ["--profile", "expr:(rho-2)**2;2*(rho-2);"
+                                                 "2/(rho-2-rho+2)"],
+                                   ["--profile", "expr:rho;1;[1]"],
+                                   ["--profile", "expr:log(2-rho);1;1"]],
                          ids=["classbound", "unknown-profile",
-                              "inadmissible-profile"])
+                              "inadmissible-profile", "levels",
+                              "expr-zero-division", "expr-type",
+                              "expr-math-domain"])
 def test_report_rejected_input_prints_nothing(runner, data_dir, extra):
     """A rejected report writes no part of the document to stdout."""
     result = runner.invoke(cli.main, [

@@ -113,3 +113,18 @@ def test_profile_parse_errors():
         make_profile("expr:__import__('os');1;1")
     with pytest.raises(ProfileParseError):
         make_profile("nope")
+
+
+@pytest.mark.parametrize("spec,field,bad", [
+    ("expr:(rho-2)**2;2*(rho-2);2/(rho-2-rho+2)", 2, "2/(rho-2-rho+2)"),
+    ("expr:rho;1;[1]", 2, "[1]"),
+    ("expr:log(2-rho);2*(rho-2);2", 0, "log(2-rho)"),
+], ids=["zero-division", "type", "math-domain"])
+def test_expression_errors_become_parse_errors(spec, field, bad):
+    """Arithmetic, type and math-domain errors raised while evaluating an
+    expression come out as ProfileParseError naming the expression and rho."""
+    prof = make_profile(spec)
+    call = (prof.h, prof.h_prime, prof.h_double_prime)[field]
+    with pytest.raises(ProfileParseError, match=r"fails at rho=3\.0") as info:
+        call(3.0)
+    assert repr(bad) in str(info.value)

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from cascadix.spectrum import (
@@ -24,6 +26,7 @@ def test_degenerate_vertical_table():
     # spectrum of -i d/dt - 0: all of 2 pi Z, multiplicity 2, winding = mode
     pts = spectrum_window(VerticalC(0.0), -7.0, 7.0)
     assert [(p.winding, p.multiplicity) for p in pts] == [(-1, 2), (0, 2), (1, 2)]
+    assert [p.mode for p in pts] == [1, 0, 1]
     assert pts[0].eigenvalue == pytest.approx(-TWO_PI)
     assert pts[1].eigenvalue == 0.0
     assert pts[2].eigenvalue == pytest.approx(TWO_PI)
@@ -133,5 +136,47 @@ def test_bad_inputs():
         ComplexLinear(0)
     with pytest.raises(SpectrumError):
         spectrum_window(VerticalC(1.0), 3.0, -3.0)
+    for lo, hi in ((math.nan, 1.0), (math.nan, math.nan), (-math.inf, 0.0),
+                   (0.0, math.inf)):
+        for op in (VerticalC(1.0), VerticalC(0.0), ComplexLinear(2)):
+            with pytest.raises(SpectrumError, match="finite"):
+                spectrum_window(op, lo, hi)
     with pytest.raises(ValueError):
         oracles.discretize_spectrum(VerticalC(1.0), fourier_cutoff=2)
+
+
+# On 2 pi Z the loop widens the window by this much at each end.
+LATTICE_TOL = 1e-15
+
+operators = st.one_of(st.builds(VerticalC, st.floats(0.0, 100.0)),
+                      st.just(VerticalC(0.0)),
+                      st.builds(ComplexLinear, st.integers(1, 4)))
+# ends within 1e-14 of a multiple of 2 pi, where rounding decides
+near_lattice = st.builds(lambda j, eps: j * TWO_PI + eps,
+                         st.integers(-40, 40), st.floats(-1e-14, 1e-14))
+ends = st.one_of(st.floats(-200.0, 200.0), near_lattice)
+
+
+@settings(max_examples=300, deadline=None)
+@given(op=operators, a=ends, b=ends)
+def test_window_points_lie_in_window(op, a, b):
+    """Every listed point lies in the window, and its mode is |winding|."""
+    lo, hi = min(a, b), max(a, b)
+    lattice = isinstance(op, ComplexLinear) or op.c == 0.0
+    tol = LATTICE_TOL if lattice else 0.0
+    for p in spectrum_window(op, lo, hi):
+        assert lo - tol <= p.eigenvalue <= hi + tol, (op, lo, hi, p)
+        assert p.mode == abs(p.winding), (op, p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=near_lattice, b=near_lattice)
+def test_degenerate_vertical_matches_complex_linear(a, b):
+    """VerticalC(0) and ComplexLinear(1) have the same spectrum 2 pi Z, so
+    they list the same points, also where an end sits on a multiple of 2 pi
+    up to rounding."""
+    lo, hi = min(a, b), max(a, b)
+    assert [(p.eigenvalue, p.winding)
+            for p in spectrum_window(VerticalC(0.0), lo, hi)] == \
+        [(p.eigenvalue, p.winding)
+         for p in spectrum_window(ComplexLinear(1), lo, hi)]
