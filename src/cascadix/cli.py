@@ -5,21 +5,56 @@ for `selftest`) give byte-identical output.  CSV is RFC 4180 (CRLF line
 ends, minimal quoting); rationals render as p/q; floating point columns use
 12 significant digits.  Exit codes: 0 success, 1 for any validation or
 feasibility error raised by the engine (printed module-qualified on
-stderr), 2 for usage errors.  Each command imports the engine modules it
-runs itself, so a launch loads only those and starts quickly.
+stderr), 2 for usage errors.  A usage error prints the `usage:` line of the
+command followed by one `<prog> <cmd>: error: <message>` line on stderr.
+The command line is parsed with `argparse` alone, and each command imports
+the engine modules it runs itself, so a launch loads only those and starts
+quickly.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
-import click
-
 from .errors import CascadixError
+
+DESCRIPTION = "Exact index and cascade calculus for split symplectic homology."
+DEFAULT = " [default: %(default)s]"
+
+# name -> (command function, options as (names, add_argument keywords))
+COMMANDS = {}
+
+
+class UsageError(Exception):
+    """A command line the parser accepted but the command cannot run."""
+
+
+def command(name, *options):
+    """Register a command and the options of its sub-parser."""
+    def register(fn):
+        COMMANDS[name] = (fn, options)
+        return fn
+    return register
+
+
+def option(*names, **kwargs):
+    """One option of a command, in the form `add_argument` takes."""
+    return names, kwargs
+
+
+def existing_file(value: str) -> str:
+    path = Path(value)
+    if not path.exists():
+        raise argparse.ArgumentTypeError(f"file {value!r} does not exist")
+    if path.is_dir():
+        raise argparse.ArgumentTypeError(f"file {value!r} is a directory")
+    return value
 
 
 def guarded(fn):
@@ -28,15 +63,15 @@ def guarded(fn):
         try:
             return fn(*args, **kwargs)
         except CascadixError as exc:
-            click.echo(f"error: {exc.qualified()}", err=True)
+            print(f"error: {exc.qualified()}", file=sys.stderr)
             sys.exit(1)
     return inner
 
 
-SETUP_OPT = click.option(
-    "--setup", "setup_path", required=True,
-    type=click.Path(exists=True, dir_okay=False),
-    help="setup descriptor JSON")
+# keywords of a required option naming an existing file
+FILE = dict(required=True, type=existing_file, metavar="FILE")
+SETUP_OPT = option("--setup", dest="setup_path", help="setup descriptor JSON",
+                   **FILE)
 
 
 def _read_instance(path) -> dict:
@@ -86,30 +121,24 @@ def _generator_by_name(setup, name):
     return grading.interior_generator(setup, name)
 
 
-@click.group()
-def main():
-    """Exact index and cascade calculus for split symplectic homology."""
-
-
 # --- validate ----------------------------------------------------------
 
 
-@main.command()
-@SETUP_OPT
+@command("validate", SETUP_OPT)
 @guarded
 def validate(setup_path):
     """Check a setup file against all structural invariants."""
     from .model import format_rational, load_setup
 
     setup = load_setup(setup_path)
-    click.echo("monotone triple OK")
-    click.echo(f"name: {setup.name}")
-    click.echo(f"n: {setup.n}")
-    click.echo(f"tau_X: {format_rational(setup.tau_x)}")
-    click.echo(f"K: {format_rational(setup.k_const)}")
-    click.echo(f"slope ratio: {format_rational(setup.slope_ratio)}")
-    click.echo(f"surface classes: rank {setup.lattice_sigma.rank}")
-    click.echo(f"filling classes: rank {setup.lattice_x.rank}")
+    print("monotone triple OK")
+    print(f"name: {setup.name}")
+    print(f"n: {setup.n}")
+    print(f"tau_X: {format_rational(setup.tau_x)}")
+    print(f"K: {format_rational(setup.k_const)}")
+    print(f"slope ratio: {format_rational(setup.slope_ratio)}")
+    print(f"surface classes: rank {setup.lattice_sigma.rank}")
+    print(f"filling classes: rank {setup.lattice_x.rank}")
 
 
 # --- grade -------------------------------------------------------------
@@ -130,13 +159,14 @@ def _generator_rows(setup, k_max, degree):
     return rows
 
 
-@main.command()
-@SETUP_OPT
-@click.option("--kmax", type=int, default=3, show_default=True,
-              help="largest orbit multiplicity")
-@click.option("--degree", default=None,
-              help="keep only generators of this exact degree (e.g. 7/3)")
-@click.option("--csv", "as_csv", is_flag=True, help="emit CSV instead of text")
+@command("grade",
+         SETUP_OPT,
+         option("--kmax", type=int, default=3,
+                help="largest orbit multiplicity" + DEFAULT),
+         option("--degree",
+                help="keep only generators of this exact degree (e.g. 7/3)"),
+         option("--csv", dest="as_csv", action="store_true",
+                help="emit CSV instead of text"))
 @guarded
 def grade(setup_path, kmax, degree, as_csv):
     """List generators with their degrees."""
@@ -148,21 +178,21 @@ def grade(setup_path, kmax, degree, as_csv):
     if as_csv:
         _emit_csv(GEN_HEADER, rows)
         return
-    click.echo(f"{'name':<18} {'kind':<9} {'degree':>8} {'coset':>6}")
+    print(f"{'name':<18} {'kind':<9} {'degree':>8} {'coset':>6}")
     for name, kind, deg, coset in rows:
-        click.echo(f"{name:<18} {kind:<9} {deg:>8} {coset:>6}")
+        print(f"{name:<18} {kind:<9} {deg:>8} {coset:>6}")
 
 
 # --- spectrum ----------------------------------------------------------
 
 
-@main.command("spectrum")
-@click.option("--C", "--c", "c_value", type=float, default=None,
-              help="vertical operator parameter C >= 0")
-@click.option("--complex-rank", type=int, default=None,
-              help="use the complex-linear operator of this rank instead")
-@click.option("--window", default="-7,7", show_default=True,
-              help="eigenvalue window lo,hi")
+@command("spectrum",
+         option("--C", "--c", dest="c_value", type=float, metavar="C",
+                help="vertical operator parameter C >= 0"),
+         option("--complex-rank", type=int,
+                help="use the complex-linear operator of this rank instead"),
+         option("--window", default="-7,7",
+                help="eigenvalue window lo,hi" + DEFAULT))
 @guarded
 def spectrum_cmd(c_value, complex_rank, window):
     """Eigenvalues, multiplicities, and windings in a window."""
@@ -171,32 +201,33 @@ def spectrum_cmd(c_value, complex_rank, window):
     try:
         lo, hi = (float(part) for part in window.split(","))
     except ValueError:
-        raise click.BadParameter("window must be lo,hi", param_hint="--window")
+        raise UsageError("argument --window: window must be lo,hi")
     if (c_value is None) == (complex_rank is None):
-        raise click.UsageError("give exactly one of --C or --complex-rank")
+        raise UsageError("give exactly one of --C or --complex-rank")
     if complex_rank is not None:
         op = spectrum.ComplexLinear(complex_rank)
     else:
         op = spectrum.VerticalC(c_value)
     points = spectrum.spectrum_window(op, lo, hi)
-    click.echo(f"operator: {op.label}")
-    click.echo(f"{'eigenvalue':>16} {'mode':>5} {'mult':>5} {'winding':>8}")
+    print(f"operator: {op.label}")
+    print(f"{'eigenvalue':>16} {'mode':>5} {'mult':>5} {'winding':>8}")
     for pt in points:
-        click.echo(f"{pt.eigenvalue:>16.12g} {pt.mode:>5} "
+        print(f"{pt.eigenvalue:>16.12g} {pt.mode:>5} "
                    f"{pt.multiplicity:>5} {pt.winding:>8}")
 
 
 # --- index -------------------------------------------------------------
 
 
-@main.command("index")
-@click.option("--n", type=int, required=True, help="half-dimension of the filling")
-@click.option("--c1", type=int, default=0, show_default=True,
-              help="relative Chern number of the horizontal part")
-@click.option("--bottom", type=click.Choice(["ham", "reeb"]), default="ham",
-              show_default=True, help="negative-end orbit type")
-@click.option("--aug", type=int, default=0, show_default=True,
-              help="number of interior augmentation punctures")
+@command("index",
+         option("--n", type=int, required=True,
+                help="half-dimension of the filling"),
+         option("--c1", type=int, default=0,
+                help="relative Chern number of the horizontal part" + DEFAULT),
+         option("--bottom", choices=["ham", "reeb"], default="ham",
+                help="negative-end orbit type" + DEFAULT),
+         option("--aug", type=int, default=0,
+                help="number of interior augmentation punctures" + DEFAULT))
 @guarded
 def index_cmd(n, c1, bottom, aug):
     """Fredholm index breakdown of one split cylinder."""
@@ -205,17 +236,17 @@ def index_cmd(n, c1, bottom, aug):
     vertical, horizontal = fredholm.split_cylinder_problems(
         n, c1, bottom=bottom, aug_count=aug)
     for label, prob in (("vertical", vertical), ("horizontal", horizontal)):
-        click.echo(f"{label}: rank {prob.bundle_rank}, "
+        print(f"{label}: rank {prob.bundle_rank}, "
                    f"rel c1 {prob.rel_c1}, "
                    f"index {fredholm.index_morse_bott(prob)}")
         for punc, contrib in fredholm.per_puncture_breakdown(prob):
             where = "interior" if punc.interior else "end"
-            click.echo(f"  {punc.sign.value} {where} "
+            print(f"  {punc.sign.value} {where} "
                        f"{punc.operator.label}: {contrib:+d}")
     total = fredholm.split_floer_index(vertical, horizontal)
     interior = sum(1 for p in vertical.punctures if p.interior)
-    click.echo(f"interior punctures: {interior}")
-    click.echo(f"split index: {total}")
+    print(f"interior punctures: {interior}")
+    print(f"split index: {total}")
 
 
 # --- dim ---------------------------------------------------------------
@@ -254,11 +285,10 @@ def _cascade_shape(setup, raw):
                        int(raw["levels"]))
 
 
-@main.command("dim")
-@SETUP_OPT
-@click.option("--instance", "instance_path", required=True,
-              type=click.Path(exists=True, dir_okay=False),
-              help="JSON describing one pearl chain or cascade")
+@command("dim",
+         SETUP_OPT,
+         option("--instance", dest="instance_path",
+                help="JSON describing one pearl chain or cascade", **FILE))
 @guarded
 def dim_cmd(setup_path, instance_path):
     """Expected dimension of one configuration space."""
@@ -278,8 +308,8 @@ def dim_cmd(setup_path, instance_path):
         value = pearls.cascade_dimension(setup, shape)
     else:
         raise CascadixError(f"unknown instance kind {kind!r}")
-    click.echo(f"kind: {kind}")
-    click.echo(f"dimension: {value}")
+    print(f"kind: {kind}")
+    print(f"dimension: {value}")
 
 
 # --- enumerate ---------------------------------------------------------
@@ -315,16 +345,16 @@ def _catalog_rows(setup, types):
     ] for t in types]
 
 
-@main.command("enumerate")
-@SETUP_OPT
-@click.option("--target", default=None, help="one target generator by name")
-@click.option("--all-targets", "all_targets", is_flag=True,
-              help="every generator with winding <= kmax")
-@click.option("--kmax", type=int, default=3, show_default=True)
-@click.option("--classbound", type=int, default=3, show_default=True,
-              help="area bound for sphere classes")
-@click.option("--text", "as_text", is_flag=True,
-              help="aligned text instead of CSV")
+@command("enumerate",
+         SETUP_OPT,
+         option("--target", help="one target generator by name"),
+         option("--all-targets", action="store_true",
+                help="every generator with winding <= kmax"),
+         option("--kmax", type=int, default=3, help=DEFAULT),
+         option("--classbound", type=int, default=3,
+                help="area bound for sphere classes" + DEFAULT),
+         option("--text", dest="as_text", action="store_true",
+                help="aligned text instead of CSV"))
 @guarded
 def enumerate_cmd(setup_path, target, all_targets, kmax, classbound, as_text):
     """Catalog of feasible cascade types, one row per type."""
@@ -332,7 +362,7 @@ def enumerate_cmd(setup_path, target, all_targets, kmax, classbound, as_text):
     from .model import load_setup
 
     if (target is None) == (not all_targets):
-        raise click.UsageError("give exactly one of --target or --all-targets")
+        raise UsageError("give exactly one of --target or --all-targets")
     setup = load_setup(setup_path)
     if all_targets:
         targets = grading.enumerate_generators(setup, kmax)
@@ -344,11 +374,11 @@ def enumerate_cmd(setup_path, target, all_targets, kmax, classbound, as_text):
         rows.extend(_catalog_rows(setup, result.types))
         warnings.extend(result.warnings)
     for message in dict.fromkeys(warnings):
-        click.echo(f"warning: {message}", err=True)
+        print(f"warning: {message}", file=sys.stderr)
     if as_text:
-        click.echo(" ".join(CATALOG_HEADER))
+        print(" ".join(CATALOG_HEADER))
         for row in rows:
-            click.echo(" ".join(cell or "-" for cell in row))
+            print(" ".join(cell or "-" for cell in row))
         return
     _emit_csv(CATALOG_HEADER, rows)
 
@@ -376,10 +406,9 @@ def _map_from(raw):
         tuple(tuple(Fraction(str(x)) for x in row) for row in raw))
 
 
-@main.command("orient")
-@click.option("--instance", "instance_path", required=True,
-              type=click.Path(exists=True, dir_okay=False),
-              help="JSON with spaces, maps, and signs")
+@command("orient",
+         option("--instance", dest="instance_path",
+                help="JSON with spaces, maps, and signs", **FILE))
 @guarded
 def orient_cmd(instance_path):
     """Oriented kernel of a fibre sum, or a quotient representative."""
@@ -394,30 +423,29 @@ def orient_cmd(instance_path):
             spaces = [_space_from(raw[key]) for key in ("v1", "v2", "w")]
             maps = [_map_from(raw[key]) for key in ("f1", "f2")]
         frame = orientation.fibre_sum_orientation(*spaces, *maps)
-        click.echo("kernel of the difference map:")
+        print("kernel of the difference map:")
     elif kind == "quotient":
         with _instance_fields():
             sub = orientation.IncludedSubspace(_space_from(raw["sub"]),
                                                _map_from(raw["inclusion"]))
             total = _space_from(raw["total"])
         frame = orientation.quotient_orientation(total, sub)
-        click.echo("complement representative:")
+        print("complement representative:")
     else:
         raise CascadixError(f"unknown instance kind {kind!r}")
-    click.echo(f"dim: {frame.dim}")
+    print(f"dim: {frame.dim}")
     for vec in frame.vectors:
         cells = ",".join(str(Fraction(c)) for c in vec)
-        click.echo(f"basis: ({cells})")
-    click.echo(f"sign: {frame.sign:+d}")
+        print(f"basis: ({cells})")
+    print(f"sign: {frame.sign:+d}")
 
 
 # --- morse -------------------------------------------------------------
 
 
-@main.command("morse")
-@click.option("--data", "data_path", required=True,
-              type=click.Path(exists=True, dir_okay=False),
-              help="Morse complex JSON (plain or lifted)")
+@command("morse",
+         option("--data", dest="data_path",
+                help="Morse complex JSON (plain or lifted)", **FILE))
 @guarded
 def morse_cmd(data_path):
     """Boundary matrices, d^2 check, homology table."""
@@ -425,32 +453,32 @@ def morse_cmd(data_path):
 
     data = morse.load_morse_data(data_path)
     if isinstance(data, morse.LiftedMorseData):
-        click.echo(f"lifted complex over {len(data.base.points)} base points")
+        print(f"lifted complex over {len(data.base.points)} base points")
         data = data.lifted()
-    click.echo(f"points: {len(data.points)}")
+    print(f"points: {len(data.points)}")
     matrices = morse.differential(data)
     for d in sorted(matrices):
         cols = ",".join(p.name for p in data.points_of_degree(d))
         mat = "; ".join(_vec(row) for row in matrices[d]) or "(empty)"
-        click.echo(f"boundary degree {d} [{cols}]: {mat}")
-    click.echo("d^2 = 0: verified")
-    click.echo(f"{'degree':>6} {'betti':>6} {'torsion':>8}")
+        print(f"boundary degree {d} [{cols}]: {mat}")
+    print("d^2 = 0: verified")
+    print(f"{'degree':>6} {'betti':>6} {'torsion':>8}")
     for d, betti, torsion in morse.homology_from(data, matrices):
         label = ";".join(str(t) for t in torsion) or "-"
-        click.echo(f"{d:>6} {betti:>6} {label:>8}")
+        print(f"{d:>6} {betti:>6} {label:>8}")
 
 
 # --- report ------------------------------------------------------------
 
 
-@main.command("report")
-@SETUP_OPT
-@click.option("--kmax", type=int, default=3, show_default=True)
-@click.option("--classbound", type=int, default=3, show_default=True)
-@click.option("--profile", "profile_spec", default="quadratic",
-              show_default=True, help="Hamiltonian profile for the action table")
-@click.option("--levels", type=int, default=5, show_default=True,
-              help="orbit multiplicities in the action table")
+@command("report",
+         SETUP_OPT,
+         option("--kmax", type=int, default=3, help=DEFAULT),
+         option("--classbound", type=int, default=3, help=DEFAULT),
+         option("--profile", dest="profile_spec", default="quadratic",
+                help="Hamiltonian profile for the action table" + DEFAULT),
+         option("--levels", type=int, default=5,
+                help="orbit multiplicities in the action table" + DEFAULT))
 @guarded
 def report_cmd(setup_path, kmax, classbound, profile_spec, levels):
     """One document: generators, actions, cascade catalog, certification."""
@@ -473,43 +501,43 @@ def report_cmd(setup_path, kmax, classbound, profile_spec, levels):
     certification = cascades.certify_classification(setup, kmax, classbound)
     catalog = _catalog_rows(setup, certification.types)
 
-    click.echo(f"# report: {setup.name or Path(setup_path).stem}")
-    click.echo("")
-    click.echo("## setup")
-    click.echo(f"n={setup.n} tau_X={format_rational(setup.tau_x)} "
+    print(f"# report: {setup.name or Path(setup_path).stem}")
+    print("")
+    print("## setup")
+    print(f"n={setup.n} tau_X={format_rational(setup.tau_x)} "
                f"K={format_rational(setup.k_const)} "
                f"slope={format_rational(setup.slope_ratio)}")
-    click.echo("")
-    click.echo(f"## generators (kmax={kmax})")
-    click.echo(" ".join(GEN_HEADER))
+    print("")
+    print(f"## generators (kmax={kmax})")
+    print(" ".join(GEN_HEADER))
     for row in generators:
-        click.echo(" ".join(row))
-    click.echo("")
-    click.echo(f"## actions ({profile_spec}, T0={format_rational(setup.t0)})")
-    click.echo("k rho action vertical_C")
+        print(" ".join(row))
+    print("")
+    print(f"## actions ({profile_spec}, T0={format_rational(setup.t0)})")
+    print("k rho action vertical_C")
     for k, level in enumerate(actions, 1):
-        click.echo(f"{k} {level.rho:.12g} {level.action:.12g} "
+        print(f"{k} {level.rho:.12g} {level.action:.12g} "
                    f"{level.vertical_c:.12g}")
-    click.echo("")
-    click.echo(f"## cascade catalog (kmax={kmax}, classbound={classbound})")
-    click.echo(" ".join(CATALOG_HEADER))
+    print("")
+    print(f"## cascade catalog (kmax={kmax}, classbound={classbound})")
+    print(" ".join(CATALOG_HEADER))
     for row in catalog:
-        click.echo(" ".join(cell or "-" for cell in row))
-    click.echo("")
-    click.echo("## certification")
-    click.echo(certification.summary())
+        print(" ".join(cell or "-" for cell in row))
+    print("")
+    print("## certification")
+    print(certification.summary())
     for message in certification.warnings:
-        click.echo(f"warning: {message}")
+        print(f"warning: {message}")
     for violation in certification.violations:
-        click.echo(f"violation: {violation}")
+        print(f"violation: {violation}")
 
 
 # --- selftest ----------------------------------------------------------
 
 
-@main.command("selftest")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--instances", type=int, default=50, show_default=True)
+@command("selftest",
+         option("--seed", type=int, default=0, help=DEFAULT),
+         option("--instances", type=int, default=50, help=DEFAULT))
 @guarded
 def selftest_cmd(seed, instances):
     """Exhaustive crossing identity plus randomized orientation properties."""
@@ -536,8 +564,84 @@ def selftest_cmd(seed, instances):
             problems.append(f"{name}: {len(failures)} failing instance(s)")
     if problems:
         raise CascadixError("; ".join(problems))
-    click.echo(f"selftest OK: crossing identity exhaustive, "
+    print(f"selftest OK: crossing identity exhaustive, "
                f"{instances} instances per randomized property (seed={seed})")
+
+
+# --- parsing -------------------------------------------------------------
+
+
+@functools.cache
+def _parser(prog):
+    """One parser with a sub-parser per registered command, built once per
+    process."""
+    listing = "\n".join(f"  {name:<10} {fn.__doc__}"
+                        for name, (fn, _) in COMMANDS.items())
+    parser = argparse.ArgumentParser(
+        prog=prog, description=DESCRIPTION, epilog="commands:\n" + listing,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        add_help=False, allow_abbrev=False)
+    parser.add_argument("--help", action="help",
+                        help="show this message and exit")
+    subparsers = parser.add_subparsers(dest="command", metavar="COMMAND",
+                                       required=True,
+                                       help="one of the commands below")
+    for name, (fn, options) in COMMANDS.items():
+        sub = subparsers.add_parser(name, description=fn.__doc__,
+                                    add_help=False, allow_abbrev=False)
+        for names, kwargs in options:
+            sub.add_argument(*names, **kwargs)
+        sub.add_argument("--help", action="help",
+                         help="show this message and exit")
+    return parser, subparsers
+
+
+def _joined(argv):
+    """`--opt value` as `--opt=value` for every option that takes a value.
+
+    A value that starts with `-` (`--window -3,3`, `--degree -1/3`) then
+    reaches its option instead of reading to argparse as another option.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return argv
+    takes_value = {name for names, kwargs in COMMANDS[argv[0]][1]
+                   if "action" not in kwargs for name in names}
+    words = iter(argv[1:])
+    out = [argv[0]]
+    for word in words:
+        if word in takes_value:
+            value = next(words, None)
+            if value is not None:
+                word = f"{word}={value}"
+        out.append(word)
+    return out
+
+
+def main(args=None, prog_name="cascadix"):
+    """Run one command line (default `sys.argv[1:]`)."""
+    parser, subparsers = _parser(prog_name)
+    argv = sys.argv[1:] if args is None else list(args)
+    namespace, extra = parser.parse_known_args(_joined(argv))
+    kwargs = vars(namespace)
+    name = kwargs.pop("command")
+    if extra:
+        subparsers.choices[name].error(
+            f"unrecognized arguments: {' '.join(extra)}")
+    try:
+        COMMANDS[name][0](**kwargs)
+    except UsageError as exc:
+        subparsers.choices[name].error(str(exc))
+    except BrokenPipeError:
+        # The reader closed stdout early (`| head`): exit 1 without a
+        # traceback, and keep the final flush from raising again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+
+
+# perfbench/run.py::run_cli_traced calls the entry point as
+# `main.main(args=..., prog_name=..., standalone_mode=False)`.
+main.main = (lambda args=None, prog_name="cascadix", standalone_mode=True:
+             main(args, prog_name))
 
 
 if __name__ == "__main__":

@@ -111,45 +111,85 @@ def vertical_eigenvalue(c: float, mode: int, branch: int) -> float:
     return 0.5 * (-c + branch * math.sqrt(c * c + 16.0 * math.pi ** 2 * mode * mode))
 
 
+# The most points one window may list.  10^6 points print as about 40 MB of
+# table in some ten seconds; the windows an index question needs hold a few
+# dozen.  The bound keeps every accepted window's cost to that, and makes a
+# typo such as `0,1e15` an error instead of a listing without end.
+MAX_POINTS = 10 ** 6
+
+
 def spectrum_window(op: AsymptoticOperator, lo: float, hi: float) -> List[SpectralPoint]:
     """All spectral points with lo <= eigenvalue <= hi, sorted ascending.
 
     Both ends must be finite.  On the spectrum 2 pi Z the window is widened
-    by 1e-15 at each end.
+    by 1e-15 at each end.  The modes of the window are found in closed form
+    before any eigenvalue is evaluated (on VerticalC(c>0) each branch is
+    monotone in the mode, with mode sqrt(v (v + c)) / 2 pi at eigenvalue v).
+    SpectrumError if the window holds more than MAX_POINTS points, or if
+    float rounding no longer tells consecutive points apart: at ends where
+    the float spacing reaches 2 pi (no two eigenvalues of one branch are
+    further apart), or where the computed eigenvalues repeat or stray a
+    whole mode from the closed form.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise SpectrumError(f"window [{lo}, {hi}] must have finite ends")
     if lo > hi:
         raise SpectrumError(f"empty window [{lo}, {hi}]")
-    pts: List[SpectralPoint] = []
+    if math.ulp(max(abs(lo), abs(hi))) >= TWO_PI:
+        raise _blurred(lo, hi)
     if isinstance(op, ComplexLinear) or op.c == 0.0:
-        j = math.ceil(lo / TWO_PI - 1e-15)
-        while j * TWO_PI <= hi + 1e-15:
-            ev = j * TWO_PI
-            if ev >= lo - 1e-15:
-                pts.append(SpectralPoint(ev, abs(j), 2 * op.complex_rank, j))
-            j += 1
-        return pts
+        first = math.ceil(lo / TWO_PI - 1e-15)
+        last = math.floor((hi + 1e-15) / TWO_PI) + 1   # past the window
+        if last - first > MAX_POINTS:
+            raise _too_many(lo, hi)
+        pts = [SpectralPoint(j * TWO_PI, abs(j), 2 * op.complex_rank, j)
+               for j in range(first, last + 1)
+               if lo - 1e-15 <= j * TWO_PI <= hi + 1e-15]
+    else:
+        pts = _vertical_window(op.c, lo, hi)
+    if any(a.eigenvalue == b.eigenvalue for a, b in zip(pts, pts[1:])):
+        raise _blurred(lo, hi)
+    return pts
 
-    c = op.c
-    # c > 0: mode 0 gives the two simple eigenvalues -c and 0
-    for ev in (-c, 0.0):
-        if lo <= ev <= hi:
-            pts.append(SpectralPoint(ev, 0, 1, 0))
-    k = 1
-    while True:
-        lam_minus = vertical_eigenvalue(c, k, -1)
-        lam_plus = vertical_eigenvalue(c, k, +1)
-        emitted = False
-        if lo <= lam_minus <= hi:
-            pts.append(SpectralPoint(lam_minus, k, 2, -k))
-            emitted = True
-        if lo <= lam_plus <= hi:
-            pts.append(SpectralPoint(lam_plus, k, 2, k))
-            emitted = True
-        if not emitted and lam_plus > hi and lam_minus < lo:
-            break
-        k += 1
+
+def _too_many(lo, hi):
+    return SpectrumError(f"window [{lo}, {hi}] holds more than {MAX_POINTS} "
+                         f"eigenvalues")
+
+
+def _blurred(lo, hi):
+    return SpectrumError(f"window [{lo}, {hi}]: consecutive eigenvalues are "
+                         f"not distinct in float there")
+
+
+def _vertical_window(c, lo, hi):
+    """`spectrum_window` for VerticalC(c), c > 0."""
+    def mode_of(v):   # v >= 0 on the upper branch, v <= -c on the lower one
+        return math.sqrt(v * (v + c)) / TWO_PI
+
+    # (branch, mode at the near end, mode at the far end); the upper branch
+    # rises with the mode from 0, the lower one falls from -c
+    runs = []
+    if hi >= 0.0:
+        runs.append((+1, mode_of(max(lo, 0.0)), mode_of(hi)))
+    if lo <= -c:
+        runs.append((-1, mode_of(min(hi, -c)), mode_of(lo)))
+    if not sum(far - near for _, near, far in runs) <= MAX_POINTS:
+        raise _too_many(lo, hi)   # also when a mode overflows to inf
+
+    # mode 0 gives the two simple eigenvalues -c and 0
+    pts = [SpectralPoint(ev, 0, 1, 0) for ev in (-c, 0.0) if lo <= ev <= hi]
+    for branch, near, far in runs:
+        # one mode past each end, where the eigenvalue must fall outside
+        near, far = math.floor(near) - 1, math.ceil(far) + 1
+        near_end, far_end = (lo, hi) if branch > 0 else (hi, lo)
+        values = {k: vertical_eigenvalue(c, k, branch)
+                  for k in range(max(near, 1), far + 1)}
+        if (branch * (values[far] - far_end) <= 0
+                or near >= 1 and branch * (values[near] - near_end) >= 0):
+            raise _blurred(lo, hi)
+        pts += [SpectralPoint(ev, k, 2, branch * k)
+                for k, ev in values.items() if lo <= ev <= hi]
     pts.sort()
     return pts
 

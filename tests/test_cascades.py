@@ -482,12 +482,9 @@ QUARTER = {
 }
 
 
-def test_classbound_caps_area_not_coordinates(tmp_path):
+def test_classbound_caps_area_not_coordinates(tmp_path, run_cli):
     # omega = 1/4: the classes of area 1/2 have coordinate 2, above the
     # class bound 1, yet their area is within it
-    from click.testing import CliRunner
-
-    from cascadix import cli
     setup = parse_setup(QUARTER)
     report, rows = full_catalog(setup, k_max=3, class_bound=1)
     assert ("m_check_3", "M_hat_1", 1, 1, 3, ((2,),), None, ()) in rows
@@ -495,10 +492,9 @@ def test_classbound_caps_area_not_coordinates(tmp_path):
     assert report.certified and not report.warnings
     path = tmp_path / "quarter.json"
     path.write_text(json.dumps(QUARTER))
-    outputs = [CliRunner().invoke(
-        cli.main, ["enumerate", "--setup", str(path), "--all-targets",
-                   "--kmax", "3", "--classbound", str(cb)])
-        for cb in (1, 8)]
+    outputs = [run_cli("enumerate", "--setup", str(path), "--all-targets",
+                       "--kmax", "3", "--classbound", str(cb))
+               for cb in (1, 8)]
     assert all(r.exit_code == 0 and r.output for r in outputs)
     assert outputs[0].output == outputs[1].output
 

@@ -1,12 +1,13 @@
+import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -15,52 +16,55 @@ from cascadix.grading import orbit_generator
 from cascadix.model import FibreFlag
 
 
-@pytest.fixture()
-def runner():
-    return CliRunner()
-
-
-def invoke(runner, *args, env=None):
-    return runner.invoke(cli.main, list(args), env=env, catch_exceptions=False)
-
-
 # --- exit code contract ------------------------------------------------
 
 
-def test_validate_happy_path(runner, data_dir):
-    result = invoke(runner, "validate", "--setup", str(data_dir / "cp2.json"))
+def test_validate_happy_path(run_cli, data_dir):
+    result = run_cli("validate", "--setup", str(data_dir / "cp2.json"))
     assert result.exit_code == 0
     assert result.output.splitlines()[0] == "monotone triple OK"
     assert "slope ratio: 2" in result.output
 
 
-def test_engine_errors_exit_one(runner, tmp_path):
+def test_engine_errors_exit_one(run_cli, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"name": "x", "unexpected": 1}))
-    result = runner.invoke(cli.main, ["validate", "--setup", str(bad)])
+    result = run_cli("validate", "--setup", str(bad))
     assert result.exit_code == 1
     assert "error: model:" in result.stderr
 
 
-def test_usage_errors_exit_two(runner, data_dir):
+def test_usage_errors_exit_two(run_cli, data_dir):
     setup = str(data_dir / "cp2.json")
-    r1 = runner.invoke(cli.main, ["enumerate", "--setup", setup])
+    r1 = run_cli("enumerate", "--setup", setup)
     assert r1.exit_code == 2
-    r2 = runner.invoke(cli.main, ["spectrum", "--C", "0",
-                                  "--complex-rank", "2"])
+    r2 = run_cli("spectrum", "--C", "0", "--complex-rank", "2")
     assert r2.exit_code == 2
-    r3 = runner.invoke(cli.main, ["spectrum", "--C", "0",
-                                  "--window", "oops"])
+    r3 = run_cli("spectrum", "--C", "0", "--window", "oops")
     assert r3.exit_code == 2
-    r4 = runner.invoke(cli.main, ["validate", "--setup", "no_such_file.json"])
+    r4 = run_cli("validate", "--setup", "no_such_file.json")
     assert r4.exit_code == 2
+    r5 = run_cli("validate", "--setup", str(data_dir))
+    assert r5.exit_code == 2
+    r6 = run_cli("validate", "--setup", setup, "extra")
+    assert r6.exit_code == 2
+    assert run_cli().exit_code == 2
+    # a usage synopsis, then one error line naming the command
+    for result, command in ((r1, "enumerate"), (r2, "spectrum"),
+                            (r3, "spectrum"), (r4, "validate"),
+                            (r5, "validate"), (r6, "validate")):
+        lines = result.stderr.splitlines()
+        assert lines[0].startswith(f"usage: cascadix {command} ")
+        assert lines[-1].startswith(f"cascadix {command}: error: ")
+        assert not any("error" in line for line in lines[:-1])
+        assert result.stdout == ""
 
 
 # --- per-command output ------------------------------------------------
 
 
-def test_spectrum_zero_constant_layout(runner):
-    result = invoke(runner, "spectrum", "--C", "0", "--window=-7,7")
+def test_spectrum_zero_constant_layout(run_cli):
+    result = run_cli("spectrum", "--C", "0", "--window=-7,7")
     assert result.exit_code == 0
     lines = result.output.splitlines()
     assert lines[0] == "operator: VerticalC{0}"
@@ -69,8 +73,8 @@ def test_spectrum_zero_constant_layout(runner):
     assert all(row[2] == "2" for row in body)
 
 
-def test_spectrum_positive_constant(runner):
-    result = invoke(runner, "spectrum", "--C", "1", "--window=-1.5,0.5")
+def test_spectrum_positive_constant(run_cli):
+    result = run_cli("spectrum", "--C", "1", "--window=-1.5,0.5")
     rows = [line.split() for line in result.output.splitlines()[2:]]
     values = [float(r[0]) for r in rows]
     assert -1.0 in values and 0.0 in values
@@ -78,8 +82,8 @@ def test_spectrum_positive_constant(runner):
     assert all(r[2] == "1" for r in simple)
 
 
-def test_index_frozen_value(runner):
-    result = invoke(runner, "index", "--n", "2", "--c1", "2")
+def test_index_frozen_value(run_cli):
+    result = run_cli("index", "--n", "2", "--c1", "2")
     assert result.exit_code == 0
     assert "split index: 7" in result.output
     assert "vertical: rank 1" in result.output
@@ -98,39 +102,87 @@ def _assert_one_error_line(result):
                                       ["--complex-rank", "1"]],
                          ids=["vertical", "degenerate", "complex"])
 @pytest.mark.parametrize("window", ["nan,1", "inf,inf", "-inf,0", "0,inf",
-                                    "nan,nan", "3,-3"])
-def test_spectrum_rejects_unusable_window(runner, operator, window):
-    """A window with a non-finite or reversed pair of ends is one error
-    line and an empty stdout, never a traceback or an endless listing."""
-    result = runner.invoke(cli.main, ["spectrum", *operator,
-                                      f"--window={window}"])
+                                    "nan,nan", "3,-3", "1e300,1e300",
+                                    "0,1e300"])
+def test_spectrum_rejects_unusable_window(run_cli, operator, window):
+    """A window with a non-finite or reversed pair of ends, or one so far
+    out that float cannot tell its eigenvalues apart, is one error line and
+    an empty stdout, never a traceback or an endless listing."""
+    result = run_cli("spectrum", *operator, f"--window={window}")
     line = _assert_one_error_line(result)
     assert "SpectrumError" in line
 
 
-def test_index_rejects_negative_augmentation_count(runner):
-    result = runner.invoke(cli.main, ["index", "--n", "2", "--aug", "-1"])
+@pytest.mark.parametrize("command, option, value", [
+    (["spectrum", "--C", "1"], "--window", "-3,3"),
+    (["grade", "--setup", "{data}/cp2.json"], "--degree", "-1/3"),
+    (["index", "--n", "2"], "--c1", "-2"),
+    (["spectrum", "--C", "0"], "--window", "-7,7"),
+], ids=["window", "degree", "c1", "default-window"])
+def test_option_value_may_start_with_a_dash(run_cli, data_dir, command,
+                                            option, value):
+    """`--opt -value` is the value, as `--opt=-value` is."""
+    command = [word.format(data=data_dir) for word in command]
+    spaced = run_cli(*command, option, value)
+    joined = run_cli(*command, f"{option}={value}")
+    assert spaced.exit_code == 0, spaced.output
+    assert spaced == joined
+
+
+COMMAND_OPTIONS = {
+    "validate": ["--setup"],
+    "grade": ["--setup", "--kmax", "--degree", "--csv"],
+    "spectrum": ["--C", "--c", "--complex-rank", "--window"],
+    "index": ["--n", "--c1", "--bottom", "--aug"],
+    "dim": ["--setup", "--instance"],
+    "enumerate": ["--setup", "--target", "--all-targets", "--kmax",
+                  "--classbound", "--text"],
+    "orient": ["--instance"],
+    "morse": ["--data"],
+    "report": ["--setup", "--kmax", "--classbound", "--profile", "--levels"],
+    "selftest": ["--seed", "--instances"],
+}
+
+
+@pytest.mark.parametrize("command", [None, *COMMAND_OPTIONS])
+def test_help_names_every_option(run_cli, command):
+    """`--help` exits 0 and names each option (the program's: each
+    command)."""
+    if command is None:
+        result = run_cli("--help")
+        names = list(COMMAND_OPTIONS)
+    else:
+        result = run_cli(command, "--help")
+        names = COMMAND_OPTIONS[command]
+    assert result.exit_code == 0
+    for name in [*names, "--help"]:
+        assert re.search(rf"(?<![\w-]){re.escape(name)}(?![\w-])",
+                         result.stdout), (command, name)
+
+
+def test_index_rejects_negative_augmentation_count(run_cli):
+    result = run_cli("index", "--n", "2", "--aug", "-1")
     line = _assert_one_error_line(result)
     assert "PunctureMismatch" in line
 
 
-def test_grade_csv_row(runner, data_dir):
-    result = invoke(runner, "grade", "--setup", str(data_dir / "cp2.json"),
-                    "--kmax", "1", "--csv")
+def test_grade_csv_row(run_cli, data_dir):
+    result = run_cli("grade", "--setup", str(data_dir / "cp2.json"),
+                     "--kmax", "1", "--csv")
     lines = result.output.splitlines()
     assert lines[0] == "name,kind,degree,coset"
     assert "m_check_1,orbit,3,0" in lines
     assert "x0,interior,2,0" in lines
 
 
-def test_grade_degree_filter(runner, data_dir):
-    result = invoke(runner, "grade", "--setup", str(data_dir / "cp2.json"),
-                    "--kmax", "3", "--degree", "3", "--csv")
+def test_grade_degree_filter(run_cli, data_dir):
+    result = run_cli("grade", "--setup", str(data_dir / "cp2.json"),
+                     "--kmax", "3", "--degree", "3", "--csv")
     body = result.output.splitlines()[1:]
     assert body == ["m_check_1,orbit,3,0"]
 
 
-def test_dim_matches_library(runner, data_dir, tmp_path, cp2):
+def test_dim_matches_library(run_cli, data_dir, tmp_path, cp2):
     instance = tmp_path / "inst.json"
     instance.write_text(json.dumps({
         "kind": "cascade_y_to_y", "upper": "m_check_2",
@@ -138,12 +190,12 @@ def test_dim_matches_library(runner, data_dir, tmp_path, cp2):
     expect = pearls.cascade_dimension(cp2, pearls.YtoY(
         orbit_generator(cp2, "m", FibreFlag.CHECK, 2),
         orbit_generator(cp2, "M", FibreFlag.HAT, 1), 1))
-    result = invoke(runner, "dim", "--setup", str(data_dir / "cp2.json"),
-                    "--instance", str(instance))
+    result = run_cli("dim", "--setup", str(data_dir / "cp2.json"),
+                     "--instance", str(instance))
     assert result.output.splitlines()[-1] == f"dimension: {expect}"
 
 
-def test_dim_pearl_instance(runner, data_dir, tmp_path, cp2):
+def test_dim_pearl_instance(run_cli, data_dir, tmp_path, cp2):
     instance = tmp_path / "pearl.json"
     instance.write_text(json.dumps({
         "kind": "pearl_in_sigma", "upper": "M", "lower": "m",
@@ -151,53 +203,53 @@ def test_dim_pearl_instance(runner, data_dir, tmp_path, cp2):
     spec = pearls.PearlChainSpec(
         pearls.InSigma(cp2.sigma_point("m"), cp2.sigma_point("M")), ((1,),))
     expect = pearls.pearl_dimension(cp2, spec)
-    result = invoke(runner, "dim", "--setup", str(data_dir / "cp2.json"),
-                    "--instance", str(instance))
+    result = run_cli("dim", "--setup", str(data_dir / "cp2.json"),
+                     "--instance", str(instance))
     assert result.output.splitlines()[-1] == f"dimension: {expect}"
 
 
-def test_orient_fibre_sum(runner, tmp_path):
+def test_orient_fibre_sum(run_cli, tmp_path):
     instance = tmp_path / "fs.json"
     instance.write_text(json.dumps({
         "kind": "fibre_sum",
         "v1": {"dim": 1}, "v2": {"dim": 1}, "w": {"dim": 1},
         "f1": [[1]], "f2": [[1]]}))
-    result = invoke(runner, "orient", "--instance", str(instance))
+    result = run_cli("orient", "--instance", str(instance))
     assert "basis: (1,1)" in result.output
     assert "sign: +1" in result.output
 
 
-def test_orient_quotient(runner, tmp_path):
+def test_orient_quotient(run_cli, tmp_path):
     instance = tmp_path / "q.json"
     instance.write_text(json.dumps({
         "kind": "quotient",
         "total": {"dim": 2},
         "sub": {"dim": 1},
         "inclusion": [[0], [1]]}))
-    result = invoke(runner, "orient", "--instance", str(instance))
+    result = run_cli("orient", "--instance", str(instance))
     assert "basis: (1,0)" in result.output
     assert "sign: -1" in result.output
 
 
-def test_orient_rational_entries(runner, tmp_path):
+def test_orient_rational_entries(run_cli, tmp_path):
     instance = tmp_path / "r.json"
     instance.write_text(json.dumps({
         "kind": "fibre_sum",
         "v1": {"dim": 1}, "v2": {"dim": 1}, "w": {"dim": 1},
         "f1": [["1/2"]], "f2": [["3/2"]]}))
-    result = invoke(runner, "orient", "--instance", str(instance))
+    result = run_cli("orient", "--instance", str(instance))
     assert "basis: (3,1)" in result.output
 
 
-def test_morse_table(runner, data_dir):
-    result = invoke(runner, "morse", "--data",
-                    str(data_dir / "morse_lens3.json"))
+def test_morse_table(run_cli, data_dir):
+    result = run_cli("morse", "--data",
+                     str(data_dir / "morse_lens3.json"))
     assert "d^2 = 0: verified" in result.output
     assert any(line.split() == ["1", "0", "3"]
                for line in result.output.splitlines())
 
 
-def test_morse_checks_square_zero_once(runner, data_dir, monkeypatch):
+def test_morse_checks_square_zero_once(run_cli, data_dir, monkeypatch):
     calls = []
     check = morse._check_square_zero
 
@@ -206,13 +258,13 @@ def test_morse_checks_square_zero_once(runner, data_dir, monkeypatch):
         return check(*args)
 
     monkeypatch.setattr(morse, "_check_square_zero", counted)
-    result = invoke(runner, "morse", "--data",
-                    str(data_dir / "morse_lens3.json"))
+    result = run_cli("morse", "--data",
+                     str(data_dir / "morse_lens3.json"))
     assert result.exit_code == 0
     assert len(calls) == 1
 
 
-def test_morse_rejects_broken_boundary(runner, tmp_path):
+def test_morse_rejects_broken_boundary(run_cli, tmp_path):
     bad = tmp_path / "bad_morse.json"
     bad.write_text(json.dumps({
         "points": [{"name": "a", "index": 0}, {"name": "b1", "index": 1},
@@ -221,7 +273,7 @@ def test_morse_rejects_broken_boundary(runner, tmp_path):
                   {"source": "c", "target": "b2", "count": 1},
                   {"source": "b1", "target": "a", "count": 1},
                   {"source": "b2", "target": "a", "count": 1}]}))
-    result = runner.invoke(cli.main, ["morse", "--data", str(bad)])
+    result = run_cli("morse", "--data", str(bad))
     assert result.exit_code == 1
     assert "BoundarySquaredNonzero" in result.stderr
 
@@ -242,7 +294,7 @@ MALFORMED_INPUTS = {
 @pytest.mark.parametrize("command", ["morse", "orient", "dim"])
 @pytest.mark.parametrize("content", MALFORMED_INPUTS.values(),
                          ids=MALFORMED_INPUTS.keys())
-def test_malformed_input_is_one_error_line(runner, data_dir, tmp_path,
+def test_malformed_input_is_one_error_line(run_cli, data_dir, tmp_path,
                                            command, content):
     path = tmp_path / "malformed.json"
     path.write_text(content)
@@ -250,7 +302,7 @@ def test_malformed_input_is_one_error_line(runner, data_dir, tmp_path,
             "orient": ["orient", "--instance", str(path)],
             "dim": ["dim", "--setup", str(data_dir / "cp2.json"),
                     "--instance", str(path)]}[command]
-    result = runner.invoke(cli.main, args)
+    result = run_cli(*args)
     assert result.exit_code == 1
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
@@ -268,10 +320,9 @@ def _assert_exit_zero_or_one_error_line(result, context):
             (context, result.stderr)
 
 
-def _run_setup_command(runner, command, path):
+def _run_setup_command(run_cli, command, path):
     """Run one setup command; assert exit 0 or exit 1 with one error line."""
-    result = runner.invoke(cli.main, command + ["--setup", str(path)],
-                           catch_exceptions=False)
+    result = run_cli(*command, "--setup", str(path))
     _assert_exit_zero_or_one_error_line(result, command)
     return result
 
@@ -279,14 +330,14 @@ def _run_setup_command(runner, command, path):
 @pytest.mark.parametrize("command", SETUP_COMMANDS, ids=" ".join)
 @pytest.mark.parametrize("generators", [True, None, 3, "ab", {"A": 1}],
                          ids=["true", "null", "int", "string", "object"])
-def test_lattice_generators_must_be_a_list_of_strings(runner, data_dir,
+def test_lattice_generators_must_be_a_list_of_strings(run_cli, data_dir,
                                                       tmp_path, command,
                                                       generators):
     raw = json.loads((data_dir / "cp2.json").read_text())
     raw["lattice_sigma"]["generators"] = generators
     path = tmp_path / "setup.json"
     path.write_text(json.dumps(raw))
-    result = _run_setup_command(runner, command, path)
+    result = _run_setup_command(run_cli, command, path)
     assert result.exit_code == 1
     assert "generators must be a list of strings" in result.stderr
 
@@ -336,7 +387,7 @@ def _mutated_text(data, text, values):
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_mutated_setup_is_exit_zero_or_one_error_line(runner, data_dir, data):
+def test_mutated_setup_is_exit_zero_or_one_error_line(run_cli, data_dir, data):
     """One node of cp2.json replaced by a random JSON value or deleted, or
     the text truncated: every setup command exits 0, or 1 with one error
     line and no traceback."""
@@ -346,7 +397,7 @@ def test_mutated_setup_is_exit_zero_or_one_error_line(runner, data_dir, data):
         setup = Path(tmp) / "setup.json"
         setup.write_text(text)
         for command in SETUP_COMMANDS:
-            _run_setup_command(runner, command, setup)
+            _run_setup_command(run_cli, command, setup)
 
 
 # Numbers stay within [-3, 3] and strings carry no digits, so no mutation
@@ -380,7 +431,7 @@ MORSE_FILES = ("morse_circle", "morse_s2", "morse_hopf", "morse_lens3")
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_mutated_instance_is_exit_zero_or_one_error_line(runner, data_dir,
+def test_mutated_instance_is_exit_zero_or_one_error_line(run_cli, data_dir,
                                                          data):
     """A mutated or truncated Morse file, orient instance or dim instance:
     `morse`, `orient` and `dim` exit 0, or 1 with one error line and no
@@ -396,14 +447,13 @@ def test_mutated_instance_is_exit_zero_or_one_error_line(runner, data_dir,
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "instance.json"
         path.write_text(text)
-        result = runner.invoke(cli.main, command + [str(path)],
-                               catch_exceptions=False)
+        result = run_cli(*command, str(path))
     _assert_exit_zero_or_one_error_line(result, (command[0], text))
 
 
-def test_report_sections_cp2(runner, data_dir):
-    result = invoke(runner, "report", "--setup", str(data_dir / "cp2.json"),
-                    "--kmax", "3", "--classbound", "3")
+def test_report_sections_cp2(run_cli, data_dir):
+    result = run_cli("report", "--setup", str(data_dir / "cp2.json"),
+                     "--kmax", "3", "--classbound", "3")
     for section in ("## setup", "## generators", "## actions",
                     "## cascade catalog", "## certification"):
         assert section in result.output
@@ -411,9 +461,9 @@ def test_report_sections_cp2(runner, data_dir):
         in result.output
 
 
-def test_report_tau2_contains_case2(runner, data_dir):
-    result = invoke(runner, "report", "--setup", str(data_dir / "tau2.json"),
-                    "--kmax", "2", "--classbound", "2")
+def test_report_tau2_contains_case2(run_cli, data_dir):
+    result = run_cli("report", "--setup", str(data_dir / "tau2.json"),
+                     "--kmax", "2", "--classbound", "2")
     rows = [line.split() for line in result.output.splitlines()
             if line.startswith("m_check_2 m_hat_1")]
     assert any(row[2] == "2" for row in rows)
@@ -421,16 +471,16 @@ def test_report_tau2_contains_case2(runner, data_dir):
         in result.output
 
 
-def test_report_rank0_is_morse_only(runner, data_dir):
-    result = invoke(runner, "report", "--setup", str(data_dir / "rank0.json"),
-                    "--kmax", "2", "--classbound", "2")
+def test_report_rank0_is_morse_only(run_cli, data_dir):
+    result = run_cli("report", "--setup", str(data_dir / "rank0.json"),
+                     "--kmax", "2", "--classbound", "2")
     assert "certified: all feasible types in {Case0}" in result.output
 
 
-def test_report_rejects_inadmissible_profile(runner, data_dir):
-    result = runner.invoke(cli.main, [
+def test_report_rejects_inadmissible_profile(run_cli, data_dir):
+    result = run_cli(
         "report", "--setup", str(data_dir / "cp2.json"),
-        "--profile", "expr:rho;1;0"])
+        "--profile", "expr:rho;1;0")
     assert result.exit_code == 1
     assert "ProfileParseError" in result.stderr
     assert "h'' not positive" in result.stderr
@@ -448,20 +498,20 @@ def test_report_rejects_inadmissible_profile(runner, data_dir):
                               "inadmissible-profile", "levels",
                               "expr-zero-division", "expr-type",
                               "expr-math-domain"])
-def test_report_rejected_input_prints_nothing(runner, data_dir, extra):
+def test_report_rejected_input_prints_nothing(run_cli, data_dir, extra):
     """A rejected report writes no part of the document to stdout."""
-    result = runner.invoke(cli.main, [
-        "report", "--setup", str(data_dir / "cp2.json"), *extra])
+    result = run_cli(
+        "report", "--setup", str(data_dir / "cp2.json"), *extra)
     _assert_one_error_line(result)
 
 
-def test_report_accepts_custom_expr_profile(runner, data_dir):
-    result = invoke(runner, "report", "--setup", str(data_dir / "cp2.json"),
-                    "--profile", "expr:(rho-2)**2;2*(rho-2);2",
-                    "--levels", "2")
+def test_report_accepts_custom_expr_profile(run_cli, data_dir):
+    result = run_cli("report", "--setup", str(data_dir / "cp2.json"),
+                     "--profile", "expr:(rho-2)**2;2*(rho-2);2",
+                     "--levels", "2")
     assert result.exit_code == 0
-    quad = invoke(runner, "report", "--setup", str(data_dir / "cp2.json"),
-                  "--levels", "2")
+    quad = run_cli("report", "--setup", str(data_dir / "cp2.json"),
+                   "--levels", "2")
     strip = [line for line in result.output.splitlines()
              if not line.startswith("## actions")]
     strip_quad = [line for line in quad.output.splitlines()
@@ -469,15 +519,15 @@ def test_report_accepts_custom_expr_profile(runner, data_dir):
     assert strip == strip_quad
 
 
-def test_selftest_passes(runner):
-    result = invoke(runner, "selftest", "--instances", "5", "--seed", "3")
+def test_selftest_passes(run_cli):
+    result = run_cli("selftest", "--instances", "5", "--seed", "3")
     assert result.exit_code == 0
     assert result.output.startswith("selftest OK")
 
 
 @pytest.mark.parametrize("instances", ["0", "-1"])
-def test_selftest_rejects_vacuous_instance_count(runner, instances):
-    result = runner.invoke(cli.main, ["selftest", "--instances", instances])
+def test_selftest_rejects_vacuous_instance_count(run_cli, instances):
+    result = run_cli("selftest", "--instances", instances)
     line = _assert_one_error_line(result)
     assert f"instances must be >= 1, got {instances}" in line
 
@@ -491,13 +541,18 @@ def test_selftest_rejects_vacuous_instance_count(runner, instances):
 PACKAGE_ROOT = Path(cli.__file__).resolve().parents[1]
 
 
-def run_script(*args, flags=()):
-    """`python [flags] -m cascadix args` on the source tree under test."""
+def run_python(*argv):
+    """`python argv` with the source tree under test first on the path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(PACKAGE_ROOT), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *flags, "-m", "cascadix", *args],
+    return subprocess.run([sys.executable, *argv],
                           capture_output=True, env=env, timeout=120)
+
+
+def run_script(*args, flags=()):
+    """`python [flags] -m cascadix args` on the source tree under test."""
+    return run_python(*flags, "-m", "cascadix", *args)
 
 
 def test_golden_cp2_catalog(data_dir):
@@ -538,12 +593,26 @@ def test_launch_imports_only_the_engine_modules_it_runs(data_dir, tmp_path,
         "v1": {"dim": 1}, "v2": {"dim": 1}, "w": {"dim": 1},
         "f1": [[1]], "f2": [[1]]}))
     argv = [arg.format(data=data_dir, tmp=tmp_path) for arg in command]
-    proc = run_script(*argv, flags=("-X", "importtime"))
-    assert proc.returncode == 0, proc.stderr
-    loaded = {line.rsplit("|", 1)[-1].strip()
-              for line in proc.stderr.decode().splitlines()
-              if line.startswith("import time:")}
+    loaded = _imported("-m", "cascadix", *argv)
     cascadix_modules = {name for name in loaded
                         if name.split(".")[0] == "cascadix"}
     assert cascadix_modules == {"cascadix", "cascadix.cli", "cascadix.errors"} \
         | {f"cascadix.{name}" for name in engine}
+    # Beyond the package, only the standard library.  Exempt: what a bare
+    # `-c pass` loads (`site` may load third-party hooks), and names that
+    # are only tried and do not exist (`copy` tries `org.python.core`).
+    tops = {name.split(".")[0]
+            for name in loaded - _imported("-c", "pass")}
+    third_party = {top for top in tops - set(sys.stdlib_module_names)
+                   if top != "cascadix"
+                   and importlib.util.find_spec(top) is not None}
+    assert not third_party
+
+
+def _imported(*argv):
+    """Every module `python -X importtime argv` loads."""
+    proc = run_python("-X", "importtime", *argv)
+    assert proc.returncode == 0, proc.stderr
+    return {line.rsplit("|", 1)[-1].strip()
+            for line in proc.stderr.decode().splitlines()
+            if line.startswith("import time:")}

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 import oracles
 from cascadix.spectrum import (
+    MAX_POINTS,
     ComplexLinear,
     Side,
+    SpectralPoint,
     SpectrumError,
     VerticalC,
     cz_perturbed,
@@ -180,3 +182,52 @@ def test_degenerate_vertical_matches_complex_linear(a, b):
             for p in spectrum_window(VerticalC(0.0), lo, hi)] == \
         [(p.eigenvalue, p.winding)
          for p in spectrum_window(ComplexLinear(1), lo, hi)]
+
+
+def scan_window(op, lo, hi):
+    """Reference: walk the modes up from the window's first one until every
+    branch has left the window."""
+    if isinstance(op, ComplexLinear) or op.c == 0.0:
+        pts, j = [], math.ceil(lo / TWO_PI - LATTICE_TOL)
+        while j * TWO_PI <= hi + LATTICE_TOL:
+            if j * TWO_PI >= lo - LATTICE_TOL:
+                pts.append(SpectralPoint(j * TWO_PI, abs(j),
+                                         2 * op.complex_rank, j))
+            j += 1
+        return pts
+    c = op.c
+    pts = [SpectralPoint(ev, 0, 1, 0) for ev in (-c, 0.0) if lo <= ev <= hi]
+    k = 1
+    while (vertical_eigenvalue(c, k, +1) <= hi
+           or vertical_eigenvalue(c, k, -1) >= lo):
+        for branch in (-1, +1):
+            ev = vertical_eigenvalue(c, k, branch)
+            if lo <= ev <= hi:
+                pts.append(SpectralPoint(ev, k, 2, branch * k))
+        k += 1
+    return sorted(pts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(op=operators, a=ends, b=ends)
+def test_window_matches_mode_scan(op, a, b):
+    """The closed-form mode range lists exactly what the scan lists."""
+    lo, hi = min(a, b), max(a, b)
+    assert spectrum_window(op, lo, hi) == scan_window(op, lo, hi)
+
+
+@pytest.mark.parametrize("op, lo, hi, reason", [
+    (VerticalC(0.0), 0.0, (MAX_POINTS + 2) * TWO_PI, "more than"),
+    (ComplexLinear(1), -1e15, 0.0, "more than"),
+    (VerticalC(1.0), 0.0, 1e15, "more than"),
+    (VerticalC(1e20), -7.0, 7.0, "more than"),
+    (VerticalC(0.0), 1e17, 1e17, "not distinct"),
+    (VerticalC(1.0), -1e300, -1e300, "not distinct"),
+    (VerticalC(1e12), 0.0, 1.0, "not distinct"),
+    (VerticalC(1e20), 1.0, 1.00001, "not distinct"),
+    (VerticalC(1e10), 0.0, 4e-4, "not distinct"),   # low modes all read 0
+])
+def test_window_beyond_float_or_size_is_rejected(op, lo, hi, reason):
+    """Too many points, or points float rounding merges, raise at once."""
+    with pytest.raises(SpectrumError, match=reason):
+        spectrum_window(op, lo, hi)
