@@ -42,9 +42,12 @@ from .grading import (
     Generator,
     InteriorGenerator,
     OrbitGenerator,
+    augmentation_index,
     enumerate_generators,
+    filling_class_term,
     grade,
     grade_reeb,
+    multiplicity_balance,
 )
 from .model import (
     FibreFlag,
@@ -55,8 +58,6 @@ from .model import (
     class_of_area,
     pair,
 )
-from .pearls import (augmentation_index, filling_class_term,
-                     multiplicity_balance)
 
 BUDGET_CAP_Y_TO_Y = Fraction(1)
 BUDGET_CAP_W_TO_Y = Fraction(0)

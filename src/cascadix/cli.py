@@ -57,17 +57,6 @@ def existing_file(value: str) -> str:
     return value
 
 
-def guarded(fn):
-    @functools.wraps(fn)
-    def inner(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except CascadixError as exc:
-            print(f"error: {exc.qualified()}", file=sys.stderr)
-            sys.exit(1)
-    return inner
-
-
 # keywords of a required option naming an existing file
 FILE = dict(required=True, type=existing_file, metavar="FILE")
 SETUP_OPT = option("--setup", dest="setup_path", help="setup descriptor JSON",
@@ -125,7 +114,6 @@ def _generator_by_name(setup, name):
 
 
 @command("validate", SETUP_OPT)
-@guarded
 def validate(setup_path):
     """Check a setup file against all structural invariants."""
     from .model import format_rational, load_setup
@@ -167,7 +155,6 @@ def _generator_rows(setup, k_max, degree):
                 help="keep only generators of this exact degree (e.g. 7/3)"),
          option("--csv", dest="as_csv", action="store_true",
                 help="emit CSV instead of text"))
-@guarded
 def grade(setup_path, kmax, degree, as_csv):
     """List generators with their degrees."""
     from .model import load_setup, parse_rational
@@ -193,7 +180,6 @@ def grade(setup_path, kmax, degree, as_csv):
                 help="use the complex-linear operator of this rank instead"),
          option("--window", default="-7,7",
                 help="eigenvalue window lo,hi" + DEFAULT))
-@guarded
 def spectrum_cmd(c_value, complex_rank, window):
     """Eigenvalues, multiplicities, and windings in a window."""
     from . import spectrum
@@ -228,7 +214,6 @@ def spectrum_cmd(c_value, complex_rank, window):
                 help="negative-end orbit type" + DEFAULT),
          option("--aug", type=int, default=0,
                 help="number of interior augmentation punctures" + DEFAULT))
-@guarded
 def index_cmd(n, c1, bottom, aug):
     """Fredholm index breakdown of one split cylinder."""
     from . import fredholm
@@ -252,7 +237,8 @@ def index_cmd(n, c1, bottom, aug):
 # --- dim ---------------------------------------------------------------
 
 
-def _pearl_spec(setup, raw):
+def _pearl_measure(setup, raw):
+    """The `pearls` function for a pearl chain instance, its pieces bound."""
     from . import pearls
 
     classes = tuple(tuple(int(c) for c in a) for a in raw.get("classes", []))
@@ -262,37 +248,40 @@ def _pearl_spec(setup, raw):
     aug_count = int(raw.get("aug_count",
                             len(aug_classes) if aug_classes else 0))
     if raw["kind"] == "pearl_in_sigma":
-        variant = pearls.InSigma(setup.sigma_point(raw["lower"]),
-                                 setup.sigma_point(raw["upper"]))
-    else:
-        variant = pearls.WithSphereInX(setup.w_point(raw["interior"]),
-                                       setup.sigma_point(raw["upper"]),
-                                       tuple(int(c) for c in raw["sphere"]))
-    return pearls.PearlChainSpec(variant, classes, aug_count, aug_classes)
+        return functools.partial(
+            pearls.pearl_in_sigma_dimension, setup,
+            setup.sigma_point(raw["lower"]), setup.sigma_point(raw["upper"]),
+            classes, aug_count, aug_classes)
+    return functools.partial(
+        pearls.pearl_with_sphere_dimension, setup,
+        setup.w_point(raw["interior"]), setup.sigma_point(raw["upper"]),
+        tuple(int(c) for c in raw["sphere"]), classes, aug_count, aug_classes)
 
 
-def _cascade_shape(setup, raw):
+def _cascade_measure(setup, raw):
+    """The `pearls` function for a cascade instance, its pieces bound."""
     from . import pearls
 
     kind = raw["kind"]
     upper = _generator_by_name(setup, raw["upper"])
     if kind == "cascade_zero":
-        return pearls.ZeroCascades(upper, _generator_by_name(setup, raw["lower"]))
+        return functools.partial(pearls.zero_cascade_dimension, setup, upper,
+                                 _generator_by_name(setup, raw["lower"]))
     if kind == "cascade_y_to_y":
-        return pearls.YtoY(upper, _generator_by_name(setup, raw["lower"]),
-                           int(raw["levels"]))
-    return pearls.WtoY(upper, _generator_by_name(setup, raw["interior"]),
-                       int(raw["levels"]))
+        return functools.partial(pearls.y_to_y_dimension, setup, upper,
+                                 _generator_by_name(setup, raw["lower"]),
+                                 int(raw["levels"]))
+    return functools.partial(pearls.w_to_y_dimension, setup, upper,
+                             _generator_by_name(setup, raw["interior"]),
+                             int(raw["levels"]))
 
 
 @command("dim",
          SETUP_OPT,
          option("--instance", dest="instance_path",
                 help="JSON describing one pearl chain or cascade", **FILE))
-@guarded
 def dim_cmd(setup_path, instance_path):
     """Expected dimension of one configuration space."""
-    from . import pearls
     from .model import load_setup
 
     setup = load_setup(setup_path)
@@ -300,14 +289,13 @@ def dim_cmd(setup_path, instance_path):
     kind = raw.get("kind")
     if kind in ("pearl_in_sigma", "pearl_with_sphere"):
         with _instance_fields():
-            spec = _pearl_spec(setup, raw)
-        value = pearls.pearl_dimension(setup, spec)
+            measure = _pearl_measure(setup, raw)
     elif kind in ("cascade_zero", "cascade_y_to_y", "cascade_w_to_y"):
         with _instance_fields():
-            shape = _cascade_shape(setup, raw)
-        value = pearls.cascade_dimension(setup, shape)
+            measure = _cascade_measure(setup, raw)
     else:
         raise CascadixError(f"unknown instance kind {kind!r}")
+    value = measure()
     print(f"kind: {kind}")
     print(f"dimension: {value}")
 
@@ -355,7 +343,6 @@ def _catalog_rows(setup, types):
                 help="area bound for sphere classes" + DEFAULT),
          option("--text", dest="as_text", action="store_true",
                 help="aligned text instead of CSV"))
-@guarded
 def enumerate_cmd(setup_path, target, all_targets, kmax, classbound, as_text):
     """Catalog of feasible cascade types, one row per type."""
     from . import cascades, grading
@@ -409,7 +396,6 @@ def _map_from(raw):
 @command("orient",
          option("--instance", dest="instance_path",
                 help="JSON with spaces, maps, and signs", **FILE))
-@guarded
 def orient_cmd(instance_path):
     """Oriented kernel of a fibre sum, or a quotient representative."""
     from fractions import Fraction
@@ -446,7 +432,6 @@ def orient_cmd(instance_path):
 @command("morse",
          option("--data", dest="data_path",
                 help="Morse complex JSON (plain or lifted)", **FILE))
-@guarded
 def morse_cmd(data_path):
     """Boundary matrices, d^2 check, homology table."""
     from . import morse
@@ -479,7 +464,6 @@ def morse_cmd(data_path):
                 help="Hamiltonian profile for the action table" + DEFAULT),
          option("--levels", type=int, default=5,
                 help="orbit multiplicities in the action table" + DEFAULT))
-@guarded
 def report_cmd(setup_path, kmax, classbound, profile_spec, levels):
     """One document: generators, actions, cascade catalog, certification."""
     from . import cascades, profiles
@@ -538,7 +522,6 @@ def report_cmd(setup_path, kmax, classbound, profile_spec, levels):
 @command("selftest",
          option("--seed", type=int, default=0, help=DEFAULT),
          option("--instances", type=int, default=50, help=DEFAULT))
-@guarded
 def selftest_cmd(seed, instances):
     """Exhaustive crossing identity plus randomized orientation properties."""
     from . import selfcheck
@@ -631,6 +614,9 @@ def main(args=None, prog_name="cascadix"):
         COMMANDS[name][0](**kwargs)
     except UsageError as exc:
         subparsers.choices[name].error(str(exc))
+    except CascadixError as exc:
+        print(f"error: {exc.qualified()}", file=sys.stderr)
+        sys.exit(1)
     except BrokenPipeError:
         # The reader closed stdout early (`| head`): exit 1 without a
         # traceback, and keep the final flush from raising again.

@@ -233,7 +233,7 @@ def split_cylinder_problems(
     return vertical, horizontal
 
 
-def glue(problem_a: PuncturedProblem, index_a: int, problem_b: PuncturedProblem,
+def glue(problem_a: PuncturedProblem, problem_b: PuncturedProblem,
          puncture_a: int, puncture_b: int) -> PuncturedProblem:
     """Glue puncture_a of problem_a to puncture_b of problem_b.
 

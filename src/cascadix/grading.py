@@ -6,6 +6,10 @@ and interior critical points of the filling's Morse function.  Degrees are
 rationals in general; two generators interact only when their degrees differ
 by an integer, so the grading group splits into cosets indexed by the
 fractional part.
+
+The per-piece index terms the cascade solver adds up live here too: the
+filling class term 2(<c1(TX), B> - B.Sigma), the winding balance across one
+cascade level and the deformation index of an augmentation plane.
 """
 
 from __future__ import annotations
@@ -33,6 +37,10 @@ class UnknownCriticalPoint(CascadixError):
 
 class CapMismatch(CascadixError):
     """Capping class intersection number disagrees with the winding."""
+
+
+class NonPositiveArea(CascadixError):
+    """Augmentation plane class has non-positive symplectic area."""
 
 
 @dataclass(frozen=True)
@@ -120,7 +128,7 @@ def cz_cap(setup: SetupDescriptor, gen: OrbitGenerator,
     """Degree computed through a capping class B in the filling.
 
     B must intersect the divisor exactly k times.  The value
-    (lifted index) + 1 - n - 2k + 2<c1(TX), B> then agrees with `grade`;
+    (lifted index) + 1 - n + 2(<c1(TX), B> - k) then agrees with `grade`;
     the agreement is a consequence of monotonicity, not an input.
     """
     if not isinstance(gen, OrbitGenerator):
@@ -130,8 +138,59 @@ def cz_cap(setup: SetupDescriptor, gen: OrbitGenerator,
         raise CapMismatch(
             f"capping class meets the divisor {inter} times, orbit winds {gen.k}"
         )
-    c1b = pair(setup.lattice_x, class_b, Functional.C1)
-    return Fraction(gen.point.lifted_index + 1 - setup.n - 2 * gen.k) + 2 * c1b
+    return Fraction(gen.point.lifted_index + 1 - setup.n) \
+        + filling_class_term(setup, class_b)
+
+
+def filling_class_term(setup: SetupDescriptor,
+                       class_b: Sequence[int]) -> Fraction:
+    """2(<c1(TX), B> - B.Sigma): the index a filling class B contributes."""
+    return 2 * (pair(setup.lattice_x, class_b, Functional.C1)
+                - pair(setup.lattice_x, class_b, Functional.SIGMA_INTERSECTION))
+
+
+def multiplicity_balance(setup: SetupDescriptor, class_a: Sequence[int],
+                         k_plus: int, k_minus: int,
+                         aug_multiplicities: Sequence[int]) -> bool:
+    """Winding bookkeeping across one cascade level.
+
+    True iff k_plus - k_minus - sum(aug) equals K * omega(A) exactly, and the
+    level is winding-increasing (k_plus > k_minus) whenever it is
+    non-trivial (A nonzero or augmented).
+    """
+    omega_a = pair(setup.lattice_sigma, class_a, Functional.OMEGA)
+    lhs = Fraction(k_plus - k_minus - sum(aug_multiplicities))
+    if lhs != setup.k_const * omega_a:
+        return False
+    if (any(class_a) or len(aug_multiplicities) > 0) and not k_plus > k_minus:
+        return False
+    return True
+
+
+def augmentation_index(setup: SetupDescriptor, class_b: Sequence[int],
+                       covering_m: int = 1) -> Fraction:
+    """Deformation index 2(<c1(TX), B> - B.Sigma - 1) of an augmentation plane.
+
+    Raises NonPositiveArea unless omega(B) > 0.  On a valid monotone setup
+    the value is never negative, and an m-fold covered plane has index at
+    least 2(m - 1); both bounds are re-checked here and their failure means
+    the input data is not what it claims to be.
+    """
+    if covering_m < 1:
+        raise CascadixError(f"covering multiplicity must be >= 1, got {covering_m}")
+    area = pair(setup.lattice_x, class_b, Functional.OMEGA)
+    if area <= 0:
+        raise NonPositiveArea(f"omega(B) = {area} is not positive")
+    value = filling_class_term(setup, class_b) - 2
+    if value < 0:
+        raise CascadixError(
+            f"augmentation index {value} negative on a positive-area class"
+        )
+    if covering_m > 1 and value < 2 * (covering_m - 1):
+        raise CascadixError(
+            f"index {value} below the covered-plane floor {2 * (covering_m - 1)}"
+        )
+    return value
 
 
 def coset_label(setup: SetupDescriptor, gen: Generator) -> Fraction:

@@ -91,12 +91,6 @@ class MorseData:
                     f"flow {f.source} -> {f.target} drops index by {drop}, "
                     "need exactly 1")
 
-    def point(self, name: str) -> MorsePoint:
-        for p in self.points:
-            if p.name == name:
-                return p
-        raise CascadixError(f"unknown critical point {name!r}")
-
     def max_index(self) -> int:
         return max((p.index for p in self.points), default=-1)
 

@@ -223,7 +223,6 @@ def orbit_level(profile: Profile, k: int, t0) -> OrbitLevel:
 @dataclass(frozen=True)
 class AdmissibilityReport:
     ok: bool
-    checked_points: int
     first_violation: Optional[str]
 
     @property
@@ -243,27 +242,25 @@ def check_admissible(profile: Profile, samples: int = 240) -> AdmissibilityRepor
     """
     for r in (0.0, 1.0, 1.7, 2.0):
         if profile.h(r) != 0.0:
-            return AdmissibilityReport(False, 0, f"h not zero at rho={r:g}")
+            return AdmissibilityReport(False, f"h not zero at rho={r:g}")
 
-    checked = 0
     for i in range(samples):
         e = -40.0 + 60.0 * i / (samples - 1)
         r = 2.0 + 2.0 ** e
-        checked += 1
         hp = profile.h_prime(r)
         if not hp > 0.0:
-            return AdmissibilityReport(False, checked, f"h' not positive at rho={r:.6g}")
+            return AdmissibilityReport(False, f"h' not positive at rho={r:.6g}")
         hpp = profile.h_double_prime(r)
         if not hpp > 0.0:
-            return AdmissibilityReport(False, checked, f"h'' not positive at rho={r:.6g}")
+            return AdmissibilityReport(False, f"h'' not positive at rho={r:.6g}")
         if r - 2.0 >= 1e-4:
             d = (r - 2.0) * 1e-4
             fd = (profile.h(r + d) - profile.h(r - d)) / (2.0 * d)
             tol = 1e-6 * max(1.0, abs(hp), abs(fd))
             if abs(fd - hp) > tol:
                 return AdmissibilityReport(
-                    False, checked,
+                    False,
                     f"h' disagrees with finite difference at rho={r:.6g} "
                     f"({hp:.6g} vs {fd:.6g})",
                 )
-    return AdmissibilityReport(True, checked, None)
+    return AdmissibilityReport(True, None)

@@ -126,14 +126,16 @@ def associativity_verdict(instance):
     return frame_orientations_agree(lf, rf)
 
 
-def run_associativity_trials(seed, instances):
-    """Check `instances` surjective triples; return the failing ones."""
+def _trials(seed, instances, check):
+    """Draw triples until `instances` of them were checked; return the failing
+    ones.  check(rng, triple) returns None to skip the draw, else whether the
+    property holds."""
     rng = random.Random(seed)
     failures = []
     checked = 0
     while checked < instances:
         inst = random_triple(rng)
-        verdict = associativity_verdict(inst)
+        verdict = check(rng, inst)
         if verdict is None:
             continue
         if not verdict:
@@ -142,18 +144,20 @@ def run_associativity_trials(seed, instances):
     return failures
 
 
+def run_associativity_trials(seed, instances):
+    """Check `instances` surjective triples; return the failing ones."""
+    return _trials(seed, instances,
+                   lambda rng, inst: associativity_verdict(inst))
+
+
 def run_basis_independence_trials(seed, instances):
     """Positive-determinant basis changes must fix every output sign."""
-    rng = random.Random(seed)
-    failures = []
-    checked = 0
-    while checked < instances:
-        inst = random_triple(rng)
+    def check(rng, inst):
         v1, v2, v3, w12, w23, f1, f2, g2, g3 = inst
         try:
             base = fibre_sum_orientation(v1, v2, w12, f1, f2)
         except NotSurjective:
-            continue
+            return None
         transformed = []
         for space in (v1, v2, w12):
             p = random_positive_transform(rng, space.dim)
@@ -161,10 +165,9 @@ def run_basis_independence_trials(seed, instances):
             transformed.append(OrientedSpace(space.dim, new_basis, space.sign))
         again = fibre_sum_orientation(transformed[0], transformed[1],
                                       transformed[2], f1, f2)
-        if again.sign != base.sign:
-            failures.append(inst)
-        checked += 1
-    return failures
+        return again.sign == base.sign
+
+    return _trials(seed, instances, check)
 
 
 def run_flip_trials(seed, instances, which):
@@ -175,27 +178,23 @@ def run_flip_trials(seed, instances, which):
     for the "w" runner.
     """
     slot = {"v1": 0, "v2": 1, "w": 2}[which]
-    rng = random.Random(seed)
-    failures = []
-    checked = 0
-    while checked < instances:
-        inst = random_triple(rng)
+
+    def check(rng, inst):
         v1, v2, v3, w12, w23, f1, f2, g2, g3 = inst
         if which == "w" and w12.dim == 0:
-            continue
+            return None
         try:
             base = fibre_sum_orientation(v1, v2, w12, f1, f2)
         except NotSurjective:
-            continue
+            return None
         spaces = [v1, v2, w12]
         old = spaces[slot]
         spaces[slot] = OrientedSpace(old.dim, old.reference_basis, -old.sign)
         flipped = fibre_sum_orientation(spaces[0], spaces[1], spaces[2],
                                         f1, f2)
-        if flipped.sign != -base.sign or flipped.vectors != base.vectors:
-            failures.append(inst)
-        checked += 1
-    return failures
+        return flipped.sign == -base.sign and flipped.vectors == base.vectors
+
+    return _trials(seed, instances, check)
 
 
 def crossing_identity_failures():

@@ -29,14 +29,14 @@ from cascadix.fredholm import (
     split_cylinder_problems,
     split_floer_index,
 )
-from cascadix.grading import InteriorGenerator, OrbitGenerator
-from cascadix.model import FibreFlag, Functional, pair
-from cascadix.pearls import (
+from cascadix.grading import (
+    InteriorGenerator,
+    OrbitGenerator,
     augmentation_index,
-    chern_gate_applies,
     multiplicity_balance,
-    rigid_plane_classes,
 )
+from cascadix.model import FibreFlag, Functional, pair
+from cascadix.pearls import chern_gate_applies, rigid_plane_classes
 from cascadix.spectrum import ComplexLinear, Side, VerticalC
 
 TWO_PI = 2.0 * math.pi

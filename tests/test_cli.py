@@ -187,9 +187,9 @@ def test_dim_matches_library(run_cli, data_dir, tmp_path, cp2):
     instance.write_text(json.dumps({
         "kind": "cascade_y_to_y", "upper": "m_check_2",
         "lower": "M_hat_1", "levels": 1}))
-    expect = pearls.cascade_dimension(cp2, pearls.YtoY(
-        orbit_generator(cp2, "m", FibreFlag.CHECK, 2),
-        orbit_generator(cp2, "M", FibreFlag.HAT, 1), 1))
+    expect = pearls.y_to_y_dimension(
+        cp2, orbit_generator(cp2, "m", FibreFlag.CHECK, 2),
+        orbit_generator(cp2, "M", FibreFlag.HAT, 1), 1)
     result = run_cli("dim", "--setup", str(data_dir / "cp2.json"),
                      "--instance", str(instance))
     assert result.output.splitlines()[-1] == f"dimension: {expect}"
@@ -200,12 +200,61 @@ def test_dim_pearl_instance(run_cli, data_dir, tmp_path, cp2):
     instance.write_text(json.dumps({
         "kind": "pearl_in_sigma", "upper": "M", "lower": "m",
         "classes": [[1]], "aug_count": 0}))
-    spec = pearls.PearlChainSpec(
-        pearls.InSigma(cp2.sigma_point("m"), cp2.sigma_point("M")), ((1,),))
-    expect = pearls.pearl_dimension(cp2, spec)
+    expect = pearls.pearl_in_sigma_dimension(
+        cp2, cp2.sigma_point("m"), cp2.sigma_point("M"), ((1,),))
     result = run_cli("dim", "--setup", str(data_dir / "cp2.json"),
                      "--instance", str(instance))
     assert result.output.splitlines()[-1] == f"dimension: {expect}"
+
+
+VARIANT_MISMATCH = "error: pearls: VariantMismatch: "
+IN_SIGMA = {"kind": "pearl_in_sigma", "lower": "m", "upper": "M",
+            "classes": [[1]], "aug_classes": [[1]]}
+WITH_SPHERE = {"kind": "pearl_with_sphere", "interior": "x0", "upper": "m",
+               "sphere": [1], "classes": [[0]]}
+Y_TO_Y = {"kind": "cascade_y_to_y", "upper": "m_check_2", "lower": "M_hat_1",
+          "levels": 2}
+W_TO_Y = {"kind": "cascade_w_to_y", "upper": "m_check_1", "interior": "x0",
+          "levels": 1}
+DIM_CASES = {
+    "pearl_in_sigma": (IN_SIGMA, 0, "dimension: 10"),
+    "pearl_with_sphere": (WITH_SPHERE, 0, "dimension: 2"),
+    "cascade_zero": ({"kind": "cascade_zero", "upper": "m_hat_1",
+                      "lower": "m_check_1"}, 0, "dimension: 1"),
+    "cascade_y_to_y": (Y_TO_Y, 0, "dimension: 2"),
+    "cascade_w_to_y": (W_TO_Y, 0, "dimension: 2"),
+    "y_to_y_no_level": ({**Y_TO_Y, "levels": 0}, 1,
+                        "Y-to-Y cascades need at least one level"),
+    "w_to_y_no_level": ({**W_TO_Y, "levels": 0}, 1,
+                        "W-to-Y cascades need at least one level"),
+    "sphere_without_spheres": ({**WITH_SPHERE, "classes": []}, 1,
+                               "sphere-in-X chains need at least one sphere"),
+    "zero_filling_sphere": ({**WITH_SPHERE, "sphere": [0]}, 1,
+                            "filling sphere class must be nonzero"),
+    "aug_classes_short": ({**IN_SIGMA, "aug_count": 2}, 1,
+                          "1 augmentation classes for count 2"),
+    "aug_count_negative": ({**IN_SIGMA, "aug_classes": None,
+                            "aug_count": -1}, 1,
+                           "augmentation count must be >= 0"),
+}
+
+
+@pytest.mark.parametrize("instance, code, line", DIM_CASES.values(),
+                         ids=DIM_CASES.keys())
+def test_dim_bytes(run_cli, data_dir, tmp_path, instance, code, line):
+    """`dim` on cp2: the value of each instance kind, and one error line
+    with exit 1 for each single fault the engine refuses."""
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(instance))
+    result = run_cli("dim", "--setup", str(data_dir / "cp2.json"),
+                     "--instance", str(path))
+    assert result.exit_code == code
+    if code == 0:
+        assert result.stdout == f"kind: {instance['kind']}\n{line}\n"
+        assert result.stderr == ""
+    else:
+        assert result.stdout == ""
+        assert result.stderr == VARIANT_MISMATCH + line + "\n"
 
 
 def test_orient_fibre_sum(run_cli, tmp_path):
@@ -585,13 +634,22 @@ def test_enumerate_byte_deterministic(data_dir, command):
     (["orient", "--instance", "{tmp}/fs.json"], {"orientation"}),
     (["validate", "--setup", "{data}/cp2.json"], {"model"}),
     (["--help"], set()),
-], ids=["morse", "orient", "validate", "help"])
+    (["report", "--setup", "{data}/cp2.json"],
+     {"model", "grading", "cascades", "profiles"}),
+    (["enumerate", "--setup", "{data}/cp2.json", "--all-targets"],
+     {"model", "grading", "cascades"}),
+    (["grade", "--setup", "{data}/cp2.json"], {"model", "grading"}),
+    (["dim", "--setup", "{data}/cp2.json", "--instance", "{tmp}/yy.json"],
+     {"model", "grading", "pearls"}),
+], ids=["morse", "orient", "validate", "help", "report", "enumerate",
+        "grade", "dim"])
 def test_launch_imports_only_the_engine_modules_it_runs(data_dir, tmp_path,
                                                         command, engine):
     (tmp_path / "fs.json").write_text(json.dumps({
         "kind": "fibre_sum",
         "v1": {"dim": 1}, "v2": {"dim": 1}, "w": {"dim": 1},
         "f1": [[1]], "f2": [[1]]}))
+    (tmp_path / "yy.json").write_text(json.dumps(Y_TO_Y))
     argv = [arg.format(data=data_dir, tmp=tmp_path) for arg in command]
     loaded = _imported("-m", "cascadix", *argv)
     cascadix_modules = {name for name in loaded

@@ -7,116 +7,110 @@ from hypothesis import strategies as st
 import oracles
 
 from cascadix.errors import CascadixError
-from cascadix.grading import grade, interior_generator, orbit_generator
+from cascadix.grading import (
+    NonPositiveArea,
+    augmentation_index,
+    grade,
+    interior_generator,
+    multiplicity_balance,
+    orbit_generator,
+)
 from cascadix.model import FibreFlag
 from cascadix.pearls import (
-    InSigma,
     NonIntegerDegreeDifference,
-    NonPositiveArea,
-    PearlChainSpec,
     VariantMismatch,
-    WithSphereInX,
-    WtoY,
-    YtoY,
-    ZeroCascades,
-    augmentation_index,
-    cascade_dimension,
     chern_gate_applies,
-    multiplicity_balance,
-    pearl_dimension,
+    pearl_in_sigma_dimension,
+    pearl_with_sphere_dimension,
     rigid_plane_classes,
+    w_to_y_dimension,
+    y_to_y_dimension,
+    zero_cascade_dimension,
 )
 
 
 class TestPearlDimension:
     def test_in_sigma_one_sphere(self, cp2):
         m = cp2.sigma_point("m")
-        spec = PearlChainSpec(InSigma(q=m, p=m), ((1,),))
-        assert pearl_dimension(cp2, spec) == oracles.PEARL_IN_SIGMA_EXAMPLE
+        assert pearl_in_sigma_dimension(cp2, m, m, ((1,),)) == \
+            oracles.PEARL_IN_SIGMA_EXAMPLE
 
     def test_in_sigma_augmented(self, cp2):
         m = cp2.sigma_point("m")
-        spec = PearlChainSpec(InSigma(q=m, p=m), ((0,),),
-                              aug_count_k=1, aug_classes=((1,),))
-        assert pearl_dimension(cp2, spec) == oracles.PEARL_IN_SIGMA_AUGMENTED
+        assert pearl_in_sigma_dimension(cp2, m, m, ((0,),), aug_count=1,
+                                        aug_classes=((1,),)) == \
+            oracles.PEARL_IN_SIGMA_AUGMENTED
 
     def test_count_only_augmentation_term(self, cp2):
         m = cp2.sigma_point("m")
-        spec = PearlChainSpec(InSigma(q=m, p=m), ((0,),), aug_count_k=1)
-        assert pearl_dimension(cp2, spec) == 2
+        assert pearl_in_sigma_dimension(cp2, m, m, ((0,),), aug_count=1) == 2
 
     def test_with_sphere_in_x(self, cp2):
         m = cp2.sigma_point("m")
         x = cp2.w_point("x0")
-        spec = PearlChainSpec(WithSphereInX(x=x, p=m, sphere_b=(1,)), ((0,),))
-        assert pearl_dimension(cp2, spec) == oracles.PEARL_WITH_SPHERE_EXAMPLE
+        assert pearl_with_sphere_dimension(cp2, x, m, (1,), ((0,),)) == \
+            oracles.PEARL_WITH_SPHERE_EXAMPLE
 
     def test_zero_sphere_gradient_line(self, cp2):
         m, top = cp2.sigma_point("m"), cp2.sigma_point("M")
-        spec = PearlChainSpec(InSigma(q=m, p=top), ())
-        assert pearl_dimension(cp2, spec) == 2 - 0 - 1
+        assert pearl_in_sigma_dimension(cp2, m, top, ()) == 2 - 0 - 1
 
     def test_sphere_in_x_needs_sphere(self, cp2):
         m, x = cp2.sigma_point("m"), cp2.w_point("x0")
         with pytest.raises(VariantMismatch):
-            pearl_dimension(cp2, PearlChainSpec(
-                WithSphereInX(x=x, p=m, sphere_b=(1,)), ()))
+            pearl_with_sphere_dimension(cp2, x, m, (1,), ())
         with pytest.raises(VariantMismatch):
-            pearl_dimension(cp2, PearlChainSpec(
-                WithSphereInX(x=x, p=m, sphere_b=(0,)), ((0,),)))
+            pearl_with_sphere_dimension(cp2, x, m, (0,), ((0,),))
 
     def test_ambient_checks(self, cp2):
         m, x = cp2.sigma_point("m"), cp2.w_point("x0")
         with pytest.raises(VariantMismatch):
-            pearl_dimension(cp2, PearlChainSpec(InSigma(q=x, p=m), ()))
+            pearl_in_sigma_dimension(cp2, x, m, ())
         with pytest.raises(VariantMismatch):
-            pearl_dimension(cp2, PearlChainSpec(
-                WithSphereInX(x=m, p=m, sphere_b=(1,)), ((0,),)))
+            pearl_with_sphere_dimension(cp2, m, m, (1,), ((0,),))
 
     def test_aug_length_mismatch(self, cp2):
         m = cp2.sigma_point("m")
         with pytest.raises(VariantMismatch):
-            pearl_dimension(cp2, PearlChainSpec(
-                InSigma(q=m, p=m), ((0,),), aug_count_k=2, aug_classes=((1,),)))
+            pearl_in_sigma_dimension(cp2, m, m, ((0,),), aug_count=2,
+                                     aug_classes=((1,),))
 
     @given(n_spheres=st.integers(0, 4), k=st.integers(0, 3))
     @settings(max_examples=40)
     def test_each_sphere_adds_c1_plus_one(self, cp2, n_spheres, k):
         m = cp2.sigma_point("m")
-        spec = PearlChainSpec(InSigma(q=m, p=m),
-                              tuple((1,) for _ in range(n_spheres)),
-                              aug_count_k=k)
-        assert pearl_dimension(cp2, spec) == 5 * n_spheres - 1 + 2 * k
+        classes = tuple((1,) for _ in range(n_spheres))
+        assert pearl_in_sigma_dimension(cp2, m, m, classes, aug_count=k) == \
+            5 * n_spheres - 1 + 2 * k
 
 
 class TestCascadeDimension:
     def test_zero_cascades_check_to_hat(self, cp2):
         up = orbit_generator(cp2, "m", FibreFlag.HAT, 1)
         lo = orbit_generator(cp2, "m", FibreFlag.CHECK, 1)
-        assert cascade_dimension(cp2, ZeroCascades(up, lo)) == \
+        assert zero_cascade_dimension(cp2, up, lo) == \
             oracles.CASCADE_N0_EXAMPLE
 
     def test_y_to_y_example(self, cp2):
         up = orbit_generator(cp2, "m", FibreFlag.CHECK, 2)
         lo = orbit_generator(cp2, "M", FibreFlag.HAT, 1)
-        shape = YtoY(up, lo, levels=1)
-        assert cascade_dimension(cp2, shape) == oracles.CASCADE_YY_EXAMPLE
+        assert y_to_y_dimension(cp2, up, lo, levels=1) == \
+            oracles.CASCADE_YY_EXAMPLE
         assert grade(cp2, up) - grade(cp2, lo) == 1
 
     def test_w_to_y_example(self, cp2):
         up = orbit_generator(cp2, "m", FibreFlag.CHECK, 1)
         x = interior_generator(cp2, "x0")
-        assert cascade_dimension(cp2, WtoY(up, x, levels=1)) == \
+        assert w_to_y_dimension(cp2, up, x, levels=1) == \
             oracles.CASCADE_WY_EXAMPLE
 
     def test_level_count_shifts(self, cp2):
         up = orbit_generator(cp2, "m", FibreFlag.CHECK, 2)
         lo = orbit_generator(cp2, "M", FibreFlag.HAT, 1)
-        dims = [cascade_dimension(cp2, YtoY(up, lo, levels=nn))
-                for nn in (1, 2, 3)]
+        dims = [y_to_y_dimension(cp2, up, lo, levels=nn) for nn in (1, 2, 3)]
         assert dims == [1, 2, 3]
         with pytest.raises(CascadixError):
-            cascade_dimension(cp2, YtoY(up, lo, levels=0))
+            y_to_y_dimension(cp2, up, lo, levels=0)
 
     def test_non_integer_difference_refused(self):
         import json
@@ -136,7 +130,7 @@ class TestCascadeDimension:
         up = orbit_generator(setup, "m", FibreFlag.CHECK, 2)
         lo = orbit_generator(setup, "m", FibreFlag.CHECK, 1)
         with pytest.raises(NonIntegerDegreeDifference):
-            cascade_dimension(setup, ZeroCascades(up, lo))
+            zero_cascade_dimension(setup, up, lo)
 
 
 class TestMultiplicityBalance:
