@@ -16,26 +16,30 @@ survives lands in exactly one of four cases:
   above an interior critical point.
 
 Since the budget leaves no other shapes, the catalog comes from a direct
-case solver: for each target it proposes only these four shapes, with the
-source winding solved from the degree equation (degrees are affine in the
-winding, so there is at most one) and the class from the level balance,
-and `classify_type` confirms or rejects each proposal.  Validation makes
-every functional a multiple of the area, and the balance fixes the area, so
-each shape takes the one class `model.class_of_area` gives, in any lattice
-rank.  The catalog is complete within user bounds (max source winding, max
-class area, never a coordinate box) and reports when the bounds provably
-cover everything, so an empty answer is a certificate, not an accident.
-Counts and signs of actual solutions are out of scope; this is the catalog
-of candidates only.
+case solver.  Degrees are affine in the winding, and in Cases 0, 1 and 2
+the source-to-target step k_t - k_0 does not depend on k_t, so each shape
+is a family of rows translated in the winding; a Case 3 row has its
+winding fixed by its class and stands alone.  `families` solves each step
+from the degree equation and each class from the level balance, and
+`classify_type` confirms one representative per family, before any bound
+is applied; the rows at each winding are then read off without further
+checks.  Validation makes every functional a multiple of the area, and the
+balance fixes the area, so each shape takes the one class
+`model.class_of_area` gives, in any lattice rank.  The catalog is complete
+within user bounds (max source winding, max class area, never a
+coordinate box) and names each row-bearing area the class bound leaves
+out, so an empty answer with no warnings is a certificate, not an
+accident.  Counts and signs of actual solutions are out of scope; this is
+the catalog of candidates only.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import CascadixError
 from .grading import (
@@ -48,8 +52,10 @@ from .grading import (
     grade,
     grade_reeb,
     multiplicity_balance,
+    winding_of_degree,
 )
 from .model import (
+    CriticalPoint,
     FibreFlag,
     Functional,
     IntVector,
@@ -357,113 +363,200 @@ class EnumerationResult:
         return _case_counts(self.types)
 
 
-def _coverage_warnings(setup: SetupDescriptor, target: OrbitGenerator,
-                       k_max: int, class_bound: int) -> List[str]:
-    """Bound analysis: all windings and areas a feasible type could use."""
-    w = []
-    kt = target.k
-    if k_max < kt:
-        w.append(f"k_max={k_max} below target winding {kt}: sources missed")
-    # every class in a feasible type has K*omega <= target winding
-    if setup.k_const * class_bound < kt:
-        w.append(
-            f"class_bound={class_bound} admits areas only up to "
-            f"{class_bound}, need {Fraction(kt, 1) / setup.k_const}"
-        )
-    return w
+def _check_bounds(k_max: int, class_bound: int) -> None:
+    if k_max < 1 or class_bound < 1:
+        raise CascadixError("enumeration bounds must be positive")
+
+
+@dataclass(frozen=True)
+class Family:
+    """One catalog shape at every winding where it occurs.
+
+    `template` is the classified row at the least target winding.  A
+    family with a `step` has a row at each target winding k_t whose source
+    winding k_t - step lies in [1, k_max]: Case 0 steps 0, Cases 1 and 2
+    step K times the class area.  A family without one (a Case 3 row, an
+    interior flow) has the template as its only row.  `area` is the area of
+    the shape's class, 0 when it has none; `problems` are the template's
+    structural violations, each row naming itself in front of them.
+    """
+
+    template: CascadeType
+    step: Optional[int]
+    area: Fraction
+    problems: Tuple[str, ...]
+
+    def row(self, target: Generator, k_max: int) -> Optional[CascadeType]:
+        """The family's row ending on `target`, if it has one within k_max."""
+        t = self.template
+        if self.step is None:
+            return t if t.target == target else None
+        k0 = target.k - self.step
+        if not 1 <= k0 <= k_max:
+            return None
+        shift = k0 - t.source.k
+        return replace(t, target=target,
+                       source=OrbitGenerator(t.source.point, k0),
+                       multiplicities=tuple(m + shift
+                                            for m in t.multiplicities))
+
+
+# The families of each target point, as `families` returns them.
+Families = Dict[Union[LiftedCriticalPoint, CriticalPoint],
+                Tuple[Family, ...]]
+
+
+def _representatives(setup: SetupDescriptor):
+    """(step, area, target, source, multiplicities, classes, sphere, aug)
+    of one shape per family the budget allows.
+
+    Interior flows: every pair of interior points one degree apart.  Case
+    0: a bare flow at a common winding between two lifts whose lifted
+    indices differ by 1, taken at winding 1.  Any level needs a check target (the budget has +1
+    for each non-constant level or augmentation, and every level carries
+    one).  Cases 1 and 2: one level above a hat source.  Degrees are affine
+    in the winding with slope 2*(tau - K)/K, positive by validation, so
+    "degree difference 1" fixes the step s = k_t - k_0 for each (check,
+    hat) pair, and the shape is kept when s is an integer >= 1, taken at
+    source winding 1.  A non-constant level of class A steps K*omega(A)
+    (Case 1); a constant level carrying one plane of class B steps B.Sigma
+    = K*omega(B) (Case 2); either class has area s/K.  Case 3: the budget
+    of an interior source must vanish outright, leaving one constant level
+    on a filling sphere with B.Sigma = k_t, and the degree fixes k_t for
+    each (check, interior) pair.
+    """
+    zero = tuple([0] * setup.lattice_sigma.rank)
+    interior = [InteriorGenerator(x) for x in setup.morse_w]
+    for x in interior:
+        for y in interior:
+            if grade(setup, x) - grade(setup, y) == 1:
+                yield None, Fraction(0), x, y, (), (), None, ()
+
+    lifts = [LiftedCriticalPoint(q, flag) for q in setup.morse_sigma
+             for flag in (FibreFlag.CHECK, FibreFlag.HAT)]
+    for p in lifts:
+        for q in lifts:
+            # at a common winding the degrees differ as the lifted indices
+            if p.lifted_index - q.lifted_index == 1:
+                yield (0, Fraction(0), OrbitGenerator(p, 1),
+                       OrbitGenerator(q, 1), (1,), (), None, ())
+
+    for p in lifts:
+        if p.flag is not FibreFlag.CHECK:
+            continue
+        for q in lifts:
+            if q.flag is not FibreFlag.HAT:
+                continue
+            # the check lift at degree 1 over the hat lift at degree 0: any
+            # two degrees one apart give the same difference of windings
+            s = (winding_of_degree(setup, p, 1)
+                 - winding_of_degree(setup, q, 0))
+            if s.denominator != 1 or s < 1:
+                continue
+            s, area = int(s), s / setup.k_const
+            target, source = OrbitGenerator(p, 1 + s), OrbitGenerator(q, 1)
+            a = class_of_area(setup.lattice_sigma, area)
+            if a is not None:
+                yield s, area, target, source, (1, 1 + s), (a,), None, ()
+            b = class_of_area(setup.lattice_x, area)
+            if b is not None:
+                yield (s, area, target, source, (1, 1 + s), (zero,), None,
+                       (AugPuncture(1, b, s),))
+        for source in interior:
+            kt = winding_of_degree(setup, p, grade(setup, source) + 1)
+            if kt.denominator != 1 or kt < 1:
+                continue
+            area = kt / setup.k_const
+            b = class_of_area(setup.lattice_x, area)
+            if b is not None:
+                kt = int(kt)
+                yield (None, area, OrbitGenerator(p, kt), source, (kt, kt),
+                       (zero,), b, ())
+
+
+def families(setup: SetupDescriptor) -> Families:
+    """Every feasible catalog shape once, by target point.
+
+    The keys are the target's lifted point (orbit targets) or critical point
+    (interior targets).  `classify_type` and `_structural_violations` run
+    once per family, on its template; every other row of the family is the
+    template with each winding shifted by one integer.  That is sound
+    because no check either of them makes reads a winding except through
+    a quantity the shift leaves alone:
+    * the degree difference of the ends moves by 2*(tau - K)/K times the
+      difference of the shifts, which is 0 (and so do both index
+      identities, which expand it);
+    * the level balance reads k_+ - k_- and the stability test k_+ > k_-;
+    * the endpoint pins compare each end's winding with the shifted
+      multiplicities, the Case 0 test compares the two ends' windings,
+      and the Case 3 test compares two multiplicities;
+    * the budget reads fibre indices, counts of levels and planes, and the
+      Reeb weight of each plane, whose winding B.Sigma is the class's;
+    * classes, base points and flags do not move.
+    A Case 3 row is no family of rows: its winding is fixed by the class,
+    and it is classified as it stands.  No class bound enters here; the
+    callers split the families at the bound into rows and warnings.
+    """
+    by_target: Dict[Union[LiftedCriticalPoint, CriticalPoint],
+                    List[Family]] = {}
+    for step, area, target, *shape in _representatives(setup):
+        t = classify_type(setup, target, *shape)
+        if t.feasible:
+            by_target.setdefault(target.point, []).append(
+                Family(t, step, area, tuple(_structural_violations(setup, t))))
+    return {point: tuple(fams) for point, fams in by_target.items()}
+
+
+def _contributions(shapes: Families, target: Generator, k_max: int,
+                   class_bound: int
+                   ) -> Tuple[List[Tuple[CascadeType, Family]], List[str]]:
+    """The rows ending on one target, each with its family, sorted; and the
+    target's warnings.
+
+    A row whose class area is above class_bound is left out and named in a
+    warning instead, with its area, so no warnings means nothing is left
+    out.  Areas are listed once each, in increasing order, after the
+    warning that k_max cuts off sources of a target wound beyond it.
+    """
+    rows, needs = [], set()
+    for family in shapes.get(target.point, ()):
+        t = family.row(target, k_max)
+        if t is None:
+            continue
+        if family.area <= class_bound:
+            rows.append((t, family))
+        else:
+            needs.add(family.area)
+    rows.sort(key=lambda row: row[0].sort_key())
+    warnings = []
+    if isinstance(target, OrbitGenerator) and k_max < target.k:
+        warnings.append(f"k_max={k_max} below target winding {target.k}: "
+                        "sources missed")
+    warnings.extend(f"class_bound={class_bound} admits areas only up to "
+                    f"{class_bound}, need {area}" for area in sorted(needs))
+    return rows, warnings
 
 
 def enumerate_contributions(setup: SetupDescriptor, target: Generator,
-                            k_max: int, class_bound: int) -> EnumerationResult:
+                            k_max: int, class_bound: int,
+                            shapes: Optional[Families] = None
+                            ) -> EnumerationResult:
     """Every feasible cascade type ending on the given target.
 
-    Sources have degree exactly one less; classes have area in
-    (0, class_bound], one class per area.  `_proposals` offers only the
-    shapes the budget allows and `classify_type` confirms every one.
-    Output is sorted by (levels, multiplicities, classes, sphere,
-    augmentations, source name) and is byte-deterministic.  Warnings flag
-    bound combinations that might hide configurations; no warnings means
-    the list is provably complete.
+    Sources have degree exactly one less and winding at most k_max; classes
+    have area in (0, class_bound], one class per area.  The rows are read
+    off `families(setup)`, which `shapes` may pass in to share one
+    computation across targets.  Output is sorted by (levels,
+    multiplicities, classes, sphere, augmentations, source name) and is
+    byte-deterministic.  Warnings name the bounds that leave rows out; no
+    warnings means the list is provably complete.
     """
-    if k_max < 1 or class_bound < 1:
-        raise CascadixError("enumeration bounds must be positive")
-    warnings = (() if isinstance(target, InteriorGenerator)
-                else _coverage_warnings(setup, target, k_max, class_bound))
-    found = [t for t in (classify_type(setup, target, *shape) for shape
-                         in _proposals(setup, target, k_max, class_bound))
-             if t.feasible]
-    found.sort(key=CascadeType.sort_key)
-    return EnumerationResult(target, tuple(found), tuple(warnings))
-
-
-def _proposals(setup: SetupDescriptor, target: Generator, k_max: int,
-               class_bound: int):
-    """(source, multiplicities, classes, sphere, aug) of every shape the
-    budget allows on the target.
-
-    Interior target: a Morse flow from every other interior point.  Orbit
-    target: a bare flow at the target's winding from each lift of degree
-    one less (Case 0).  Any level needs a check target (the budget has +1
-    for each non-constant level or augmentation, and every level carries
-    one).  Orbit-to-orbit: one level above a hat source at winding k_0.
-    The degree is affine in the winding with slope 2*(tau - K)/K, positive
-    by validation, so "degree difference 1" solves to
-    k_t - k_0 = (1 - (L_t - L_q)) / (2*(tau - K)/K) for lifted indices L:
-    one k_0 per hat source, kept when it is an integer in [1, min(k_max,
-    k_t)].  A non-constant level of class A steps K*omega(A) (Case 1); a
-    constant level carrying one plane of class B steps B.Sigma = K*omega(B)
-    (Case 2).  Orbit-to-interior: the budget must vanish outright, leaving
-    one constant level on a filling sphere with B.Sigma = k_t (Case 3).
-    Each class has area step/K, skipped above class_bound.
-    """
-    if isinstance(target, InteriorGenerator):
-        for y in setup.morse_w:
-            if y.name != target.point.name:
-                yield InteriorGenerator(y), (), (), None, ()
-        return
-
-    kt = target.k
-    deg_t = grade(setup, target)
-    if kt <= k_max:
-        for q in setup.morse_sigma:
-            for flag in (FibreFlag.CHECK, FibreFlag.HAT):
-                source = OrbitGenerator(LiftedCriticalPoint(q, flag), kt)
-                if source != target and deg_t - grade(setup, source) == 1:
-                    yield source, (kt,), (), None, ()
-    if target.point.flag is not FibreFlag.CHECK:
-        return
-
-    top = min(k_max, kt)
-    twice_slope = 2 * setup.slope_ratio
-    zero = tuple([0] * setup.lattice_sigma.rank)
-
-    def solve(lattice, step):
-        area = Fraction(step) / setup.k_const
-        return class_of_area(lattice, area) if area <= class_bound else None
-
-    for q in setup.morse_sigma:
-        hat = LiftedCriticalPoint(q, FibreFlag.HAT)
-        k0 = kt - (1 - target.point.lifted_index + hat.lifted_index) \
-            / twice_slope
-        if k0.denominator != 1 or not 1 <= k0 <= top:
-            continue
-        k0 = int(k0)
-        source = OrbitGenerator(hat, k0)
-        a = solve(setup.lattice_sigma, kt - k0)
-        if a is not None:
-            yield source, (k0, kt), (a,), None, ()
-        b = solve(setup.lattice_x, kt - k0)
-        if b is not None:
-            yield (source, (k0, kt), (zero,), None,
-                   (AugPuncture(1, b, kt - k0),))
-
-    b = solve(setup.lattice_x, kt)
-    if b is None:
-        return
-    for x in setup.morse_w:
-        source = InteriorGenerator(x)
-        if deg_t - grade(setup, source) == 1:
-            yield source, (kt, kt), (zero,), b, ()
+    _check_bounds(k_max, class_bound)
+    if shapes is None:
+        shapes = families(setup)
+    rows, warnings = _contributions(shapes, target, k_max, class_bound)
+    return EnumerationResult(target, tuple(t for t, _ in rows),
+                             tuple(warnings))
 
 
 @dataclass(frozen=True)
@@ -489,12 +582,12 @@ class CertificationReport:
 
 
 def _structural_violations(setup: SetupDescriptor, t: CascadeType) -> List[str]:
-    """Re-check one feasible type against the published case shapes."""
-    v = []
-    where = f"{t.target.display_name} <- {t.source.display_name}"
+    """Re-check one feasible type against the published case shapes.
 
-    def bad(msg):
-        v.append(f"{where}: {msg}")
+    The messages do not name the row; the caller puts the row in front.
+    """
+    v = []
+    bad = v.append
 
     if t.case_label is Case.INFEASIBLE:
         bad("infeasible type in output")
@@ -563,17 +656,23 @@ def certify_classification(setup: SetupDescriptor, k_max: int,
                            class_bound: int) -> CertificationReport:
     """Enumerate over every generator up to the bounds and check the shapes.
 
-    The solver only proposes budget-allowed shapes and `classify_type`
-    confirms each one; this re-checks every feasible type against its
-    case's structural constraints and reports any mismatch as a
-    counterexample.  Targets are taken in generator order.
+    Every feasible type is re-checked against its case's structural
+    constraints, once per family (see `families`), and any mismatch is
+    reported against each row of the family as a counterexample.  Targets
+    are taken in generator order.
     """
+    _check_bounds(k_max, class_bound)
+    shapes = families(setup)
     types: List[CascadeType] = []
+    violations: List[str] = []
     warnings: List[str] = []
     for target in enumerate_generators(setup, k_max):
-        res = enumerate_contributions(setup, target, k_max, class_bound)
-        types.extend(res.types)
-        warnings.extend(res.warnings)
-    violations = [v for t in types for v in _structural_violations(setup, t)]
+        rows, found = _contributions(shapes, target, k_max, class_bound)
+        for t, family in rows:
+            types.append(t)
+            violations.extend(f"{t.target.display_name} <- "
+                              f"{t.source.display_name}: {problem}"
+                              for problem in family.problems)
+        warnings.extend(found)
     return CertificationReport(tuple(types), tuple(violations),
                                tuple(dict.fromkeys(warnings)))

@@ -355,9 +355,11 @@ def enumerate_cmd(setup_path, target, all_targets, kmax, classbound, as_text):
         targets = grading.enumerate_generators(setup, kmax)
     else:
         targets = [_generator_by_name(setup, target)]
+    shapes = cascades.families(setup)
     rows, warnings = [], []
     for tgt in targets:
-        result = cascades.enumerate_contributions(setup, tgt, kmax, classbound)
+        result = cascades.enumerate_contributions(setup, tgt, kmax, classbound,
+                                                  shapes)
         rows.extend(_catalog_rows(setup, result.types))
         warnings.extend(result.warnings)
     for message in dict.fromkeys(warnings):

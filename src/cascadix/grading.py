@@ -206,22 +206,41 @@ def _sort_key(setup: SetupDescriptor, gen: Generator):
     return (grade(setup, gen), gen.kind, gen.point.name, "", 0)
 
 
+def winding_of_degree(setup: SetupDescriptor, point: LiftedCriticalPoint,
+                      degree) -> Fraction:
+    """The winding k at which the lift `point` has the given degree.
+
+    The degree is affine in k with slope 2*(tau_X - K)/K, positive by
+    validation, so this is the one solution; it is a generator's winding
+    only when it is an integer >= 1.
+    """
+    return 1 + ((Fraction(degree) - grade(setup, OrbitGenerator(point, 1)))
+                / (2 * setup.slope_ratio))
+
+
 def enumerate_generators(setup: SetupDescriptor, k_max: int,
                          degree: Optional[Fraction] = None) -> List[Generator]:
     """All generators with winding <= k_max, sorted by degree then name.
 
     Without a degree filter the list has |crit W| + 2 * |crit Sigma| * k_max
-    entries.  With one, only generators of exactly that degree survive.
+    entries.  With one, only generators of exactly that degree are built:
+    each lift has it at one winding at most (`winding_of_degree`), so the
+    cost does not grow with k_max.
     """
     if k_max < 0:
         raise CascadixError(f"k_max must be >= 0, got {k_max}")
     gens: List[Generator] = [InteriorGenerator(p) for p in setup.morse_w]
-    for p in setup.morse_sigma:
-        for k in range(1, k_max + 1):
-            for flag in (FibreFlag.CHECK, FibreFlag.HAT):
-                gens.append(OrbitGenerator(LiftedCriticalPoint(p, flag), k))
-    if degree is not None:
+    lifts = [LiftedCriticalPoint(p, flag) for p in setup.morse_sigma
+             for flag in (FibreFlag.CHECK, FibreFlag.HAT)]
+    if degree is None:
+        gens += [OrbitGenerator(point, k) for point in lifts
+                 for k in range(1, k_max + 1)]
+    else:
         degree = Fraction(degree)
         gens = [g for g in gens if grade(setup, g) == degree]
+        for point in lifts:
+            k = winding_of_degree(setup, point, degree)
+            if k.denominator == 1 and 1 <= k <= k_max:
+                gens.append(OrbitGenerator(point, int(k)))
     gens.sort(key=lambda g: _sort_key(setup, g))
     return gens

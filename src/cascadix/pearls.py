@@ -97,6 +97,12 @@ def pearl_with_sphere_dimension(setup: SetupDescriptor, x: CriticalPoint,
     return _pearl_dimension(total + x.morse_index - 2 * (setup.n - 1))
 
 
+def _check_generator(gen: Generator, species: type, role: str) -> None:
+    if not isinstance(gen, species):
+        kind = "an orbit" if species is OrbitGenerator else "an interior"
+        raise VariantMismatch(f"{role} must be {kind} generator")
+
+
 def _integer_difference(setup: SetupDescriptor, a: Generator, b: Generator) -> int:
     diff = grade(setup, a) - grade(setup, b)
     if diff.denominator != 1:
@@ -110,6 +116,8 @@ def zero_cascade_dimension(setup: SetupDescriptor, upper: OrbitGenerator,
                            lower: OrbitGenerator) -> int:
     """No holomorphic level at all, a fibre translation between two lifts:
     the degree difference."""
+    _check_generator(upper, OrbitGenerator, "upper")
+    _check_generator(lower, OrbitGenerator, "lower")
     return _integer_difference(setup, upper, lower)
 
 
@@ -117,6 +125,8 @@ def y_to_y_dimension(setup: SetupDescriptor, upper: OrbitGenerator,
                      lower: OrbitGenerator, levels: int) -> int:
     """N >= 1 cascade levels between two orbit generators: the degree
     difference + N - 1."""
+    _check_generator(upper, OrbitGenerator, "upper")
+    _check_generator(lower, OrbitGenerator, "lower")
     if levels < 1:
         raise VariantMismatch("Y-to-Y cascades need at least one level")
     return _integer_difference(setup, upper, lower) + levels - 1
@@ -126,6 +136,8 @@ def w_to_y_dimension(setup: SetupDescriptor, upper: OrbitGenerator,
                      interior: InteriorGenerator, levels: int) -> int:
     """N >= 1 levels from an orbit generator down to an interior point: the
     degree difference + N."""
+    _check_generator(upper, OrbitGenerator, "upper")
+    _check_generator(interior, InteriorGenerator, "interior")
     if levels < 1:
         raise VariantMismatch("W-to-Y cascades need at least one level")
     return _integer_difference(setup, upper, interior) + levels

@@ -11,10 +11,14 @@ package's decoration and operator types and reads CZ indices from the
 frozen tables below.
 `brute_force_contributions` is the exhaustive generate-and-filter cascade
 search, kept as the reference the case solver is compared against; it uses
-the package's `classify_type` as its judge.  `scan_level_shapes` is the
-earlier winding scan of the case solver, kept as the reference its
-degree-equation solution is compared against; it uses the package's `grade`
-and `class_of_area`.  `reference_fibre_sum_orientation` and
+the package's `classify_type` as its judge.  `per_row_certify` is the case
+solver as it was before it went by winding families, one classification per
+row through `proposals`, kept as the reference the family solver is compared
+against; it uses the package's `classify_type`, `grade`, `class_of_area` and
+structural check.  `scan_level_shapes` is the earlier winding scan of the
+case solver, kept as the reference the degree-equation solution of
+`proposals` is compared against; it uses the package's `grade` and
+`class_of_area`.  `reference_fibre_sum_orientation` and
 `reference_frame_orientations_agree` are the earlier multi-elimination
 orientation code (product space, basis extension, a `Fraction` product and
 determinant signs), kept as the reference the one-elimination code is
@@ -277,10 +281,11 @@ TAU2_CASE_COUNTS = {0: 3, 1: 5, 2: 4, 3: 2}
 # Brute-force cascade search.
 #
 # Every 1- and 2-level candidate with 0-2 augmentation planes and class
-# vectors of area (0, class_bound] in a coordinate box, each handed to
-# classify_type; the feasible ones, sorted, are the reference catalog of one
-# target.  Returns (types, warnings) with the same meaning as the fields of
-# an EnumerationResult.
+# vectors of area (0, max(class_bound, ceil(k_t/K))] in a coordinate box,
+# each handed to classify_type; the feasible ones within class_bound,
+# sorted, are the reference catalog of one target, and those above it give
+# its class-bound warnings.  Returns (types, warnings) with the same meaning
+# as the fields of an EnumerationResult.
 
 BRUTE_MAX_LEVELS = 2
 BRUTE_MAX_AUG = 2
@@ -339,17 +344,41 @@ def _brute_chain_multiplicities(setup, k0, classes, aug):
     return tuple(mults)
 
 
-def _brute_warnings(setup, target, k_max, class_bound):
-    w = []
-    kt = target.k
-    if k_max < kt:
-        w.append(f"k_max={k_max} below target winding {kt}: sources missed")
-    if setup.k_const * class_bound < kt:
-        w.append(
-            f"class_bound={class_bound} admits areas only up to "
-            f"{class_bound}, need {Fraction(kt, 1) / setup.k_const}"
-        )
-    return w
+def _row_area(setup, t):
+    """The largest area of a class in a cascade type, 0 when it has none:
+    the least class bound that keeps the type in the catalog."""
+    from cascadix.model import Functional, pair
+    areas = [pair(setup.lattice_sigma, a, Functional.OMEGA)
+             for a in t.classes_a]
+    areas += [pair(setup.lattice_x, p.class_b, Functional.OMEGA)
+              for p in t.aug]
+    if t.sphere_b is not None:
+        areas.append(pair(setup.lattice_x, t.sphere_b, Functional.OMEGA))
+    return max(areas, default=Fraction(0))
+
+
+def _wide_class_bound(setup, target, class_bound):
+    """A class bound that keeps every row of the target: each class of a
+    row ending at winding k_t has K * omega <= k_t."""
+    return max(class_bound, math.ceil(Fraction(target.k) / setup.k_const))
+
+
+def _split_at_bound(setup, target, k_max, class_bound, types):
+    """The feasible types within class_bound, sorted, and the warnings for
+    the target: k_max below its winding, then each area above the bound
+    that some type needs, once each, increasing."""
+    from cascadix.cascades import CascadeType
+    kept = sorted((t for t in types if _row_area(setup, t) <= class_bound),
+                  key=CascadeType.sort_key)
+    warnings = []
+    if target.k > k_max:
+        warnings.append(f"k_max={k_max} below target winding {target.k}: "
+                        "sources missed")
+    needs = {_row_area(setup, t) for t in types}
+    for area in sorted(a for a in needs if a > class_bound):
+        warnings.append(f"class_bound={class_bound} admits areas only up "
+                        f"to {class_bound}, need {area}")
+    return tuple(kept), tuple(warnings)
 
 
 def brute_force_contributions(setup, target, k_max, class_bound):
@@ -369,12 +398,12 @@ def brute_force_contributions(setup, target, k_max, class_bound):
         found.sort(key=CascadeType.sort_key)
         return tuple(found), ()
 
-    warnings = _brute_warnings(setup, target, k_max, class_bound)
     kt = target.k
+    wide = _wide_class_bound(setup, target, class_bound)
     sigma_classes = [tuple([0] * setup.lattice_sigma.rank)]
-    sigma_classes += _box_classes(setup.lattice_sigma, class_bound)
+    sigma_classes += _box_classes(setup.lattice_sigma, wide)
     x_classes = []
-    for v in _box_classes(setup.lattice_x, class_bound):
+    for v in _box_classes(setup.lattice_x, wide):
         inter = pair(setup.lattice_x, v, Functional.SIGMA_INTERSECTION)
         if inter.denominator == 1 and inter >= 1:
             x_classes.append(v)
@@ -431,8 +460,121 @@ def brute_force_contributions(setup, target, k_max, class_bound):
                     if cand.feasible:
                         found.append(cand)
 
-    found.sort(key=CascadeType.sort_key)
-    return tuple(found), tuple(warnings)
+    return _split_at_bound(setup, target, k_max, class_bound, found)
+
+
+# ---------------------------------------------------------------------------
+# Per-row case solver.
+#
+# The case solver as it was before it went by families: for each target it
+# proposes the budget-allowed shapes, with each source winding solved from
+# the degree equation, and classify_type judges every one.  Run at
+# `_wide_class_bound`, it gives each target's rows and class-bound warnings
+# without reading anything across windings, so the family solver's
+# certification is held equal to `per_row_certify`.
+
+
+def proposals(setup, target, k_max, class_bound):
+    """(source, multiplicities, classes, sphere, aug) of every shape the
+    budget allows on the target.
+
+    Interior target: a Morse flow from every other interior point.  Orbit
+    target: a bare flow at the target's winding from each lift of degree
+    one less (Case 0).  Any level needs a check target.  Orbit-to-orbit:
+    one level above a hat source at winding
+    k_0 = k_t - (1 - (L_t - L_q)) / (2*(tau - K)/K), kept when it is an
+    integer in [1, min(k_max, k_t)]; a non-constant level of class A steps
+    K*omega(A) (Case 1), a constant level carrying one plane of class B
+    steps B.Sigma = K*omega(B) (Case 2).  Orbit-to-interior: one constant
+    level on a filling sphere with B.Sigma = k_t (Case 3).  Each class has
+    area step/K, skipped above class_bound.
+    """
+    from cascadix.cascades import AugPuncture
+    from cascadix.grading import InteriorGenerator, OrbitGenerator, grade
+    from cascadix.model import FibreFlag, LiftedCriticalPoint, class_of_area
+
+    if isinstance(target, InteriorGenerator):
+        for y in setup.morse_w:
+            if y.name != target.point.name:
+                yield InteriorGenerator(y), (), (), None, ()
+        return
+
+    kt = target.k
+    deg_t = grade(setup, target)
+    if kt <= k_max:
+        for q in setup.morse_sigma:
+            for flag in (FibreFlag.CHECK, FibreFlag.HAT):
+                source = OrbitGenerator(LiftedCriticalPoint(q, flag), kt)
+                if source != target and deg_t - grade(setup, source) == 1:
+                    yield source, (kt,), (), None, ()
+    if target.point.flag is not FibreFlag.CHECK:
+        return
+
+    top = min(k_max, kt)
+    twice_slope = 2 * setup.slope_ratio
+    zero = tuple([0] * setup.lattice_sigma.rank)
+
+    def solve(lattice, step):
+        area = Fraction(step) / setup.k_const
+        return class_of_area(lattice, area) if area <= class_bound else None
+
+    for q in setup.morse_sigma:
+        hat = LiftedCriticalPoint(q, FibreFlag.HAT)
+        k0 = kt - (1 - target.point.lifted_index + hat.lifted_index) \
+            / twice_slope
+        if k0.denominator != 1 or not 1 <= k0 <= top:
+            continue
+        k0 = int(k0)
+        source = OrbitGenerator(hat, k0)
+        a = solve(setup.lattice_sigma, kt - k0)
+        if a is not None:
+            yield source, (k0, kt), (a,), None, ()
+        b = solve(setup.lattice_x, kt - k0)
+        if b is not None:
+            yield (source, (k0, kt), (zero,), None,
+                   (AugPuncture(1, b, kt - k0),))
+
+    b = solve(setup.lattice_x, kt)
+    if b is None:
+        return
+    for x in setup.morse_w:
+        source = InteriorGenerator(x)
+        if deg_t - grade(setup, source) == 1:
+            yield source, (kt, kt), (zero,), b, ()
+
+
+def per_row_contributions(setup, target, k_max, class_bound):
+    """(types, warnings) of one target, every proposal classified."""
+    from cascadix.cascades import CascadeType, classify_type
+    from cascadix.grading import InteriorGenerator
+
+    if isinstance(target, InteriorGenerator):
+        found = [t for t in (classify_type(setup, target, *shape) for shape
+                             in proposals(setup, target, k_max, class_bound))
+                 if t.feasible]
+        return tuple(sorted(found, key=CascadeType.sort_key)), ()
+    wide = _wide_class_bound(setup, target, class_bound)
+    found = [t for t in (classify_type(setup, target, *shape)
+                         for shape in proposals(setup, target, k_max, wide))
+             if t.feasible]
+    return _split_at_bound(setup, target, k_max, class_bound, found)
+
+
+def per_row_certify(setup, k_max, class_bound):
+    """`certify_classification`, one classification and one structural
+    check per row."""
+    from cascadix.cascades import CertificationReport, _structural_violations
+    from cascadix.grading import enumerate_generators
+
+    types, warnings = [], []
+    for target in enumerate_generators(setup, k_max):
+        found, w = per_row_contributions(setup, target, k_max, class_bound)
+        types.extend(found)
+        warnings.extend(w)
+    violations = [f"{t.target.display_name} <- {t.source.display_name}: {v}"
+                  for t in types for v in _structural_violations(setup, t)]
+    return CertificationReport(tuple(types), tuple(violations),
+                               tuple(dict.fromkeys(warnings)))
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +584,7 @@ def brute_force_contributions(setup, target, k_max, class_bound):
 # every k_0 in 1..min(k_max, k_t) and keeping those whose degree is one less
 # than the target's, instead of solving the degree equation.  Yields the
 # same (source, multiplicities, classes, sphere, aug) tuples, in the same
-# order, as the two-multiplicity proposals of `cascades._proposals`.
+# order, as the two-multiplicity shapes of `proposals`.
 
 
 def scan_level_shapes(setup, target, k_max, class_bound):

@@ -15,7 +15,6 @@ from cascadix.cascades import (
     AugPuncture,
     Case,
     CascadeType,
-    _proposals,
     certify_classification,
     classify_type,
     enumerate_contributions,
@@ -276,12 +275,17 @@ class TestEnumeration:
         assert [row_key(t) for t in a.types] == [row_key(t) for t in b.types]
         assert a.summary() == b.summary()
 
-    def test_bound_warnings(self, cp2):
+    def test_bound_warnings(self, cp2, tau2):
         res = enumerate_contributions(cp2, gen_by_name(cp2, "m_check_3"), 2, 3)
         assert not res.complete
         assert any("k_max" in w for w in res.warnings)
-        res = enumerate_contributions(cp2, gen_by_name(cp2, "m_check_3"), 3, 1)
+        # tau2's m_check_3 <- M_hat_1 needs a class of area 2
+        res = enumerate_contributions(tau2, gen_by_name(tau2, "m_check_3"), 3, 1)
         assert any("class_bound" in w for w in res.warnings)
+        assert res.warnings == (
+            "class_bound=1 admits areas only up to 1, need 2",)
+        # every cp2 class has area 1, so bound 1 leaves nothing out
+        assert certify_classification(cp2, 10, 1).warnings == ()
 
     def test_summary_lines(self, cp2, tau2):
         assert certify_classification(cp2, 3, 3).summary() == \
@@ -418,6 +422,49 @@ def test_solver_matches_brute_force_random(setup, k_max, class_bound):
     assert_matches_brute_force(setup, k_max, class_bound)
 
 
+# --- the family solver against the per-row solver ----------------------
+
+
+def assert_matches_per_row(setup, k_max, class_bound):
+    """Same types, violations and warnings, in the same order."""
+    assert certify_classification(setup, k_max, class_bound) == \
+        oracles.per_row_certify(setup, k_max, class_bound), \
+        (setup.name, k_max, class_bound)
+
+
+@pytest.mark.parametrize("name", ["cp2", "tau2", "rank0"])
+@pytest.mark.parametrize("k_max,class_bound",
+                         [(1, 1), (2, 1), (3, 2), (5, 5), (9, 3), (12, 40)])
+def test_families_match_per_row_shipped(name, k_max, class_bound, request):
+    assert_matches_per_row(request.getfixturevalue(name), k_max, class_bound)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(setup=monotone_setups(), k_max=st.integers(1, 12),
+       class_bound=st.integers(1, 12))
+def test_families_match_per_row_random(setup, k_max, class_bound):
+    assert_matches_per_row(setup, k_max, class_bound)
+
+
+def test_classify_calls_independent_of_kmax(tau2, monkeypatch):
+    """One classification per family, whatever the bounds."""
+    calls = []
+    classify = cascades.classify_type
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return classify(*args, **kwargs)
+
+    monkeypatch.setattr(cascades, "classify_type", counted)
+    counts = []
+    for k in (20, 200):
+        calls.clear()
+        certify_classification(tau2, k, k)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0, counts
+
+
 # --- the source winding solved against the winding scan ----------------
 
 
@@ -428,8 +475,8 @@ def assert_matches_winding_scan(setup, k_max, class_bound):
         if not isinstance(target, OrbitGenerator) \
                 or target.point.flag is not FibreFlag.CHECK:
             continue
-        got = [shape for shape in _proposals(setup, target, k_max,
-                                             class_bound)
+        got = [shape for shape in oracles.proposals(setup, target, k_max,
+                                                    class_bound)
                if len(shape[1]) == 2]
         want = list(oracles.scan_level_shapes(setup, target, k_max,
                                               class_bound))
@@ -499,13 +546,18 @@ def test_classbound_caps_area_not_coordinates(tmp_path, run_cli):
     assert outputs[0].output == outputs[1].output
 
 
-def test_rank2_catalog_independent_of_classbound(data_dir):
+def rank2_cp2(data_dir):
+    """cp2 with two generators of area 1 in each lattice."""
     raw = json.loads((data_dir / "cp2.json").read_text())
     raw["lattice_sigma"] = {"generators": ["A", "B"], "omega": [1, 1],
                             "c1": [2, 2]}
     raw["lattice_x"] = {"generators": ["L", "M"], "omega": [1, 1],
                         "c1": [3, 3], "sigma_intersection": [1, 1]}
-    setup = parse_setup(raw)
+    return parse_setup(raw)
+
+
+def test_rank2_catalog_independent_of_classbound(data_dir):
+    setup = rank2_cp2(data_dir)
     catalogs = []
     for class_bound in (2, 3, 5):
         report, rows = full_catalog(setup, k_max=2, class_bound=class_bound)
@@ -540,3 +592,8 @@ def test_class_of_area_matches_box(setup):
                         assert [got] == box[area]
                 else:
                     assert got is None, (lattice, area)
+
+
+@pytest.mark.parametrize("k_max,class_bound", [(2, 2), (3, 1), (6, 5)])
+def test_rank2_families_match_per_row(data_dir, k_max, class_bound):
+    assert_matches_per_row(rank2_cp2(data_dir), k_max, class_bound)

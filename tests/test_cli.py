@@ -182,6 +182,16 @@ def test_grade_degree_filter(run_cli, data_dir):
     assert body == ["m_check_1,orbit,3,0"]
 
 
+def test_grade_degree_independent_of_kmax(data_dir):
+    """`--degree` solves each lift's winding instead of listing every
+    generator, so a huge kmax answers at once."""
+    proc = run_python("-m", "cascadix", "grade", "--setup",
+                      str(data_dir / "cp2.json"), "--kmax", "1000000",
+                      "--degree", "5", "--csv", timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"name,kind,degree,coset\r\nM_check_1,orbit,5,0\r\n"
+
+
 def test_dim_matches_library(run_cli, data_dir, tmp_path, cp2):
     instance = tmp_path / "inst.json"
     instance.write_text(json.dumps({
@@ -236,6 +246,13 @@ DIM_CASES = {
     "aug_count_negative": ({**IN_SIGMA, "aug_classes": None,
                             "aug_count": -1}, 1,
                            "augmentation count must be >= 0"),
+    "zero_to_interior": ({"kind": "cascade_zero", "upper": "m_hat_1",
+                          "lower": "x0"}, 1,
+                         "lower must be an orbit generator"),
+    "w_to_y_orbit_interior": ({**W_TO_Y, "interior": "m_hat_1"}, 1,
+                              "interior must be an interior generator"),
+    "y_to_y_interior_upper": ({**Y_TO_Y, "upper": "x0"}, 1,
+                              "upper must be an orbit generator"),
 }
 
 
@@ -590,13 +607,14 @@ def test_selftest_rejects_vacuous_instance_count(run_cli, instances):
 PACKAGE_ROOT = Path(cli.__file__).resolve().parents[1]
 
 
-def run_python(*argv):
-    """`python argv` with the source tree under test first on the path."""
+def run_python(*argv, timeout=120):
+    """`python argv` with the source tree under test first on the path;
+    `subprocess.TimeoutExpired` after `timeout` seconds."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(PACKAGE_ROOT), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *argv],
-                          capture_output=True, env=env, timeout=120)
+                          capture_output=True, env=env, timeout=timeout)
 
 
 def run_script(*args, flags=()):
