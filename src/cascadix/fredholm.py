@@ -231,36 +231,3 @@ def split_cylinder_problems(
     vertical = PuncturedProblem(1, 0, tuple(vert_punctures))
     horizontal = PuncturedProblem(n - 1, rel_c1_sigma, tuple(horiz_punctures))
     return vertical, horizontal
-
-
-def glue(problem_a: PuncturedProblem, problem_b: PuncturedProblem,
-         puncture_a: int, puncture_b: int) -> PuncturedProblem:
-    """Glue puncture_a of problem_a to puncture_b of problem_b.
-
-    The punctures must have opposite signs, equal operators, and kernel
-    decorations with dim V + dim V' = dim ker.  The glued problem keeps all
-    remaining punctures; its index is the sum of the two inputs, which is
-    what the matching-decoration condition guarantees (checked by tests, not
-    here).
-    """
-    a = problem_a.punctures[puncture_a]
-    b = problem_b.punctures[puncture_b]
-    if a.sign is b.sign:
-        raise PunctureMismatch("glued punctures must have opposite signs")
-    if a.operator != b.operator:
-        raise PunctureMismatch("glued punctures must share the asymptotic operator")
-    da, db = _dim_v_of(a), _dim_v_of(b)
-    if da + db != kernel_dimension(a.operator):
-        raise PunctureMismatch(
-            f"decorations not complementary: {da} + {db} != "
-            f"{kernel_dimension(a.operator)}"
-        )
-    if problem_a.bundle_rank != problem_b.bundle_rank:
-        raise PunctureMismatch("bundle ranks differ")
-    rest_a = tuple(p for i, p in enumerate(problem_a.punctures) if i != puncture_a)
-    rest_b = tuple(p for i, p in enumerate(problem_b.punctures) if i != puncture_b)
-    return PuncturedProblem(
-        problem_a.bundle_rank,
-        problem_a.rel_c1 + problem_b.rel_c1,
-        rest_a + rest_b,
-    )

@@ -6,35 +6,39 @@ per degree, its square is verified (never assumed), and homology is read off
 a hand-rolled integer Smith normal form: betti numbers from ranks, torsion
 from the invariant factors bigger than one.
 
-Morse boundaries are sparse and mostly +-1, and both exact computations work
-on that.  The d^2 = 0 check multiplies per-column lists of nonzero entries,
-so its cost follows the nonzeros, not the full matrix sizes.  The Smith form
-is one elimination on a sparse row/column form: the pivot is an entry of
-least absolute value (ties to least Markowitz cost, so +-1 entries go first,
-as in Dumas-Saunders-Villard 2001), its column and row are cleared with
-floor quotients, and a remainder, being smaller than the pivot, is simply
-the next pivot.  The diagonal this leaves becomes the invariant factors by
-gcd/lcm over pairs.  No bound on entry growth is proved, so its cost is
-measured, not guaranteed.
+Morse boundaries are sparse and mostly +-1, and every exact computation
+works on that.  `boundaries` assembles each degree once, straight from the
+flows, as sparse columns of nonzero counts; `homology` checks d^2 = 0 and
+runs the Smith form on those columns and never builds a dense matrix.  The
+d^2 = 0 check multiplies the columns' nonzero entries, so its cost follows
+the nonzeros, not the full matrix sizes.  The Smith form is one elimination
+on a sparse row/column form: the pivot is an entry of least absolute value
+(ties to least Markowitz cost, so +-1 entries go first, as in
+Dumas-Saunders-Villard 2001), its column is cleared with floor quotients,
+then its row once the column holds no remainder, and a remainder, being
+smaller than the pivot, is simply the next pivot.  Rows and columns are
+bucketed by least |entry| and number of entries, so the pivot search reads
+a few lines instead of the whole matrix, and only the lines a pivot touched
+are re-bucketed.  The diagonal this leaves is folded into a divisibility
+chain, giving the invariant factors.  No bound on entry growth is proved,
+so its cost is measured, not guaranteed.  `differential` and
+`smith_invariant_factors` are the dense views of the same code, for
+printing and for callers holding a matrix.
 
-Two derived complexes matter downstream:
-
-* the circle-bundle lift, where every base point p contributes a pair of
-  generators p_check (index M(p)) and p_hat (index M(p) + 1) and the lifted
-  flow counts are user data, not derivable from the base;
-
-* the negated filling complex (indices flipped through the ambient
-  dimension, flows reversed), which is the complex whose degree-1 pairs
-  mirror the flows between interior generators.
+One derived complex matters downstream: the circle-bundle lift, where
+every base point p contributes a pair of generators p_check (index M(p)) and
+p_hat (index M(p) + 1) and the lifted flow counts are user data, not
+derivable from the base.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from .errors import CascadixError
 
@@ -44,6 +48,8 @@ class BoundarySquaredNonzero(CascadixError):
 
 
 Matrix = Tuple[Tuple[int, ...], ...]
+# sparse columns of a boundary map: per column, its nonzero {row: entry}
+Columns = List[Dict[int, int]]
 
 
 @dataclass(frozen=True)
@@ -118,67 +124,63 @@ def lift_generators(base: MorseData) -> Tuple[MorsePoint, ...]:
     return tuple(out)
 
 
-def negated(data: MorseData, ambient_dim: int) -> MorseData:
-    """The complex of the sign-flipped function: indices mirrored, flows
-    reversed.  Transposing every boundary matrix preserves d^2 = 0."""
-    top = data.max_index()
-    if ambient_dim < top:
-        raise CascadixError(
-            f"ambient dimension {ambient_dim} below top index {top}")
-    points = tuple(MorsePoint(p.name, ambient_dim - p.index)
-                   for p in data.points)
-    flows = tuple(SignedFlow(f.target, f.source, f.count)
-                  for f in data.flows)
-    return MorseData(points, flows)
+def boundaries(data: MorseData) -> Dict[int, Columns]:
+    """Boundary maps as sparse columns keyed by source degree; raises if
+    d^2 != 0.
+
+    Degree d has one column per index-d point, in point order, holding the
+    nonzero aggregated flow counts keyed by the target's position among the
+    index-(d-1) points.  Counts that cancel leave no entry.
+    """
+    position: Dict[str, int] = {}
+    columns: Dict[int, Columns] = {}
+    for p in data.points:
+        degree = columns.setdefault(p.index, [])
+        position[p.name] = len(degree)
+        degree.append({})
+    index = {p.name: p.index for p in data.points}
+    for f in data.flows:
+        column = columns[index[f.source]][position[f.source]]
+        i = position[f.target]
+        count = column.get(i, 0) + f.count
+        if count:
+            column[i] = count
+        else:
+            column.pop(i, None)
+    out = {d: columns[d] for d in sorted(columns) if d >= 1}
+    _check_square_zero(data, out)
+    return out
 
 
 def differential(data: MorseData) -> Dict[int, Matrix]:
     """Boundary matrices keyed by source degree; raises if d^2 != 0.
 
-    The degree-d matrix has one column per index-d point and one row per
-    index-(d-1) point, entries the aggregated signed flow counts.
+    The dense view of `boundaries`: the degree-d matrix has one column per
+    index-d point and one row per index-(d-1) point.
     """
-    sizes: Dict[int, int] = {}
-    slot: Dict[str, Tuple[int, int]] = {}    # name -> (degree, position)
-    for p in data.points:
-        slot[p.name] = (p.index, sizes.get(p.index, 0))
-        sizes[p.index] = slot[p.name][1] + 1
-    rows = {d: [[0] * n for _ in range(sizes.get(d - 1, 0))]
-            for d, n in sizes.items() if d >= 1}
-    for f in data.flows:
-        d, j = slot[f.source]
-        rows[d][slot[f.target][1]][j] += f.count
-    matrices: Dict[int, Matrix] = {
-        d: tuple(map(tuple, rows[d])) for d in sorted(rows)}
-    _check_square_zero(data, matrices)
+    matrices: Dict[int, Matrix] = {}
+    for d, columns in boundaries(data).items():
+        rows = [[0] * len(columns) for _ in data.points_of_degree(d - 1)]
+        for j, column in enumerate(columns):
+            for i, v in column.items():
+                rows[i][j] = v
+        matrices[d] = tuple(map(tuple, rows))
     return matrices
 
 
-def _nonzero_columns(matrix: Matrix, ncols: int) -> List[List[Tuple[int, int]]]:
-    """Per column, its nonzero (row, value) pairs in row order."""
-    cols: List[List[Tuple[int, int]]] = [[] for _ in range(ncols)]
-    for i, row in enumerate(matrix):
-        for j, v in enumerate(row):
-            if v:
-                cols[j].append((i, v))
-    return cols
-
-
-def _check_square_zero(data: MorseData, matrices: Dict[int, Matrix]) -> None:
+def _check_square_zero(data: MorseData, columns: Dict[int, Columns]) -> None:
     """Raise on the first (source, final) pair, sources then finals in
     order, where lower @ upper is nonzero.  The product sums over the
     nonzero entries of each column only."""
-    cols = {d: _nonzero_columns(m, len(data.points_of_degree(d)))
-            for d, m in matrices.items()}
-    for d in sorted(matrices):
-        if d - 1 not in matrices:
+    for d in sorted(columns):
+        if d - 1 not in columns:
             continue
-        upper, lower = cols[d], cols[d - 1]
+        lower = columns[d - 1]
         finals = data.points_of_degree(d - 2)
-        for src, column in zip(data.points_of_degree(d), upper):
+        for src, column in zip(data.points_of_degree(d), columns[d]):
             totals: Dict[int, int] = {}
-            for k, u in column:
-                for i, w in lower[k]:
+            for k, u in column.items():
+                for i, w in lower[k].items():
                     totals[i] = totals.get(i, 0) + w * u
             bad = min((i for i, t in totals.items() if t), default=None)
             if bad is not None:
@@ -188,50 +190,139 @@ def _check_square_zero(data: MorseData, matrices: Dict[int, Matrix]) -> None:
 
 
 def smith_invariant_factors(matrix: Matrix) -> List[int]:
-    """Positive invariant factors of an integer matrix, in divisibility order.
+    """Positive invariant factors of a dense integer matrix, in divisibility
+    order: `_invariant_factors` of its nonzero columns."""
+    width = len(matrix[0]) if matrix else 0
+    return _invariant_factors(
+        [{i: row[j] for i, row in enumerate(matrix) if row[j]}
+         for j in range(width)])
 
-    One elimination on a sparse row/column form diagonalises the matrix; the
-    Smith form is unique, so the gcd/lcm pass over the diagonal gives the
-    invariant factors whatever the pivot order.
+
+class _Lines:
+    """The rows (or the columns) of a sparse matrix, each a dict of its
+    nonzero entries, bucketed by (least |entry|, number of entries) so the
+    pivot search reads only lines that can hold the pivot."""
+
+    def __init__(self):
+        self.lines: Dict[int, Dict[int, int]] = {}
+        self.key: Dict[int, Tuple[int, int]] = {}
+        self.bucket: Dict[int, Dict[int, Set[int]]] = {}
+
+    def rekey(self, ids) -> None:
+        """Re-bucket lines whose entries changed; drop the empty ones."""
+        lines, keys, bucket = self.lines, self.key, self.bucket
+        for i in ids:
+            line = lines.get(i)
+            key = (min(map(abs, line.values())), len(line)) if line else None
+            old = keys.get(i)
+            if key == old:
+                continue
+            if old is not None:
+                by_count = bucket[old[0]]
+                same = by_count[old[1]]
+                same.discard(i)
+                if not same:
+                    del by_count[old[1]]
+                    if not by_count:
+                        del bucket[old[0]]
+            if key is None:
+                del keys[i]
+                lines.pop(i, None)
+                continue
+            keys[i] = key
+            bucket.setdefault(key[0], {}).setdefault(key[1], set()).add(i)
+
+
+def _invariant_factors(columns: Sequence[Dict[int, int]]) -> List[int]:
+    """Positive invariant factors of the integer matrix with these sparse
+    columns ({row: nonzero entry}), in divisibility order.
+
+    One elimination diagonalises the matrix; the Smith form is unique, so
+    folding the diagonal into a divisibility chain gives the invariant
+    factors whatever the pivot order.  After each pivot only the lines it
+    touched are re-bucketed.
     """
-    rows: Dict[int, Dict[int, int]] = {}
-    cols: Dict[int, Dict[int, int]] = {}
-    for i, row in enumerate(matrix):
-        for j, v in enumerate(row):
-            if v:
-                rows.setdefault(i, {})[j] = v
-                cols.setdefault(j, {})[i] = v
+    rows, cols = _Lines(), _Lines()
+    for j, column in enumerate(columns):
+        if column:
+            cols.lines[j] = dict(column)
+            for i, v in column.items():
+                rows.lines.setdefault(i, {})[j] = v
+    rows.rekey(list(rows.lines))
+    cols.rekey(list(cols.lines))
     diagonal: List[int] = []
-    while rows:
+    while rows.lines:
         i0, j0 = _pivot(rows, cols)
-        _reduce(rows, cols, i0, j0)     # row operations clear column j0
-        _reduce(cols, rows, j0, i0)     # column operations clear row i0
+        # every entry the two clearings change lies in these rows and columns
+        touched_rows, touched_cols = list(cols.lines[j0]), list(rows.lines[i0])
+        _reduce(rows.lines, cols.lines, i0, j0)   # row operations clear column j0
+        # a remainder left in column j0 is smaller than the pivot, so a new
+        # pivot comes first and clearing row i0 now would be wasted
+        if len(cols.lines[j0]) == 1:
+            _reduce(cols.lines, rows.lines, j0, i0)   # column operations clear row i0
         # a nonzero remainder is smaller than the pivot: pick again
-        if len(rows[i0]) == 1 and len(cols[j0]) == 1:
-            diagonal.append(abs(rows.pop(i0)[j0]))
-            del cols[j0]
-    rest = sorted(d for d in diagonal if d != 1)
-    for i in range(len(rest)):
-        for j in range(i + 1, len(rest)):
-            a, b = rest[i], rest[j]
-            rest[i], rest[j] = gcd(a, b), lcm(a, b)
-    return [1] * (len(diagonal) - len(rest)) + rest
+        if len(rows.lines[i0]) == 1 and len(cols.lines[j0]) == 1:
+            diagonal.append(abs(rows.lines.pop(i0)[j0]))
+            del cols.lines[j0]
+        rows.rekey(touched_rows)
+        cols.rekey(touched_cols)
+    return _divisibility_chain(diagonal)
 
 
-def _pivot(rows: Dict[int, Dict[int, int]],
-           cols: Dict[int, Dict[int, int]]) -> Tuple[int, int]:
-    """The entry (row, column) of least |value|, ties to least Markowitz
-    cost (row nonzeros - 1) * (column nonzeros - 1), first found wins."""
-    best, pivot = None, None
-    for i, row in rows.items():
-        others = len(row) - 1
-        for j, v in row.items():
-            key = (abs(v), others * (len(cols[j]) - 1))
-            if best is None or key < best:
-                if key == (1, 0):
-                    return i, j
-                best, pivot = key, (i, j)
-    return pivot
+def _divisibility_chain(diagonal: List[int]) -> List[int]:
+    """The invariant factors of a diagonal matrix of positive entries.
+
+    Each entry, in increasing order, joins the end of the chain and moves
+    down while its lower neighbour does not divide it, the pair becoming
+    (gcd, lcm) (Z/a + Z/b = Z/gcd + Z/lcm); a diagonal that already is a
+    divisibility chain costs one test per entry.
+    """
+    chain: List[int] = []
+    for b in sorted(diagonal):
+        chain.append(b)
+        i = len(chain) - 1
+        while i and chain[i] % chain[i - 1]:
+            a, b = chain[i - 1], chain[i]
+            g = gcd(a, b)
+            chain[i - 1], chain[i] = g, a // g * b
+            i -= 1
+    return chain
+
+
+def _pivot(rows: _Lines, cols: _Lines) -> Tuple[int, int]:
+    """An entry (row, column) of least |value|, ties to least Markowitz cost
+    (row nonzeros - 1) * (column nonzeros - 1).
+
+    Every entry of least |value| a lies in a row and a column whose least
+    |entry| is a.  Those lines are searched by increasing number of entries
+    k, columns then rows; once every such line with fewer than k entries
+    is read, an unread entry costs at least (k - 1)^2, so the search stops
+    when it has found that cost or less.
+    """
+    a = min(rows.bucket)
+    by_row, by_col = rows.bucket[a], cols.bucket[a]
+    best = None
+    for k in sorted(by_row.keys() | by_col.keys()):
+        floor = (k - 1) * (k - 1)
+        if best is not None and best[0] <= floor:
+            break
+        for j in by_col.get(k, ()):
+            for i, v in cols.lines[j].items():
+                if v == a or v == -a:
+                    cost = (len(rows.lines[i]) - 1) * (k - 1)
+                    if best is None or cost < best[0]:
+                        best = cost, i, j
+            if best[0] <= floor:
+                return best[1], best[2]
+        for i in by_row.get(k, ()):
+            for j, v in rows.lines[i].items():
+                if v == a or v == -a:
+                    cost = (k - 1) * (len(cols.lines[j]) - 1)
+                    if best is None or cost < best[0]:
+                        best = cost, i, j
+            if best[0] <= floor:
+                return best[1], best[2]
+    return best[1], best[2]
 
 
 def _reduce(lines: Dict[int, Dict[int, int]], cross: Dict[int, Dict[int, int]],
@@ -259,27 +350,29 @@ def _reduce(lines: Dict[int, Dict[int, int]], cross: Dict[int, Dict[int, int]],
 
 def homology(data: MorseData) -> List[Tuple[int, int, Tuple[int, ...]]]:
     """Per degree: (degree, betti rank, torsion invariant factors)."""
-    return homology_from(data, differential(data))
+    return _homology_table(data, {d: _invariant_factors(c)
+                                  for d, c in boundaries(data).items()})
 
 
 def homology_from(data: MorseData, matrices: Dict[int, Matrix]
                   ) -> List[Tuple[int, int, Tuple[int, ...]]]:
     """`homology` from boundary matrices `differential(data)` already built."""
-    # one Smith form per boundary matrix: its rank and torsion both come
-    # from the invariant factors
-    factors = {d: smith_invariant_factors(m) for d, m in matrices.items()}
+    return _homology_table(data, {d: smith_invariant_factors(m)
+                                  for d, m in matrices.items()})
+
+
+def _homology_table(data: MorseData, factors: Dict[int, List[int]]
+                    ) -> List[Tuple[int, int, Tuple[int, ...]]]:
+    """Betti numbers and torsion from the invariant factors of each
+    boundary map: its rank and torsion both come from them."""
+    sizes = Counter(p.index for p in data.points)
     out = []
     for d in range(data.max_index() + 1):
-        dim = len(data.points_of_degree(d))
         rank_out = len(factors.get(d, ()))
         above = factors.get(d + 1, ())
         torsion = tuple(f for f in above if f > 1)
-        out.append((d, dim - rank_out - len(above), torsion))
+        out.append((d, sizes[d] - rank_out - len(above), torsion))
     return out
-
-
-def euler_characteristic(data: MorseData) -> int:
-    return sum((-1) ** p.index for p in data.points)
 
 
 def load_morse_data(path):

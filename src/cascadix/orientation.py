@@ -9,7 +9,9 @@ Gauss-Jordan elimination runs in integers.  Every pivot entry then equals one
 nonzero d, so the returned rows divided by d are the reduced row echelon
 form.  A fibre sum takes surjectivity, kernel and sign from one elimination
 of its difference map; a frame comparison takes independence, span and the
-change-of-basis matrix from one elimination of [a | b].
+change-of-basis matrix from one elimination of [a | b].  A quotient maps
+its subspace's basis in integers: clearing denominators with positive
+column scalings keeps both the span and every determinant sign.
 
 Two conventions drive everything:
 
@@ -218,9 +220,6 @@ class LinearMapSpec:
     def cols_or(self, default: int) -> int:
         return len(self.matrix[0]) if self.matrix else default
 
-    def apply_columns(self, cols: Sequence[Vector]) -> List[Vector]:
-        return _columns(_matmul(self.matrix, _from_columns(list(cols))))
-
 
 @dataclass(frozen=True)
 class IncludedSubspace:
@@ -257,8 +256,19 @@ def quotient_orientation(total: OrientedSpace,
         )
     if sub.space.dim > total.dim:
         raise NotASubspace("inclusion image is degenerate")
-    s_cols = inc.apply_columns(_columns(sub.space.reference_basis)) \
-        if sub.space.dim else []
+    # sub's basis mapped in integers: the inclusion times the lcm of all its
+    # denominators, each basis column times the lcm of its own, so each
+    # image column is a positive multiple of the true one (same span, same
+    # determinant signs)
+    mult = lcm(*(x.denominator for row in inc.matrix for x in row))
+    inc_rows = [[x.numerator * (mult // x.denominator) for x in row]
+                for row in inc.matrix]
+    s_cols = []
+    for col in _columns(sub.space.reference_basis):
+        scale = lcm(*(x.denominator for x in col))
+        col = [x.numerator * (scale // x.denominator) for x in col]
+        s_cols.append(tuple(sum(a * b for a, b in zip(row, col))
+                            for row in inc_rows))
     reps, combined_sign = _extend_to_basis(
         s_cols, _columns(total.reference_basis), total.dim)
     sign = sub.space.sign * total.sign * combined_sign \

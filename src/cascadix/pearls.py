@@ -13,13 +13,13 @@ The index terms the cascade solver shares live in `grading`.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import CascadixError
 from .grading import (Generator, InteriorGenerator, OrbitGenerator,
                       filling_class_term, grade)
 from .model import (Ambient, CriticalPoint, Functional, IntVector,
-                    SetupDescriptor, class_of_area, pair)
+                    SetupDescriptor, pair)
 
 
 class VariantMismatch(CascadixError):
@@ -141,25 +141,3 @@ def w_to_y_dimension(setup: SetupDescriptor, upper: OrbitGenerator,
     if levels < 1:
         raise VariantMismatch("W-to-Y cascades need at least one level")
     return _integer_difference(setup, upper, interior) + levels
-
-
-def rigid_plane_classes(setup: SetupDescriptor,
-                        omega_bound: Fraction) -> List[IntVector]:
-    """The class of area 1/(tau - K), if it exists within omega_bound.
-
-    Only at that area does the index 2((tau - K)*omega(B) - 1) vanish."""
-    area = 1 / (setup.tau_x - setup.k_const)
-    b = class_of_area(setup.lattice_x, area)
-    return [b] if b is not None and area <= Fraction(omega_bound) else []
-
-
-def chern_gate_applies(setup: SetupDescriptor) -> bool:
-    """True when the setup promises the absence of rigid augmentation planes.
-
-    Requires every filling sphere class to come from the divisor (declared
-    flag) and the minimal divisor Chern number to be at least 2.
-    """
-    if not setup.x_classes_from_sigma:
-        return False
-    mc = setup.min_chern_sigma
-    return mc is None or mc >= 2

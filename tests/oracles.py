@@ -1,10 +1,12 @@
 """Frozen expected values and independent oracle computations.
 
 Everything in this file except `weighted_index`,
-`brute_force_contributions`, `scan_level_shapes` and the `reference_*`
-orientation functions is computed without importing the package under test
-(`first_square_violation` reads a complex's points through its
-`points_of_degree`, nothing else).  `weighted_index` is the textbook
+`brute_force_contributions`, `scan_level_shapes`, the `reference_*`
+orientation functions and the helpers named at the end of this paragraph
+is computed without importing the package under test
+(`first_square_violation`, `dense_differential`, `dense_homology` and
+`chain_euler_characteristic` read a complex only through its points, flows
+and `points_of_degree`).  `weighted_index` is the textbook
 cz(+-delta) form of the weighted Fredholm index, kept as the reference the
 package's kernel-subspace sum is compared against; it imports only the
 package's decoration and operator types and reads CZ indices from the
@@ -16,13 +18,19 @@ solver as it was before it went by winding families, one classification per
 row through `proposals`, kept as the reference the family solver is compared
 against; it uses the package's `classify_type`, `grade`, `class_of_area` and
 structural check.  `scan_level_shapes` is the earlier winding scan of the
-case solver, kept as the reference the degree-equation solution of
-`proposals` is compared against; it uses the package's `grade` and
-`class_of_area`.  `reference_fibre_sum_orientation` and
+case solver, kept as the reference the family solver's two-level rows are
+compared against once `classify_type` has judged its shapes; it uses the
+package's `grade` and `class_of_area`.  `reference_fibre_sum_orientation` and
 `reference_frame_orientations_agree` are the earlier multi-elimination
 orientation code (product space, basis extension, a `Fraction` product and
 determinant signs), kept as the reference the one-elimination code is
 compared against; they use the package's exact linear-algebra primitives.
+`reference_quotient_orientation` is the earlier quotient, whose subspace
+image is a `Fraction` matrix product, kept as the reference the integer
+image columns are compared against.  `negated`, `glue`,
+`rigid_plane_classes` and `chern_gate_applies` are helpers no command runs,
+moved here from the package with the tests that pin them; they and
+`disjoint_copies` build or read the package's own types.
 Derived values were worked out by hand (or by the closed forms below) before
 the corresponding module was written, and the implementation is held to them.
 Do not edit a frozen value to make a test pass; a mismatch means the
@@ -673,6 +681,27 @@ def _product_space(v1, v2):
     return OrientedSpace(n1 + n2, tuple(rows), v1.sign * v2.sign)
 
 
+def reference_quotient_orientation(total, sub):
+    """The quotient with the subspace's image taken as a `Fraction` product."""
+    from cascadix.orientation import (NotASubspace, OrientedFrame, _columns,
+                                      _extend_to_basis, _matmul)
+    inc = sub.inclusion
+    if inc.rows != total.dim or inc.cols_or(sub.space.dim) != sub.space.dim:
+        raise NotASubspace(
+            f"inclusion is {inc.rows}x{inc.cols_or(sub.space.dim)}, need "
+            f"{total.dim}x{sub.space.dim}"
+        )
+    if sub.space.dim > total.dim:
+        raise NotASubspace("inclusion image is degenerate")
+    s_cols = _columns(_matmul(inc.matrix, sub.space.reference_basis)) \
+        if sub.space.dim else []
+    reps, combined_sign = _extend_to_basis(
+        s_cols, _columns(total.reference_basis), total.dim)
+    sign = sub.space.sign * total.sign * combined_sign \
+        * total.basis_det_sign()
+    return OrientedFrame(tuple(reps), sign)
+
+
 def reference_fibre_sum_orientation(v1, v2, w, f1, f2):
     from cascadix.errors import CascadixError
     from cascadix.orientation import (NotSurjective, OrientedFrame, _columns,
@@ -754,6 +783,37 @@ def euler_characteristic(betti_by_degree):
     return sum((-1) ** d * b for d, b in betti_by_degree.items())
 
 
+def chain_euler_characteristic(data):
+    """The Euler characteristic of a Morse complex, from its points."""
+    return sum((-1) ** p.index for p in data.points)
+
+
+def negated(data, ambient_dim):
+    """The complex of the sign-flipped function: indices mirrored, flows
+    reversed.  Transposing every boundary matrix preserves d^2 = 0."""
+    from cascadix.errors import CascadixError
+    from cascadix.morse import MorseData, MorsePoint, SignedFlow
+    top = data.max_index()
+    if ambient_dim < top:
+        raise CascadixError(
+            f"ambient dimension {ambient_dim} below top index {top}")
+    points = tuple(MorsePoint(p.name, ambient_dim - p.index)
+                   for p in data.points)
+    flows = tuple(SignedFlow(f.target, f.source, f.count)
+                  for f in data.flows)
+    return MorseData(points, flows)
+
+
+def disjoint_copies(data, copies):
+    """The disjoint union of `copies` renamed copies of a Morse complex."""
+    from cascadix.morse import MorseData, MorsePoint, SignedFlow
+    return MorseData(
+        tuple(MorsePoint(f"{p.name}#{c}", p.index)
+              for c in range(copies) for p in data.points),
+        tuple(SignedFlow(f"{f.source}#{c}", f"{f.target}#{c}", f.count)
+              for c in range(copies) for f in data.flows))
+
+
 def dense_smith_invariant_factors(matrix):
     """Positive invariant factors of an integer matrix by dense elimination.
 
@@ -816,6 +876,35 @@ def dense_smith_invariant_factors(matrix):
     return factors
 
 
+def dense_differential(data):
+    """Dense boundary matrices keyed by source degree, one cell per pair of
+    points one degree apart, flow counts added into their cells; no d^2
+    check.  This is the engine's former dense assembly."""
+    sizes, slot = {}, {}
+    for p in data.points:
+        slot[p.name] = (p.index, sizes.get(p.index, 0))
+        sizes[p.index] = slot[p.name][1] + 1
+    rows = {d: [[0] * n for _ in range(sizes.get(d - 1, 0))]
+            for d, n in sizes.items() if d >= 1}
+    for f in data.flows:
+        d, j = slot[f.source]
+        rows[d][slot[f.target][1]][j] += f.count
+    return {d: tuple(map(tuple, rows[d])) for d in sorted(rows)}
+
+
+def dense_homology(data, matrices):
+    """(degree, betti, torsion) per degree from dense boundary matrices,
+    through `dense_smith_invariant_factors`."""
+    factors = {d: dense_smith_invariant_factors(m) for d, m in matrices.items()}
+    out = []
+    for d in range(data.max_index() + 1):
+        above = factors.get(d + 1, [])
+        betti = (len(data.points_of_degree(d)) - len(factors.get(d, []))
+                 - len(above))
+        out.append((d, betti, tuple(f for f in above if f > 1)))
+    return out
+
+
 def first_square_violation(data, matrices):
     """The error message for the first nonzero entry of d o d, or None.
 
@@ -845,3 +934,64 @@ def first_square_violation(data, matrices):
 
 def frac(p, q=1):
     return Fraction(p, q)
+
+
+# ---------------------------------------------------------------------------
+# Index helpers no command runs, kept with the tests that pin them.
+
+
+def glue(problem_a, problem_b, puncture_a, puncture_b):
+    """Glue puncture_a of problem_a to puncture_b of problem_b.
+
+    The punctures must have opposite signs, equal operators, and kernel
+    decorations with dim V + dim V' = dim ker.  The glued problem keeps all
+    remaining punctures; its index is the sum of the two inputs, which is
+    what the matching-decoration condition guarantees (checked by tests, not
+    here).
+    """
+    from cascadix.fredholm import (PuncturedProblem, PunctureMismatch,
+                                   _dim_v_of)
+    from cascadix.spectrum import kernel_dimension
+    a = problem_a.punctures[puncture_a]
+    b = problem_b.punctures[puncture_b]
+    if a.sign is b.sign:
+        raise PunctureMismatch("glued punctures must have opposite signs")
+    if a.operator != b.operator:
+        raise PunctureMismatch("glued punctures must share the asymptotic operator")
+    da, db = _dim_v_of(a), _dim_v_of(b)
+    if da + db != kernel_dimension(a.operator):
+        raise PunctureMismatch(
+            f"decorations not complementary: {da} + {db} != "
+            f"{kernel_dimension(a.operator)}"
+        )
+    if problem_a.bundle_rank != problem_b.bundle_rank:
+        raise PunctureMismatch("bundle ranks differ")
+    rest_a = tuple(p for i, p in enumerate(problem_a.punctures) if i != puncture_a)
+    rest_b = tuple(p for i, p in enumerate(problem_b.punctures) if i != puncture_b)
+    return PuncturedProblem(
+        problem_a.bundle_rank,
+        problem_a.rel_c1 + problem_b.rel_c1,
+        rest_a + rest_b,
+    )
+
+
+def rigid_plane_classes(setup, omega_bound):
+    """The class of area 1/(tau - K), if it exists within omega_bound.
+
+    Only at that area does the index 2((tau - K)*omega(B) - 1) vanish."""
+    from cascadix.model import class_of_area
+    area = 1 / (setup.tau_x - setup.k_const)
+    b = class_of_area(setup.lattice_x, area)
+    return [b] if b is not None and area <= Fraction(omega_bound) else []
+
+
+def chern_gate_applies(setup):
+    """True when the setup promises the absence of rigid augmentation planes.
+
+    Requires every filling sphere class to come from the divisor (declared
+    flag) and the minimal divisor Chern number to be at least 2.
+    """
+    if not setup.x_classes_from_sigma:
+        return False
+    mc = setup.min_chern_sigma
+    return mc is None or mc >= 2

@@ -465,21 +465,26 @@ def test_classify_calls_independent_of_kmax(tau2, monkeypatch):
     assert counts[0] == counts[1] > 0, counts
 
 
-# --- the source winding solved against the winding scan ----------------
+# --- the family solver against the winding scan -----------------------
 
 
 def assert_matches_winding_scan(setup, k_max, class_bound):
-    """Every check target up to one winding past k_max: the degree equation
-    proposes exactly the scan's shapes, in the scan's order."""
+    """Every check target up to one winding past k_max: the two-level rows
+    that `cascades.families` expands to are exactly the scan's shapes that
+    `classify_type` finds feasible."""
+    shapes = cascades.families(setup)
     for target in enumerate_generators(setup, k_max + 1):
         if not isinstance(target, OrbitGenerator) \
                 or target.point.flag is not FibreFlag.CHECK:
             continue
-        got = [shape for shape in oracles.proposals(setup, target, k_max,
-                                                    class_bound)
-               if len(shape[1]) == 2]
-        want = list(oracles.scan_level_shapes(setup, target, k_max,
-                                              class_bound))
+        got = [t for t in enumerate_contributions(
+                   setup, target, k_max, class_bound, shapes).types
+               if len(t.multiplicities) == 2]
+        scanned = (classify_type(setup, target, *shape) for shape
+                   in oracles.scan_level_shapes(setup, target, k_max,
+                                                class_bound))
+        want = sorted((t for t in scanned if t.feasible),
+                      key=CascadeType.sort_key)
         assert got == want, (setup.name, k_max, class_bound,
                              target.display_name)
 

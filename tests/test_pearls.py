@@ -19,10 +19,8 @@ from cascadix.model import FibreFlag
 from cascadix.pearls import (
     NonIntegerDegreeDifference,
     VariantMismatch,
-    chern_gate_applies,
     pearl_in_sigma_dimension,
     pearl_with_sphere_dimension,
-    rigid_plane_classes,
     w_to_y_dimension,
     y_to_y_dimension,
     zero_cascade_dimension,
@@ -199,15 +197,15 @@ class TestAugmentationIndex:
 
 class TestChernGate:
     def test_cp2_gate_holds(self, cp2):
-        assert chern_gate_applies(cp2)
-        assert rigid_plane_classes(cp2, 10) == []
+        assert oracles.chern_gate_applies(cp2)
+        assert oracles.rigid_plane_classes(cp2, 10) == []
 
     def test_tau2_gate_fails_with_witness(self, tau2):
-        assert not chern_gate_applies(tau2)
-        assert rigid_plane_classes(tau2, 10) == [(1,)]
+        assert not oracles.chern_gate_applies(tau2)
+        assert oracles.rigid_plane_classes(tau2, 10) == [(1,)]
 
     def test_gate_consistency(self, cp2, tau2, rank0):
         # whenever the gate applies, the search must come back empty
         for setup in (cp2, tau2, rank0):
-            if chern_gate_applies(setup):
-                assert rigid_plane_classes(setup, 8) == []
+            if oracles.chern_gate_applies(setup):
+                assert oracles.rigid_plane_classes(setup, 8) == []
