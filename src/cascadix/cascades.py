@@ -36,10 +36,9 @@ the catalog of candidates only.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import CascadixError
 from .grading import (
@@ -77,8 +76,7 @@ class Case(Enum):
     INFEASIBLE = -1
 
 
-@dataclass(frozen=True)
-class AugPuncture:
+class AugPuncture(NamedTuple):
     """One augmentation plane: attached level, filling class, orbit winding."""
 
     level: int
@@ -86,8 +84,7 @@ class AugPuncture:
     multiplicity: int
 
 
-@dataclass(frozen=True)
-class BudgetTerms:
+class BudgetTerms(NamedTuple):
     terms: Tuple[Tuple[str, Fraction], ...]
 
     @property
@@ -101,8 +98,7 @@ class BudgetTerms:
         return None
 
 
-@dataclass(frozen=True)
-class CascadeType:
+class CascadeType(NamedTuple):
     target: Generator
     source: Generator
     n_levels: int
@@ -349,8 +345,7 @@ def _case_counts(types: Sequence[CascadeType]) -> Dict[int, int]:
     return dict(Counter(t.case_label.value for t in types))
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
+class EnumerationResult(NamedTuple):
     target: Generator
     types: Tuple[CascadeType, ...]
     warnings: Tuple[str, ...]
@@ -368,8 +363,7 @@ def _check_bounds(k_max: int, class_bound: int) -> None:
         raise CascadixError("enumeration bounds must be positive")
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """One catalog shape at every winding where it occurs.
 
     `template` is the classified row at the least target winding.  A
@@ -395,10 +389,10 @@ class Family:
         if not 1 <= k0 <= k_max:
             return None
         shift = k0 - t.source.k
-        return replace(t, target=target,
-                       source=OrbitGenerator(t.source.point, k0),
-                       multiplicities=tuple(m + shift
-                                            for m in t.multiplicities))
+        return t._replace(target=target,
+                          source=OrbitGenerator(t.source.point, k0),
+                          multiplicities=tuple(m + shift
+                                               for m in t.multiplicities))
 
 
 # The families of each target point, as `families` returns them.
@@ -559,8 +553,7 @@ def enumerate_contributions(setup: SetupDescriptor, target: Generator,
                              tuple(warnings))
 
 
-@dataclass(frozen=True)
-class CertificationReport:
+class CertificationReport(NamedTuple):
     types: Tuple[CascadeType, ...]
     violations: Tuple[str, ...]
     warnings: Tuple[str, ...]

@@ -557,9 +557,15 @@ def selftest_cmd(seed, instances):
 
 
 @functools.cache
-def _parser(prog):
-    """One parser with a sub-parser per registered command, built once per
-    process."""
+def _parser(prog, command=None):
+    """The parser for a command line, built once per process and command.
+
+    `command` is the command the line starts with.  The parser then holds
+    that command's sub-parser alone, since the line can reach no other.
+    With None it holds every command's sub-parser, for `--help` and for
+    lines that name no known command.  Help and usage errors read the same
+    either way.
+    """
     listing = "\n".join(f"  {name:<10} {fn.__doc__}"
                         for name, (fn, _) in COMMANDS.items())
     parser = argparse.ArgumentParser(
@@ -571,7 +577,8 @@ def _parser(prog):
     subparsers = parser.add_subparsers(dest="command", metavar="COMMAND",
                                        required=True,
                                        help="one of the commands below")
-    for name, (fn, options) in COMMANDS.items():
+    for name in COMMANDS if command is None else [command]:
+        fn, options = COMMANDS[name]
         sub = subparsers.add_parser(name, description=fn.__doc__,
                                     add_help=False, allow_abbrev=False)
         for names, kwargs in options:
@@ -604,8 +611,9 @@ def _joined(argv):
 
 def main(args=None, prog_name="cascadix"):
     """Run one command line (default `sys.argv[1:]`)."""
-    parser, subparsers = _parser(prog_name)
     argv = sys.argv[1:] if args is None else list(args)
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    parser, subparsers = _parser(prog_name, command)
     namespace, extra = parser.parse_known_args(_joined(argv))
     kwargs = vars(namespace)
     name = kwargs.pop("command")

@@ -38,9 +38,8 @@ fixed-domain operators.  The bare `index_morse_bott` never includes them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import List, Tuple, Union
+from typing import List, NamedTuple, Tuple, Union
 
 from .errors import CascadixError
 from .spectrum import (
@@ -67,33 +66,37 @@ class WeightSide(Enum):
     GROWTH = "growth"
 
 
-@dataclass(frozen=True)
-class Weighted:
+class Weighted(NamedTuple):
     side: WeightSide
 
 
-@dataclass(frozen=True)
-class KernelSubspace:
+class _KernelSubspaceFields(NamedTuple):
     dim_v: int
 
-    def __post_init__(self):
-        if self.dim_v < 0:
-            raise PunctureMismatch(f"kernel subspace dimension {self.dim_v} < 0")
+
+class KernelSubspace(_KernelSubspaceFields):
+    __slots__ = ()
+
+    # `_replace` builds its copy with `_make`: check the copy too
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, dim_v: int):
+        if dim_v < 0:
+            raise PunctureMismatch(f"kernel subspace dimension {dim_v} < 0")
+        return super().__new__(cls, dim_v)
 
 
 Decoration = Union[Weighted, KernelSubspace]
 
 
-@dataclass(frozen=True)
-class Puncture:
+class Puncture(NamedTuple):
     sign: Sign
     operator: AsymptoticOperator
     decoration: Decoration
     interior: bool = False
 
 
-@dataclass(frozen=True)
-class PuncturedProblem:
+class PuncturedProblem(NamedTuple):
     """A Cauchy-Riemann type operator on a punctured sphere.
 
     bundle_rank is the complex rank n of the bundle, rel_c1 the first Chern

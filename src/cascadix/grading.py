@@ -14,10 +14,9 @@ cascade level and the deformation index of an augmentation plane.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
-from typing import List, Optional, Sequence, Union
+from typing import List, NamedTuple, Optional, Sequence, Union
 
 from .errors import CascadixError
 from .model import (
@@ -43,16 +42,23 @@ class NonPositiveArea(CascadixError):
     """Augmentation plane class has non-positive symplectic area."""
 
 
-@dataclass(frozen=True)
-class OrbitGenerator:
-    """k-fold cover of the circle fibre over a base critical point."""
-
+class _OrbitGeneratorFields(NamedTuple):
     point: LiftedCriticalPoint
     k: int
 
-    def __post_init__(self):
-        if self.k < 1:
-            raise CascadixError(f"orbit winding must be >= 1, got {self.k}")
+
+class OrbitGenerator(_OrbitGeneratorFields):
+    """k-fold cover of the circle fibre over a base critical point."""
+
+    __slots__ = ()
+
+    # `_replace` builds its copy with `_make`: check the copy too
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, point: LiftedCriticalPoint, k: int):
+        if k < 1:
+            raise CascadixError(f"orbit winding must be >= 1, got {k}")
+        return super().__new__(cls, point, k)
 
     @property
     def display_name(self) -> str:
@@ -63,17 +69,23 @@ class OrbitGenerator:
         return "orbit"
 
 
-@dataclass(frozen=True)
-class InteriorGenerator:
-    """Critical point of the Morse function on the filling."""
-
+class _InteriorGeneratorFields(NamedTuple):
     point: CriticalPoint
 
-    def __post_init__(self):
-        if self.point.ambient is not Ambient.W:
+
+class InteriorGenerator(_InteriorGeneratorFields):
+    """Critical point of the Morse function on the filling."""
+
+    __slots__ = ()
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, point: CriticalPoint):
+        if point.ambient is not Ambient.W:
             raise CascadixError(
-                f"interior generator needs a W critical point, got {self.point.name}"
+                f"interior generator needs a W critical point, got {point.name}"
             )
+        return super().__new__(cls, point)
 
     @property
     def display_name(self) -> str:

@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
-from typing import Optional, Sequence, Tuple, Union
+from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import CascadixError
 
@@ -98,8 +97,7 @@ def format_rational(value: Rational) -> str:
     return str(Fraction(value))
 
 
-@dataclass(frozen=True)
-class HomologyLattice:
+class HomologyLattice(NamedTuple):
     """A free abelian lattice with exact functionals on it.
 
     omega is the symplectic area (rational per generator), c1 the first Chern
@@ -166,25 +164,31 @@ def class_of_area(lattice: HomologyLattice, area: Rational) -> Optional[IntVecto
     return tuple(int(m) * c for c in unit)
 
 
-@dataclass(frozen=True)
-class CriticalPoint:
+class CriticalPoint(NamedTuple):
     name: str
     morse_index: int
     ambient: Ambient
 
 
-@dataclass(frozen=True)
-class LiftedCriticalPoint:
+class _LiftedCriticalPointFields(NamedTuple):
+    base: CriticalPoint
+    flag: FibreFlag
+
+
+class LiftedCriticalPoint(_LiftedCriticalPointFields):
     """A critical point of the hypersurface Morse function lifted to the
     circle bundle: each base point contributes a "check" lift (same index)
     and a "hat" lift (index + 1)."""
 
-    base: CriticalPoint
-    flag: FibreFlag
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.base.ambient is not Ambient.SIGMA:
+    # `_replace` builds its copy with `_make`: check the copy too
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, base: CriticalPoint, flag: FibreFlag):
+        if base.ambient is not Ambient.SIGMA:
             raise ValidationError("only hypersurface critical points lift")
+        return super().__new__(cls, base, flag)
 
     @property
     def fibre_index(self) -> int:
@@ -199,15 +203,7 @@ class LiftedCriticalPoint:
         return f"{self.base.name}_{self.flag.value}"
 
 
-@dataclass(frozen=True)
-class SetupDescriptor:
-    """Validated description of a monotone triple plus Morse data.
-
-    n is half the real dimension of the ambient manifold; the hypersurface has
-    real dimension 2n - 2, so its Morse indices live in [0, 2n-2] and the
-    filling's in [0, 2n].
-    """
-
+class _SetupDescriptorFields(NamedTuple):
     n: int
     tau_x: Fraction
     k_const: Fraction
@@ -220,12 +216,23 @@ class SetupDescriptor:
     x_classes_from_sigma: bool = False
     name: str = ""
 
+
+class SetupDescriptor(_SetupDescriptorFields):
+    """Validated description of a monotone triple plus Morse data.
+
+    n is half the real dimension of the ambient manifold; the hypersurface has
+    real dimension 2n - 2, so its Morse indices live in [0, 2n-2] and the
+    filling's in [0, 2n].  No `__slots__`: the instance `__dict__` holds the
+    cached `slope_ratio`.
+    """
+
     @cached_property
     def slope_ratio(self) -> Fraction:
         """(tau - K) / K: the per-multiplicity degree shift is twice this.
 
-        Computed once per setup; the cache sits outside the fields, so
-        equality, hashing and repr are those of the fields alone.
+        Computed once per setup; the cache sits in the instance `__dict__`,
+        outside the fields, so equality, hashing and repr are those of the
+        fields alone.
         """
         return (self.tau_x - self.k_const) / self.k_const
 

@@ -35,10 +35,9 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 from math import gcd
 from pathlib import Path
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Set, Tuple
 
 from .errors import CascadixError
 
@@ -52,50 +51,70 @@ Matrix = Tuple[Tuple[int, ...], ...]
 Columns = List[Dict[int, int]]
 
 
-@dataclass(frozen=True)
-class MorsePoint:
+class _MorsePointFields(NamedTuple):
     name: str
     index: int
 
-    def __post_init__(self):
-        if not isinstance(self.name, str) or not self.name:
-            raise CascadixError(f"bad critical point name {self.name!r}")
-        if self.index < 0:
-            raise CascadixError(f"negative index on {self.name}")
+
+class MorsePoint(_MorsePointFields):
+    __slots__ = ()
+
+    # `_replace` builds its copy with `_make`: check the copy too
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, name: str, index: int):
+        if not isinstance(name, str) or not name:
+            raise CascadixError(f"bad critical point name {name!r}")
+        if index < 0:
+            raise CascadixError(f"negative index on {name}")
+        return super().__new__(cls, name, index)
 
 
-@dataclass(frozen=True)
-class SignedFlow:
+class _SignedFlowFields(NamedTuple):
     source: str
     target: str
     count: int
 
-    def __post_init__(self):
-        if not (isinstance(self.source, str) and isinstance(self.target, str)):
-            raise CascadixError(f"bad flow ends {self.source!r} -> {self.target!r}")
+
+class SignedFlow(_SignedFlowFields):
+    __slots__ = ()
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, source: str, target: str, count: int):
+        if not (isinstance(source, str) and isinstance(target, str)):
+            raise CascadixError(f"bad flow ends {source!r} -> {target!r}")
+        return super().__new__(cls, source, target, count)
 
 
-@dataclass(frozen=True)
-class MorseData:
+class _MorseDataFields(NamedTuple):
     points: Tuple[MorsePoint, ...]
     flows: Tuple[SignedFlow, ...] = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-        object.__setattr__(self, "flows", tuple(self.flows))
-        names = [p.name for p in self.points]
-        if len(set(names)) != len(names):
+
+class MorseData(_MorseDataFields):
+    """Critical points and the signed counts of the flows between them."""
+
+    __slots__ = ()
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, points: Sequence[MorsePoint],
+                flows: Sequence[SignedFlow] = ()):
+        points, flows = tuple(points), tuple(flows)
+        index = {p.name: p.index for p in points}
+        if len(index) != len(points):
             raise CascadixError("duplicate critical point names")
-        by_name = {p.name: p for p in self.points}
-        for f in self.flows:
-            if f.source not in by_name or f.target not in by_name:
+        for source, target, _ in flows:
+            if source not in index or target not in index:
                 raise CascadixError(
-                    f"flow {f.source} -> {f.target} references unknown points")
-            drop = by_name[f.source].index - by_name[f.target].index
+                    f"flow {source} -> {target} references unknown points")
+            drop = index[source] - index[target]
             if drop != 1:
                 raise CascadixError(
-                    f"flow {f.source} -> {f.target} drops index by {drop}, "
+                    f"flow {source} -> {target} drops index by {drop}, "
                     "need exactly 1")
+        return super().__new__(cls, points, flows)
 
     def max_index(self) -> int:
         return max((p.index for p in self.points), default=-1)
@@ -104,23 +123,22 @@ class MorseData:
         return tuple(p for p in self.points if p.index == degree)
 
 
-@dataclass(frozen=True)
-class LiftedMorseData:
+class LiftedMorseData(NamedTuple):
     """Base complex plus user-supplied signed counts for the lifted flows."""
 
     base: MorseData
     lifted_flows: Tuple[SignedFlow, ...] = ()
 
     def lifted(self) -> MorseData:
-        return MorseData(lift_generators(self.base), tuple(self.lifted_flows))
+        return MorseData(lift_generators(self.base), self.lifted_flows)
 
 
 def lift_generators(base: MorseData) -> Tuple[MorsePoint, ...]:
     """Two generators per base point: name_check at M, name_hat at M + 1."""
     out = []
-    for p in base.points:
-        out.append(MorsePoint(f"{p.name}_check", p.index))
-        out.append(MorsePoint(f"{p.name}_hat", p.index + 1))
+    for name, d in base.points:
+        out.append(MorsePoint(f"{name}_check", d))
+        out.append(MorsePoint(f"{name}_hat", d + 1))
     return tuple(out)
 
 
@@ -133,18 +151,19 @@ def boundaries(data: MorseData) -> Dict[int, Columns]:
     index-(d-1) points.  Counts that cancel leave no entry.
     """
     position: Dict[str, int] = {}
+    index: Dict[str, int] = {}
     columns: Dict[int, Columns] = {}
-    for p in data.points:
-        degree = columns.setdefault(p.index, [])
-        position[p.name] = len(degree)
+    for name, d in data.points:
+        degree = columns.setdefault(d, [])
+        position[name] = len(degree)
+        index[name] = d
         degree.append({})
-    index = {p.name: p.index for p in data.points}
-    for f in data.flows:
-        column = columns[index[f.source]][position[f.source]]
-        i = position[f.target]
-        count = column.get(i, 0) + f.count
-        if count:
-            column[i] = count
+    for source, target, count in data.flows:
+        column = columns[index[source]][position[source]]
+        i = position[target]
+        total = column.get(i, 0) + count
+        if total:
+            column[i] = total
         else:
             column.pop(i, None)
     out = {d: columns[d] for d in sorted(columns) if d >= 1}

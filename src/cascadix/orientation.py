@@ -29,10 +29,9 @@ all formulas extend without special cases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .errors import CascadixError
 
@@ -169,29 +168,36 @@ def _extend_to_basis(cols: List[Vector], candidates: List[Vector],
     return [candidates[c - k] for c in pivots[k:]], sign
 
 
-@dataclass(frozen=True)
-class OrientedSpace:
-    """Abstract oriented rational vector space with a reference basis."""
-
+class _OrientedSpaceFields(NamedTuple):
     dim: int
     reference_basis: Matrix = ()
     sign: int = 1
-    _basis_sign: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.dim < 0:
-            raise CascadixError(f"dimension {self.dim} < 0")
-        if self.sign not in (1, -1):
-            raise CascadixError(f"sign must be +-1, got {self.sign}")
-        basis = self.reference_basis or _identity(self.dim)
-        basis = _frac_rows(basis)
-        object.__setattr__(self, "reference_basis", basis)
-        if len(basis) != self.dim or any(len(r) != self.dim for r in basis):
+
+class OrientedSpace(_OrientedSpaceFields):
+    """Abstract oriented rational vector space with a reference basis.
+
+    No `__slots__`: the instance `__dict__` holds the basis determinant
+    sign, computed once when the basis is checked.
+    """
+
+    # `_replace` builds its copy with `_make`: check the copy too
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, dim: int, reference_basis: Matrix = (), sign: int = 1):
+        if dim < 0:
+            raise CascadixError(f"dimension {dim} < 0")
+        if sign not in (1, -1):
+            raise CascadixError(f"sign must be +-1, got {sign}")
+        basis = _frac_rows(reference_basis or _identity(dim))
+        if len(basis) != dim or any(len(r) != dim for r in basis):
             raise CascadixError("reference basis must be square of size dim")
         basis_sign = det_sign(basis)
         if basis_sign == 0:
             raise CascadixError("reference basis is singular")
-        object.__setattr__(self, "_basis_sign", basis_sign)
+        self = super().__new__(cls, dim, basis, sign)
+        self._basis_sign = basis_sign
+        return self
 
     @classmethod
     def standard(cls, dim: int, sign: int = 1) -> "OrientedSpace":
@@ -201,17 +207,23 @@ class OrientedSpace:
         return self._basis_sign
 
 
-@dataclass(frozen=True)
-class LinearMapSpec:
-    """Rational matrix, rows = target dimension, columns = source dimension."""
-
+class _LinearMapSpecFields(NamedTuple):
     matrix: Matrix
 
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _frac_rows(self.matrix))
-        widths = {len(r) for r in self.matrix}
+
+class LinearMapSpec(_LinearMapSpecFields):
+    """Rational matrix, rows = target dimension, columns = source dimension."""
+
+    __slots__ = ()
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, matrix: Matrix):
+        matrix = _frac_rows(matrix)
+        widths = {len(r) for r in matrix}
         if len(widths) > 1:
             raise CascadixError("ragged matrix")
+        return super().__new__(cls, matrix)
 
     @property
     def rows(self) -> int:
@@ -221,16 +233,14 @@ class LinearMapSpec:
         return len(self.matrix[0]) if self.matrix else default
 
 
-@dataclass(frozen=True)
-class IncludedSubspace:
+class IncludedSubspace(NamedTuple):
     """An oriented space together with its inclusion into a larger one."""
 
     space: OrientedSpace
     inclusion: LinearMapSpec
 
 
-@dataclass(frozen=True)
-class OrientedFrame:
+class OrientedFrame(NamedTuple):
     """Ordered vectors inside an ambient space, with an orientation sign."""
 
     vectors: Tuple[Vector, ...]

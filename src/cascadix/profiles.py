@@ -26,8 +26,7 @@ difference of h, which catches inconsistent expression triples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import CascadixError
 
@@ -46,16 +45,14 @@ class ProfileParseError(CascadixError):
     """Unusable profile specification string."""
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(NamedTuple):
     name: str
     h: Callable[[float], float]
     h_prime: Callable[[float], float]
     h_double_prime: Callable[[float], float]
 
 
-@dataclass(frozen=True)
-class OrbitLevel:
+class OrbitLevel(NamedTuple):
     """One circle of nonconstant orbits: multiplicity k at radius rho = e^b."""
 
     k: int
@@ -220,8 +217,7 @@ def orbit_level(profile: Profile, k: int, t0) -> OrbitLevel:
                       vertical_c=vertical_c, residual=residual)
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
+class AdmissibilityReport(NamedTuple):
     ok: bool
     first_violation: Optional[str]
 

@@ -35,10 +35,9 @@ discretization, lives with the test oracles (`tests/oracles.py`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, List, Union
+from typing import Iterable, List, NamedTuple, Union
 
 from .errors import CascadixError
 
@@ -49,15 +48,22 @@ class SpectrumError(CascadixError):
     pass
 
 
-@dataclass(frozen=True)
-class ComplexLinear:
-    """-i d/dt on loops in C^rank; spectrum 2 pi Z, multiplicity 2*rank."""
-
+class _ComplexLinearFields(NamedTuple):
     rank: int
 
-    def __post_init__(self):
-        if self.rank < 1:
-            raise SpectrumError(f"complex rank must be >= 1, got {self.rank}")
+
+class ComplexLinear(_ComplexLinearFields):
+    """-i d/dt on loops in C^rank; spectrum 2 pi Z, multiplicity 2*rank."""
+
+    __slots__ = ()
+
+    # `_replace` builds its copy with `_make`: check the copy too
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, rank: int):
+        if rank < 1:
+            raise SpectrumError(f"complex rank must be >= 1, got {rank}")
+        return super().__new__(cls, rank)
 
     @property
     def complex_rank(self) -> int:
@@ -68,17 +74,22 @@ class ComplexLinear:
         return f"ComplexLinear{{{self.rank}}}"
 
 
-@dataclass(frozen=True)
-class VerticalC:
-    """-i d/dt - diag(c, 0) on complex-valued loops, c >= 0."""
-
+class _VerticalCFields(NamedTuple):
     c: float
 
-    def __post_init__(self):
-        c = float(self.c)
-        if not math.isfinite(c) or c < 0.0:
-            raise SpectrumError(f"vertical constant must be finite and >= 0, got {self.c}")
-        object.__setattr__(self, "c", c)
+
+class VerticalC(_VerticalCFields):
+    """-i d/dt - diag(c, 0) on complex-valued loops, c >= 0."""
+
+    __slots__ = ()
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, c: float):
+        value = float(c)
+        if not math.isfinite(value) or value < 0.0:
+            raise SpectrumError(f"vertical constant must be finite and >= 0, got {c}")
+        return super().__new__(cls, value)
 
     @property
     def complex_rank(self) -> int:
@@ -99,8 +110,7 @@ class Side(Enum):
     MINUS_SMALL = "-delta"
 
 
-@dataclass(frozen=True, order=True)
-class SpectralPoint:
+class SpectralPoint(NamedTuple):
     eigenvalue: float
     mode: int
     multiplicity: int

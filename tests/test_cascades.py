@@ -1,6 +1,5 @@
 import json
 import math
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -300,7 +299,7 @@ class TestEnumeration:
         def mislabelled(*args, **kwargs):
             t = classify(*args, **kwargs)
             if t.case_label is Case.CASE1:
-                return replace(t, case_label=Case.CASE2)
+                return t._replace(case_label=Case.CASE2)
             return t
 
         monkeypatch.setattr(cascades, "classify_type", mislabelled)
@@ -320,12 +319,11 @@ class TestEnumeration:
 def _by_area(setup, t):
     """The type with every class replaced by its area."""
     sigma, x = setup.lattice_sigma, setup.lattice_x
-    return replace(
-        t,
+    return t._replace(
         classes_a=tuple(pair(sigma, a, Functional.OMEGA) for a in t.classes_a),
         sphere_b=(None if t.sphere_b is None
                   else pair(x, t.sphere_b, Functional.OMEGA)),
-        aug=tuple(replace(p, class_b=pair(x, p.class_b, Functional.OMEGA))
+        aug=tuple(p._replace(class_b=pair(x, p.class_b, Functional.OMEGA))
                   for p in t.aug))
 
 

@@ -160,6 +160,51 @@ def test_help_names_every_option(run_cli, command):
                          result.stdout), (command, name)
 
 
+def test_every_command_is_listed():
+    assert list(COMMAND_OPTIONS) == list(cli.COMMANDS)
+
+
+# Lines answered by help or a usage error: the program's and each command's.
+PARSER_LINES = [
+    ["--help"], [], ["nope"], ["-h"],
+    *([name, "--help"] for name in COMMAND_OPTIONS),
+    *([name, "--bogus"] for name in COMMAND_OPTIONS),
+    ["spectrum", "--C", "0", "--complex-rank", "2"],
+    ["validate", "--setup", "no_such_file.json"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_LINES,
+                         ids=lambda argv: " ".join(argv) or "(empty)")
+def test_one_command_parser_prints_what_the_full_parser_prints(
+        run_cli, monkeypatch, argv):
+    """A line starting with a command is parsed by that command's
+    sub-parser alone; its help and usage errors are byte for byte those of
+    the parser holding every command."""
+    lean = run_cli(*argv)
+    assert lean.exit_code in (0, 2)
+    build = cli._parser
+    monkeypatch.setattr(cli, "_parser",
+                        lambda prog, command=None: build(prog))
+    assert run_cli(*argv) == lean
+
+
+def test_parser_of_one_command_holds_that_command_alone():
+    _, subparsers = cli._parser("cascadix", "grade")
+    assert list(subparsers.choices) == ["grade"]
+    _, subparsers = cli._parser("cascadix")
+    assert list(subparsers.choices) == list(cli.COMMANDS)
+
+
+def test_in_process_calls_may_switch_commands(run_cli, data_dir):
+    lines = [["validate", "--setup", str(data_dir / "cp2.json")],
+             ["spectrum", "--C", "1"],
+             ["morse", "--data", str(data_dir / "morse_circle.json")]]
+    first = [run_cli(*argv) for argv in lines]
+    assert all(result.exit_code == 0 for result in first)
+    assert [run_cli(*argv) for argv in reversed(lines)] == first[::-1]
+
+
 def test_index_rejects_negative_augmentation_count(run_cli):
     result = run_cli("index", "--n", "2", "--aug", "-1")
     line = _assert_one_error_line(result)
@@ -659,8 +704,10 @@ def test_enumerate_byte_deterministic(data_dir, command):
     (["grade", "--setup", "{data}/cp2.json"], {"model", "grading"}),
     (["dim", "--setup", "{data}/cp2.json", "--instance", "{tmp}/yy.json"],
      {"model", "grading", "pearls"}),
+    (["spectrum", "--C", "1"], {"spectrum"}),
+    (["index", "--n", "2"], {"fredholm", "spectrum"}),
 ], ids=["morse", "orient", "validate", "help", "report", "enumerate",
-        "grade", "dim"])
+        "grade", "dim", "spectrum", "index"])
 def test_launch_imports_only_the_engine_modules_it_runs(data_dir, tmp_path,
                                                         command, engine):
     (tmp_path / "fs.json").write_text(json.dumps({
@@ -674,6 +721,9 @@ def test_launch_imports_only_the_engine_modules_it_runs(data_dir, tmp_path,
                         if name.split(".")[0] == "cascadix"}
     assert cascadix_modules == {"cascadix", "cascadix.cli", "cascadix.errors"} \
         | {f"cascadix.{name}" for name in engine}
+    # Records are NamedTuples: `dataclasses` and the `inspect` it imports
+    # cost a launch some 11 ms.
+    assert not loaded & {"dataclasses", "inspect"}
     # Beyond the package, only the standard library.  Exempt: what a bare
     # `-c pass` loads (`site` may load third-party hooks), and names that
     # are only tried and do not exist (`copy` tries `org.python.core`).
