@@ -11,6 +11,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import oracles
+
 from cascadix import cli, morse, pearls
 from cascadix.grading import orbit_generator
 from cascadix.model import FibreFlag
@@ -389,6 +391,51 @@ def test_morse_rejects_broken_boundary(run_cli, tmp_path):
     assert "BoundarySquaredNonzero" in result.stderr
 
 
+@st.composite
+def flat_complexes(draw):
+    """Up to 4 points in each of degrees 0 and 1, random flows between them
+    (repeated and cancelling ones among them), and maybe a lone degree-3
+    point over an empty degree 2; d^2 vanishes on every draw."""
+    names = {d: [f"p{d}_{k}" for k in range(draw(st.integers(0, 4)))]
+             for d in (0, 1)}
+    if draw(st.booleans()):
+        names[3] = ["top"]
+    points = draw(st.permutations(
+        [{"name": x, "index": d} for d, ns in names.items() for x in ns]))
+    flows = []
+    if names[0] and names[1]:
+        for _ in range(draw(st.integers(0, 10))):
+            flows.append({"source": draw(st.sampled_from(names[1])),
+                          "target": draw(st.sampled_from(names[0])),
+                          "count": draw(st.integers(-3, 3))})
+    return {"points": points, "flows": flows}
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(raw=flat_complexes())
+def test_morse_rows_match_dense_oracle(run_cli, raw):
+    """Each boundary row printed by `morse` is a row of the dense matrix the
+    oracle assembles, zeros included, and the table is the oracle's."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "complex.json"
+        path.write_text(json.dumps(raw))
+        result = run_cli("morse", "--data", str(path))
+        data = morse.load_morse_data(path)
+    dense = oracles.dense_differential(data)
+    want = [f"points: {len(data.points)}"]
+    for d, rows in dense.items():
+        names = ",".join(p.name for p in data.points_of_degree(d))
+        cells = "; ".join("(" + ",".join(map(str, r)) + ")" for r in rows)
+        want.append(f"boundary degree {d} [{names}]: {cells or '(empty)'}")
+    want += ["d^2 = 0: verified", "degree  betti  torsion"]
+    for d, betti, torsion in oracles.dense_homology(data, dense):
+        label = ";".join(map(str, torsion)) or "-"
+        want.append(f"{d:>6} {betti:>6} {label:>8}")
+    assert result.exit_code == 0
+    assert result.stdout == "\n".join(want) + "\n"
+
+
 MALFORMED_INPUTS = {
     "truncated": '{"kind": "fibre_sum", "v1": {"dim"',
     "index_not_integer": json.dumps({"points": [{"name": "a", "index": "x"}]}),
@@ -675,6 +722,14 @@ def test_golden_cp2_catalog(data_dir):
     assert proc.returncode == 0
     assert proc.stdout == golden
     assert b"\r\n" in proc.stdout  # RFC 4180 line ends
+
+
+@pytest.mark.parametrize("name", MORSE_FILES)
+def test_golden_morse(data_dir, name):
+    golden = (data_dir.parent / "tests" / "golden" / f"{name}.txt").read_bytes()
+    proc = run_script("morse", "--data", str(data_dir / f"{name}.json"))
+    assert proc.returncode == 0
+    assert proc.stdout == golden
 
 
 @pytest.mark.parametrize("command", [("enumerate", "--all-targets"),
