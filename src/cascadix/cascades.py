@@ -101,9 +101,6 @@ class BudgetTerms(NamedTuple):
 class CascadeType(NamedTuple):
     target: Generator
     source: Generator
-    n_levels: int
-    n_constant: int
-    n_nonconstant: int
     multiplicities: Tuple[int, ...]
     classes_a: Tuple[IntVector, ...]
     sphere_b: Optional[IntVector]
@@ -115,6 +112,19 @@ class CascadeType(NamedTuple):
     @property
     def feasible(self) -> bool:
         return self.case_label is not Case.INFEASIBLE
+
+    @property
+    def n_levels(self) -> int:
+        return len(self.classes_a)
+
+    @property
+    def n_constant(self) -> int:
+        """Levels whose projected sphere class is zero."""
+        return sum(1 for a in self.classes_a if not any(a))
+
+    @property
+    def n_nonconstant(self) -> int:
+        return self.n_levels - self.n_constant
 
     @property
     def aug_count(self) -> int:
@@ -174,13 +184,6 @@ def index_identity_w_to_y(setup: SetupDescriptor, cascade: CascadeType) -> Fract
             + filling_class_term(setup, cascade.sphere_b))
 
 
-def _infeasible(target, source, multiplicities, classes_a, sphere_b, aug,
-                n0, n1, budget, reason) -> CascadeType:
-    return CascadeType(target, source, len(classes_a), n0, n1,
-                       tuple(multiplicities), tuple(classes_a), sphere_b,
-                       tuple(aug), Case.INFEASIBLE, budget, reason)
-
-
 def classify_type(setup: SetupDescriptor, target: Generator, source: Generator,
                   multiplicities: Sequence[int],
                   classes_a: Sequence[IntVector] = (),
@@ -200,8 +203,8 @@ def classify_type(setup: SetupDescriptor, target: Generator, source: Generator,
     empty_budget = BudgetTerms(())
 
     def bail(reason, budget=empty_budget):
-        return _infeasible(target, source, multiplicities, classes_a,
-                           sphere_b, aug, n0, n1, budget, reason)
+        return CascadeType(target, source, multiplicities, classes_a,
+                           sphere_b, aug, Case.INFEASIBLE, budget, reason)
 
     # interior-to-interior: a Morse flow line in the filling
     if isinstance(target, InteriorGenerator):
@@ -213,8 +216,8 @@ def classify_type(setup: SetupDescriptor, target: Generator, source: Generator,
             return bail("endpoints coincide")
         if grade(setup, target) - grade(setup, source) != 1:
             return bail("degree difference != 1")
-        return CascadeType(target, source, 0, 0, 0, (), (), None, (),
-                           Case.CASE0, empty_budget)
+        return CascadeType(target, source, (), (), None, (), Case.CASE0,
+                           empty_budget)
 
     if not isinstance(target, OrbitGenerator):
         raise CascadixError(f"unsupported target {target!r}")
@@ -337,25 +340,14 @@ def classify_type(setup: SetupDescriptor, target: Generator, source: Generator,
         raise CascadixError(
             f"unclassifiable survivor: N={n_levels}, N0={n0}, N1={n1}"
         )
-    return CascadeType(target, source, n_levels, n0, n1, multiplicities,
-                       classes_a, sphere_b, aug, label, budget)
-
-
-def _case_counts(types: Sequence[CascadeType]) -> Dict[int, int]:
-    return dict(Counter(t.case_label.value for t in types))
+    return CascadeType(target, source, multiplicities, classes_a, sphere_b,
+                       aug, label, budget)
 
 
 class EnumerationResult(NamedTuple):
     target: Generator
     types: Tuple[CascadeType, ...]
     warnings: Tuple[str, ...]
-
-    @property
-    def complete(self) -> bool:
-        return not self.warnings
-
-    def case_counts(self) -> Dict[int, int]:
-        return _case_counts(self.types)
 
 
 def _check_bounds(k_max: int, class_bound: int) -> None:
@@ -563,7 +555,7 @@ class CertificationReport(NamedTuple):
         return not self.violations
 
     def case_counts(self) -> Dict[int, int]:
-        return _case_counts(self.types)
+        return dict(Counter(t.case_label.value for t in self.types))
 
     def summary(self) -> str:
         if not self.certified:

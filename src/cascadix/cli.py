@@ -443,14 +443,16 @@ def morse_cmd(data_path):
         print(f"lifted complex over {len(data.base.points)} base points")
         data = data.lifted()
     print(f"points: {len(data.points)}")
-    matrices = morse.differential(data)
-    for d in sorted(matrices):
-        cols = ",".join(p.name for p in data.points_of_degree(d))
-        mat = "; ".join(_vec(row) for row in matrices[d]) or "(empty)"
-        print(f"boundary degree {d} [{cols}]: {mat}")
+    boundaries = morse.boundaries(data)
+    for d, columns in boundaries.items():
+        names = ",".join(p.name for p in data.points_of_degree(d))
+        rows = range(len(data.points_of_degree(d - 1)))
+        mat = "; ".join(_vec(column.get(i, 0) for column in columns)
+                        for i in rows) or "(empty)"
+        print(f"boundary degree {d} [{names}]: {mat}")
     print("d^2 = 0: verified")
     print(f"{'degree':>6} {'betti':>6} {'torsion':>8}")
-    for d, betti, torsion in morse.homology_from(data, matrices):
+    for d, betti, torsion in morse.homology_from(data, boundaries):
         label = ";".join(str(t) for t in torsion) or "-"
         print(f"{d:>6} {betti:>6} {label:>8}")
 

@@ -8,22 +8,20 @@ from the invariant factors bigger than one.
 
 Morse boundaries are sparse and mostly +-1, and every exact computation
 works on that.  `boundaries` assembles each degree once, straight from the
-flows, as sparse columns of nonzero counts; `homology` checks d^2 = 0 and
-runs the Smith form on those columns and never builds a dense matrix.  The
-d^2 = 0 check multiplies the columns' nonzero entries, so its cost follows
-the nonzeros, not the full matrix sizes.  The Smith form is one elimination
-on a sparse row/column form: the pivot is an entry of least absolute value
-(ties to least Markowitz cost, so +-1 entries go first, as in
-Dumas-Saunders-Villard 2001), its column is cleared with floor quotients,
-then its row once the column holds no remainder, and a remainder, being
-smaller than the pivot, is simply the next pivot.  Rows and columns are
-bucketed by least |entry| and number of entries, so the pivot search reads
-a few lines instead of the whole matrix, and only the lines a pivot touched
-are re-bucketed.  The diagonal this leaves is folded into a divisibility
-chain, giving the invariant factors.  No bound on entry growth is proved,
-so its cost is measured, not guaranteed.  `differential` and
-`smith_invariant_factors` are the dense views of the same code, for
-printing and for callers holding a matrix.
+flows, as sparse columns of nonzero counts, and checks d^2 = 0;
+`homology_from` runs the Smith form on those same columns, and no dense
+matrix is ever built.  The d^2 = 0 check multiplies the columns' nonzero
+entries, so its cost follows the nonzeros, not the full matrix sizes.  The
+Smith form is one elimination on a sparse row/column form: the pivot is an
+entry of least absolute value (ties to least Markowitz cost, so +-1 entries
+go first, as in Dumas-Saunders-Villard 2001), its column is cleared with
+floor quotients, then its row once the column holds no remainder, and a
+remainder, being smaller than the pivot, is simply the next pivot.  Rows
+and columns are bucketed by least |entry| and number of entries, so the
+pivot search reads a few lines instead of the whole matrix, and only the
+lines a pivot touched are re-bucketed.  The diagonal this leaves is folded
+into a divisibility chain, giving the invariant factors.  No bound on entry
+growth is proved, so its cost is measured, not guaranteed.
 
 One derived complex matters downstream: the circle-bundle lift, where
 every base point p contributes a pair of generators p_check (index M(p)) and
@@ -169,22 +167,6 @@ def boundaries(data: MorseData) -> Dict[int, Columns]:
     out = {d: columns[d] for d in sorted(columns) if d >= 1}
     _check_square_zero(data, out)
     return out
-
-
-def differential(data: MorseData) -> Dict[int, Matrix]:
-    """Boundary matrices keyed by source degree; raises if d^2 != 0.
-
-    The dense view of `boundaries`: the degree-d matrix has one column per
-    index-d point and one row per index-(d-1) point.
-    """
-    matrices: Dict[int, Matrix] = {}
-    for d, columns in boundaries(data).items():
-        rows = [[0] * len(columns) for _ in data.points_of_degree(d - 1)]
-        for j, column in enumerate(columns):
-            for i, v in column.items():
-                rows[i][j] = v
-        matrices[d] = tuple(map(tuple, rows))
-    return matrices
 
 
 def _check_square_zero(data: MorseData, columns: Dict[int, Columns]) -> None:
@@ -369,21 +351,16 @@ def _reduce(lines: Dict[int, Dict[int, int]], cross: Dict[int, Dict[int, int]],
 
 def homology(data: MorseData) -> List[Tuple[int, int, Tuple[int, ...]]]:
     """Per degree: (degree, betti rank, torsion invariant factors)."""
-    return _homology_table(data, {d: _invariant_factors(c)
-                                  for d, c in boundaries(data).items()})
+    return homology_from(data, boundaries(data))
 
 
-def homology_from(data: MorseData, matrices: Dict[int, Matrix]
+def homology_from(data: MorseData, columns: Dict[int, Columns]
                   ) -> List[Tuple[int, int, Tuple[int, ...]]]:
-    """`homology` from boundary matrices `differential(data)` already built."""
-    return _homology_table(data, {d: smith_invariant_factors(m)
-                                  for d, m in matrices.items()})
+    """`homology` from the columns `boundaries(data)` already built.
 
-
-def _homology_table(data: MorseData, factors: Dict[int, List[int]]
-                    ) -> List[Tuple[int, int, Tuple[int, ...]]]:
-    """Betti numbers and torsion from the invariant factors of each
-    boundary map: its rank and torsion both come from them."""
+    Betti numbers and torsion both come from the invariant factors of each
+    boundary map: its rank is their number."""
+    factors = {d: _invariant_factors(c) for d, c in columns.items()}
     sizes = Counter(p.index for p in data.points)
     out = []
     for d in range(data.max_index() + 1):

@@ -199,10 +199,6 @@ class OrientedSpace(_OrientedSpaceFields):
         self._basis_sign = basis_sign
         return self
 
-    @classmethod
-    def standard(cls, dim: int, sign: int = 1) -> "OrientedSpace":
-        return cls(dim, _identity(dim), sign)
-
     def basis_det_sign(self) -> int:
         return self._basis_sign
 

@@ -31,6 +31,8 @@ from typing import Callable, NamedTuple, Optional
 from .errors import CascadixError
 
 ROOT_TOL = 1e-12
+# points of the geometric grid `check_admissible` samples
+ADMISSIBILITY_SAMPLES = 240
 
 
 class NoBracket(CascadixError):
@@ -61,15 +63,6 @@ class OrbitLevel(NamedTuple):
     action: float
     vertical_c: float
     residual: float
-
-
-def quadratic_profile() -> Profile:
-    return Profile(
-        "quadratic",
-        lambda r: (r - 2.0) ** 2 if r > 2.0 else 0.0,
-        lambda r: 2.0 * (r - 2.0) if r > 2.0 else 0.0,
-        lambda r: 2.0 if r > 2.0 else 0.0,
-    )
 
 
 def power_profile(p: float) -> Profile:
@@ -116,7 +109,7 @@ def _compile_expr(src: str, label: str) -> Callable[[float], float]:
 def make_profile(spec: str) -> Profile:
     spec = spec.strip()
     if spec == "quadratic":
-        return quadratic_profile()
+        return power_profile(2)
     if spec.startswith("power:"):
         try:
             p = float(spec.split(":", 1)[1])
@@ -141,15 +134,12 @@ def orbit_level(profile: Profile, k: int, t0) -> OrbitLevel:
 
     Solves h'(rho) = k*t0 by bracketed bisection to ROOT_TOL on rho, then
     polishes with a few guarded Newton steps so the slope residual is driven
-    to rounding level.  Raises NoBracket if the slope never reaches k*t0 and
-    NonMonotone if the sampled slope decreases while searching.
+    to rounding level.  `t0` is a number; setups hold it as a `Fraction`.
+    Raises NoBracket if the slope never reaches k*t0 and NonMonotone if the
+    sampled slope decreases while searching.
     """
     if k < 1:
         raise ValueError(f"multiplicity must be >= 1, got {k}")
-    if isinstance(t0, str):
-        from fractions import Fraction
-
-        t0 = Fraction(t0)
     target = float(k) * float(t0)
     if target <= 0.0:
         raise ValueError("T0 must be positive")
@@ -226,7 +216,7 @@ class AdmissibilityReport(NamedTuple):
         return "admissible" if self.ok else self.first_violation
 
 
-def check_admissible(profile: Profile, samples: int = 240) -> AdmissibilityReport:
+def check_admissible(profile: Profile) -> AdmissibilityReport:
     """Sample the profile on a geometric grid and test the admissibility
     conditions: h vanishes on the plateau, h' and h'' positive beyond it, and
     h' consistent with a central finite difference of h (relative 1e-6).
@@ -240,8 +230,8 @@ def check_admissible(profile: Profile, samples: int = 240) -> AdmissibilityRepor
         if profile.h(r) != 0.0:
             return AdmissibilityReport(False, f"h not zero at rho={r:g}")
 
-    for i in range(samples):
-        e = -40.0 + 60.0 * i / (samples - 1)
+    for i in range(ADMISSIBILITY_SAMPLES):
+        e = -40.0 + 60.0 * i / (ADMISSIBILITY_SAMPLES - 1)
         r = 2.0 + 2.0 ** e
         hp = profile.h_prime(r)
         if not hp > 0.0:

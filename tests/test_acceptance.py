@@ -304,7 +304,7 @@ def test_10_morse_engine(announce, data_dir):
         data = morse.load_morse_data(data_dir / fname)
         if isinstance(data, morse.LiftedMorseData):
             data = data.lifted()
-        morse.differential(data)  # raises unless d^2 == 0
+        morse.boundaries(data)  # raises unless d^2 == 0
         got = {d: (b, t) for d, b, t in morse.homology(data)}
         assert got == expected
     announce(10, "d^2 = 0 verified and betti/torsion match oracles on "

@@ -26,16 +26,21 @@ from cascadix.orientation import (
     quotient_orientation,
 )
 
-R1 = OrientedSpace.standard(1)
-R2 = OrientedSpace.standard(2)
-ZERO = OrientedSpace.standard(0)
+R1 = OrientedSpace(1)
+R2 = OrientedSpace(2)
+ZERO = OrientedSpace(0)
 IDENT1 = LinearMapSpec(((1,),))
 
 
 def axis(total_dim, index, sign=1):
     column = tuple((1,) if i == index else (0,) for i in range(total_dim))
-    return IncludedSubspace(OrientedSpace.standard(1, sign),
+    return IncludedSubspace(OrientedSpace(1, (), sign),
                             LinearMapSpec(column))
+
+
+def test_empty_reference_basis_is_the_identity():
+    assert OrientedSpace(2, (), -1) == OrientedSpace(2, ((1, 0), (0, 1)), -1)
+    assert OrientedSpace(0) == OrientedSpace(0, (), 1)
 
 
 # --- quotient orientation ----------------------------------------------
@@ -53,8 +58,8 @@ def test_quotient_by_second_axis():
 
 @pytest.mark.parametrize("s_total,s_sub", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
 def test_quotient_by_whole_space_multiplies_signs(s_total, s_sub):
-    total = OrientedSpace.standard(2, s_total)
-    sub = IncludedSubspace(OrientedSpace.standard(2, s_sub),
+    total = OrientedSpace(2, (), s_total)
+    sub = IncludedSubspace(OrientedSpace(2, (), s_sub),
                            LinearMapSpec(((1, 0), (0, 1))))
     frame = quotient_orientation(total, sub)
     assert frame.dim == 0
@@ -71,14 +76,14 @@ def test_quotient_tracks_total_reference_basis():
 
 
 def test_quotient_rejects_dependent_inclusion():
-    doubled = IncludedSubspace(OrientedSpace.standard(2),
+    doubled = IncludedSubspace(OrientedSpace(2),
                                LinearMapSpec(((1, 1), (0, 0))))
     with pytest.raises(NotASubspace):
         quotient_orientation(R2, doubled)
 
 
 def test_quotient_rejects_shape_mismatch():
-    too_tall = IncludedSubspace(OrientedSpace.standard(1),
+    too_tall = IncludedSubspace(OrientedSpace(1),
                                 LinearMapSpec(((1,), (0,), (0,))))
     with pytest.raises(NotASubspace):
         quotient_orientation(R2, too_tall)
@@ -101,8 +106,8 @@ def test_fibre_sum_projection_oracle():
 
 @pytest.mark.parametrize("s1,s2", [(1, 1), (1, -1), (-1, -1)])
 def test_fibre_sum_over_point_is_product(s1, s2):
-    v1 = OrientedSpace.standard(2, s1)
-    v2 = OrientedSpace.standard(1, s2)
+    v1 = OrientedSpace(2, (), s1)
+    v2 = OrientedSpace(1, (), s2)
     empty = LinearMapSpec(())
     frame = fibre_sum_orientation(v1, v2, ZERO, empty, empty)
     assert frame.vectors == ((1, 0, 0), (0, 1, 0), (0, 0, 1))

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -11,18 +12,27 @@ from cascadix.profiles import (
     make_profile,
     orbit_level,
     power_profile,
-    quadratic_profile,
 )
 
 
 def test_quadratic_frozen_levels():
-    prof = quadratic_profile()
+    prof = make_profile("quadratic")
     for k, (rho, action, c) in oracles.QUADRATIC_T0_1.items():
         lvl = orbit_level(prof, k, 1)
         assert lvl.rho == pytest.approx(rho, abs=1e-11)
         assert lvl.action == pytest.approx(action, abs=1e-10)
         assert lvl.vertical_c == pytest.approx(c, abs=1e-10)
         assert lvl.b == pytest.approx(math.log(rho), abs=1e-11)
+
+
+def test_quadratic_is_the_closed_form_bit_for_bit():
+    """`quadratic` is `power:2`: x**1 == x and x**0 == 1.0, so each callable
+    returns exactly the float of (rho-2)^2 and its derivatives."""
+    prof = make_profile("quadratic")
+    for r in (0.0, 2.0, 2.0 + 2.0 ** -40, 2.1, 2.75, 3.0, 17.3, 2.0 ** 20):
+        x = r - 2.0
+        want = (x ** 2, 2.0 * x, 2.0) if r > 2.0 else (0.0, 0.0, 0.0)
+        assert (prof.h(r), prof.h_prime(r), prof.h_double_prime(r)) == want
 
 
 @pytest.mark.parametrize("p", [2, 3, 2.5, 5])
@@ -51,20 +61,20 @@ def test_action_strictly_increasing_in_k():
 def test_tangent_line_identity():
     # action equals minus the y-intercept of the tangent line at rho_k
     prof = make_profile("power:3")
-    lvl = orbit_level(prof, 5, "3/2")
+    lvl = orbit_level(prof, 5, Fraction(3, 2))
     intercept = prof.h(lvl.rho) - lvl.rho * prof.h_prime(lvl.rho)
     assert lvl.action == pytest.approx(-intercept, rel=1e-12)
     assert prof.h_prime(lvl.rho) == pytest.approx(5 * 1.5, abs=1e-11)
 
 
 def test_rational_t0():
-    prof = quadratic_profile()
-    lvl = orbit_level(prof, 3, "1/2")  # slope 3/2: rho = 2.75
+    prof = make_profile("quadratic")
+    lvl = orbit_level(prof, 3, Fraction(1, 2))  # slope 3/2: rho = 2.75
     assert lvl.rho == pytest.approx(2.75, abs=1e-11)
 
 
 def test_admissible_builtin():
-    assert check_admissible(quadratic_profile()).verdict == "admissible"
+    assert check_admissible(make_profile("quadratic")).verdict == "admissible"
     assert check_admissible(power_profile(4)).verdict == "admissible"
 
 

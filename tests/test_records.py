@@ -64,8 +64,8 @@ TARGET = OrbitGenerator(LIFT, 2)
 SOURCE = OrbitGenerator(LiftedCriticalPoint(P, FibreFlag.HAT), 1)
 LATTICE = HomologyLattice(("L",), (F(1),), (3,), (1,))
 BUDGET = BudgetTerms((("fibre", F(1)),))
-ROW = CascadeType(TARGET, SOURCE, 1, 0, 1, (1, 2), ((1,),), None, (),
-                  Case.CASE1, BUDGET)
+ROW = CascadeType(TARGET, SOURCE, (1, 2), ((1,),), None, (), Case.CASE1,
+                  BUDGET)
 POINTS = (MorsePoint("a", 0), MorsePoint("b", 1))
 FLOWS = (SignedFlow("b", "a", 1),)
 LINE = OrientedSpace(1, ((2,),), -1)
@@ -120,19 +120,17 @@ RECORDS = {
         BudgetTerms, ((("fibre", F(1)),),), ((("fibre", F(0)),),),
         "BudgetTerms(terms=(('fibre', Fraction(1, 1)),))", []),
     "CascadeType": (
-        CascadeType, (TARGET, SOURCE, 1, 0, 1, (1, 2), ((1,),), None, (),
-                      Case.CASE1, BUDGET),
-        (TARGET, SOURCE, 1, 0, 1, (1, 2), ((1,),), None, (), Case.CASE1,
-         BUDGET, "no"),
+        CascadeType, (TARGET, SOURCE, (1, 2), ((1,),), None, (), Case.CASE1,
+                      BUDGET),
+        (TARGET, SOURCE, (1, 2), ((1,),), None, (), Case.CASE1, BUDGET, "no"),
         "CascadeType(target=OrbitGenerator(point=LiftedCriticalPoint(base="
         "CriticalPoint(name='p', morse_index=0, ambient=<Ambient.SIGMA: "
         "'Sigma'>), flag=<FibreFlag.CHECK: 'check'>), k=2), source="
         "OrbitGenerator(point=LiftedCriticalPoint(base=CriticalPoint(name="
         "'p', morse_index=0, ambient=<Ambient.SIGMA: 'Sigma'>), flag="
-        "<FibreFlag.HAT: 'hat'>), k=1), n_levels=1, n_constant=0, "
-        "n_nonconstant=1, multiplicities=(1, 2), classes_a=((1,),), "
-        "sphere_b=None, aug=(), case_label=<Case.CASE1: 1>, budget="
-        "BudgetTerms(terms=(('fibre', Fraction(1, 1)),)), "
+        "<FibreFlag.HAT: 'hat'>), k=1), multiplicities=(1, 2), "
+        "classes_a=((1,),), sphere_b=None, aug=(), case_label=<Case.CASE1: "
+        "1>, budget=BudgetTerms(terms=(('fibre', Fraction(1, 1)),)), "
         "infeasible_reason=None)", []),
     "EnumerationResult": (
         EnumerationResult, (TARGET, (), ()), (TARGET, (), ("w",)),
@@ -290,3 +288,14 @@ def test_replace_normalises_as_the_constructor_does():
     assert TARGET._replace(k=5) == OrbitGenerator(LIFT, 5)
     assert type(VerticalC(1)._replace(c=2).c) is float
     assert MAP._replace(matrix=[[1]]).matrix == ((F(1),),)
+
+
+def test_level_counts_derive_from_the_classes():
+    """A catalog row stores its level classes, not the counts they fix."""
+    assert "n_levels" not in CascadeType._fields
+    assert (ROW.n_levels, ROW.n_constant, ROW.n_nonconstant) == (1, 0, 1)
+    mixed = ROW._replace(multiplicities=(1, 1, 2, 2),
+                         classes_a=((0,), (2,), (0,)))
+    assert (mixed.n_levels, mixed.n_constant, mixed.n_nonconstant) == (3, 2, 1)
+    bare = ROW._replace(multiplicities=(), classes_a=())
+    assert (bare.n_levels, bare.n_constant, bare.n_nonconstant) == (0, 0, 0)
