@@ -22,7 +22,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import CascadixError
+from .errors import CascadixError, json_int
 
 DESCRIPTION = "Exact index and cascade calculus for split symplectic homology."
 DEFAULT = " [default: %(default)s]"
@@ -237,16 +237,23 @@ def index_cmd(n, c1, bottom, aug):
 # --- dim ---------------------------------------------------------------
 
 
+def _int_rows(rows, field):
+    """A list of integer vectors, each entry a JSON integer."""
+    return tuple(tuple(json_int(c, f"each entry of {field}") for c in row)
+                 for row in rows)
+
+
 def _pearl_measure(setup, raw):
     """The `pearls` function for a pearl chain instance, its pieces bound."""
     from . import pearls
 
-    classes = tuple(tuple(int(c) for c in a) for a in raw.get("classes", []))
+    classes = _int_rows(raw.get("classes", []), "classes")
     aug_classes = raw.get("aug_classes")
     if aug_classes is not None:
-        aug_classes = tuple(tuple(int(c) for c in b) for b in aug_classes)
-    aug_count = int(raw.get("aug_count",
-                            len(aug_classes) if aug_classes else 0))
+        aug_classes = _int_rows(aug_classes, "aug_classes")
+    aug_count = json_int(raw.get("aug_count",
+                                 len(aug_classes) if aug_classes else 0),
+                         "aug_count")
     if raw["kind"] == "pearl_in_sigma":
         return functools.partial(
             pearls.pearl_in_sigma_dimension, setup,
@@ -255,7 +262,8 @@ def _pearl_measure(setup, raw):
     return functools.partial(
         pearls.pearl_with_sphere_dimension, setup,
         setup.w_point(raw["interior"]), setup.sigma_point(raw["upper"]),
-        tuple(int(c) for c in raw["sphere"]), classes, aug_count, aug_classes)
+        tuple(json_int(c, "each entry of sphere") for c in raw["sphere"]),
+        classes, aug_count, aug_classes)
 
 
 def _cascade_measure(setup, raw):
@@ -270,10 +278,10 @@ def _cascade_measure(setup, raw):
     if kind == "cascade_y_to_y":
         return functools.partial(pearls.y_to_y_dimension, setup, upper,
                                  _generator_by_name(setup, raw["lower"]),
-                                 int(raw["levels"]))
+                                 json_int(raw["levels"], "levels"))
     return functools.partial(pearls.w_to_y_dimension, setup, upper,
                              _generator_by_name(setup, raw["interior"]),
-                             int(raw["levels"]))
+                             json_int(raw["levels"], "levels"))
 
 
 @command("dim",
@@ -375,15 +383,17 @@ def enumerate_cmd(setup_path, target, all_targets, kmax, classbound, as_text):
 # --- orient ------------------------------------------------------------
 
 
-def _space_from(raw):
+def _space_from(raw, where):
     from fractions import Fraction
 
     from . import orientation
 
     basis = tuple(tuple(Fraction(str(x)) for x in row)
                   for row in raw.get("basis") or [])
-    return orientation.OrientedSpace(int(raw["dim"]), basis,
-                                     int(raw.get("sign", 1)))
+    return orientation.OrientedSpace(json_int(raw["dim"], f"{where}.dim"),
+                                     basis,
+                                     json_int(raw.get("sign", 1),
+                                              f"{where}.sign"))
 
 
 def _map_from(raw):
@@ -408,15 +418,15 @@ def orient_cmd(instance_path):
     kind = raw.get("kind")
     if kind == "fibre_sum":
         with _instance_fields():
-            spaces = [_space_from(raw[key]) for key in ("v1", "v2", "w")]
+            spaces = [_space_from(raw[key], key) for key in ("v1", "v2", "w")]
             maps = [_map_from(raw[key]) for key in ("f1", "f2")]
         frame = orientation.fibre_sum_orientation(*spaces, *maps)
         print("kernel of the difference map:")
     elif kind == "quotient":
         with _instance_fields():
-            sub = orientation.IncludedSubspace(_space_from(raw["sub"]),
+            sub = orientation.IncludedSubspace(_space_from(raw["sub"], "sub"),
                                                _map_from(raw["inclusion"]))
-            total = _space_from(raw["total"])
+            total = _space_from(raw["total"], "total")
         frame = orientation.quotient_orientation(total, sub)
         print("complement representative:")
     else:

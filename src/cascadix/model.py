@@ -31,7 +31,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
-from .errors import CascadixError
+from .errors import CascadixError, json_int
 
 
 class ParseError(CascadixError):
@@ -302,9 +302,8 @@ def _crit_list(raw, ambient: Ambient, where: str) -> tuple[CriticalPoint, ...]:
     for entry in raw:
         if not isinstance(entry, dict) or set(entry) != {"name", "index"}:
             raise ParseError(f"{where}: entries need exactly 'name' and 'index'")
-        if not isinstance(entry["index"], int) or isinstance(entry["index"], bool):
-            raise ParseError(f"{where}: index must be an integer")
-        pts.append(CriticalPoint(str(entry["name"]), entry["index"], ambient))
+        index = json_int(entry["index"], f"{where}: index", ParseError)
+        pts.append(CriticalPoint(str(entry["name"]), index, ambient))
     return tuple(pts)
 
 
@@ -327,9 +326,7 @@ def parse_setup(raw: dict, name: str = "") -> SetupDescriptor:
         if key not in raw:
             raise ParseError(f"missing key {key!r}")
 
-    n = raw["n"]
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ParseError("n must be an integer")
+    n = json_int(raw["n"], "n", ParseError)
     tau = parse_rational(raw["tau_x"])
     kc = parse_rational(raw["k_const"])
     t0 = parse_rational(raw["t0"])
@@ -340,8 +337,8 @@ def parse_setup(raw: dict, name: str = "") -> SetupDescriptor:
     morse_w = _crit_list(raw["morse_w"], Ambient.W, "morse_w")
 
     min_chern = raw.get("min_chern_sigma")
-    if min_chern is not None and (not isinstance(min_chern, int) or isinstance(min_chern, bool)):
-        raise ParseError("min_chern_sigma must be an integer")
+    if min_chern is not None:
+        min_chern = json_int(min_chern, "min_chern_sigma", ParseError)
     flag = raw.get("x_classes_from_sigma", False)
     if not isinstance(flag, bool):
         raise ParseError("x_classes_from_sigma must be a boolean")

@@ -37,7 +37,7 @@ from math import gcd
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Sequence, Set, Tuple
 
-from .errors import CascadixError
+from .errors import CascadixError, json_int
 
 
 class BoundarySquaredNonzero(CascadixError):
@@ -388,7 +388,8 @@ def load_morse_data(path):
 
 def _plain_from_dict(raw: dict) -> MorseData:
     try:
-        points = tuple(MorsePoint(p["name"], int(p["index"]))
+        points = tuple(MorsePoint(p["name"],
+                                  json_int(p["index"], "critical point index"))
                        for p in raw["points"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CascadixError(f"malformed critical point list: {exc}") from None
@@ -397,7 +398,8 @@ def _plain_from_dict(raw: dict) -> MorseData:
 
 def _flows_from_list(raw) -> Tuple[SignedFlow, ...]:
     try:
-        return tuple(SignedFlow(f["source"], f["target"], int(f["count"]))
+        return tuple(SignedFlow(f["source"], f["target"],
+                                json_int(f["count"], "flow count"))
                      for f in raw)
     except (KeyError, TypeError, ValueError) as exc:
         raise CascadixError(f"malformed flow list: {exc}") from None

@@ -466,6 +466,66 @@ def test_malformed_input_is_one_error_line(run_cli, data_dir, tmp_path,
     assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
 
 
+def _morse_file(index=1, count=1, key="flows"):
+    points = [{"name": "a", "index": 0}, {"name": "b", "index": index}]
+    flows = [{"source": "b", "target": "a", "count": count}]
+    if key == "lifted_flows":
+        return {"base": {"points": points}, "lifted_flows": flows}
+    return {"points": points, "flows": flows}
+
+
+# An integer field given a float, a bool or a string, which `int()` would
+# truncate or coerce: (command, instance, the field the error names)
+NOT_INTEGERS = {
+    "morse_index_float": (
+        "morse", _morse_file(index=1.9, count=2.7), "critical point index"),
+    "morse_index_bool": (
+        "morse", _morse_file(index=True, count="3"), "critical point index"),
+    "morse_count_float": ("morse", _morse_file(count=2.7), "flow count"),
+    "morse_count_string": ("morse", _morse_file(count="3"), "flow count"),
+    "morse_lifted_count_bool": (
+        "morse", _morse_file(count=True, key="lifted_flows"), "flow count"),
+    "y_to_y_levels_float": ("dim", {**Y_TO_Y, "levels": 2.9}, "levels"),
+    "w_to_y_levels_bool": ("dim", {**W_TO_Y, "levels": True}, "levels"),
+    "pearl_classes_float": (
+        "dim", {**IN_SIGMA, "classes": [[1.5]]}, "each entry of classes"),
+    "pearl_aug_count_float": (
+        "dim", {**IN_SIGMA, "aug_count": 1.0}, "aug_count"),
+    "pearl_aug_classes_bool": (
+        "dim", {**IN_SIGMA, "aug_classes": [[True]]},
+        "each entry of aug_classes"),
+    "pearl_sphere_string": (
+        "dim", {**WITH_SPHERE, "sphere": ["1"]}, "each entry of sphere"),
+    "fibre_sum_dim_float": (
+        "orient", {"kind": "fibre_sum", "v1": {"dim": 1.0}, "v2": {"dim": 1},
+                   "w": {"dim": 1}, "f1": [[1]], "f2": [[1]]}, "v1.dim"),
+    "fibre_sum_sign_float": (
+        "orient", {"kind": "fibre_sum", "v1": {"dim": 1},
+                   "v2": {"dim": 1, "sign": -1.0}, "w": {"dim": 1},
+                   "f1": [[1]], "f2": [[1]]}, "v2.sign"),
+    "quotient_dim_string": (
+        "orient", {"kind": "quotient", "total": {"dim": "2"},
+                   "sub": {"dim": 1}, "inclusion": [[0], [1]]}, "total.dim"),
+}
+
+
+@pytest.mark.parametrize("command, instance, field", NOT_INTEGERS.values(),
+                         ids=NOT_INTEGERS.keys())
+def test_integer_fields_take_json_integers_only(run_cli, data_dir, tmp_path,
+                                                command, instance, field):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(instance))
+    args = {"morse": ["morse", "--data", str(path)],
+            "orient": ["orient", "--instance", str(path)],
+            "dim": ["dim", "--setup", str(data_dir / "cp2.json"),
+                    "--instance", str(path)]}[command]
+    result = run_cli(*args)
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == (
+        f"error: errors: CascadixError: {field} must be an integer\n")
+
+
 SETUP_COMMANDS = (["validate"], ["grade"], ["enumerate", "--all-targets"],
                   ["report"])
 
