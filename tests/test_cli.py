@@ -792,6 +792,27 @@ def test_golden_morse(data_dir, name):
     assert proc.stdout == golden
 
 
+# golden file -> (command, setup, further arguments)
+GOLDEN_SETUP_RUNS = {
+    "report_cp2.txt": ("report", "cp2", ()),
+    "report_tau2.txt": ("report", "tau2", ()),
+    "report_rank0.txt": ("report", "rank0", ()),
+    "report_cp2_power3.txt": ("report", "cp2",
+                              ("--profile", "power:3", "--levels", "30")),
+    "grade_cp2.csv": ("grade", "cp2", ("--csv",)),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_SETUP_RUNS)
+def test_golden_setup_commands(data_dir, name):
+    command, setup, args = GOLDEN_SETUP_RUNS[name]
+    golden = (data_dir.parent / "tests" / "golden" / name).read_bytes()
+    proc = run_script(command, "--setup", str(data_dir / f"{setup}.json"),
+                      *args)
+    assert proc.returncode == 0
+    assert proc.stdout == golden
+
+
 @pytest.mark.parametrize("command", [("enumerate", "--all-targets"),
                                      ("report",)], ids=["enumerate", "report"])
 def test_enumerate_byte_deterministic(data_dir, command):
