@@ -30,7 +30,6 @@ from typing import Callable, NamedTuple, Optional
 
 from .errors import CascadixError
 
-ROOT_TOL = 1e-12
 # points of the geometric grid `check_admissible` samples
 ADMISSIBILITY_SAMPLES = 240
 
@@ -132,9 +131,10 @@ def make_profile(spec: str) -> Profile:
 def orbit_level(profile: Profile, k: int, t0) -> OrbitLevel:
     """Locate the multiplicity-k orbit circle of an admissible profile.
 
-    Solves h'(rho) = k*t0 by bracketed bisection to ROOT_TOL on rho, then
-    polishes with a few guarded Newton steps so the slope residual is driven
-    to rounding level.  `t0` is a number; setups hold it as a `Fraction`.
+    Solves h'(rho) = k*t0 by bracketed bisection until the bracket holds two
+    adjacent floats, and takes the end with the smaller slope residual, so
+    the residual is at rounding level.  `t0` is a number; setups hold it as
+    a `Fraction`.
     Raises NoBracket if the slope never reaches k*t0 and NonMonotone if the
     sampled slope decreases while searching.
     """
@@ -166,11 +166,9 @@ def orbit_level(profile: Profile, k: int, t0) -> OrbitLevel:
     if hi is None:
         raise NoBracket(f"h' stays below {target:g} out to rho=2+2^60")
 
-    # bisect
+    # bisect until a and b are adjacent floats, then take the closer end
     a, b = lo, hi
-    for _ in range(200):
-        if b - a <= ROOT_TOL:
-            break
+    while True:
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:
             break
@@ -178,23 +176,7 @@ def orbit_level(profile: Profile, k: int, t0) -> OrbitLevel:
             a = mid
         else:
             b = mid
-    rho = 0.5 * (a + b)
-
-    # Newton polish, kept inside the bracket
-    for _ in range(8):
-        f = profile.h_prime(rho) - target
-        if f == 0.0:
-            break
-        d = profile.h_double_prime(rho)
-        if d <= 0.0:
-            break
-        step = f / d
-        nxt = rho - step
-        if not (a <= nxt <= b):
-            break
-        if nxt == rho:
-            break
-        rho = nxt
+    rho = min((a, b), key=lambda r: abs(profile.h_prime(r) - target))
 
     action = rho * profile.h_prime(rho) - profile.h(rho)
     vertical_c = profile.h_double_prime(rho) * rho
