@@ -15,14 +15,13 @@ quickly.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
-import json
 import os
 import sys
 from pathlib import Path
 
-from .errors import CascadixError, json_int
+from .errors import (CascadixError, json_int, malformed, parse_rational,
+                     read_json_object)
 
 DESCRIPTION = "Exact index and cascade calculus for split symplectic homology."
 DEFAULT = " [default: %(default)s]"
@@ -61,27 +60,6 @@ def existing_file(value: str) -> str:
 FILE = dict(required=True, type=existing_file, metavar="FILE")
 SETUP_OPT = option("--setup", dest="setup_path", help="setup descriptor JSON",
                    **FILE)
-
-
-def _read_instance(path) -> dict:
-    try:
-        raw = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
-        raise CascadixError(f"cannot read instance {path}: {exc}") from None
-    if not isinstance(raw, dict):
-        raise CascadixError("instance must be a JSON object")
-    return raw
-
-
-@contextlib.contextmanager
-def _instance_fields():
-    """Missing or ill-typed instance fields become engine errors."""
-    try:
-        yield
-    except KeyError as exc:
-        raise CascadixError(f"instance lacks field {exc}") from None
-    except (AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise CascadixError(f"malformed instance: {exc}") from None
 
 
 def _vec(v) -> str:
@@ -293,13 +271,13 @@ def dim_cmd(setup_path, instance_path):
     from .model import load_setup
 
     setup = load_setup(setup_path)
-    raw = _read_instance(instance_path)
+    raw = read_json_object(instance_path, "instance")
     kind = raw.get("kind")
     if kind in ("pearl_in_sigma", "pearl_with_sphere"):
-        with _instance_fields():
+        with malformed("instance"):
             measure = _pearl_measure(setup, raw)
     elif kind in ("cascade_zero", "cascade_y_to_y", "cascade_w_to_y"):
-        with _instance_fields():
+        with malformed("instance"):
             measure = _cascade_measure(setup, raw)
     else:
         raise CascadixError(f"unknown instance kind {kind!r}")
@@ -383,13 +361,14 @@ def enumerate_cmd(setup_path, target, all_targets, kmax, classbound, as_text):
 # --- orient ------------------------------------------------------------
 
 
-def _space_from(raw, where):
-    from fractions import Fraction
+def _rationals(rows):
+    return tuple(tuple(map(parse_rational, row)) for row in rows)
 
+
+def _space_from(raw, where):
     from . import orientation
 
-    basis = tuple(tuple(Fraction(str(x)) for x in row)
-                  for row in raw.get("basis") or [])
+    basis = _rationals(raw.get("basis") or [])
     return orientation.OrientedSpace(json_int(raw["dim"], f"{where}.dim"),
                                      basis,
                                      json_int(raw.get("sign", 1),
@@ -397,12 +376,9 @@ def _space_from(raw, where):
 
 
 def _map_from(raw):
-    from fractions import Fraction
-
     from . import orientation
 
-    return orientation.LinearMapSpec(
-        tuple(tuple(Fraction(str(x)) for x in row) for row in raw))
+    return orientation.LinearMapSpec(_rationals(raw))
 
 
 @command("orient",
@@ -410,20 +386,18 @@ def _map_from(raw):
                 help="JSON with spaces, maps, and signs", **FILE))
 def orient_cmd(instance_path):
     """Oriented kernel of a fibre sum, or a quotient representative."""
-    from fractions import Fraction
-
     from . import orientation
 
-    raw = _read_instance(instance_path)
+    raw = read_json_object(instance_path, "instance")
     kind = raw.get("kind")
     if kind == "fibre_sum":
-        with _instance_fields():
+        with malformed("instance"):
             spaces = [_space_from(raw[key], key) for key in ("v1", "v2", "w")]
             maps = [_map_from(raw[key]) for key in ("f1", "f2")]
         frame = orientation.fibre_sum_orientation(*spaces, *maps)
         print("kernel of the difference map:")
     elif kind == "quotient":
-        with _instance_fields():
+        with malformed("instance"):
             sub = orientation.IncludedSubspace(_space_from(raw["sub"], "sub"),
                                                _map_from(raw["inclusion"]))
             total = _space_from(raw["total"], "total")
@@ -433,8 +407,7 @@ def orient_cmd(instance_path):
         raise CascadixError(f"unknown instance kind {kind!r}")
     print(f"dim: {frame.dim}")
     for vec in frame.vectors:
-        cells = ",".join(str(Fraction(c)) for c in vec)
-        print(f"basis: ({cells})")
+        print(f"basis: ({','.join(map(str, vec))})")
     print(f"sign: {frame.sign:+d}")
 
 

@@ -1,4 +1,17 @@
-"""Shared exception base so the CLI can map failures to exit codes."""
+"""Shared exception base, and the one reader of every input file.
+
+Setups, Morse data and instances are read by `read_json_object`, their
+numbers by `json_int` and `parse_rational`, their fields under `malformed`:
+a malformed file of any kind is one engine error (exit 1), not a traceback.
+"""
+
+import contextlib
+import json
+import re
+
+# the strings `parse_rational` hands to `Fraction`, which takes far more
+# (spaces, decimals, exponents that cost time exponential in their digits)
+_RATIONAL = r"[+-]?[0-9]+(/[0-9]+)?"
 
 
 class CascadixError(Exception):
@@ -7,6 +20,32 @@ class CascadixError(Exception):
     def qualified(self) -> str:
         mod = type(self).__module__.rsplit(".", 1)[-1]
         return f"{mod}: {type(self).__name__}: {self}"
+
+
+def read_json_object(path, what: str, error: type = CascadixError) -> dict:
+    """The top-level object of the UTF-8 JSON file at `path`; `error`
+    names the file as `what` if it cannot be opened, decoded or parsed
+    (nesting too deep included) or holds no object."""
+    try:
+        with open(path, encoding="utf-8") as file:
+            raw = json.load(file)
+    except (OSError, ValueError, RecursionError) as exc:
+        # UnicodeDecodeError and JSONDecodeError are ValueErrors
+        raise error(f"cannot read {what} {path}: {exc}") from None
+    if not isinstance(raw, dict):
+        raise error(f"{what} must be a JSON object")
+    return raw
+
+
+@contextlib.contextmanager
+def malformed(what: str):
+    """Missing or ill-typed fields of a decoded `what` become engine errors."""
+    try:
+        yield
+    except KeyError as exc:
+        raise CascadixError(f"{what} lacks field {exc}") from None
+    except (AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise CascadixError(f"malformed {what}: {exc}") from None
 
 
 def json_int(value, field: str, error: type = CascadixError) -> int:
@@ -18,3 +57,28 @@ def json_int(value, field: str, error: type = CascadixError) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise error(f"{field} must be an integer")
+
+
+def parse_rational(value, error: type = CascadixError):
+    """An exact `Fraction` from a JSON integer or a "p/q" string.
+
+    Floats would silently poison the exact arithmetic.  A string is an
+    optional sign and ASCII digits with an optional nonzero "/q": no
+    spaces, decimal points, exponents or underscores.
+    """
+    from fractions import Fraction
+
+    if isinstance(value, bool):
+        raise error(f"boolean is not a rational: {value!r}")
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, float):
+        raise error(f"float not allowed, write an int or 'p/q': {value!r}")
+    if isinstance(value, str):
+        try:
+            if re.fullmatch(_RATIONAL, value):
+                return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+        raise error(f"bad rational literal {value!r}")
+    raise error(f"bad rational {value!r}")

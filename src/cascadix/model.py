@@ -23,7 +23,6 @@ The JSON format is documented in docs/setup-format.md.
 
 from __future__ import annotations
 
-import json
 import math
 from enum import Enum
 from fractions import Fraction
@@ -31,6 +30,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
+from . import errors
 from .errors import CascadixError, json_int
 
 
@@ -74,22 +74,8 @@ IntVector = Tuple[int, ...]
 
 
 def parse_rational(value) -> Fraction:
-    """Parse an exact rational from an int or a "p/q" string.
-
-    Floats are rejected: they would silently poison the exact arithmetic.
-    """
-    if isinstance(value, bool):
-        raise ParseError(f"boolean is not a rational: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        raise ParseError(f"float not allowed, write an int or 'p/q': {value!r}")
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad rational literal {value!r}") from exc
-    raise ParseError(f"bad rational {value!r}")
+    """`errors.parse_rational`, refusing with a `ParseError`."""
+    return errors.parse_rational(value, ParseError)
 
 
 def format_rational(value: Rational) -> str:
@@ -415,13 +401,5 @@ def validate_setup(desc: SetupDescriptor) -> None:
 
 def load_setup(path) -> SetupDescriptor:
     """Load, parse, and validate a setup descriptor from a JSON file."""
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-    return parse_setup(raw, name=path.stem)
+    raw = errors.read_json_object(path, "setup", ParseError)
+    return parse_setup(raw, name=Path(path).stem)

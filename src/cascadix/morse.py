@@ -31,13 +31,11 @@ derivable from the base.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from math import gcd
-from pathlib import Path
 from typing import Dict, List, NamedTuple, Sequence, Set, Tuple
 
-from .errors import CascadixError, json_int
+from .errors import CascadixError, json_int, malformed, read_json_object
 
 
 class BoundarySquaredNonzero(CascadixError):
@@ -373,12 +371,7 @@ def homology_from(data: MorseData, columns: Dict[int, Columns]
 
 def load_morse_data(path):
     """Read a complex from JSON; a "base" key marks a lifted-complex file."""
-    try:
-        raw = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
-        raise CascadixError(f"cannot read Morse data {path}: {exc}") from None
-    if not isinstance(raw, dict):
-        raise CascadixError("Morse data must be a JSON object")
+    raw = read_json_object(path, "Morse data")
     if "base" in raw:
         base = _plain_from_dict(raw["base"])
         flows = _flows_from_list(raw.get("lifted_flows", []))
@@ -387,19 +380,15 @@ def load_morse_data(path):
 
 
 def _plain_from_dict(raw: dict) -> MorseData:
-    try:
+    with malformed("critical point list"):
         points = tuple(MorsePoint(p["name"],
                                   json_int(p["index"], "critical point index"))
                        for p in raw["points"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CascadixError(f"malformed critical point list: {exc}") from None
     return MorseData(points, _flows_from_list(raw.get("flows", [])))
 
 
 def _flows_from_list(raw) -> Tuple[SignedFlow, ...]:
-    try:
+    with malformed("flow list"):
         return tuple(SignedFlow(f["source"], f["target"],
                                 json_int(f["count"], "flow count"))
                      for f in raw)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CascadixError(f"malformed flow list: {exc}") from None

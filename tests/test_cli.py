@@ -446,6 +446,7 @@ MALFORMED_INPUTS = {
     "flow_end_not_a_string": json.dumps(
         {"points": [{"name": "a", "index": 0}, {"name": "b", "index": 1}],
          "flows": [{"source": ["b"], "target": "a", "count": 1}]}),
+    "deeply_nested": "[" * 200_000 + "]" * 200_000,
 }
 
 
@@ -464,6 +465,48 @@ def test_malformed_input_is_one_error_line(run_cli, data_dir, tmp_path,
     assert result.exit_code == 1
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
+
+
+def _cp2_with(**fields):
+    raw = json.loads((Path(__file__).parent.parent / "data"
+                      / "cp2.json").read_text())
+    return json.dumps({**raw, **fields})
+
+
+# Input files that once ended in a traceback, ran past 20 s or were taken
+# as something they do not say: name -> (file bytes, command line, where
+# "{file}" is the file's path and "{data}" the data directory).
+FAULTY_FILES = {
+    "non_utf8_setup_validate": (
+        b'{"name": "\xff"}', ["validate", "--setup", "{file}"]),
+    "non_utf8_setup_report": (
+        b'{"name": "\xff"}', ["report", "--setup", "{file}"]),
+    "deeply_nested_setup": (
+        MALFORMED_INPUTS["deeply_nested"].encode(),
+        ["validate", "--setup", "{file}"]),
+    "setup_t0_exponent": (
+        _cp2_with(t0="1e100000000").encode(), ["validate", "--setup", "{file}"]),
+    "grade_degree_exponent": (
+        b"", ["grade", "--setup", "{data}/cp2.json",
+              "--degree", "1e100000000"]),
+    "orient_float_entries": (
+        json.dumps({"kind": "fibre_sum", "v1": {"dim": 1}, "v2": {"dim": 1},
+                    "w": {"dim": 1}, "f1": [[0.1]], "f2": [[1e-1]]}).encode(),
+        ["orient", "--instance", "{file}"]),
+}
+
+
+@pytest.mark.parametrize("name", FAULTY_FILES)
+def test_faulty_file_is_one_error_line_within_10s(data_dir, tmp_path, name):
+    content, args = FAULTY_FILES[name]
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    proc = run_script(*(arg.format(file=path, data=data_dir) for arg in args),
+                      timeout=10)
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(b"error:"), proc.stderr
 
 
 def _morse_file(index=1, count=1, key="flows"):
@@ -769,9 +812,9 @@ def run_python(*argv, timeout=120):
                           capture_output=True, env=env, timeout=timeout)
 
 
-def run_script(*args, flags=()):
+def run_script(*args, flags=(), timeout=120):
     """`python [flags] -m cascadix args` on the source tree under test."""
-    return run_python(*flags, "-m", "cascadix", *args)
+    return run_python(*flags, "-m", "cascadix", *args, timeout=timeout)
 
 
 def test_golden_cp2_catalog(data_dir):

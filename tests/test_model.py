@@ -148,12 +148,13 @@ def test_duplicate_names_rejected():
 def test_rational_parsing():
     assert parse_rational("3/4") == Fraction(3, 4)
     assert parse_rational(7) == 7
-    with pytest.raises(ParseError):
-        parse_rational(0.5)
-    with pytest.raises(ParseError):
-        parse_rational("3/0")
-    with pytest.raises(ParseError):
-        parse_rational(True)
+    assert parse_rational("-1/2") == Fraction(-1, 2)
+    assert parse_rational("+3") == 3
+    # an optional sign and ASCII digits with an optional nonzero "/q", only
+    for refused in (0.5, True, "3/0", "1.5", " 3/4", "1_0", "1e3", "",
+                    "1/-2", "\u0663", "9" * 5000):
+        with pytest.raises(ParseError):
+            parse_rational(refused)
 
 
 def test_fractional_constants_accepted():
@@ -182,7 +183,7 @@ def test_parse_errors():
 def test_load_setup_bad_file(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{nope")
-    with pytest.raises(ParseError, match="invalid JSON"):
+    with pytest.raises(ParseError, match="cannot read setup .*broken.json"):
         load_setup(p)
     with pytest.raises(ParseError, match="cannot read"):
         load_setup(tmp_path / "absent.json")
