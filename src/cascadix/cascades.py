@@ -46,6 +46,7 @@ from .grading import (
     InteriorGenerator,
     OrbitGenerator,
     augmentation_index,
+    degree_difference,
     enumerate_generators,
     filling_class_term,
     grade,
@@ -60,7 +61,7 @@ from .model import (
     IntVector,
     LiftedCriticalPoint,
     SetupDescriptor,
-    class_of_area,
+    area_classes,
     pair,
 )
 
@@ -214,7 +215,7 @@ def classify_type(setup: SetupDescriptor, target: Generator, source: Generator,
             raise CascadixError("interior flows carry no levels or classes")
         if target.point.name == source.point.name:
             return bail("endpoints coincide")
-        if grade(setup, target) - grade(setup, source) != 1:
+        if degree_difference(setup, target, source) != 1:
             return bail("degree difference != 1")
         return CascadeType(target, source, (), (), None, (), Case.CASE0,
                            empty_budget)
@@ -238,8 +239,8 @@ def classify_type(setup: SetupDescriptor, target: Generator, source: Generator,
                 f"intersection {expected}"
             )
 
-    diff = grade(setup, target) - grade(setup, source)
-    if diff.denominator != 1:
+    diff = degree_difference(setup, target, source)
+    if diff is None:
         return bail("non-integer degree difference")
     if diff != 1:
         return bail("degree difference != 1")
@@ -412,10 +413,12 @@ def _representatives(setup: SetupDescriptor):
     each (check, interior) pair.
     """
     zero = tuple([0] * setup.lattice_sigma.rank)
+    sigma_class = area_classes(setup.lattice_sigma)
+    x_class = area_classes(setup.lattice_x)
     interior = [InteriorGenerator(x) for x in setup.morse_w]
     for x in interior:
         for y in interior:
-            if grade(setup, x) - grade(setup, y) == 1:
+            if degree_difference(setup, x, y) == 1:
                 yield None, Fraction(0), x, y, (), (), None, ()
 
     lifts = [LiftedCriticalPoint(q, flag) for q in setup.morse_sigma
@@ -441,10 +444,10 @@ def _representatives(setup: SetupDescriptor):
                 continue
             s, area = int(s), s / setup.k_const
             target, source = OrbitGenerator(p, 1 + s), OrbitGenerator(q, 1)
-            a = class_of_area(setup.lattice_sigma, area)
+            a = sigma_class(area)
             if a is not None:
                 yield s, area, target, source, (1, 1 + s), (a,), None, ()
-            b = class_of_area(setup.lattice_x, area)
+            b = x_class(area)
             if b is not None:
                 yield (s, area, target, source, (1, 1 + s), (zero,), None,
                        (AugPuncture(1, b, s),))
@@ -453,7 +456,7 @@ def _representatives(setup: SetupDescriptor):
             if kt.denominator != 1 or kt < 1:
                 continue
             area = kt / setup.k_const
-            b = class_of_area(setup.lattice_x, area)
+            b = x_class(area)
             if b is not None:
                 kt = int(kt)
                 yield (None, area, OrbitGenerator(p, kt), source, (kt, kt),
@@ -577,7 +580,7 @@ def _structural_violations(setup: SetupDescriptor, t: CascadeType) -> List[str]:
     if t.case_label is Case.INFEASIBLE:
         bad("infeasible type in output")
         return v
-    if grade(setup, t.target) - grade(setup, t.source) != 1:
+    if degree_difference(setup, t.target, t.source) != 1:
         bad("degree difference != 1")
     orbit_pair = isinstance(t.target, OrbitGenerator) and \
         isinstance(t.source, OrbitGenerator)

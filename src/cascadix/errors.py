@@ -1,7 +1,8 @@
 """Shared exception base, and the one reader of every input file.
 
 Setups, Morse data and instances are read by `read_json_object`, their
-numbers by `json_int` and `parse_rational`, their fields under `malformed`:
+numbers by `json_int` and `parse_rational`, their names by `json_name`,
+their fields under `malformed`:
 a malformed file of any kind is one engine error (exit 1), not a traceback.
 """
 
@@ -57,6 +58,14 @@ def json_int(value, field: str, error: type = CascadixError) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise error(f"{field} must be an integer")
+
+
+def json_name(value, field: str, error: type = CascadixError) -> str:
+    """The value of a name field read from JSON; `error` unless it is a
+    non-empty string, which `str()` would make of a list or a number."""
+    if isinstance(value, str) and value:
+        return value
+    raise error(f"bad {field} {value!r}")
 
 
 def parse_rational(value, error: type = CascadixError):

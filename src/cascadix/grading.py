@@ -7,6 +7,12 @@ rationals in general; two generators interact only when their degrees differ
 by an integer, so the grading group splits into cosets indexed by the
 fractional part.
 
+On one setup every degree lies in (1/D)Z, with D the denominator of the
+winding slope 2(tau_X - K)/K = p/D (`SetupDescriptor.degree_scale`).  So
+the catalog path sorts, solves and compares degrees as the integers
+D*degree (`scaled_degree`, `degree_difference`), and `grade` turns one into
+the printed `Fraction`.
+
 The per-piece index terms the cascade solver adds up live here too: the
 filling class term 2(<c1(TX), B> - B.Sigma), the winding balance across one
 cascade level and the deformation index of an augmentation plane.
@@ -116,16 +122,34 @@ def interior_generator(setup: SetupDescriptor, point_name: str) -> InteriorGener
     return InteriorGenerator(p)
 
 
+def scaled_degree(setup: SetupDescriptor, gen: Generator) -> int:
+    """D times the degree of a generator, where p/D = 2*(tau_X - K)/K.
+
+    Orbit generators: D*((lifted Morse index) + 1 - n) + p*k.
+    Interior generators: D*(n - (Morse index)).
+    """
+    d, p = setup.degree_scale
+    if isinstance(gen, InteriorGenerator):
+        return d * (setup.n - gen.point.morse_index)
+    return d * (gen.point.lifted_index + 1 - setup.n) + p * gen.k
+
+
 def grade(setup: SetupDescriptor, gen: Generator) -> Fraction:
     """Degree of a generator.
 
     Orbit generators: (lifted Morse index) + 1 - n + 2*(tau_X - K)/K * k.
     Interior generators: n - (Morse index).
     """
-    if isinstance(gen, InteriorGenerator):
-        return Fraction(setup.n - gen.point.morse_index)
-    lifted = gen.point.lifted_index
-    return Fraction(lifted + 1 - setup.n) + 2 * setup.slope_ratio * gen.k
+    return Fraction(scaled_degree(setup, gen), setup.degree_scale[0])
+
+
+def degree_difference(setup: SetupDescriptor, a: Generator,
+                      b: Generator) -> Optional[int]:
+    """deg a - deg b when it is an integer, else None (the two lie in
+    different cosets): the difference of the D*degrees, divided by D."""
+    diff, rest = divmod(scaled_degree(setup, a) - scaled_degree(setup, b),
+                        setup.degree_scale[0])
+    return None if rest else diff
 
 
 def grade_reeb(setup: SetupDescriptor, k: int) -> Fraction:
@@ -213,21 +237,25 @@ def coset_label(setup: SetupDescriptor, gen: Generator) -> Fraction:
 
 def _sort_key(setup: SetupDescriptor, gen: Generator):
     if isinstance(gen, OrbitGenerator):
-        return (grade(setup, gen), gen.kind, gen.point.base.name,
+        return (scaled_degree(setup, gen), gen.kind, gen.point.base.name,
                 gen.point.flag.value, gen.k)
-    return (grade(setup, gen), gen.kind, gen.point.name, "", 0)
+    return (scaled_degree(setup, gen), gen.kind, gen.point.name, "", 0)
 
 
 def winding_of_degree(setup: SetupDescriptor, point: LiftedCriticalPoint,
                       degree) -> Fraction:
     """The winding k at which the lift `point` has the given degree.
 
-    The degree is affine in k with slope 2*(tau_X - K)/K, positive by
-    validation, so this is the one solution; it is a generator's winding
-    only when it is an integer >= 1.
+    The degree is affine in k with slope 2*(tau_X - K)/K = p/D, positive
+    by validation, so this is the one solution,
+    k = 1 + (D*degree - D*deg(point at k = 1)) / p; it is a generator's
+    winding only when it is an integer >= 1.
     """
-    return 1 + ((Fraction(degree) - grade(setup, OrbitGenerator(point, 1)))
-                / (2 * setup.slope_ratio))
+    d, p = setup.degree_scale
+    degree = Fraction(degree)
+    at_zero = scaled_degree(setup, OrbitGenerator(point, 1)) - p
+    return Fraction(d * degree.numerator - at_zero * degree.denominator,
+                    p * degree.denominator)
 
 
 def enumerate_generators(setup: SetupDescriptor, k_max: int,
@@ -248,8 +276,8 @@ def enumerate_generators(setup: SetupDescriptor, k_max: int,
         gens += [OrbitGenerator(point, k) for point in lifts
                  for k in range(1, k_max + 1)]
     else:
-        degree = Fraction(degree)
-        gens = [g for g in gens if grade(setup, g) == degree]
+        scaled = setup.degree_scale[0] * Fraction(degree)
+        gens = [g for g in gens if scaled_degree(setup, g) == scaled]
         for point in lifts:
             k = winding_of_degree(setup, point, degree)
             if k.denominator == 1 and 1 <= k <= k_max:

@@ -28,10 +28,10 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import errors
-from .errors import CascadixError, json_int
+from .errors import CascadixError, json_int, json_name
 
 
 class ParseError(CascadixError):
@@ -122,7 +122,7 @@ def pair(lattice: HomologyLattice, cls: Sequence[int], which: Functional) -> Fra
             f"class vector of length {len(cls)} against lattice of rank {lattice.rank}"
         )
     values = lattice.functional(which)
-    return sum((Fraction(c) * Fraction(v) for c, v in zip(cls, values)), Fraction(0))
+    return Fraction(sum(c * v for c, v in zip(cls, values) if c))
 
 
 def class_of_area(lattice: HomologyLattice, area: Rational) -> Optional[IntVector]:
@@ -133,6 +133,12 @@ def class_of_area(lattice: HomologyLattice, area: Rational) -> Optional[IntVecto
     passing over a generator whose area g so far divides.  In rank 1 it is
     the only class of its area; in rank 0, or with all areas 0, none exists.
     """
+    return area_classes(lattice)(area)
+
+
+def area_classes(lattice: HomologyLattice
+                 ) -> Callable[[Rational], Optional[IntVector]]:
+    """`class_of_area` on one lattice, its unit class found once."""
     g, unit = Fraction(0), (0,) * lattice.rank
     for i, w in enumerate(lattice.omega):
         if g and w % g == 0:
@@ -144,10 +150,14 @@ def class_of_area(lattice: HomologyLattice, area: Rational) -> Optional[IntVecto
             a, b = b, (a[0] - q * b[0],
                        tuple(x - q * y for x, y in zip(a[1], b[1])))
         g, unit = a if a[0] >= 0 else (-a[0], tuple(-x for x in a[1]))
-    m = Fraction(area) / g if g else Fraction(0)
-    if m.denominator != 1 or m <= 0:
-        return None
-    return tuple(int(m) * c for c in unit)
+
+    def of_area(area: Rational) -> Optional[IntVector]:
+        m = Fraction(area) / g if g else Fraction(0)
+        if m.denominator != 1 or m <= 0:
+            return None
+        return tuple(int(m) * c for c in unit)
+
+    return of_area
 
 
 class CriticalPoint(NamedTuple):
@@ -209,7 +219,7 @@ class SetupDescriptor(_SetupDescriptorFields):
     n is half the real dimension of the ambient manifold; the hypersurface has
     real dimension 2n - 2, so its Morse indices live in [0, 2n-2] and the
     filling's in [0, 2n].  No `__slots__`: the instance `__dict__` holds the
-    cached `slope_ratio`.
+    cached `slope_ratio` and `degree_scale`.
     """
 
     @cached_property
@@ -221,6 +231,18 @@ class SetupDescriptor(_SetupDescriptorFields):
         fields alone.
         """
         return (self.tau_x - self.k_const) / self.k_const
+
+    @cached_property
+    def degree_scale(self) -> Tuple[int, int]:
+        """(D, p) with p/D = 2(tau - K)/K in lowest terms, cached like
+        `slope_ratio`.
+
+        Every degree lies in (1/D)Z, and one more winding adds p/D to an
+        orbit's degree; `grading` compares degrees as the integers
+        D*degree.
+        """
+        step = 2 * self.slope_ratio
+        return step.denominator, step.numerator
 
     def sigma_point(self, name: str) -> CriticalPoint:
         for p in self.morse_sigma:
@@ -288,8 +310,9 @@ def _crit_list(raw, ambient: Ambient, where: str) -> tuple[CriticalPoint, ...]:
     for entry in raw:
         if not isinstance(entry, dict) or set(entry) != {"name", "index"}:
             raise ParseError(f"{where}: entries need exactly 'name' and 'index'")
+        name = json_name(entry["name"], f"{where} point name", ParseError)
         index = json_int(entry["index"], f"{where}: index", ParseError)
-        pts.append(CriticalPoint(str(entry["name"]), index, ambient))
+        pts.append(CriticalPoint(name, index, ambient))
     return tuple(pts)
 
 
@@ -300,8 +323,11 @@ _TOP_KEYS = {
 }
 
 
-def parse_setup(raw: dict, name: str = "") -> SetupDescriptor:
-    """Build and validate a descriptor from already-decoded JSON data."""
+def parse_setup(raw: dict, default_name: str = "") -> SetupDescriptor:
+    """Build and validate a descriptor from already-decoded JSON data.
+
+    The display name is the `name` key, or `default_name` without one.
+    """
     if not isinstance(raw, dict):
         raise ParseError("top level must be an object")
     for key in raw:
@@ -335,7 +361,8 @@ def parse_setup(raw: dict, name: str = "") -> SetupDescriptor:
         morse_sigma=morse_sigma, morse_w=morse_w,
         min_chern_sigma=min_chern if min_chern is not None else _default_min_chern(lat_sigma),
         x_classes_from_sigma=flag,
-        name=name or str(raw.get("name", "")),
+        name=(json_name(raw["name"], "setup name", ParseError)
+              if "name" in raw else default_name),
     )
     validate_setup(desc)
     return desc
@@ -400,6 +427,7 @@ def validate_setup(desc: SetupDescriptor) -> None:
 
 
 def load_setup(path) -> SetupDescriptor:
-    """Load, parse, and validate a setup descriptor from a JSON file."""
+    """Load, parse, and validate a setup descriptor from a JSON file,
+    named by the file stem unless it has a `name` key."""
     raw = errors.read_json_object(path, "setup", ParseError)
-    return parse_setup(raw, name=Path(path).stem)
+    return parse_setup(raw, default_name=Path(path).stem)

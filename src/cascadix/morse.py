@@ -35,7 +35,8 @@ from collections import Counter
 from math import gcd
 from typing import Dict, List, NamedTuple, Sequence, Set, Tuple
 
-from .errors import CascadixError, json_int, malformed, read_json_object
+from .errors import (CascadixError, json_int, json_name, malformed,
+                     read_json_object)
 
 
 class BoundarySquaredNonzero(CascadixError):
@@ -59,8 +60,7 @@ class MorsePoint(_MorsePointFields):
     _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, name: str, index: int):
-        if not isinstance(name, str) or not name:
-            raise CascadixError(f"bad critical point name {name!r}")
+        json_name(name, "critical point name")
         if index < 0:
             raise CascadixError(f"negative index on {name}")
         return super().__new__(cls, name, index)

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from .errors import CascadixError
 from .grading import (Generator, InteriorGenerator, OrbitGenerator,
-                      filling_class_term, grade)
+                      degree_difference, filling_class_term, grade)
 from .model import (Ambient, CriticalPoint, Functional, IntVector,
                     SetupDescriptor, pair)
 
@@ -104,12 +104,13 @@ def _check_generator(gen: Generator, species: type, role: str) -> None:
 
 
 def _integer_difference(setup: SetupDescriptor, a: Generator, b: Generator) -> int:
-    diff = grade(setup, a) - grade(setup, b)
-    if diff.denominator != 1:
+    diff = degree_difference(setup, a, b)
+    if diff is None:
         raise NonIntegerDegreeDifference(
-            f"degrees of {a.display_name} and {b.display_name} differ by {diff}"
+            f"degrees of {a.display_name} and {b.display_name} differ by "
+            f"{grade(setup, a) - grade(setup, b)}"
         )
-    return int(diff)
+    return diff
 
 
 def zero_cascade_dimension(setup: SetupDescriptor, upper: OrbitGenerator,

@@ -20,7 +20,11 @@ against; it uses the package's `classify_type`, `grade`, `class_of_area` and
 structural check.  `scan_level_shapes` is the earlier winding scan of the
 case solver, kept as the reference the family solver's two-level rows are
 compared against once `classify_type` has judged its shapes; it uses the
-package's `grade` and `class_of_area`.  `reference_fibre_sum_orientation` and
+package's `grade` and `class_of_area`.  `fraction_sorted_generators` is
+the generator list as it was before degrees were compared as integers, each
+degree a `Fraction` computed from the setup's fields, kept as the reference
+the integer sort and winding solve are compared against; it builds the
+package's generator types.  `reference_fibre_sum_orientation` and
 `reference_frame_orientations_agree` are the earlier multi-elimination
 orientation code (product space, basis extension, a `Fraction` product and
 determinant signs), kept as the reference the one-elimination code is
@@ -627,6 +631,59 @@ def scan_level_shapes(setup, target, k_max, class_bound):
         source = InteriorGenerator(x)
         if grade(setup, target) - grade(setup, source) == 1:
             yield source, (kt, kt), (zero,), b, ()
+
+
+# ---------------------------------------------------------------------------
+# Generators in `Fraction` degree order.
+#
+# Each degree is (lifted index) + 1 - n + 2(tau - K)/K * k for an orbit and
+# n - (Morse index) for an interior point, as a `Fraction`; the list is
+# sorted on (degree, kind, name, flag, k), and a degree filter solves each
+# lift's winding from the affine degree.
+
+
+def fraction_degree(setup, gen):
+    from cascadix.grading import InteriorGenerator
+
+    if isinstance(gen, InteriorGenerator):
+        return Fraction(setup.n - gen.point.morse_index)
+    slope = 2 * (setup.tau_x - setup.k_const) / setup.k_const
+    return Fraction(gen.point.lifted_index + 1 - setup.n) + slope * gen.k
+
+
+def fraction_winding(setup, point, degree):
+    """The winding at which the lift `point` has the given degree."""
+    from cascadix.grading import OrbitGenerator
+
+    slope = 2 * (setup.tau_x - setup.k_const) / setup.k_const
+    return 1 + ((Fraction(degree)
+                 - fraction_degree(setup, OrbitGenerator(point, 1))) / slope)
+
+
+def fraction_sorted_generators(setup, k_max, degree=None):
+    from cascadix.grading import InteriorGenerator, OrbitGenerator
+    from cascadix.model import FibreFlag, LiftedCriticalPoint
+
+    def key(gen):
+        if isinstance(gen, OrbitGenerator):
+            return (fraction_degree(setup, gen), gen.kind,
+                    gen.point.base.name, gen.point.flag.value, gen.k)
+        return (fraction_degree(setup, gen), gen.kind, gen.point.name, "", 0)
+
+    gens = [InteriorGenerator(p) for p in setup.morse_w]
+    lifts = [LiftedCriticalPoint(p, flag) for p in setup.morse_sigma
+             for flag in (FibreFlag.CHECK, FibreFlag.HAT)]
+    if degree is None:
+        gens += [OrbitGenerator(point, k) for point in lifts
+                 for k in range(1, k_max + 1)]
+    else:
+        degree = Fraction(degree)
+        gens = [g for g in gens if fraction_degree(setup, g) == degree]
+        for point in lifts:
+            k = fraction_winding(setup, point, degree)
+            if k.denominator == 1 and 1 <= k <= k_max:
+                gens.append(OrbitGenerator(point, int(k)))
+    return sorted(gens, key=key)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 import math
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -27,9 +28,10 @@ from cascadix.grading import (
     grade,
     interior_generator,
     orbit_generator,
+    winding_of_degree,
 )
-from cascadix.model import (FibreFlag, Functional, class_of_area, pair,
-                            parse_setup)
+from cascadix.model import (FibreFlag, Functional, LiftedCriticalPoint,
+                            class_of_area, load_setup, pair, parse_setup)
 
 
 def gen_by_name(setup, name):
@@ -504,19 +506,64 @@ def test_grade_calls_linear_in_kmax(tau2, monkeypatch):
     """One source winding per Sigma point, not a scan over all of them:
     doubling k_max at most about doubles the degrees computed."""
     calls = []
+    scaled_degree = grading.scaled_degree
 
     def counted(setup, gen):
         calls.append(gen)
-        return grade(setup, gen)
+        return scaled_degree(setup, gen)
 
-    for module in (grading, cascades):
-        monkeypatch.setattr(module, "grade", counted)
+    monkeypatch.setattr(grading, "scaled_degree", counted)
     counts = []
     for k in (20, 40):
         calls.clear()
         certify_classification(tau2, k, k)
         counts.append(len(calls))
     assert counts[1] <= 2.5 * counts[0], counts
+
+
+# --- integer degrees against the Fraction order ------------------------
+
+
+def shipped_setup(name):
+    """A data file, or "rank2" for `rank2_cp2`."""
+    data = Path(__file__).parent.parent / "data"
+    return rank2_cp2(data) if name == "rank2" else load_setup(
+        data / f"{name}.json")
+
+
+def assert_generators_match_fraction_order(setup, k_max, data):
+    """`enumerate_generators` and `winding_of_degree` against the
+    `Fraction` reference: no degree filter, a degree some generator has, or
+    one drawn at random, fractional, negative or never attained."""
+    everything = enumerate_generators(setup, k_max)
+    assert everything == oracles.fraction_sorted_generators(setup, k_max)
+    attained = sorted({oracles.fraction_degree(setup, g) for g in everything})
+    drawn = st.fractions(-40, 40, max_denominator=12) \
+        | st.integers(-10**6, 10**6).map(Fraction)
+    if attained:
+        drawn |= st.sampled_from(attained)
+    for degree in data.draw(st.lists(drawn, min_size=1, max_size=4)):
+        got = enumerate_generators(setup, k_max, degree)
+        assert got == oracles.fraction_sorted_generators(
+            setup, k_max, degree), (setup.name, k_max, degree)
+        for point in (LiftedCriticalPoint(q, flag) for q in setup.morse_sigma
+                      for flag in FibreFlag):
+            assert winding_of_degree(setup, point, degree) == \
+                oracles.fraction_winding(setup, point, degree)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(setup=monotone_setups(), k_max=st.integers(0, 30), data=st.data())
+def test_generators_match_fraction_order_random(setup, k_max, data):
+    assert_generators_match_fraction_order(setup, k_max, data)
+
+
+@pytest.mark.parametrize("name", ["cp2", "tau2", "rank0", "rank2"])
+@settings(max_examples=30, deadline=None)
+@given(k_max=st.integers(0, 60), data=st.data())
+def test_generators_match_fraction_order_shipped(name, k_max, data):
+    assert_generators_match_fraction_order(shipped_setup(name), k_max, data)
 
 
 # --- one class per area --------------------------------------------------

@@ -603,6 +603,47 @@ def test_lattice_generators_must_be_a_list_of_strings(run_cli, data_dir,
     assert "generators must be a list of strings" in result.stderr
 
 
+@pytest.mark.parametrize("command", SETUP_COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("points", ["morse_sigma", "morse_w"])
+@pytest.mark.parametrize("name", [["m"], 3, None, ""],
+                         ids=["list", "int", "null", "empty"])
+def test_point_names_must_be_non_empty_strings(run_cli, data_dir, tmp_path,
+                                               command, points, name):
+    raw = json.loads((data_dir / "cp2.json").read_text())
+    raw[points][0]["name"] = name
+    path = tmp_path / "setup.json"
+    path.write_text(json.dumps(raw))
+    result = _run_setup_command(run_cli, command, path)
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert f"bad {points} point name {name!r}" in result.stderr
+
+
+def test_setup_name_key_names_the_setup(run_cli, data_dir, tmp_path):
+    raw = json.loads((data_dir / "cp2.json").read_text())
+    named, unnamed = tmp_path / "other.json", tmp_path / "unnamed.json"
+    named.write_text(json.dumps({**raw, "name": "hello"}))
+    del raw["name"]
+    unnamed.write_text(json.dumps(raw))
+    for path, want in ((named, "name: hello"), (unnamed, "name: unnamed")):
+        result = run_cli("validate", "--setup", str(path))
+        assert result.exit_code == 0
+        assert result.stdout.splitlines()[1] == want
+
+
+@pytest.mark.parametrize("command", SETUP_COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("name", [["x"], 7, ""], ids=["list", "int", "empty"])
+def test_setup_name_must_be_a_non_empty_string(run_cli, data_dir, tmp_path,
+                                               command, name):
+    raw = json.loads((data_dir / "cp2.json").read_text())
+    path = tmp_path / "setup.json"
+    path.write_text(json.dumps({**raw, "name": name}))
+    result = _run_setup_command(run_cli, command, path)
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert f"bad setup name {name!r}" in result.stderr
+
+
 def _node_paths(node, prefix=()):
     yield prefix
     if isinstance(node, dict):

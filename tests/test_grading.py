@@ -14,11 +14,13 @@ from cascadix.grading import (
     UnknownCriticalPoint,
     coset_label,
     cz_cap,
+    degree_difference,
     enumerate_generators,
     grade,
     grade_reeb,
     interior_generator,
     orbit_generator,
+    scaled_degree,
 )
 from cascadix.model import FibreFlag
 
@@ -158,6 +160,12 @@ def test_fractional_slope_splits_cosets():
     assert coset_label(setup, g1) == Fraction(2, 3)
     assert coset_label(setup, g2) == Fraction(1, 3)
     assert coset_label(setup, g3) == 0
+    # degrees in (1/3)Z, one winding adding 2/3
+    assert setup.degree_scale == (3, 2)
+    assert [scaled_degree(setup, g) for g in (g1, g2, g3, x)] == [-1, 1, 3, 6]
+    assert degree_difference(setup, g2, g1) is None
+    assert degree_difference(setup, x, g3) == 1
+    assert degree_difference(setup, g3, x) == -1
     picked = enumerate_generators(setup, 6, degree=grade(setup, g1))
     assert g1 in picked
     assert all(grade(setup, g) == grade(setup, g1) for g in picked)

@@ -271,12 +271,15 @@ def test_record_contract(name):
 
 
 def test_cached_values_stay_outside_the_fields():
-    """The setup's slope ratio and a space's basis sign, each computed once,
+    """The setup's slope ratio and degree scale and a space's basis sign,
+    each computed once,
     leave equality, hashing and repr alone."""
     cls, fields, _, text, _ = RECORDS["SetupDescriptor"]
     setup, fresh = cls(*fields), cls(*fields)
     assert setup.slope_ratio == 2
     assert setup.slope_ratio is setup.slope_ratio
+    assert setup.degree_scale == (1, 4)
+    assert setup.degree_scale is setup.degree_scale
     assert setup == fresh and hash(setup) == hash(fresh)
     assert repr(setup) == text
     assert LINE.basis_det_sign() == 1
