@@ -25,7 +25,7 @@ from the degree equation and each class from the level balance, and
 is applied; the rows at each winding are then read off without further
 checks.  Validation makes every functional a multiple of the area, and the
 balance fixes the area, so each shape takes the one class
-`model.class_of_area` gives, in any lattice rank.  The catalog is complete
+`model.area_classes` gives, in any lattice rank.  The catalog is complete
 within user bounds (max source winding, max class area, never a
 coordinate box) and names each row-bearing area the class bound leaves
 out, so an empty answer with no warnings is a certificate, not an
@@ -288,9 +288,8 @@ def classify_type(setup: SetupDescriptor, target: Generator, source: Generator,
             return bail(f"level {i} winding balance fails")
 
     for a in aug:
-        try:
-            if augmentation_index(setup, a.class_b) < 0:
-                return bail("augmentation with negative index")
+        try:   # raises on a plane of non-positive area or negative index
+            augmentation_index(setup, a.class_b)
         except CascadixError as exc:
             return bail(f"augmentation rejected: {exc}")
 
@@ -527,23 +526,20 @@ def _contributions(shapes: Families, target: Generator, k_max: int,
 
 
 def enumerate_contributions(setup: SetupDescriptor, target: Generator,
-                            k_max: int, class_bound: int,
-                            shapes: Optional[Families] = None
+                            k_max: int, class_bound: int
                             ) -> EnumerationResult:
     """Every feasible cascade type ending on the given target.
 
     Sources have degree exactly one less and winding at most k_max; classes
     have area in (0, class_bound], one class per area.  The rows are read
-    off `families(setup)`, which `shapes` may pass in to share one
-    computation across targets.  Output is sorted by (levels,
-    multiplicities, classes, sphere, augmentations, source name) and is
-    byte-deterministic.  Warnings name the bounds that leave rows out; no
-    warnings means the list is provably complete.
+    off `families(setup)`.  Output is sorted by (levels, multiplicities,
+    classes, sphere, augmentations, source name) and is byte-deterministic.
+    Warnings name the bounds that leave rows out; no warnings means the
+    list is provably complete.
     """
     _check_bounds(k_max, class_bound)
-    if shapes is None:
-        shapes = families(setup)
-    rows, warnings = _contributions(shapes, target, k_max, class_bound)
+    rows, warnings = _contributions(families(setup), target, k_max,
+                                    class_bound)
     return EnumerationResult(target, tuple(t for t, _ in rows),
                              tuple(warnings))
 
@@ -649,12 +645,13 @@ def certify_classification(setup: SetupDescriptor, k_max: int,
     reported against each row of the family as a counterexample.  Targets
     are taken in generator order.
     """
+    targets = enumerate_generators(setup, k_max)   # refuses k_max < 0 first
     _check_bounds(k_max, class_bound)
     shapes = families(setup)
     types: List[CascadeType] = []
     violations: List[str] = []
     warnings: List[str] = []
-    for target in enumerate_generators(setup, k_max):
+    for target in targets:
         rows, found = _contributions(shapes, target, k_max, class_bound)
         for t, family in rows:
             types.append(t)

@@ -331,24 +331,19 @@ def _catalog_rows(setup, types):
                 help="aligned text instead of CSV"))
 def enumerate_cmd(setup_path, target, all_targets, kmax, classbound, as_text):
     """Catalog of feasible cascade types, one row per type."""
-    from . import cascades, grading
+    from . import cascades
     from .model import load_setup
 
     if (target is None) == (not all_targets):
         raise UsageError("give exactly one of --target or --all-targets")
     setup = load_setup(setup_path)
     if all_targets:
-        targets = grading.enumerate_generators(setup, kmax)
+        result = cascades.certify_classification(setup, kmax, classbound)
     else:
-        targets = [_generator_by_name(setup, target)]
-    shapes = cascades.families(setup)
-    rows, warnings = [], []
-    for tgt in targets:
-        result = cascades.enumerate_contributions(setup, tgt, kmax, classbound,
-                                                  shapes)
-        rows.extend(_catalog_rows(setup, result.types))
-        warnings.extend(result.warnings)
-    for message in dict.fromkeys(warnings):
+        result = cascades.enumerate_contributions(
+            setup, _generator_by_name(setup, target), kmax, classbound)
+    rows = _catalog_rows(setup, result.types)
+    for message in result.warnings:
         print(f"warning: {message}", file=sys.stderr)
     if as_text:
         print(" ".join(CATALOG_HEADER))

@@ -22,8 +22,9 @@ operator from `spectrum` and one of two decorations:
 By the crossing relation cz(-delta) = cz(+delta) + dim ker, V = 0 gives the
 decay weight and V = ker the growth weight, so both vocabularies share the
 one formula above: `_dim_v_of` normalizes a weight to its kernel subspace,
-`per_puncture_breakdown` is the only per-puncture sum, and `index_weighted`
-and `index_morse_bott` both read it.  The perturbation-side convention lives
+`per_puncture_breakdown` is the only per-puncture sum, and
+`index_morse_bott` reads it for any mix of the two decorations, weights at
+every puncture included.  The perturbation-side convention lives
 entirely in `_dim_v_of`; nothing else in the package chooses a side.  The
 textbook cz(+-delta) form of the weighted index is kept in the test oracles
 as the reference these are checked against.
@@ -132,15 +133,6 @@ def _dim_v_of(p: Puncture) -> int:
             f"dim ker = {dk}"
         )
     return p.decoration.dim_v
-
-
-def index_weighted(problem: PuncturedProblem) -> int:
-    """Fredholm index with exponential weights at every puncture."""
-    _check_rank(problem)
-    for p in problem.punctures:
-        if not isinstance(p.decoration, Weighted):
-            raise PunctureMismatch("index_weighted needs Weighted decorations only")
-    return index_morse_bott(problem)
 
 
 def index_morse_bott(problem: PuncturedProblem) -> int:

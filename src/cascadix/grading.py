@@ -40,10 +40,6 @@ class UnknownCriticalPoint(CascadixError):
     """Named critical point does not exist in the setup."""
 
 
-class CapMismatch(CascadixError):
-    """Capping class intersection number disagrees with the winding."""
-
-
 class NonPositiveArea(CascadixError):
     """Augmentation plane class has non-positive symplectic area."""
 
@@ -157,25 +153,6 @@ def grade_reeb(setup: SetupDescriptor, k: int) -> Fraction:
     if k < 1:
         raise CascadixError(f"orbit winding must be >= 1, got {k}")
     return Fraction(-2) + 2 * setup.slope_ratio * k
-
-
-def cz_cap(setup: SetupDescriptor, gen: OrbitGenerator,
-           class_b: Sequence[int]) -> Fraction:
-    """Degree computed through a capping class B in the filling.
-
-    B must intersect the divisor exactly k times.  The value
-    (lifted index) + 1 - n + 2(<c1(TX), B> - k) then agrees with `grade`;
-    the agreement is a consequence of monotonicity, not an input.
-    """
-    if not isinstance(gen, OrbitGenerator):
-        raise CascadixError("cz_cap applies to orbit generators")
-    inter = pair(setup.lattice_x, class_b, Functional.SIGMA_INTERSECTION)
-    if inter != gen.k:
-        raise CapMismatch(
-            f"capping class meets the divisor {inter} times, orbit winds {gen.k}"
-        )
-    return Fraction(gen.point.lifted_index + 1 - setup.n) \
-        + filling_class_term(setup, class_b)
 
 
 def filling_class_term(setup: SetupDescriptor,

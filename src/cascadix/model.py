@@ -23,7 +23,6 @@ The JSON format is documented in docs/setup-format.md.
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -125,20 +124,17 @@ def pair(lattice: HomologyLattice, cls: Sequence[int], which: Functional) -> Fra
     return Fraction(sum(c * v for c, v in zip(cls, values) if c))
 
 
-def class_of_area(lattice: HomologyLattice, area: Rational) -> Optional[IntVector]:
-    """m times the unit class if area = m*g with m > 0, else None.
-
-    The areas of the lattice form g*Z.  The unit class of area g comes from
-    the extended Euclidean algorithm over the generators in file order,
-    passing over a generator whose area g so far divides.  In rank 1 it is
-    the only class of its area; in rank 0, or with all areas 0, none exists.
-    """
-    return area_classes(lattice)(area)
-
-
 def area_classes(lattice: HomologyLattice
                  ) -> Callable[[Rational], Optional[IntVector]]:
-    """`class_of_area` on one lattice, its unit class found once."""
+    """The map area -> class on one lattice, its unit class found once.
+
+    An area goes to m times the unit class if area = m*g with m > 0, and to
+    None otherwise.  The areas of the lattice form g*Z.  The unit class of
+    area g comes from the extended Euclidean algorithm over the generators
+    in file order, passing over a generator whose area g so far divides.
+    In rank 1 it is the only class of its area; in rank 0, or with all
+    areas 0, none exists.
+    """
     g, unit = Fraction(0), (0,) * lattice.rank
     for i, w in enumerate(lattice.omega):
         if g and w % g == 0:
@@ -208,8 +204,6 @@ class _SetupDescriptorFields(NamedTuple):
     lattice_x: HomologyLattice
     morse_sigma: tuple[CriticalPoint, ...]
     morse_w: tuple[CriticalPoint, ...]
-    min_chern_sigma: Optional[int] = None
-    x_classes_from_sigma: bool = False
     name: str = ""
 
 
@@ -348,38 +342,21 @@ def parse_setup(raw: dict, default_name: str = "") -> SetupDescriptor:
     morse_sigma = _crit_list(raw["morse_sigma"], Ambient.SIGMA, "morse_sigma")
     morse_w = _crit_list(raw["morse_w"], Ambient.W, "morse_w")
 
-    min_chern = raw.get("min_chern_sigma")
-    if min_chern is not None:
-        min_chern = json_int(min_chern, "min_chern_sigma", ParseError)
-    flag = raw.get("x_classes_from_sigma", False)
-    if not isinstance(flag, bool):
+    # read by nothing: type-checked, then dropped
+    if raw.get("min_chern_sigma") is not None:
+        json_int(raw["min_chern_sigma"], "min_chern_sigma", ParseError)
+    if not isinstance(raw.get("x_classes_from_sigma", False), bool):
         raise ParseError("x_classes_from_sigma must be a boolean")
 
     desc = SetupDescriptor(
         n=n, tau_x=tau, k_const=kc, t0=t0,
         lattice_sigma=lat_sigma, lattice_x=lat_x,
         morse_sigma=morse_sigma, morse_w=morse_w,
-        min_chern_sigma=min_chern if min_chern is not None else _default_min_chern(lat_sigma),
-        x_classes_from_sigma=flag,
         name=(json_name(raw["name"], "setup name", ParseError)
               if "name" in raw else default_name),
     )
     validate_setup(desc)
     return desc
-
-
-def _default_min_chern(lat: HomologyLattice) -> Optional[int]:
-    """gcd of Chern numbers over the hypersurface lattice generators.
-
-    Any integer combination pairs with c1 to a multiple of this gcd, so it is
-    the computable lower bound for the minimal Chern number.  All-zero (or a
-    rank-0 lattice) means no spherical class has nonzero Chern number; that is
-    reported as None and treated as "infinite" by the consumers.
-    """
-    g = 0
-    for v in lat.c1:
-        g = math.gcd(g, abs(v))
-    return g if g > 0 else None
 
 
 def validate_setup(desc: SetupDescriptor) -> None:

@@ -43,7 +43,6 @@ class BoundarySquaredNonzero(CascadixError):
     """The boundary operator fails to square to zero."""
 
 
-Matrix = Tuple[Tuple[int, ...], ...]
 # sparse columns of a boundary map: per column, its nonzero {row: entry}
 Columns = List[Dict[int, int]]
 
@@ -186,15 +185,6 @@ def _check_square_zero(data: MorseData, columns: Dict[int, Columns]) -> None:
                 raise BoundarySquaredNonzero(
                     f"d^2 sends {src.name} to {finals[bad].name} "
                     f"with coefficient {totals[bad]}")
-
-
-def smith_invariant_factors(matrix: Matrix) -> List[int]:
-    """Positive invariant factors of a dense integer matrix, in divisibility
-    order: `_invariant_factors` of its nonzero columns."""
-    width = len(matrix[0]) if matrix else 0
-    return _invariant_factors(
-        [{i: row[j] for i, row in enumerate(matrix) if row[j]}
-         for j in range(width)])
 
 
 class _Lines:

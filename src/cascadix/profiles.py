@@ -83,9 +83,18 @@ _EXPR_NAMES = {
 
 
 def _compile_expr(src: str, label: str) -> Callable[[float], float]:
+    """The expression as a function of rho, each integer literal made a
+    float: an exact integer power such as 9**9**9 would run without bound,
+    a float one overflows at once."""
+    import ast   # here, so that a launch without an expression skips it
+
     try:
-        code = compile(src, f"<profile {label}>", "eval")
-    except SyntaxError as exc:
+        tree = ast.parse(src, f"<profile {label}>", "eval")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and type(node.value) is int:
+                node.value = float(node.value)
+        code = compile(tree, f"<profile {label}>", "eval")
+    except (SyntaxError, OverflowError) as exc:
         raise ProfileParseError(f"bad {label} expression {src!r}: {exc}") from exc
     for name in code.co_names:
         if name not in _EXPR_NAMES and name != "rho":
@@ -192,10 +201,6 @@ def orbit_level(profile: Profile, k: int, t0) -> OrbitLevel:
 class AdmissibilityReport(NamedTuple):
     ok: bool
     first_violation: Optional[str]
-
-    @property
-    def verdict(self) -> str:
-        return "admissible" if self.ok else self.first_violation
 
 
 def check_admissible(profile: Profile) -> AdmissibilityReport:

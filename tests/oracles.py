@@ -16,11 +16,11 @@ search, kept as the reference the case solver is compared against; it uses
 the package's `classify_type` as its judge.  `per_row_certify` is the case
 solver as it was before it went by winding families, one classification per
 row through `proposals`, kept as the reference the family solver is compared
-against; it uses the package's `classify_type`, `grade`, `class_of_area` and
+against; it uses the package's `classify_type`, `grade`, `area_classes` and
 structural check.  `scan_level_shapes` is the earlier winding scan of the
 case solver, kept as the reference the family solver's two-level rows are
 compared against once `classify_type` has judged its shapes; it uses the
-package's `grade` and `class_of_area`.  `fraction_sorted_generators` is
+package's `grade` and `area_classes`.  `fraction_sorted_generators` is
 the generator list as it was before degrees were compared as integers, each
 degree a `Fraction` computed from the setup's fields, kept as the reference
 the integer sort and winding solve are compared against; it builds the
@@ -32,9 +32,14 @@ compared against; they use the package's exact linear-algebra primitives.
 `reference_quotient_orientation` is the earlier quotient, whose subspace
 image is a `Fraction` matrix product, kept as the reference the integer
 image columns are compared against.  `negated`, `glue`,
-`rigid_plane_classes` and `chern_gate_applies` are helpers no command runs,
-moved here from the package with the tests that pin them; they and
-`disjoint_copies` build or read the package's own types.
+`rigid_plane_classes`, `chern_gate_applies`, `smith_invariant_factors` and
+`cz_cap` (with its `CapMismatch`) are helpers no command runs, moved here
+from the package with the tests that pin them; they and `disjoint_copies`
+build or read the package's own types.  `smith_invariant_factors` is the
+package's sparse Smith form fed a dense matrix; `cz_cap` is the degree
+through a capping class, an independent cross-check of `grade`;
+`chern_gate_applies` reads two keys of the shipped setup files that the
+package type-checks and then drops.
 Derived values were worked out by hand (or by the closed forms below) before
 the corresponding module was written, and the implementation is held to them.
 Do not edit a frozen value to make a test pass; a mismatch means the
@@ -42,9 +47,11 @@ implementation is wrong or the hand computation is wrong, and either way it
 has to be resolved explicitly.
 """
 
+import json
 import math
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +510,7 @@ def proposals(setup, target, k_max, class_bound):
     """
     from cascadix.cascades import AugPuncture
     from cascadix.grading import InteriorGenerator, OrbitGenerator, grade
-    from cascadix.model import FibreFlag, LiftedCriticalPoint, class_of_area
+    from cascadix.model import FibreFlag, LiftedCriticalPoint, area_classes
 
     if isinstance(target, InteriorGenerator):
         for y in setup.morse_w:
@@ -528,7 +535,7 @@ def proposals(setup, target, k_max, class_bound):
 
     def solve(lattice, step):
         area = Fraction(step) / setup.k_const
-        return class_of_area(lattice, area) if area <= class_bound else None
+        return area_classes(lattice)(area) if area <= class_bound else None
 
     for q in setup.morse_sigma:
         hat = LiftedCriticalPoint(q, FibreFlag.HAT)
@@ -602,14 +609,14 @@ def per_row_certify(setup, k_max, class_bound):
 def scan_level_shapes(setup, target, k_max, class_bound):
     from cascadix.cascades import AugPuncture
     from cascadix.grading import InteriorGenerator, OrbitGenerator, grade
-    from cascadix.model import FibreFlag, LiftedCriticalPoint, class_of_area
+    from cascadix.model import FibreFlag, LiftedCriticalPoint, area_classes
 
     kt = target.k
     zero = tuple([0] * setup.lattice_sigma.rank)
 
     def solve(lattice, step):
         area = Fraction(step) / setup.k_const
-        return class_of_area(lattice, area) if area <= class_bound else None
+        return area_classes(lattice)(area) if area <= class_bound else None
 
     for q in setup.morse_sigma:
         for k0 in range(1, min(k_max, kt) + 1):
@@ -871,6 +878,17 @@ def disjoint_copies(data, copies):
               for c in range(copies) for f in data.flows))
 
 
+def smith_invariant_factors(matrix):
+    """Positive invariant factors of a dense integer matrix, in divisibility
+    order: the package's sparse `_invariant_factors` of its nonzero
+    columns."""
+    from cascadix.morse import _invariant_factors
+    width = len(matrix[0]) if matrix else 0
+    return _invariant_factors(
+        [{i: row[j] for i, row in enumerate(matrix) if row[j]}
+         for j in range(width)])
+
+
 def dense_smith_invariant_factors(matrix):
     """Positive invariant factors of an integer matrix by dense elimination.
 
@@ -1036,19 +1054,56 @@ def rigid_plane_classes(setup, omega_bound):
     """The class of area 1/(tau - K), if it exists within omega_bound.
 
     Only at that area does the index 2((tau - K)*omega(B) - 1) vanish."""
-    from cascadix.model import class_of_area
+    from cascadix.model import area_classes
     area = 1 / (setup.tau_x - setup.k_const)
-    b = class_of_area(setup.lattice_x, area)
+    b = area_classes(setup.lattice_x)(area)
     return [b] if b is not None and area <= Fraction(omega_bound) else []
+
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def chern_gate_applies(setup):
     """True when the setup promises the absence of rigid augmentation planes.
 
-    Requires every filling sphere class to come from the divisor (declared
-    flag) and the minimal divisor Chern number to be at least 2.
+    Requires every filling sphere class to come from the divisor (the
+    `x_classes_from_sigma` flag) and the minimal divisor Chern number to be
+    at least 2.  Both keys are read from the setup's shipped file,
+    `data/<name>.json`.  Without `min_chern_sigma` the minimal Chern number
+    is bounded below by the gcd of the Chern numbers of the divisor
+    lattice's generators, since every integer combination pairs with c1 to
+    a multiple of it; a gcd of 0 (all zero, or rank 0) means no spherical
+    class has nonzero Chern number, and the bound is infinite.
     """
-    if not setup.x_classes_from_sigma:
+    raw = json.loads((DATA / f"{setup.name}.json").read_text())
+    if not raw.get("x_classes_from_sigma", False):
         return False
-    mc = setup.min_chern_sigma
+    mc = raw.get("min_chern_sigma")
+    if mc is None:
+        mc = math.gcd(*setup.lattice_sigma.c1) or None
     return mc is None or mc >= 2
+
+
+class CapMismatch(Exception):
+    """Capping class intersection number disagrees with the winding."""
+
+
+def cz_cap(setup, gen, class_b):
+    """Degree computed through a capping class B in the filling.
+
+    B must intersect the divisor exactly k times.  The value
+    (lifted index) + 1 - n + 2(<c1(TX), B> - k) then agrees with `grade`;
+    the agreement is a consequence of monotonicity, not an input.
+    """
+    from cascadix.errors import CascadixError
+    from cascadix.grading import OrbitGenerator, filling_class_term
+    from cascadix.model import Functional, pair
+    if not isinstance(gen, OrbitGenerator):
+        raise CascadixError("cz_cap applies to orbit generators")
+    inter = pair(setup.lattice_x, class_b, Functional.SIGMA_INTERSECTION)
+    if inter != gen.k:
+        raise CapMismatch(
+            f"capping class meets the divisor {inter} times, orbit winds {gen.k}"
+        )
+    return Fraction(gen.point.lifted_index + 1 - setup.n) \
+        + filling_class_term(setup, class_b)

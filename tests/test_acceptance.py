@@ -25,7 +25,6 @@ from cascadix.fredholm import (
     Weighted,
     WeightSide,
     index_morse_bott,
-    index_weighted,
     split_cylinder_problems,
     split_floer_index,
 )
@@ -125,12 +124,12 @@ def test_03_vertical_index_populations(announce):
         ham_ham = PuncturedProblem(1, 0, (
             Puncture(Sign.POSITIVE, VerticalC(5.0), DECAY),
             Puncture(Sign.NEGATIVE, VerticalC(0.25), DECAY)) + extra_decay)
-        assert index_weighted(ham_ham) == -1 - 2 * gammas
+        assert index_morse_bott(ham_ham) == -1 - 2 * gammas
 
         reeb_top = PuncturedProblem(1, 0, (
             Puncture(Sign.POSITIVE, ComplexLinear(1), DECAY),
             Puncture(Sign.NEGATIVE, VerticalC(5.0), DECAY)) + extra_decay)
-        assert index_weighted(reeb_top) == -2 - 2 * gammas
+        assert index_morse_bott(reeb_top) == -2 - 2 * gammas
 
         extra_full = tuple(
             Puncture(Sign.NEGATIVE, ComplexLinear(1), KernelSubspace(2),

@@ -31,7 +31,7 @@ from cascadix.grading import (
     winding_of_degree,
 )
 from cascadix.model import (FibreFlag, Functional, LiftedCriticalPoint,
-                            class_of_area, load_setup, pair, parse_setup)
+                            area_classes, load_setup, pair, parse_setup)
 
 
 def gen_by_name(setup, name):
@@ -212,6 +212,48 @@ class TestClassifyValidation:
         assert t.case_label is Case.INFEASIBLE
         assert "degree" in t.infeasible_reason
 
+    @pytest.mark.parametrize("target,source,mults,classes,sphere,aug,reason", [
+        ("m_check_1", "x0", (1, 1), ((0,),), (0,), (),
+         "filling sphere has non-positive area"),
+        ("m_check_1", "x0", (2, 1), ((0,),), (1,), (),
+         "bottom winding != sphere divisor intersection"),
+        ("m_check_2", "M_hat_1", (1, 2), ((-1,),), None, (),
+         "level 1 sphere has non-positive area"),
+        ("m_check_2", "M_hat_1", (1, 2), ((2,),), None,
+         (AugPuncture(1, (-1,), -1),),
+         "augmentation rejected: omega(B) = -1 is not positive"),
+    ], ids=["filling-area", "bottom-winding", "level-area", "plane-area"])
+    def test_infeasible_verdicts(self, cp2, target, source, mults, classes,
+                                 sphere, aug, reason):
+        t = classify_type(cp2, gen_by_name(cp2, target),
+                          gen_by_name(cp2, source), mults, classes, sphere,
+                          aug)
+        assert t.case_label is Case.INFEASIBLE
+        assert t.infeasible_reason == reason
+
+    def test_infeasible_verdicts_of_inconsistent_data(self, cp2):
+        # A validated setup never reaches these two verdicts: the index of a
+        # plane of positive area and the Reeb weight of its orbit are both
+        # (tau - K) * omega(B) - 1 or more.  A descriptor built without
+        # validation can break that, and then the type is refused.
+        target, source = gen_by_name(cp2, "m_check_2"), gen_by_name(cp2, "M_hat_1")
+        shape = ((1, 2), ((0,),), None, (AugPuncture(1, (1,), 1),))
+        # on cp2 itself the plane passes and the budget decides
+        t = classify_type(cp2, target, source, *shape)
+        assert t.infeasible_reason == "budget 3 exceeds 1"
+        # c1(B) = B.Sigma: the plane's index is 2(1 - 1) - 2 = -2
+        flat = cp2._replace(lattice_x=cp2.lattice_x._replace(c1=(1,)))
+        t = classify_type(flat, target, source, *shape)
+        assert t.infeasible_reason == ("augmentation rejected: augmentation "
+                                       "index -2 negative on a positive-area "
+                                       "class")
+        # tau = 3/2: the Reeb weight of a once-wound plane is -2 + 1 = -1
+        slow = cp2._replace(tau_x=Fraction(3, 2))
+        t = classify_type(slow, gen_by_name(slow, "m_check_2"),
+                          gen_by_name(slow, "m_check_1"), *shape)
+        assert t.infeasible_reason == "budget term negative: augmentation_weights"
+        assert t.budget.first_negative() == "augmentation_weights"
+
 
 class TestEnumeration:
     def test_cp2_target_with_case0_only(self, cp2):
@@ -313,6 +355,105 @@ class TestEnumeration:
     def test_bad_bounds(self, cp2):
         with pytest.raises(CascadixError):
             enumerate_contributions(cp2, gen_by_name(cp2, "m_check_1"), 0, 3)
+
+
+# --- the certification re-check, one rule at a time --------------------
+
+
+ONE_PLANE = AugPuncture(1, (1,), 1)
+
+# (setup, template row, its case) -> (fields replaced, every message).  Each
+# row breaks one rule of `_structural_violations`.  A rule is not always
+# alone: the orbit-pair counts also break their case's shape, and moving a
+# winding or a lift also moves the degree or the index identity.
+BROKEN_RULES = {
+    "infeasible type in output": (
+        ("cp2", "M_check_1 <- m_hat_1", Case.CASE0),
+        {"case_label": Case.INFEASIBLE}, ["infeasible type in output"]),
+    "degree difference != 1": (
+        ("cp2", "m_check_2 <- M_hat_1", Case.CASE1),
+        {"target": "m_check_1"}, ["degree difference != 1"]),
+    "index identity != 1 (orbit source)": (
+        ("cp2", "m_check_2 <- M_hat_1", Case.CASE1),
+        {"classes_a": ((2,),)}, ["index identity != 1"]),
+    "more than one augmentation plane": (
+        ("tau2", "M_check_2 <- M_hat_1", Case.CASE2),
+        {"aug": (ONE_PLANE, ONE_PLANE)},
+        ["index identity != 1", "more than one augmentation plane",
+         "Case 2 shape"]),
+    "more than one non-constant level": (
+        ("tau2", "m_check_3 <- M_hat_1", Case.CASE1),
+        {"classes_a": ((1,), (1,))},
+        ["more than one non-constant level", "more than one level",
+         "Case 1 shape"]),
+    "constant levels exceed augmentations": (
+        ("cp2", "M_check_1 <- m_hat_1", Case.CASE0),
+        {"classes_a": ((0,),)},
+        ["constant levels exceed augmentations", "Case 0 must be bare"]),
+    "more than one level": (
+        ("cp2", "m_check_2 <- M_hat_1", Case.CASE1),
+        {"classes_a": ((1,), (0,))},
+        ["constant levels exceed augmentations", "more than one level",
+         "Case 1 shape"]),
+    "Case 0 must be bare": (
+        ("cp2", "M_check_1 <- m_hat_1", Case.CASE0),
+        {"sphere_b": (0,)}, ["Case 0 must be bare"]),
+    "Case 0 windings differ": (
+        ("cp2", "M_check_1 <- m_hat_1", Case.CASE0),
+        {"target": "M_check_2"},
+        ["degree difference != 1", "Case 0 windings differ"]),
+    "Case 0 fibre step": (
+        ("cp2", "M_check_1 <- m_hat_1", Case.CASE0),
+        {"target": "M_hat_1", "source": "M_check_1"}, ["Case 0 fibre step 1"]),
+    "Case 1 shape": (
+        ("cp2", "m_check_2 <- M_hat_1", Case.CASE1),
+        {"sphere_b": (0,)}, ["Case 1 shape"]),
+    "Case 1 ends": (
+        ("cp2", "m_check_2 <- M_hat_1", Case.CASE1),
+        {"multiplicities": (2, 1)}, ["Case 1 ends"]),
+    "Case 2 shape": (
+        ("tau2", "M_check_2 <- M_hat_1", Case.CASE2),
+        {"classes_a": ()}, ["Case 2 shape"]),
+    "Case 2 base points differ": (
+        ("tau2", "M_check_2 <- M_hat_1", Case.CASE2),
+        {"target": "m_check_3"},
+        ["index identity != 1", "Case 2 base points differ"]),
+    "Case 2 ends": (
+        ("tau2", "M_check_2 <- M_hat_1", Case.CASE2),
+        {"target": "M_hat_1"},
+        ["degree difference != 1", "index identity != 1", "Case 2 ends"]),
+    "Case 2 plane not rigid": (
+        ("tau2", "M_check_2 <- M_hat_1", Case.CASE2),
+        {"aug": (AugPuncture(1, (2,), 2),)},
+        ["index identity != 1", "Case 2 plane not rigid"]),
+    "Case 3 source not interior": (
+        ("cp2", "M_check_1 <- m_hat_1", Case.CASE0),
+        {"case_label": Case.CASE3}, ["Case 3 source not interior"]),
+    "index identity != 1 (interior source)": (
+        ("cp2", "m_check_1 <- x0", Case.CASE3),
+        {"sphere_b": (0,)}, ["index identity != 1"]),
+    "Case 3 shape": (
+        ("cp2", "m_check_1 <- x0", Case.CASE3),
+        {"classes_a": ()}, ["Case 3 shape"]),
+    "Case 3 ends": (
+        ("cp2", "m_check_1 <- x0", Case.CASE3),
+        {"multiplicities": (1, 2)}, ["Case 3 ends"]),
+}
+
+
+@pytest.mark.parametrize("rule", BROKEN_RULES)
+def test_each_structural_rule_fires(rule, request):
+    (name, row, case), fields, messages = BROKEN_RULES[rule]
+    setup = request.getfixturevalue(name)
+    [template] = [f.template for fams in cascades.families(setup).values()
+                  for f in fams if f.template.case_label is case and
+                  f"{f.template.target.display_name} <- "
+                  f"{f.template.source.display_name}" == row]
+    assert cascades._structural_violations(setup, template) == []
+    fields = {key: gen_by_name(setup, value) if isinstance(value, str)
+              else value for key, value in fields.items()}
+    broken = template._replace(**fields)
+    assert cascades._structural_violations(setup, broken) == messages
 
 
 # --- the case solver against the brute-force search ---------------------
@@ -472,13 +613,12 @@ def assert_matches_winding_scan(setup, k_max, class_bound):
     """Every check target up to one winding past k_max: the two-level rows
     that `cascades.families` expands to are exactly the scan's shapes that
     `classify_type` finds feasible."""
-    shapes = cascades.families(setup)
     for target in enumerate_generators(setup, k_max + 1):
         if not isinstance(target, OrbitGenerator) \
                 or target.point.flag is not FibreFlag.CHECK:
             continue
         got = [t for t in enumerate_contributions(
-                   setup, target, k_max, class_bound, shapes).types
+                   setup, target, k_max, class_bound).types
                if len(t.multiplicities) == 2]
         scanned = (classify_type(setup, target, *shape) for shape
                    in oracles.scan_level_shapes(setup, target, k_max,
@@ -635,7 +775,7 @@ def test_class_of_area_matches_box(setup):
         for m in range(-4, 13):
             for d in range(1, 5):
                 area = Fraction(m, d) * u
-                got = class_of_area(lattice, area)
+                got = area_classes(lattice)(area)
                 if area > 0 and area in box:
                     assert pair(lattice, got, Functional.OMEGA) == area
                     if lattice.rank == 1:

@@ -876,25 +876,34 @@ def test_golden_morse(data_dir, name):
     assert proc.stdout == golden
 
 
-# golden file -> (command, setup, further arguments)
+# golden file -> (command, setup, further arguments); a golden file with a
+# `.stderr` sibling pins the run's stderr too, and without one it is empty
 GOLDEN_SETUP_RUNS = {
     "report_cp2.txt": ("report", "cp2", ()),
     "report_tau2.txt": ("report", "tau2", ()),
     "report_rank0.txt": ("report", "rank0", ()),
     "report_cp2_power3.txt": ("report", "cp2",
                               ("--profile", "power:3", "--levels", "30")),
+    "report_tau2_classbound1.txt": ("report", "tau2", ("--classbound", "1")),
     "grade_cp2.csv": ("grade", "cp2", ("--csv",)),
+    "enumerate_tau2_kmax6_classbound1.txt": (
+        "enumerate", "tau2",
+        ("--all-targets", "--kmax", "6", "--classbound", "1", "--text")),
+    "enumerate_cp2_m_check_5.csv": ("enumerate", "cp2",
+                                    ("--target", "m_check_5")),
 }
 
 
 @pytest.mark.parametrize("name", GOLDEN_SETUP_RUNS)
 def test_golden_setup_commands(data_dir, name):
     command, setup, args = GOLDEN_SETUP_RUNS[name]
-    golden = (data_dir.parent / "tests" / "golden" / name).read_bytes()
+    golden = data_dir.parent / "tests" / "golden" / name
+    errors = golden.with_suffix(".stderr")
     proc = run_script(command, "--setup", str(data_dir / f"{setup}.json"),
                       *args)
     assert proc.returncode == 0
-    assert proc.stdout == golden
+    assert proc.stdout == golden.read_bytes()
+    assert proc.stderr == (errors.read_bytes() if errors.exists() else b"")
 
 
 @pytest.mark.parametrize("command", [("enumerate", "--all-targets"),

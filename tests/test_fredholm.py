@@ -13,7 +13,6 @@ from cascadix.fredholm import (
     Weighted,
     WeightSide,
     index_morse_bott,
-    index_weighted,
     per_puncture_breakdown,
     split_cylinder_problems,
     split_floer_index,
@@ -34,7 +33,7 @@ def cylinder(op_top, dec_top, op_bot, dec_bot, rank=1, c1=0):
 class TestWeighted:
     def test_ham_ham_decay(self):
         prob = cylinder(VerticalC(1.0), DECAY, VerticalC(1.0), DECAY)
-        assert index_weighted(prob) == oracles.WEIGHTED_CYLINDER_DECAY
+        assert index_morse_bott(prob) == oracles.WEIGHTED_CYLINDER_DECAY
 
     def test_two_extra_interior_punctures(self):
         extra = tuple(
@@ -42,11 +41,11 @@ class TestWeighted:
             for _ in range(2))
         base = cylinder(VerticalC(2.0), DECAY, VerticalC(0.5), DECAY)
         prob = PuncturedProblem(1, 0, base.punctures + extra)
-        assert index_weighted(prob) == oracles.WEIGHTED_TWO_EXTRA_PUNCTURES
+        assert index_morse_bott(prob) == oracles.WEIGHTED_TWO_EXTRA_PUNCTURES
 
     def test_reeb_top_ham_bottom_decay(self):
         prob = cylinder(ComplexLinear(1), DECAY, VerticalC(3.0), DECAY)
-        assert index_weighted(prob) == oracles.WEIGHTED_REEB_HAM
+        assert index_morse_bott(prob) == oracles.WEIGHTED_REEB_HAM
 
     def test_decay_only_population_formula(self):
         # -1 - 2 * (number of interior Reeb punctures), any positive slopes
@@ -58,7 +57,7 @@ class TestWeighted:
                 Puncture(Sign.NEGATIVE, ComplexLinear(1), DECAY, interior=True)
             ] * extra
             prob = PuncturedProblem(1, 0, tuple(punctures))
-            assert index_weighted(prob) == -1 - 2 * extra
+            assert index_morse_bott(prob) == -1 - 2 * extra
 
     def test_reeb_top_decay_only_formula(self):
         for extra in range(4):
@@ -69,17 +68,12 @@ class TestWeighted:
                 Puncture(Sign.NEGATIVE, ComplexLinear(1), DECAY, interior=True)
             ] * extra
             prob = PuncturedProblem(1, 0, tuple(punctures))
-            assert index_weighted(prob) == -2 - 2 * extra
-
-    def test_rejects_kernel_decorations(self):
-        prob = cylinder(VerticalC(1.0), KernelSubspace(1), VerticalC(1.0), DECAY)
-        with pytest.raises(PunctureMismatch):
-            index_weighted(prob)
+            assert index_morse_bott(prob) == -2 - 2 * extra
 
     def test_rejects_rank_mismatch(self):
         prob = cylinder(ComplexLinear(2), DECAY, ComplexLinear(2), DECAY, rank=1)
         with pytest.raises(PunctureMismatch):
-            index_weighted(prob)
+            index_morse_bott(prob)
 
 
 class TestMorseBott:
@@ -120,7 +114,6 @@ class TestMorseBott:
                 want = oracles.weighted_index(dec)
                 assert index_morse_bott(ker) == want
                 assert index_morse_bott(dec) == want
-                assert index_weighted(dec) == want
 
     def test_full_subspace_equals_growth_weight(self):
         from cascadix.spectrum import kernel_dimension
@@ -137,7 +130,6 @@ class TestMorseBott:
                 want = oracles.weighted_index(grow)
                 assert index_morse_bott(ker) == want
                 assert index_morse_bott(grow) == want
-                assert index_weighted(grow) == want
 
     def test_growth_flip_adds_kernel_dimension(self):
         from cascadix.spectrum import kernel_dimension
@@ -145,12 +137,12 @@ class TestMorseBott:
         for op in ops:
             base = cylinder(op, DECAY, VerticalC(1.0), DECAY)
             flipped = cylinder(op, GROWTH, VerticalC(1.0), DECAY)
-            assert index_weighted(flipped) - index_weighted(base) == \
+            assert index_morse_bott(flipped) - index_morse_bott(base) == \
                 kernel_dimension(op)
             # same at the negative end
             base_n = cylinder(VerticalC(1.0), DECAY, op, DECAY)
             flip_n = cylinder(VerticalC(1.0), DECAY, op, GROWTH)
-            assert index_weighted(flip_n) - index_weighted(base_n) == \
+            assert index_morse_bott(flip_n) - index_morse_bott(base_n) == \
                 kernel_dimension(op)
 
     def test_subspace_dimension_bounds(self):

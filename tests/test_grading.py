@@ -8,12 +8,10 @@ import oracles
 
 from cascadix.errors import CascadixError
 from cascadix.grading import (
-    CapMismatch,
     InteriorGenerator,
     OrbitGenerator,
     UnknownCriticalPoint,
     coset_label,
-    cz_cap,
     degree_difference,
     enumerate_generators,
     grade,
@@ -23,6 +21,7 @@ from cascadix.grading import (
     scaled_degree,
 )
 from cascadix.model import FibreFlag
+from oracles import CapMismatch, cz_cap
 
 FLAGS = {"check": FibreFlag.CHECK, "hat": FibreFlag.HAT}
 

@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
+
 from cascadix.model import (
     Ambient,
     CriticalPoint,
@@ -42,8 +44,8 @@ def test_cp2_file_loads(cp2):
     assert cp2.tau_x == 3 and cp2.k_const == 1
     assert cp2.slope_ratio == 2
     assert cp2.lattice_x.sigma_intersection == (1,)
-    assert cp2.min_chern_sigma == 2  # gcd default from c1 = [2]
-    assert cp2.x_classes_from_sigma
+    # the file sets x_classes_from_sigma; the gcd default from c1 = [2] is 2
+    assert oracles.chern_gate_applies(cp2)
 
 
 def test_k_equal_tau_rejected():
@@ -56,7 +58,6 @@ def test_k_equal_tau_rejected():
 def test_rank_zero_valid(rank0):
     assert rank0.lattice_sigma.rank == 0
     assert rank0.lattice_x.rank == 0
-    assert rank0.min_chern_sigma is None
 
 
 def test_pair_examples(cp2):
@@ -199,7 +200,18 @@ def test_lifted_points():
         LiftedCriticalPoint(CriticalPoint("x", 0, Ambient.W), FibreFlag.CHECK)
 
 
-def test_min_chern_override():
+def test_unread_keys_are_type_checked_then_dropped():
+    plain = parse_setup(base_raw())
     raw = base_raw()
     raw["min_chern_sigma"] = 1
-    assert parse_setup(raw).min_chern_sigma == 1
+    raw["x_classes_from_sigma"] = True
+    assert parse_setup(raw) == plain
+    assert repr(parse_setup(raw)) == repr(plain)
+    for key, value, message in (
+            ("min_chern_sigma", 1.0, "min_chern_sigma must be an integer"),
+            ("min_chern_sigma", "2", "min_chern_sigma must be an integer"),
+            ("x_classes_from_sigma", 1, "x_classes_from_sigma must be a boolean")):
+        raw = base_raw()
+        raw[key] = value
+        with pytest.raises(ParseError, match=message):
+            parse_setup(raw)

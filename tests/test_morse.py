@@ -21,8 +21,8 @@ from cascadix.morse import (
     homology_from,
     lift_generators,
     load_morse_data,
-    smith_invariant_factors,
 )
+from oracles import smith_invariant_factors
 
 
 def homology_dict(data):

@@ -74,8 +74,9 @@ def test_rational_t0():
 
 
 def test_admissible_builtin():
-    assert check_admissible(make_profile("quadratic")).verdict == "admissible"
-    assert check_admissible(power_profile(4)).verdict == "admissible"
+    for prof in (make_profile("quadratic"), power_profile(4)):
+        report = check_admissible(prof)
+        assert report.ok and report.first_violation is None
 
 
 def test_admissible_catches_bad_expression():
@@ -129,10 +130,13 @@ def test_profile_parse_errors():
     ("expr:(rho-2)**2;2*(rho-2);2/(rho-2-rho+2)", 2, "2/(rho-2-rho+2)"),
     ("expr:rho;1;[1]", 2, "[1]"),
     ("expr:log(2-rho);2*(rho-2);2", 0, "log(2-rho)"),
-], ids=["zero-division", "type", "math-domain"])
+    ("expr:(rho-2)**2+9**9**9*0;2*(rho-2);2", 0, "(rho-2)**2+9**9**9*0"),
+], ids=["zero-division", "type", "math-domain", "integer-power-overflow"])
 def test_expression_errors_become_parse_errors(spec, field, bad):
     """Arithmetic, type and math-domain errors raised while evaluating an
-    expression come out as ProfileParseError naming the expression and rho."""
+    expression come out as ProfileParseError naming the expression and rho.
+    Integer literals are floats, so 9**9**9 overflows at once instead of
+    being computed exactly."""
     prof = make_profile(spec)
     call = (prof.h, prof.h_prime, prof.h_double_prime)[field]
     with pytest.raises(ProfileParseError, match=r"fails at rho=3\.0") as info:

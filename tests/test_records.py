@@ -99,7 +99,7 @@ RECORDS = {
         "1),), c1=(3,), sigma_intersection=(1,)), morse_sigma=(CriticalPoint("
         "name='p', morse_index=0, ambient=<Ambient.SIGMA: 'Sigma'>),), "
         "morse_w=(CriticalPoint(name='q', morse_index=4, ambient=<Ambient.W: "
-        "'W'>),), min_chern_sigma=None, x_classes_from_sigma=False, name='')",
+        "'W'>),), name='')",
         []),
     "OrbitGenerator": (
         OrbitGenerator, (LIFT, 1), (LIFT, 2),
