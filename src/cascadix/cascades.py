@@ -121,11 +121,11 @@ class CascadeType(NamedTuple):
     @property
     def n_constant(self) -> int:
         """Levels whose projected sphere class is zero."""
-        return sum(1 for a in self.classes_a if not any(a))
+        return self.n_levels - self.n_nonconstant
 
     @property
     def n_nonconstant(self) -> int:
-        return self.n_levels - self.n_constant
+        return sum(map(any, self.classes_a))
 
     @property
     def aug_count(self) -> int:
@@ -145,44 +145,25 @@ class CascadeType(NamedTuple):
                 self.source.display_name)
 
 
-def _level_terms(setup: SetupDescriptor, cascade: CascadeType) -> Fraction:
-    """The terms both index identities share: 2<c1(T Sigma), sum A>
-    + 2 * (number of augmentations) + sum of augmentation orbit weights."""
-    value = Fraction(2 * cascade.aug_count)
-    for a in cascade.classes_a:
+def index_identity(setup: SetupDescriptor, t: CascadeType) -> Fraction:
+    """Expand the degree difference of a cascade ending on an orbit.
+
+    i(target) + M(target) plus the level terms 2<c1(T Sigma), sum A>
+    + 2 * (number of augmentations) + sum of augmentation orbit weights;
+    then an orbit source subtracts i(source) + M(source), and an interior
+    source adds 1 - 2n + M(source) and the filling-class term
+    2(<c1(TX), B> - B.Sigma) of the sphere.  Equals 1 exactly for the
+    feasible degree-1 types.
+    """
+    value = Fraction(t.target.point.lifted_index + 2 * t.aug_count)
+    for a in t.classes_a:
         value += 2 * pair(setup.lattice_sigma, a, Functional.C1)
-    for a in cascade.aug:
+    for a in t.aug:
         value += grade_reeb(setup, a.multiplicity)
-    return value
-
-
-def index_identity_y_to_y(setup: SetupDescriptor, cascade: CascadeType) -> Fraction:
-    """Expand the degree difference of an orbit-to-orbit cascade.
-
-    i(target) + M(target) - i(source) - M(source) plus the level terms.
-    Equals 1 exactly for the feasible degree-1 types.
-    """
-    t, s = cascade.target, cascade.source
-    if not isinstance(t, OrbitGenerator) or not isinstance(s, OrbitGenerator):
-        raise CascadixError("identity applies to orbit-to-orbit cascades")
-    return (t.point.lifted_index - s.point.lifted_index
-            + _level_terms(setup, cascade))
-
-
-def index_identity_w_to_y(setup: SetupDescriptor, cascade: CascadeType) -> Fraction:
-    """Expand the degree difference of an orbit-to-interior cascade.
-
-    i(target) + M(target) + 1 - 2n + M(source) plus the level terms plus
-    the filling-class term 2(<c1(TX), B> - B.Sigma) of the sphere.
-    """
-    t, s = cascade.target, cascade.source
-    if not isinstance(t, OrbitGenerator) or not isinstance(s, InteriorGenerator):
-        raise CascadixError("identity applies to orbit-to-interior cascades")
-    if cascade.sphere_b is None:
-        raise CascadixError("orbit-to-interior cascades carry a filling sphere")
-    return (t.point.lifted_index + 1 - 2 * setup.n + s.point.morse_index
-            + _level_terms(setup, cascade)
-            + filling_class_term(setup, cascade.sphere_b))
+    if isinstance(t.source, InteriorGenerator):
+        return (value + 1 - 2 * setup.n + t.source.point.morse_index
+                + filling_class_term(setup, t.sphere_b))
+    return value - t.source.point.lifted_index
 
 
 def classify_type(setup: SetupDescriptor, target: Generator, source: Generator,
@@ -195,17 +176,14 @@ def classify_type(setup: SetupDescriptor, target: Generator, source: Generator,
     Structural nonsense (wrong lengths, unknown shapes) raises; arithmetic
     infeasibility comes back as a labeled Infeasible type with a reason.
     """
-    multiplicities = tuple(int(m) for m in multiplicities)
-    classes_a = tuple(tuple(int(c) for c in a) for a in classes_a)
-    aug = tuple(aug)
-    n_levels = len(classes_a)
-    n0 = sum(1 for a in classes_a if not any(a))
-    n1 = n_levels - n0
-    empty_budget = BudgetTerms(())
+    draft = CascadeType(target, source, tuple(map(int, multiplicities)),
+                        tuple(tuple(map(int, a)) for a in classes_a),
+                        sphere_b, tuple(aug), Case.INFEASIBLE, BudgetTerms(()))
+    multiplicities, classes_a, aug, n_levels = (
+        draft.multiplicities, draft.classes_a, draft.aug, draft.n_levels)
 
-    def bail(reason, budget=empty_budget):
-        return CascadeType(target, source, multiplicities, classes_a,
-                           sphere_b, aug, Case.INFEASIBLE, budget, reason)
+    def bail(reason, budget=draft.budget):
+        return draft._replace(budget=budget, infeasible_reason=reason)
 
     # interior-to-interior: a Morse flow line in the filling
     if isinstance(target, InteriorGenerator):
@@ -217,8 +195,7 @@ def classify_type(setup: SetupDescriptor, target: Generator, source: Generator,
             return bail("endpoints coincide")
         if degree_difference(setup, target, source) != 1:
             return bail("degree difference != 1")
-        return CascadeType(target, source, (), (), None, (), Case.CASE0,
-                           empty_budget)
+        return draft._replace(case_label=Case.CASE0)
 
     if not isinstance(target, OrbitGenerator):
         raise CascadixError(f"unsupported target {target!r}")
@@ -266,25 +243,17 @@ def classify_type(setup: SetupDescriptor, target: Generator, source: Generator,
     if multiplicities[-1] != target.k:
         return bail("top winding != target winding")
 
-    # per-level winding bookkeeping and stability
+    # per-level winding bookkeeping and stability; the filling sphere
+    # stabilizes the bottom level of an interior source
     for i in range(1, n_levels + 1):
         a_i = classes_a[i - 1]
         augs_here = tuple(a.multiplicity for a in aug if a.level == i)
-        lo, hi = multiplicities[i - 1], multiplicities[i]
         if any(a_i) and pair(setup.lattice_sigma, a_i, Functional.OMEGA) <= 0:
             return bail(f"level {i} sphere has non-positive area")
-        if w_to_y and i == 1:
-            # the filling sphere stabilizes the bottom level, so a constant
-            # bottom with no augmentation and equal windings is legal
-            balanced = (Fraction(hi - lo - sum(augs_here))
-                        == setup.k_const
-                        * pair(setup.lattice_sigma, a_i, Functional.OMEGA))
-            balanced = balanced and hi >= lo
-        else:
-            balanced = multiplicity_balance(setup, a_i, hi, lo, augs_here)
-            if not any(a_i) and not augs_here:
-                return bail(f"level {i} constant and unstabilized")
-        if not balanced:
+        if not any(a_i) and not augs_here and not (w_to_y and i == 1):
+            return bail(f"level {i} constant and unstabilized")
+        if not multiplicity_balance(setup, a_i, multiplicities[i],
+                                    multiplicities[i - 1], augs_here):
             return bail(f"level {i} winding balance fails")
 
     for a in aug:
@@ -293,55 +262,45 @@ def classify_type(setup: SetupDescriptor, target: Generator, source: Generator,
         except CascadixError as exc:
             return bail(f"augmentation rejected: {exc}")
 
-    # budget: each term non-negative, total below the cap
-    k_aug = len(aug)
-    aug_weights = sum((grade_reeb(setup, a.multiplicity) for a in aug),
-                     Fraction(0))
+    # budget: each term non-negative, total below the cap; an interior
+    # source's filling sphere counts as one more stabilizer
     if w_to_y:
-        terms = (
-            ("fibre_index", Fraction(target.point.fibre_index)),
-            ("nonconstant_levels", Fraction(n1)),
-            ("augmentations", Fraction(k_aug)),
-            ("spare_stabilizers", Fraction(k_aug + 1 - n0)),
-            ("augmentation_weights", aug_weights),
-        )
-        cap = BUDGET_CAP_W_TO_Y
+        first = ("fibre_index", Fraction(target.point.fibre_index))
+        spare, cap = 1, BUDGET_CAP_W_TO_Y
     else:
-        delta_i = target.point.fibre_index - source.point.fibre_index
-        terms = (
-            ("fibre_step", Fraction(delta_i + 1)),
-            ("nonconstant_levels", Fraction(n1)),
-            ("augmentations", Fraction(k_aug)),
-            ("spare_stabilizers", Fraction(k_aug - n0)),
-            ("augmentation_weights", aug_weights),
-        )
-        cap = BUDGET_CAP_Y_TO_Y
-    budget = BudgetTerms(terms)
+        first = ("fibre_step", Fraction(target.point.fibre_index
+                                        - source.point.fibre_index + 1))
+        spare, cap = 0, BUDGET_CAP_Y_TO_Y
+    n1, k_aug = draft.n_nonconstant, draft.aug_count
+    budget = BudgetTerms((
+        first,
+        ("nonconstant_levels", Fraction(n1)),
+        ("augmentations", Fraction(k_aug)),
+        ("spare_stabilizers", Fraction(k_aug + spare - draft.n_constant)),
+        ("augmentation_weights",
+         sum((grade_reeb(setup, a.multiplicity) for a in aug), Fraction(0))),
+    ))
     bad = budget.first_negative()
     if bad is not None:
         return bail(f"budget term negative: {bad}", budget)
     if budget.total > cap:
         return bail(f"budget {budget.total} exceeds {cap}", budget)
 
-    # the survivors: label them
+    # the survivors: with every term non-negative, the budget leaves only
+    # the four shapes
     if w_to_y:
         label = Case.CASE3
-    elif n_levels == 0:
+    elif not n_levels:
         label = Case.CASE0
-    elif n1 == n_levels == 1:
+    elif n1:
         label = Case.CASE1
-    elif n0 == n_levels == 1:
+    elif target.point.base.name != source.point.base.name:
         # one constant level carrying one rigid augmentation plane; the
         # constant projection pins both ends to the same base point
-        if target.point.base.name != source.point.base.name:
-            return bail("constant level forces equal base points", budget)
-        label = Case.CASE2
+        return bail("constant level forces equal base points", budget)
     else:
-        raise CascadixError(
-            f"unclassifiable survivor: N={n_levels}, N0={n0}, N1={n1}"
-        )
-    return CascadeType(target, source, multiplicities, classes_a, sphere_b,
-                       aug, label, budget)
+        label = Case.CASE2
+    return draft._replace(case_label=label, budget=budget)
 
 
 class EnumerationResult(NamedTuple):
@@ -472,8 +431,8 @@ def families(setup: SetupDescriptor) -> Families:
     because no check either of them makes reads a winding except through
     a quantity the shift leaves alone:
     * the degree difference of the ends moves by 2*(tau - K)/K times the
-      difference of the shifts, which is 0 (and so do both index
-      identities, which expand it);
+      difference of the shifts, which is 0 (and so does the index
+      identity, which expands it);
     * the level balance reads k_+ - k_- and the stability test k_+ > k_-;
     * the endpoint pins compare each end's winding with the shifted
       multiplicities, the Case 0 test compares the two ends' windings,
@@ -566,33 +525,21 @@ class CertificationReport(NamedTuple):
 
 
 def _structural_violations(setup: SetupDescriptor, t: CascadeType) -> List[str]:
-    """Re-check one feasible type against the published case shapes.
+    """Re-check one feasible type: its degree, index identity and case shape.
 
     The messages do not name the row; the caller puts the row in front.
     """
     v = []
     bad = v.append
 
-    if t.case_label is Case.INFEASIBLE:
-        bad("infeasible type in output")
-        return v
     if degree_difference(setup, t.target, t.source) != 1:
         bad("degree difference != 1")
     orbit_pair = isinstance(t.target, OrbitGenerator) and \
         isinstance(t.source, OrbitGenerator)
-    if orbit_pair:
-        if index_identity_y_to_y(setup, t) != 1:
-            bad("index identity != 1")
-        if t.aug_count > 1:
-            bad("more than one augmentation plane")
-        if t.n_nonconstant > 1:
-            bad("more than one non-constant level")
-        if t.n_constant > t.aug_count:
-            bad("constant levels exceed augmentations")
-        if t.n_levels > 1:
-            bad("more than one level")
+    if orbit_pair and index_identity(setup, t) != 1:
+        bad("index identity != 1")
     if t.case_label is Case.CASE0:
-        if t.n_levels or t.classes_a or t.aug or t.sphere_b is not None:
+        if t.classes_a or t.aug or t.sphere_b is not None:
             bad("Case 0 must be bare")
         if orbit_pair:
             if t.target.k != t.source.k:
@@ -623,15 +570,15 @@ def _structural_violations(setup: SetupDescriptor, t: CascadeType) -> List[str]:
     elif t.case_label is Case.CASE3:
         if not isinstance(t.source, InteriorGenerator):
             bad("Case 3 source not interior")
+        elif not (isinstance(t.target, OrbitGenerator) and t.n_levels == 1
+                  and t.n_constant == 1 and not t.aug
+                  and t.sphere_b is not None):
+            bad("Case 3 shape")
         else:
-            if index_identity_w_to_y(setup, t) != 1:
+            if index_identity(setup, t) != 1:
                 bad("index identity != 1")
-            if not (t.n_levels == 1 and t.n_constant == 1
-                    and t.n_nonconstant == 0 and not t.aug
-                    and t.sphere_b is not None):
-                bad("Case 3 shape")
-            elif not (t.target.point.flag is FibreFlag.CHECK
-                      and t.multiplicities[0] == t.multiplicities[1]):
+            if not (t.target.point.flag is FibreFlag.CHECK
+                    and t.multiplicities[0] == t.multiplicities[1]):
                 bad("Case 3 ends")
     return v
 
@@ -640,8 +587,8 @@ def certify_classification(setup: SetupDescriptor, k_max: int,
                            class_bound: int) -> CertificationReport:
     """Enumerate over every generator up to the bounds and check the shapes.
 
-    Every feasible type is re-checked against its case's structural
-    constraints, once per family (see `families`), and any mismatch is
+    Every feasible type is re-checked (its degree, index identity and
+    case shape) once per family (see `families`), and any mismatch is
     reported against each row of the family as a counterexample.  Targets
     are taken in generator order.
     """

@@ -380,13 +380,10 @@ def validate_setup(desc: SetupDescriptor) -> None:
     for i in range(desc.lattice_sigma.rank):
         if Fraction(desc.lattice_sigma.c1[i]) != (tau - kc) * desc.lattice_sigma.omega[i]:
             raise ValidationError("c1 != (tau_X-K)*omega on Sigma-lattice")
-    if desc.lattice_x.rank > 0:
-        sig = desc.lattice_x.sigma_intersection
-        if sig is None:
-            raise ValidationError("sigma_intersection missing on X-lattice")
-        for i in range(desc.lattice_x.rank):
-            if Fraction(sig[i]) != kc * desc.lattice_x.omega[i]:
-                raise ValidationError("sigma_intersection != K*omega on X-lattice")
+    sig = desc.lattice_x.sigma_intersection
+    for i in range(desc.lattice_x.rank):
+        if Fraction(sig[i]) != kc * desc.lattice_x.omega[i]:
+            raise ValidationError("sigma_intersection != K*omega on X-lattice")
 
     top_sigma = 2 * desc.n - 2
     for p in desc.morse_sigma:

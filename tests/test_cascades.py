@@ -18,8 +18,7 @@ from cascadix.cascades import (
     certify_classification,
     classify_type,
     enumerate_contributions,
-    index_identity_w_to_y,
-    index_identity_y_to_y,
+    index_identity,
 )
 from cascadix.errors import CascadixError
 from cascadix.grading import (
@@ -65,7 +64,7 @@ class TestIdentities:
         target = gen_by_name(cp2, "m_check_2")
         source = gen_by_name(cp2, "M_hat_1")
         t = classify_type(cp2, target, source, (1, 2), (((1,)),))
-        assert index_identity_y_to_y(cp2, t) == 1
+        assert index_identity(cp2, t) == 1
         assert t.case_label is Case.CASE1
 
     def test_trivial_morse_term(self, cp2):
@@ -73,7 +72,7 @@ class TestIdentities:
         source = gen_by_name(cp2, "m_check_1")
         t = classify_type(cp2, target, source, (1,))
         # identity reduces to the fibre-index difference
-        assert index_identity_y_to_y(cp2, t) == 1
+        assert index_identity(cp2, t) == 1
         # but the budget excludes it: no hat-over-check flows
         assert t.case_label is Case.INFEASIBLE
         assert "budget" in t.infeasible_reason
@@ -85,7 +84,7 @@ class TestIdentities:
         t = classify_type(tau2, target, source, (1, 2), ((0,),),
                           aug=(AugPuncture(1, (1,), 1),))
         assert t.case_label is Case.CASE2
-        assert index_identity_y_to_y(tau2, t) == 1
+        assert index_identity(tau2, t) == 1
         # on CP^2 the same shape misses degree 1 entirely
         target = gen_by_name(cp2, "m_check_2")
         source = gen_by_name(cp2, "m_hat_1")
@@ -98,7 +97,7 @@ class TestIdentities:
         source = gen_by_name(cp2, "x0")
         t = classify_type(cp2, target, source, (1, 1), ((0,),), (1,))
         assert t.case_label is Case.CASE3
-        assert index_identity_w_to_y(cp2, t) == 1
+        assert index_identity(cp2, t) == 1
 
     def test_w_to_y_wrong_sphere_infeasible(self, cp2):
         target = gen_by_name(cp2, "m_check_1")
@@ -107,7 +106,7 @@ class TestIdentities:
         # the unbalanced identity evaluates to 5, giving away the mismatch
         t = classify_type(cp2, target, source, (2, 2), ((0,),), (2,))
         assert t.case_label is Case.INFEASIBLE
-        assert index_identity_w_to_y(cp2, t) == 5
+        assert index_identity(cp2, t) == 5
 
     def test_w_to_y_needs_a_level(self, cp2):
         target = gen_by_name(cp2, "m_check_1")
@@ -129,7 +128,7 @@ class TestIdentities:
         ]:
             target, source = gen_by_name(setup, name_t), gen_by_name(setup, name_s)
             t = classify_type(setup, target, source, mults, classes, None, aug)
-            assert index_identity_y_to_y(setup, t) == \
+            assert index_identity(setup, t) == \
                 grade(setup, target) - grade(setup, source)
 
 
@@ -143,7 +142,7 @@ class TestClassifyValidation:
         t = classify_type(cp2, gen_by_name(cp2, "m_check_2"),
                           gen_by_name(cp2, "M_hat_1"), (2, 2), ((1,),))
         assert t.case_label is Case.INFEASIBLE
-        assert "winding" in t.infeasible_reason
+        assert t.infeasible_reason == "bottom winding != source winding"
 
     def test_aug_winding_must_match_class(self, cp2):
         with pytest.raises(CascadixError):
@@ -164,8 +163,7 @@ class TestClassifyValidation:
         t = classify_type(tau2, gen_by_name(tau2, "m_check_2"),
                           gen_by_name(tau2, "m_hat_1"), (1, 2), ((0,),))
         assert t.case_label is Case.INFEASIBLE
-        assert "unstabilized" in t.infeasible_reason or \
-            "balance" in t.infeasible_reason
+        assert t.infeasible_reason == "level 1 constant and unstabilized"
 
     def test_case2_base_point_pin(self):
         # two distinct minima: the Case 2 arithmetic passes between them,
@@ -191,6 +189,15 @@ class TestClassifyValidation:
                           aug=(AugPuncture(1, (1,), 1),))
         assert t.case_label is Case.CASE2
 
+    def test_interior_flow_needs_degree_one(self, data_dir):
+        raw = json.loads((data_dir / "cp2.json").read_text())
+        raw["morse_w"] += [{"name": "x2", "index": 2}, {"name": "x3", "index": 3}]
+        setup = parse_setup(raw)
+        x0, x2, x3 = (gen_by_name(setup, x) for x in ("x0", "x2", "x3"))
+        assert classify_type(setup, x0, x2, ()).infeasible_reason == \
+            "degree difference != 1"
+        assert classify_type(setup, x2, x3, ()).case_label is Case.CASE0
+
     def test_non_integer_gate(self):
         import json
         from pathlib import Path
@@ -210,7 +217,7 @@ class TestClassifyValidation:
                           gen_by_name(setup, "m_check_1"), (1, 2), ((0,),),
                           aug=(AugPuncture(1, (1,), 3),))
         assert t.case_label is Case.INFEASIBLE
-        assert "degree" in t.infeasible_reason
+        assert t.infeasible_reason == "non-integer degree difference"
 
     @pytest.mark.parametrize("target,source,mults,classes,sphere,aug,reason", [
         ("m_check_1", "x0", (1, 1), ((0,),), (0,), (),
@@ -222,7 +229,12 @@ class TestClassifyValidation:
         ("m_check_2", "M_hat_1", (1, 2), ((2,),), None,
          (AugPuncture(1, (-1,), -1),),
          "augmentation rejected: omega(B) = -1 is not positive"),
-    ], ids=["filling-area", "bottom-winding", "level-area", "plane-area"])
+        ("x0", "x0", (), (), None, (), "endpoints coincide"),
+        # a bare flow from a generator to itself fits the budget
+        ("m_check_1", "m_check_1", (1,), (), None, (),
+         "degree difference != 1"),
+    ], ids=["filling-area", "bottom-winding", "level-area", "plane-area",
+            "same-endpoints", "degree"])
     def test_infeasible_verdicts(self, cp2, target, source, mults, classes,
                                  sphere, aug, reason):
         t = classify_type(cp2, gen_by_name(cp2, target),
@@ -232,10 +244,11 @@ class TestClassifyValidation:
         assert t.infeasible_reason == reason
 
     def test_infeasible_verdicts_of_inconsistent_data(self, cp2):
-        # A validated setup never reaches these two verdicts: the index of a
+        # A validated setup never reaches these verdicts: the index of a
         # plane of positive area and the Reeb weight of its orbit are both
-        # (tau - K) * omega(B) - 1 or more.  A descriptor built without
-        # validation can break that, and then the type is refused.
+        # (tau - K) * omega(B) - 1 or more, and a sphere of positive area
+        # meets the divisor K * omega(B) > 0 times.  A descriptor built
+        # without validation can break that, and then the type is refused.
         target, source = gen_by_name(cp2, "m_check_2"), gen_by_name(cp2, "M_hat_1")
         shape = ((1, 2), ((0,),), None, (AugPuncture(1, (1,), 1),))
         # on cp2 itself the plane passes and the budget decides
@@ -253,6 +266,13 @@ class TestClassifyValidation:
                           gen_by_name(slow, "m_check_1"), *shape)
         assert t.infeasible_reason == "budget term negative: augmentation_weights"
         assert t.budget.first_negative() == "augmentation_weights"
+        # B.Sigma = 0: the filling sphere winds no orbit
+        apart = cp2._replace(lattice_x=cp2.lattice_x._replace(
+            sigma_intersection=(0,)))
+        t = classify_type(apart, gen_by_name(apart, "m_check_1"),
+                          gen_by_name(apart, "x0"), (1, 1), ((0,),), (1,))
+        assert t.infeasible_reason == ("filling sphere divisor intersection "
+                                       "not a winding")
 
 
 class TestEnumeration:
@@ -360,41 +380,17 @@ class TestEnumeration:
 # --- the certification re-check, one rule at a time --------------------
 
 
-ONE_PLANE = AugPuncture(1, (1,), 1)
-
 # (setup, template row, its case) -> (fields replaced, every message).  Each
 # row breaks one rule of `_structural_violations`.  A rule is not always
-# alone: the orbit-pair counts also break their case's shape, and moving a
-# winding or a lift also moves the degree or the index identity.
+# alone: moving a winding or a lift also moves the degree or the index
+# identity.
 BROKEN_RULES = {
-    "infeasible type in output": (
-        ("cp2", "M_check_1 <- m_hat_1", Case.CASE0),
-        {"case_label": Case.INFEASIBLE}, ["infeasible type in output"]),
     "degree difference != 1": (
         ("cp2", "m_check_2 <- M_hat_1", Case.CASE1),
         {"target": "m_check_1"}, ["degree difference != 1"]),
     "index identity != 1 (orbit source)": (
         ("cp2", "m_check_2 <- M_hat_1", Case.CASE1),
         {"classes_a": ((2,),)}, ["index identity != 1"]),
-    "more than one augmentation plane": (
-        ("tau2", "M_check_2 <- M_hat_1", Case.CASE2),
-        {"aug": (ONE_PLANE, ONE_PLANE)},
-        ["index identity != 1", "more than one augmentation plane",
-         "Case 2 shape"]),
-    "more than one non-constant level": (
-        ("tau2", "m_check_3 <- M_hat_1", Case.CASE1),
-        {"classes_a": ((1,), (1,))},
-        ["more than one non-constant level", "more than one level",
-         "Case 1 shape"]),
-    "constant levels exceed augmentations": (
-        ("cp2", "M_check_1 <- m_hat_1", Case.CASE0),
-        {"classes_a": ((0,),)},
-        ["constant levels exceed augmentations", "Case 0 must be bare"]),
-    "more than one level": (
-        ("cp2", "m_check_2 <- M_hat_1", Case.CASE1),
-        {"classes_a": ((1,), (0,))},
-        ["constant levels exceed augmentations", "more than one level",
-         "Case 1 shape"]),
     "Case 0 must be bare": (
         ("cp2", "M_check_1 <- m_hat_1", Case.CASE0),
         {"sphere_b": (0,)}, ["Case 0 must be bare"]),
@@ -435,6 +431,12 @@ BROKEN_RULES = {
     "Case 3 shape": (
         ("cp2", "m_check_1 <- x0", Case.CASE3),
         {"classes_a": ()}, ["Case 3 shape"]),
+    "Case 3 shape (no sphere)": (
+        ("cp2", "m_check_1 <- x0", Case.CASE3),
+        {"sphere_b": None}, ["Case 3 shape"]),
+    "Case 3 shape (interior target)": (
+        ("cp2", "m_check_1 <- x0", Case.CASE3),
+        {"target": "x0"}, ["degree difference != 1", "Case 3 shape"]),
     "Case 3 ends": (
         ("cp2", "m_check_1 <- x0", Case.CASE3),
         {"multiplicities": (1, 2)}, ["Case 3 ends"]),
@@ -454,6 +456,42 @@ def test_each_structural_rule_fires(rule, request):
               else value for key, value in fields.items()}
     broken = template._replace(**fields)
     assert cascades._structural_violations(setup, broken) == messages
+
+
+SHAPE_RULE = {Case.CASE0: "Case 0 must be bare", Case.CASE1: "Case 1 shape",
+              Case.CASE2: "Case 2 shape"}
+
+
+def test_count_breaking_rows_refused(cp2, tau2, data_dir):
+    """Every orbit-pair template with a count of its shape broken: two
+    planes, two non-constant levels, a constant level without a plane, or
+    two levels (a non-constant one under a constant one with a plane).
+    Each such row breaks the shape rule of its label."""
+    templates = 0
+    for setup in (cp2, tau2, rank2_cp2(data_dir)):
+        a = area_classes(setup.lattice_sigma)(1)
+        b = area_classes(setup.lattice_x)(1)
+        zero = (0,) * len(a)
+        winding = int(pair(setup.lattice_x, b, Functional.SIGMA_INTERSECTION))
+        plane, upper_plane = AugPuncture(1, b, winding), AugPuncture(2, b, winding)
+        for t in (f.template for fams in cascades.families(setup).values()
+                  for f in fams):
+            if not isinstance(t.source, OrbitGenerator):
+                continue
+            templates += 1
+            lo, hi = t.k_minus, t.k_plus
+            for fields in ({"aug": (plane, plane)},
+                           {"classes_a": (a, a), "multiplicities": (lo, lo, hi)},
+                           {"classes_a": t.classes_a + (zero,),
+                            "multiplicities": t.multiplicities + (hi,)},
+                           {"classes_a": (a, zero), "aug": (upper_plane,),
+                            "multiplicities": (lo, lo, hi)}):
+                problems = cascades._structural_violations(
+                    setup, t._replace(**fields))
+                assert SHAPE_RULE[t.case_label] in problems, (
+                    setup.name, t.target.display_name, t.source.display_name,
+                    fields, problems)
+    assert templates >= 10
 
 
 # --- the case solver against the brute-force search ---------------------

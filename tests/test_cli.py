@@ -36,6 +36,32 @@ def test_engine_errors_exit_one(run_cli, tmp_path):
     assert "error: model:" in result.stderr
 
 
+@pytest.mark.parametrize("field,value,error", [
+    ("n", 0, "ValidationError: n < 1"),
+    ("tau_x", -1, "ValidationError: tau_X not positive"),
+    ("k_const", 0, "ValidationError: K not positive"),
+    ("t0", 0, "ValidationError: T0 not positive"),
+    ("lattice_sigma", {"extra": 1},
+     "ParseError: Sigma-lattice: unknown key 'extra'"),
+    ("lattice_x", {"c1": ["5/2"]},
+     "ValidationError: c1 not integral on X-lattice"),
+    ("lattice_x", {"sigma_intersection": None},
+     "ValidationError: sigma_intersection missing on X-lattice"),
+], ids=["n", "tau_x", "k_const", "t0", "sigma-key", "x-c1", "x-sigma"])
+def test_validate_names_the_fault(run_cli, data_dir, tmp_path, field, value,
+                                  error):
+    raw = json.loads((data_dir / "cp2.json").read_text())
+    if isinstance(value, dict):   # merged into the lattice; None deletes
+        value = {key: v for key, v in {**raw[field], **value}.items()
+                 if v is not None}
+    path = tmp_path / "setup.json"
+    path.write_text(json.dumps({**raw, field: value}))
+    result = run_cli("validate", "--setup", str(path))
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == f"error: model: {error}\n"
+
+
 def test_usage_errors_exit_two(run_cli, data_dir):
     setup = str(data_dir / "cp2.json")
     r1 = run_cli("enumerate", "--setup", setup)
