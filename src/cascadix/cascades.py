@@ -49,10 +49,9 @@ from .grading import (
     degree_difference,
     enumerate_generators,
     filling_class_term,
-    grade,
-    grade_reeb,
     multiplicity_balance,
-    winding_of_degree,
+    scaled_degree,
+    scaled_reeb_weight,
 )
 from .model import (
     CriticalPoint,
@@ -60,13 +59,14 @@ from .model import (
     Functional,
     IntVector,
     LiftedCriticalPoint,
+    Rational,
     SetupDescriptor,
     area_classes,
     pair,
 )
 
-BUDGET_CAP_Y_TO_Y = Fraction(1)
-BUDGET_CAP_W_TO_Y = Fraction(0)
+BUDGET_CAP_Y_TO_Y = 1
+BUDGET_CAP_W_TO_Y = 0
 
 
 class Case(Enum):
@@ -86,11 +86,14 @@ class AugPuncture(NamedTuple):
 
 
 class BudgetTerms(NamedTuple):
-    terms: Tuple[Tuple[str, Fraction], ...]
+    """The budget's named summands: each an int, except a `Fraction` for
+    augmentation weights that are not an integer."""
+
+    terms: Tuple[Tuple[str, Rational], ...]
 
     @property
-    def total(self) -> Fraction:
-        return sum((v for _, v in self.terms), Fraction(0))
+    def total(self) -> Rational:
+        return sum(v for _, v in self.terms)
 
     def first_negative(self) -> Optional[str]:
         for name, v in self.terms:
@@ -145,7 +148,13 @@ class CascadeType(NamedTuple):
                 self.source.display_name)
 
 
-def index_identity(setup: SetupDescriptor, t: CascadeType) -> Fraction:
+def _exact(scaled: int, d: int) -> Rational:
+    """scaled/d: an int when d divides it, else a `Fraction`."""
+    value, rest = divmod(scaled, d)
+    return Fraction(scaled, d) if rest else value
+
+
+def index_identity(setup: SetupDescriptor, t: CascadeType) -> Rational:
     """Expand the degree difference of a cascade ending on an orbit.
 
     i(target) + M(target) plus the level terms 2<c1(T Sigma), sum A>
@@ -153,17 +162,20 @@ def index_identity(setup: SetupDescriptor, t: CascadeType) -> Fraction:
     then an orbit source subtracts i(source) + M(source), and an interior
     source adds 1 - 2n + M(source) and the filling-class term
     2(<c1(TX), B> - B.Sigma) of the sphere.  Equals 1 exactly for the
-    feasible degree-1 types.
+    feasible degree-1 types.  Only the orbit weights are not integers, so
+    the sum is taken as D times itself.
     """
-    value = Fraction(t.target.point.lifted_index + 2 * t.aug_count)
+    d = setup.degree_scale[0]
+    weights = sum(scaled_reeb_weight(setup, a.multiplicity) for a in t.aug)
+    value = t.target.point.lifted_index + 2 * t.aug_count
     for a in t.classes_a:
         value += 2 * pair(setup.lattice_sigma, a, Functional.C1)
-    for a in t.aug:
-        value += grade_reeb(setup, a.multiplicity)
     if isinstance(t.source, InteriorGenerator):
-        return (value + 1 - 2 * setup.n + t.source.point.morse_index
-                + filling_class_term(setup, t.sphere_b))
-    return value - t.source.point.lifted_index
+        value += (1 - 2 * setup.n + t.source.point.morse_index
+                  + filling_class_term(setup, t.sphere_b))
+    else:
+        value -= t.source.point.lifted_index
+    return _exact(d * value + weights, d)
 
 
 def classify_type(setup: SetupDescriptor, target: Generator, source: Generator,
@@ -231,7 +243,7 @@ def classify_type(setup: SetupDescriptor, target: Generator, source: Generator,
         if pair(setup.lattice_x, sphere_b, Functional.OMEGA) <= 0:
             return bail("filling sphere has non-positive area")
         k0 = pair(setup.lattice_x, sphere_b, Functional.SIGMA_INTERSECTION)
-        if k0.denominator != 1 or k0 < 1:
+        if k0 < 1:
             return bail("filling sphere divisor intersection not a winding")
         if multiplicities[0] != k0:
             return bail("bottom winding != sphere divisor intersection")
@@ -265,20 +277,22 @@ def classify_type(setup: SetupDescriptor, target: Generator, source: Generator,
     # budget: each term non-negative, total below the cap; an interior
     # source's filling sphere counts as one more stabilizer
     if w_to_y:
-        first = ("fibre_index", Fraction(target.point.fibre_index))
+        first = ("fibre_index", target.point.fibre_index)
         spare, cap = 1, BUDGET_CAP_W_TO_Y
     else:
-        first = ("fibre_step", Fraction(target.point.fibre_index
-                                        - source.point.fibre_index + 1))
+        first = ("fibre_step", target.point.fibre_index
+                 - source.point.fibre_index + 1)
         spare, cap = 0, BUDGET_CAP_Y_TO_Y
     n1, k_aug = draft.n_nonconstant, draft.aug_count
+    d = setup.degree_scale[0]
     budget = BudgetTerms((
         first,
-        ("nonconstant_levels", Fraction(n1)),
-        ("augmentations", Fraction(k_aug)),
-        ("spare_stabilizers", Fraction(k_aug + spare - draft.n_constant)),
+        ("nonconstant_levels", n1),
+        ("augmentations", k_aug),
+        ("spare_stabilizers", k_aug + spare - draft.n_constant),
         ("augmentation_weights",
-         sum((grade_reeb(setup, a.multiplicity) for a in aug), Fraction(0))),
+         _exact(sum(scaled_reeb_weight(setup, a.multiplicity) for a in aug),
+                d)),
     ))
     bad = budget.first_negative()
     if bad is not None:
@@ -322,13 +336,14 @@ class Family(NamedTuple):
     winding k_t - step lies in [1, k_max]: Case 0 steps 0, Cases 1 and 2
     step K times the class area.  A family without one (a Case 3 row, an
     interior flow) has the template as its only row.  `area` is the area of
-    the shape's class, 0 when it has none; `problems` are the template's
-    structural violations, each row naming itself in front of them.
+    the shape's class, 0 when it has none, an int when it is one;
+    `problems` are the template's structural violations, each row naming
+    itself in front of them.
     """
 
     template: CascadeType
     step: Optional[int]
-    area: Fraction
+    area: Rational
     problems: Tuple[str, ...]
 
     def row(self, target: Generator, k_max: int) -> Optional[CascadeType]:
@@ -340,10 +355,9 @@ class Family(NamedTuple):
         if not 1 <= k0 <= k_max:
             return None
         shift = k0 - t.source.k
-        return t._replace(target=target,
-                          source=OrbitGenerator(t.source.point, k0),
-                          multiplicities=tuple(m + shift
-                                               for m in t.multiplicities))
+        # the fields after the multiplicities do not move
+        return CascadeType(target, OrbitGenerator(t.source.point, k0),
+                           tuple(m + shift for m in t.multiplicities), *t[3:])
 
 
 # The families of each target point, as `families` returns them.
@@ -352,7 +366,7 @@ Families = Dict[Union[LiftedCriticalPoint, CriticalPoint],
 
 
 def _representatives(setup: SetupDescriptor):
-    """(step, area, target, source, multiplicities, classes, sphere, aug)
+    """(step, K*area, target, source, multiplicities, classes, sphere, aug)
     of one shape per family the budget allows.
 
     Interior flows: every pair of interior points one degree apart.  Case
@@ -360,24 +374,26 @@ def _representatives(setup: SetupDescriptor):
     indices differ by 1, taken at winding 1.  Any level needs a check target (the budget has +1
     for each non-constant level or augmentation, and every level carries
     one).  Cases 1 and 2: one level above a hat source.  Degrees are affine
-    in the winding with slope 2*(tau - K)/K, positive by validation, so
-    "degree difference 1" fixes the step s = k_t - k_0 for each (check,
+    in the winding with slope p/D = 2*(tau - K)/K, positive by validation,
+    so "degree difference 1" fixes the step s = k_t - k_0 for each (check,
     hat) pair, and the shape is kept when s is an integer >= 1, taken at
     source winding 1.  A non-constant level of class A steps K*omega(A)
     (Case 1); a constant level carrying one plane of class B steps B.Sigma
     = K*omega(B) (Case 2); either class has area s/K.  Case 3: the budget
     of an interior source must vanish outright, leaving one constant level
     on a filling sphere with B.Sigma = k_t, and the degree fixes k_t for
-    each (check, interior) pair.
+    each (check, interior) pair.  Each step and each k_t is one integer
+    division of D-scaled degrees.
     """
+    d, slope = setup.degree_scale
     zero = tuple([0] * setup.lattice_sigma.rank)
-    sigma_class = area_classes(setup.lattice_sigma)
-    x_class = area_classes(setup.lattice_x)
+    sigma_class = area_classes(setup.lattice_sigma, setup.k_const)
+    x_class = area_classes(setup.lattice_x, setup.k_const)
     interior = [InteriorGenerator(x) for x in setup.morse_w]
     for x in interior:
         for y in interior:
             if degree_difference(setup, x, y) == 1:
-                yield None, Fraction(0), x, y, (), (), None, ()
+                yield None, 0, x, y, (), (), None, ()
 
     lifts = [LiftedCriticalPoint(q, flag) for q in setup.morse_sigma
              for flag in (FibreFlag.CHECK, FibreFlag.HAT)]
@@ -385,7 +401,7 @@ def _representatives(setup: SetupDescriptor):
         for q in lifts:
             # at a common winding the degrees differ as the lifted indices
             if p.lifted_index - q.lifted_index == 1:
-                yield (0, Fraction(0), OrbitGenerator(p, 1),
+                yield (0, 0, OrbitGenerator(p, 1),
                        OrbitGenerator(q, 1), (1,), (), None, ())
 
     for p in lifts:
@@ -394,30 +410,29 @@ def _representatives(setup: SetupDescriptor):
         for q in lifts:
             if q.flag is not FibreFlag.HAT:
                 continue
-            # the check lift at degree 1 over the hat lift at degree 0: any
-            # two degrees one apart give the same difference of windings
-            s = (winding_of_degree(setup, p, 1)
-                 - winding_of_degree(setup, q, 0))
-            if s.denominator != 1 or s < 1:
+            # D*deg(p at 1 + s) - D*deg(q at 1) = D*(i(p) - i(q)) + slope*s
+            # must be D
+            s, rest = divmod(d * (1 - p.lifted_index + q.lifted_index), slope)
+            if rest or s < 1:
                 continue
-            s, area = int(s), s / setup.k_const
             target, source = OrbitGenerator(p, 1 + s), OrbitGenerator(q, 1)
-            a = sigma_class(area)
+            a = sigma_class(s)
             if a is not None:
-                yield s, area, target, source, (1, 1 + s), (a,), None, ()
-            b = x_class(area)
+                yield s, s, target, source, (1, 1 + s), (a,), None, ()
+            b = x_class(s)
             if b is not None:
-                yield (s, area, target, source, (1, 1 + s), (zero,), None,
+                yield (s, s, target, source, (1, 1 + s), (zero,), None,
                        (AugPuncture(1, b, s),))
         for source in interior:
-            kt = winding_of_degree(setup, p, grade(setup, source) + 1)
-            if kt.denominator != 1 or kt < 1:
+            # D*deg(p at kt) = D*(i(p) + 1 - n) + slope*kt must be
+            # D*deg(source) + D
+            kt, rest = divmod(scaled_degree(setup, source)
+                              - d * (p.lifted_index - setup.n), slope)
+            if rest or kt < 1:
                 continue
-            area = kt / setup.k_const
-            b = x_class(area)
+            b = x_class(kt)
             if b is not None:
-                kt = int(kt)
-                yield (None, area, OrbitGenerator(p, kt), source, (kt, kt),
+                yield (None, kt, OrbitGenerator(p, kt), source, (kt, kt),
                        (zero,), b, ())
 
 
@@ -446,15 +461,30 @@ def families(setup: SetupDescriptor) -> Families:
     """
     by_target: Dict[Union[LiftedCriticalPoint, CriticalPoint],
                     List[Family]] = {}
-    for step, area, target, *shape in _representatives(setup):
+    k = setup.k_const
+    for step, k_area, target, *shape in _representatives(setup):
         t = classify_type(setup, target, *shape)
         if t.feasible:
             by_target.setdefault(target.point, []).append(
-                Family(t, step, area, tuple(_structural_violations(setup, t))))
+                Family(t, step, _exact(k_area * k.denominator, k.numerator),
+                       tuple(_structural_violations(setup, t))))
     return {point: tuple(fams) for point, fams in by_target.items()}
 
 
-def _contributions(shapes: Families, target: Generator, k_max: int,
+# Each target point's families, each with whether its area is within the
+# class bound of one call.
+Bounded = Dict[Union[LiftedCriticalPoint, CriticalPoint],
+               Tuple[Tuple[Family, bool], ...]]
+
+
+def _within(shapes: Families, class_bound: int) -> Bounded:
+    """Decide each family's area against class_bound once per call, not
+    once per row."""
+    return {point: tuple((f, f.area <= class_bound) for f in fams)
+            for point, fams in shapes.items()}
+
+
+def _contributions(shapes: Bounded, target: Generator, k_max: int,
                    class_bound: int
                    ) -> Tuple[List[Tuple[CascadeType, Family]], List[str]]:
     """The rows ending on one target, each with its family, sorted; and the
@@ -466,15 +496,16 @@ def _contributions(shapes: Families, target: Generator, k_max: int,
     warning that k_max cuts off sources of a target wound beyond it.
     """
     rows, needs = [], set()
-    for family in shapes.get(target.point, ()):
+    for family, within in shapes.get(target.point, ()):
         t = family.row(target, k_max)
         if t is None:
             continue
-        if family.area <= class_bound:
+        if within:
             rows.append((t, family))
         else:
             needs.add(family.area)
-    rows.sort(key=lambda row: row[0].sort_key())
+    if len(rows) > 1:
+        rows.sort(key=lambda row: row[0].sort_key())
     warnings = []
     if isinstance(target, OrbitGenerator) and k_max < target.k:
         warnings.append(f"k_max={k_max} below target winding {target.k}: "
@@ -497,8 +528,8 @@ def enumerate_contributions(setup: SetupDescriptor, target: Generator,
     list is provably complete.
     """
     _check_bounds(k_max, class_bound)
-    rows, warnings = _contributions(families(setup), target, k_max,
-                                    class_bound)
+    rows, warnings = _contributions(
+        _within(families(setup), class_bound), target, k_max, class_bound)
     return EnumerationResult(target, tuple(t for t, _ in rows),
                              tuple(warnings))
 
@@ -594,7 +625,7 @@ def certify_classification(setup: SetupDescriptor, k_max: int,
     """
     targets = enumerate_generators(setup, k_max)   # refuses k_max < 0 first
     _check_bounds(k_max, class_bound)
-    shapes = families(setup)
+    shapes = _within(families(setup), class_bound)
     types: List[CascadeType] = []
     violations: List[str] = []
     warnings: List[str] = []

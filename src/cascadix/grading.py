@@ -13,9 +13,11 @@ the catalog path sorts, solves and compares degrees as the integers
 D*degree (`scaled_degree`, `degree_difference`), and `grade` turns one into
 the printed `Fraction`.
 
-The per-piece index terms the cascade solver adds up live here too: the
-filling class term 2(<c1(TX), B> - B.Sigma), the winding balance across one
-cascade level and the deformation index of an augmentation plane.
+The per-piece index terms the cascade solver adds up live here too, each an
+int: the Reeb weight of a plane's orbit, as D times itself
+(`scaled_reeb_weight`), the filling class term 2(<c1(TX), B> - B.Sigma)
+and the deformation index of an augmentation plane; and the winding balance
+across one cascade level.
 """
 
 from __future__ import annotations
@@ -148,15 +150,17 @@ def degree_difference(setup: SetupDescriptor, a: Generator,
     return None if rest else diff
 
 
-def grade_reeb(setup: SetupDescriptor, k: int) -> Fraction:
-    """Degree weight of the k-fold Reeb fibre family itself: -2 + 2*(tau_X-K)/K*k."""
+def scaled_reeb_weight(setup: SetupDescriptor, k: int) -> int:
+    """D times the degree weight -2 + 2*(tau_X - K)/K*k of the k-fold Reeb
+    fibre family itself: -2D + p*k, where p/D = 2*(tau_X - K)/K."""
     if k < 1:
         raise CascadixError(f"orbit winding must be >= 1, got {k}")
-    return Fraction(-2) + 2 * setup.slope_ratio * k
+    d, p = setup.degree_scale
+    return p * k - 2 * d
 
 
 def filling_class_term(setup: SetupDescriptor,
-                       class_b: Sequence[int]) -> Fraction:
+                       class_b: Sequence[int]) -> int:
     """2(<c1(TX), B> - B.Sigma): the index a filling class B contributes."""
     return 2 * (pair(setup.lattice_x, class_b, Functional.C1)
                 - pair(setup.lattice_x, class_b, Functional.SIGMA_INTERSECTION))
@@ -172,8 +176,7 @@ def multiplicity_balance(setup: SetupDescriptor, class_a: Sequence[int],
     non-trivial (A nonzero or augmented).
     """
     omega_a = pair(setup.lattice_sigma, class_a, Functional.OMEGA)
-    lhs = Fraction(k_plus - k_minus - sum(aug_multiplicities))
-    if lhs != setup.k_const * omega_a:
+    if k_plus - k_minus - sum(aug_multiplicities) != setup.k_const * omega_a:
         return False
     if (any(class_a) or len(aug_multiplicities) > 0) and not k_plus > k_minus:
         return False
@@ -181,7 +184,7 @@ def multiplicity_balance(setup: SetupDescriptor, class_a: Sequence[int],
 
 
 def augmentation_index(setup: SetupDescriptor, class_b: Sequence[int],
-                       covering_m: int = 1) -> Fraction:
+                       covering_m: int = 1) -> int:
     """Deformation index 2(<c1(TX), B> - B.Sigma - 1) of an augmentation plane.
 
     Raises NonPositiveArea unless omega(B) > 0.  On a valid monotone setup

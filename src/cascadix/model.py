@@ -110,30 +110,34 @@ class HomologyLattice(NamedTuple):
         return self.sigma_intersection
 
 
-def pair(lattice: HomologyLattice, cls: Sequence[int], which: Functional) -> Fraction:
+def pair(lattice: HomologyLattice, cls: Sequence[int],
+         which: Functional) -> Rational:
     """Pair an integer class vector against one of the lattice functionals.
 
-    Exact: returns a Fraction (an integer-valued one for c1 and
-    sigma_intersection).  The zero vector pairs to 0 with every functional.
+    Exact: returns an int for c1 and sigma_intersection, whose values are
+    integers, and an exact rational (a `Fraction`, or the int 0) for
+    omega.  The zero vector pairs to 0 with every functional.
     """
     if len(cls) != lattice.rank:
         raise DimensionMismatch(
             f"class vector of length {len(cls)} against lattice of rank {lattice.rank}"
         )
     values = lattice.functional(which)
-    return Fraction(sum(c * v for c, v in zip(cls, values) if c))
+    return sum(c * v for c, v in zip(cls, values) if c)
 
 
-def area_classes(lattice: HomologyLattice
+def area_classes(lattice: HomologyLattice, per: Rational = 1
                  ) -> Callable[[Rational], Optional[IntVector]]:
-    """The map area -> class on one lattice, its unit class found once.
+    """The map v -> class of area v/per on one lattice, its unit class
+    found once.
 
-    An area goes to m times the unit class if area = m*g with m > 0, and to
-    None otherwise.  The areas of the lattice form g*Z.  The unit class of
-    area g comes from the extended Euclidean algorithm over the generators
-    in file order, passing over a generator whose area g so far divides.
-    In rank 1 it is the only class of its area; in rank 0, or with all
-    areas 0, none exists.
+    The value v goes to m times the unit class if v/per = m*g with m > 0,
+    and to None otherwise; the catalog asks by v = K*area, so an integer
+    winding step is looked up without a `Fraction`.  The areas of the
+    lattice form g*Z.  The unit class of area g comes from the extended
+    Euclidean algorithm over the generators in file order, passing over a
+    generator whose area g so far divides.  In rank 1 it is the only class
+    of its area; in rank 0, or with all areas 0, none exists.
     """
     g, unit = Fraction(0), (0,) * lattice.rank
     for i, w in enumerate(lattice.omega):
@@ -147,11 +151,16 @@ def area_classes(lattice: HomologyLattice
                        tuple(x - q * y for x, y in zip(a[1], b[1])))
         g, unit = a if a[0] >= 0 else (-a[0], tuple(-x for x in a[1]))
 
-    def of_area(area: Rational) -> Optional[IntVector]:
-        m = Fraction(area) / g if g else Fraction(0)
-        if m.denominator != 1 or m <= 0:
+    # m * unit has area v/per exactly when m = v/(per*g)
+    per_unit = Fraction(per) * g
+
+    def of_area(v: Rational) -> Optional[IntVector]:
+        if not per_unit:
             return None
-        return tuple(int(m) * c for c in unit)
+        m, rest = divmod(v * per_unit.denominator, per_unit.numerator)
+        if rest or m <= 0:
+            return None
+        return tuple(m * c for c in unit)
 
     return of_area
 

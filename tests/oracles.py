@@ -24,7 +24,11 @@ package's `grade` and `area_classes`.  `fraction_sorted_generators` is
 the generator list as it was before degrees were compared as integers, each
 degree a `Fraction` computed from the setup's fields, kept as the reference
 the integer sort and winding solve are compared against; it builds the
-package's generator types.  `reference_fibre_sum_orientation` and
+package's generator types.  `grade_reeb`, `fraction_budget` and
+`fraction_index_identity` are the budget terms and index identity as
+`Fraction` sums from their definitions, kept as the reference the solver's
+integer and D-scaled sums are compared against; they read the package's
+generator and cascade records.  `reference_fibre_sum_orientation` and
 `reference_frame_orientations_agree` are the earlier multi-elimination
 orientation code (product space, basis extension, a `Fraction` product and
 determinant signs), kept as the reference the one-elimination code is
@@ -691,6 +695,73 @@ def fraction_sorted_generators(setup, k_max, degree=None):
             if k.denominator == 1 and 1 <= k <= k_max:
                 gens.append(OrbitGenerator(point, int(k)))
     return sorted(gens, key=key)
+
+
+# ---------------------------------------------------------------------------
+# Budgets and the index identity in `Fraction`.
+#
+# The case solver adds its budget terms and its index identity up as ints,
+# the Reeb weights of the planes' orbits as D times themselves.  These are
+# the same sums from their definitions, every term a `Fraction` built from
+# the setup's fields and the type's pieces.
+
+
+def grade_reeb(setup, k):
+    """Degree weight of the k-fold Reeb fibre family itself:
+    -2 + 2*(tau_X - K)/K*k."""
+    from cascadix.errors import CascadixError
+
+    if k < 1:
+        raise CascadixError(f"orbit winding must be >= 1, got {k}")
+    return Fraction(-2) + 2 * (setup.tau_x - setup.k_const) / setup.k_const * k
+
+
+def _fraction_pair(values, cls):
+    return sum((Fraction(v) * c for v, c in zip(values, cls)), Fraction(0))
+
+
+def fraction_budget(setup, t):
+    """The budget terms of an orbit-target type, by name: the fibre step
+    i_fib(target) - i_fib(source) + 1 (the target's fibre index alone for
+    an interior source), the non-constant levels, the planes, the spare
+    stabilizers (planes, plus the filling sphere of an interior source,
+    less the constant levels) and the planes' Reeb weights."""
+    from cascadix.grading import InteriorGenerator
+
+    interior = isinstance(t.source, InteriorGenerator)
+    fibre = Fraction(t.target.point.fibre_index)
+    first = ("fibre_index", fibre) if interior else (
+        "fibre_step", fibre - t.source.point.fibre_index + 1)
+    nonconstant = Fraction(sum(1 for a in t.classes_a if any(a)))
+    planes = Fraction(len(t.aug))
+    return (first,
+            ("nonconstant_levels", nonconstant),
+            ("augmentations", planes),
+            ("spare_stabilizers", planes + interior
+             - (len(t.classes_a) - nonconstant)),
+            ("augmentation_weights",
+             sum((grade_reeb(setup, a.multiplicity) for a in t.aug),
+                 Fraction(0))))
+
+
+def fraction_index_identity(setup, t):
+    """i(target) + M(target) + 2<c1(T Sigma), sum A> + 2 (planes) + the
+    planes' Reeb weights, less i(source) + M(source) for an orbit source,
+    plus 1 - 2n + M(source) + 2(<c1(TX), B> - B.Sigma) for an interior
+    one."""
+    from cascadix.grading import InteriorGenerator
+
+    value = Fraction(t.target.point.lifted_index + 2 * len(t.aug))
+    for a in t.classes_a:
+        value += 2 * _fraction_pair(setup.lattice_sigma.c1, a)
+    for a in t.aug:
+        value += grade_reeb(setup, a.multiplicity)
+    if not isinstance(t.source, InteriorGenerator):
+        return value - t.source.point.lifted_index
+    x = setup.lattice_x
+    return (value + 1 - 2 * setup.n + t.source.point.morse_index
+            + 2 * (_fraction_pair(x.c1, t.sphere_b)
+                   - _fraction_pair(x.sigma_intersection, t.sphere_b)))
 
 
 # ---------------------------------------------------------------------------

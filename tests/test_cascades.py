@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -22,6 +23,7 @@ from cascadix.cascades import (
 )
 from cascadix.errors import CascadixError
 from cascadix.grading import (
+    InteriorGenerator,
     OrbitGenerator,
     enumerate_generators,
     grade,
@@ -624,6 +626,99 @@ def test_families_match_per_row_shipped(name, k_max, class_bound, request):
        class_bound=st.integers(1, 12))
 def test_families_match_per_row_random(setup, k_max, class_bound):
     assert_matches_per_row(setup, k_max, class_bound)
+
+
+# --- budgets and the index identity against `Fraction` sums ------------
+
+
+def assert_budget_matches_fractions(setup, t):
+    """The budget terms and index identity of one orbit-target type are
+    ints or `Fraction`s, never floats, and equal their `Fraction` sums; a
+    budget verdict is the one those sums give."""
+    where = (setup.name, t.target.display_name, t.source.display_name,
+             t.multiplicities, t.classes_a, t.aug)
+    identity = index_identity(setup, t)
+    assert identity == oracles.fraction_index_identity(setup, t), where
+    values = [v for _, v in t.budget.terms] + [t.budget.total, identity]
+    assert {type(v) for v in values} <= {int, Fraction}, (where, values)
+    if not t.budget.terms:
+        return
+    terms = oracles.fraction_budget(setup, t)
+    assert t.budget.terms == terms, where
+    cap = 0 if isinstance(t.source, InteriorGenerator) else 1
+    total = sum(v for _, v in terms)
+    verdict = next((f"budget term negative: {name}"
+                    for name, v in terms if v < 0),
+                   f"budget {total} exceeds {cap}" if total > cap else None)
+    if verdict is None:
+        assert t.infeasible_reason in (
+            None, "constant level forces equal base points"), where
+    else:
+        assert t.infeasible_reason == verdict, where
+
+
+def orbit_types(setup):
+    """Every orbit-target family template, then types the catalog never
+    holds, whose index identity need not be an integer: one constant
+    level carrying a plane of winding 1 to 4, between any two lifts."""
+    templates = [f.template for fams in cascades.families(setup).values()
+                 for f in fams if isinstance(f.template.target, OrbitGenerator)]
+    zero = (0,) * setup.lattice_sigma.rank
+    lifts = [LiftedCriticalPoint(q, flag) for q in setup.morse_sigma
+             for flag in FibreFlag]
+    return templates + [
+        CascadeType(OrbitGenerator(p, 1 + m), OrbitGenerator(q, 1),
+                    (1, 1 + m), (zero,), None, (AugPuncture(1, (), m),),
+                    Case.INFEASIBLE, cascades.BudgetTerms(()))
+        for p in lifts for q in lifts for m in range(1, 5)]
+
+
+@pytest.mark.parametrize("name", ["cp2", "tau2", "rank0", "rank2"])
+def test_template_budgets_match_fractions_shipped(name):
+    setup = shipped_setup(name)
+    for t in orbit_types(setup):
+        assert_budget_matches_fractions(setup, t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(setup=monotone_setups())
+def test_template_budgets_match_fractions_random(setup):
+    for t in orbit_types(setup):
+        assert_budget_matches_fractions(setup, t)
+
+
+# (label, reason) of each classify_type call the brute force makes on
+# cp2, tau2 and rank0, targets to winding 5 at k_max 4 and class bound 6.
+BRUTE_VERDICTS = {
+    (Case.INFEASIBLE, "level 1 constant and unstabilized"): 60,
+    (Case.INFEASIBLE, "level 2 constant and unstabilized"): 39,
+    (Case.INFEASIBLE, "budget 2 exceeds 1"): 33,
+    (Case.INFEASIBLE, "budget 3 exceeds 1"): 13,
+    (Case.CASE0, None): 12,
+    (Case.CASE1, None): 15,
+    (Case.CASE2, None): 8,
+    (Case.CASE3, None): 3,
+}
+
+
+def test_brute_force_budgets_match_fractions(cp2, tau2, rank0, monkeypatch):
+    seen = []
+    classify = cascades.classify_type
+
+    def recorded(setup, *args):
+        t = classify(setup, *args)
+        seen.append((setup, t))
+        return t
+
+    monkeypatch.setattr(cascades, "classify_type", recorded)
+    for setup in (cp2, tau2, rank0):
+        for target in enumerate_generators(setup, 5):
+            oracles.brute_force_contributions(setup, target, 4, 6)
+    assert Counter((t.case_label, t.infeasible_reason)
+                   for _, t in seen) == BRUTE_VERDICTS
+    for setup, t in seen:
+        if isinstance(t.target, OrbitGenerator):
+            assert_budget_matches_fractions(setup, t)
 
 
 def test_classify_calls_independent_of_kmax(tau2, monkeypatch):

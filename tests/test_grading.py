@@ -15,13 +15,14 @@ from cascadix.grading import (
     degree_difference,
     enumerate_generators,
     grade,
-    grade_reeb,
     interior_generator,
     orbit_generator,
     scaled_degree,
+    scaled_reeb_weight,
 )
 from cascadix.model import FibreFlag
-from oracles import CapMismatch, cz_cap
+from oracles import CapMismatch, cz_cap, grade_reeb
+from test_cascades import monotone_setups
 
 FLAGS = {"check": FibreFlag.CHECK, "hat": FibreFlag.HAT}
 
@@ -43,6 +44,28 @@ def test_reeb_weights(cp2, tau2):
     assert grade_reeb(tau2, 1) == oracles.TAU2K1_REEB_DEGREE_K1
     with pytest.raises(CascadixError):
         grade_reeb(cp2, 0)
+
+
+def assert_scaled_reeb_weight(setup):
+    """`scaled_reeb_weight` is the int D * `grade_reeb`."""
+    d = setup.degree_scale[0]
+    for k in range(1, 25):
+        weight = scaled_reeb_weight(setup, k)
+        assert type(weight) is int
+        assert weight == d * grade_reeb(setup, k)
+    with pytest.raises(CascadixError):
+        scaled_reeb_weight(setup, 0)
+
+
+@pytest.mark.parametrize("name", ["cp2", "tau2", "rank0"])
+def test_scaled_reeb_weight_shipped(name, request):
+    assert_scaled_reeb_weight(request.getfixturevalue(name))
+
+
+@settings(max_examples=60, deadline=None)
+@given(setup=monotone_setups())
+def test_scaled_reeb_weight_random(setup):
+    assert_scaled_reeb_weight(setup)
 
 
 def test_reeb_weight_vs_minimum_check_orbit_in_dim_two(cp2):
