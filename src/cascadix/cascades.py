@@ -52,6 +52,7 @@ from .grading import (
     multiplicity_balance,
     scaled_degree,
     scaled_reeb_weight,
+    winding_at,
 )
 from .model import (
     CriticalPoint,
@@ -317,17 +318,6 @@ def classify_type(setup: SetupDescriptor, target: Generator, source: Generator,
     return draft._replace(case_label=label, budget=budget)
 
 
-class EnumerationResult(NamedTuple):
-    target: Generator
-    types: Tuple[CascadeType, ...]
-    warnings: Tuple[str, ...]
-
-
-def _check_bounds(k_max: int, class_bound: int) -> None:
-    if k_max < 1 or class_bound < 1:
-        raise CascadixError("enumeration bounds must be positive")
-
-
 class Family(NamedTuple):
     """One catalog shape at every winding where it occurs.
 
@@ -371,21 +361,19 @@ def _representatives(setup: SetupDescriptor):
 
     Interior flows: every pair of interior points one degree apart.  Case
     0: a bare flow at a common winding between two lifts whose lifted
-    indices differ by 1, taken at winding 1.  Any level needs a check target (the budget has +1
-    for each non-constant level or augmentation, and every level carries
-    one).  Cases 1 and 2: one level above a hat source.  Degrees are affine
-    in the winding with slope p/D = 2*(tau - K)/K, positive by validation,
-    so "degree difference 1" fixes the step s = k_t - k_0 for each (check,
-    hat) pair, and the shape is kept when s is an integer >= 1, taken at
-    source winding 1.  A non-constant level of class A steps K*omega(A)
-    (Case 1); a constant level carrying one plane of class B steps B.Sigma
-    = K*omega(B) (Case 2); either class has area s/K.  Case 3: the budget
-    of an interior source must vanish outright, leaving one constant level
-    on a filling sphere with B.Sigma = k_t, and the degree fixes k_t for
-    each (check, interior) pair.  Each step and each k_t is one integer
-    division of D-scaled degrees.
+    indices differ by 1, taken at winding 1.  Any level needs a check
+    target (the budget has +1 for each non-constant level or augmentation,
+    and every level carries one).  Cases 1 and 2: one level above a hat
+    source at winding 1.  "Degree difference 1" fixes the target winding
+    k_t for each (check, hat) pair (`grading.winding_at`), and the shape is
+    kept when the step s = k_t - 1 is >= 1.  A non-constant level of class
+    A steps K*omega(A) (Case 1); a constant level carrying one plane of
+    class B steps B.Sigma = K*omega(B) (Case 2); either class has area
+    s/K.  Case 3: the budget of an interior source must vanish outright,
+    leaving one constant level on a filling sphere with B.Sigma = k_t, and
+    the degree fixes k_t for each (check, interior) pair the same way.
     """
-    d, slope = setup.degree_scale
+    d = setup.degree_scale[0]
     zero = tuple([0] * setup.lattice_sigma.rank)
     sigma_class = area_classes(setup.lattice_sigma, setup.k_const)
     x_class = area_classes(setup.lattice_x, setup.k_const)
@@ -404,31 +392,27 @@ def _representatives(setup: SetupDescriptor):
                 yield (0, 0, OrbitGenerator(p, 1),
                        OrbitGenerator(q, 1), (1,), (), None, ())
 
+    hats = [OrbitGenerator(q, 1) for q in lifts if q.flag is FibreFlag.HAT]
     for p in lifts:
         if p.flag is not FibreFlag.CHECK:
             continue
-        for q in lifts:
-            if q.flag is not FibreFlag.HAT:
+        for source in hats:
+            # the target sits one degree above the source at winding 1
+            kt = winding_at(setup, p, scaled_degree(setup, source) + d)
+            if kt is None or kt < 2:
                 continue
-            # D*deg(p at 1 + s) - D*deg(q at 1) = D*(i(p) - i(q)) + slope*s
-            # must be D
-            s, rest = divmod(d * (1 - p.lifted_index + q.lifted_index), slope)
-            if rest or s < 1:
-                continue
-            target, source = OrbitGenerator(p, 1 + s), OrbitGenerator(q, 1)
+            s = kt - 1
+            target = OrbitGenerator(p, kt)
             a = sigma_class(s)
             if a is not None:
-                yield s, s, target, source, (1, 1 + s), (a,), None, ()
+                yield s, s, target, source, (1, kt), (a,), None, ()
             b = x_class(s)
             if b is not None:
-                yield (s, s, target, source, (1, 1 + s), (zero,), None,
+                yield (s, s, target, source, (1, kt), (zero,), None,
                        (AugPuncture(1, b, s),))
         for source in interior:
-            # D*deg(p at kt) = D*(i(p) + 1 - n) + slope*kt must be
-            # D*deg(source) + D
-            kt, rest = divmod(scaled_degree(setup, source)
-                              - d * (p.lifted_index - setup.n), slope)
-            if rest or kt < 1:
+            kt = winding_at(setup, p, scaled_degree(setup, source) + d)
+            if kt is None:
                 continue
             b = x_class(kt)
             if b is not None:
@@ -469,69 +453,6 @@ def families(setup: SetupDescriptor) -> Families:
                 Family(t, step, _exact(k_area * k.denominator, k.numerator),
                        tuple(_structural_violations(setup, t))))
     return {point: tuple(fams) for point, fams in by_target.items()}
-
-
-# Each target point's families, each with whether its area is within the
-# class bound of one call.
-Bounded = Dict[Union[LiftedCriticalPoint, CriticalPoint],
-               Tuple[Tuple[Family, bool], ...]]
-
-
-def _within(shapes: Families, class_bound: int) -> Bounded:
-    """Decide each family's area against class_bound once per call, not
-    once per row."""
-    return {point: tuple((f, f.area <= class_bound) for f in fams)
-            for point, fams in shapes.items()}
-
-
-def _contributions(shapes: Bounded, target: Generator, k_max: int,
-                   class_bound: int
-                   ) -> Tuple[List[Tuple[CascadeType, Family]], List[str]]:
-    """The rows ending on one target, each with its family, sorted; and the
-    target's warnings.
-
-    A row whose class area is above class_bound is left out and named in a
-    warning instead, with its area, so no warnings means nothing is left
-    out.  Areas are listed once each, in increasing order, after the
-    warning that k_max cuts off sources of a target wound beyond it.
-    """
-    rows, needs = [], set()
-    for family, within in shapes.get(target.point, ()):
-        t = family.row(target, k_max)
-        if t is None:
-            continue
-        if within:
-            rows.append((t, family))
-        else:
-            needs.add(family.area)
-    if len(rows) > 1:
-        rows.sort(key=lambda row: row[0].sort_key())
-    warnings = []
-    if isinstance(target, OrbitGenerator) and k_max < target.k:
-        warnings.append(f"k_max={k_max} below target winding {target.k}: "
-                        "sources missed")
-    warnings.extend(f"class_bound={class_bound} admits areas only up to "
-                    f"{class_bound}, need {area}" for area in sorted(needs))
-    return rows, warnings
-
-
-def enumerate_contributions(setup: SetupDescriptor, target: Generator,
-                            k_max: int, class_bound: int
-                            ) -> EnumerationResult:
-    """Every feasible cascade type ending on the given target.
-
-    Sources have degree exactly one less and winding at most k_max; classes
-    have area in (0, class_bound], one class per area.  The rows are read
-    off `families(setup)`.  Output is sorted by (levels, multiplicities,
-    classes, sphere, augmentations, source name) and is byte-deterministic.
-    Warnings name the bounds that leave rows out; no warnings means the
-    list is provably complete.
-    """
-    _check_bounds(k_max, class_bound)
-    rows, warnings = _contributions(
-        _within(families(setup), class_bound), target, k_max, class_bound)
-    return EnumerationResult(target, tuple(t for t, _ in rows),
-                             tuple(warnings))
 
 
 class CertificationReport(NamedTuple):
@@ -614,6 +535,21 @@ def _structural_violations(setup: SetupDescriptor, t: CascadeType) -> List[str]:
     return v
 
 
+def enumerate_contributions(setup: SetupDescriptor, target: Generator,
+                            k_max: int, class_bound: int
+                            ) -> CertificationReport:
+    """Every feasible cascade type ending on the given target.
+
+    Sources have degree exactly one less and winding at most k_max; classes
+    have area in (0, class_bound], one class per area.  The rows are read
+    off `families(setup)`.  Output is sorted by (levels, multiplicities,
+    classes, sphere, augmentations, source name) and is byte-deterministic.
+    Warnings name the bounds that leave rows out; no warnings means the
+    list is provably complete.
+    """
+    return _catalog(setup, [target], k_max, class_bound)
+
+
 def certify_classification(setup: SetupDescriptor, k_max: int,
                            class_bound: int) -> CertificationReport:
     """Enumerate over every generator up to the bounds and check the shapes.
@@ -624,18 +560,50 @@ def certify_classification(setup: SetupDescriptor, k_max: int,
     are taken in generator order.
     """
     targets = enumerate_generators(setup, k_max)   # refuses k_max < 0 first
-    _check_bounds(k_max, class_bound)
-    shapes = _within(families(setup), class_bound)
+    return _catalog(setup, targets, k_max, class_bound)
+
+
+def _catalog(setup: SetupDescriptor, targets: Sequence[Generator],
+             k_max: int, class_bound: int) -> CertificationReport:
+    """The rows ending on each target in turn, each target's sorted, with
+    the violations of their families and the targets' warnings.
+
+    A row whose class area is above class_bound is left out and named in a
+    warning instead, with its area, so no warnings means nothing is left
+    out.  A target's areas are listed once each, in increasing order,
+    after the warning that k_max cuts off sources of a target wound beyond
+    it; a warning repeated by a later target is dropped.
+    """
+    if k_max < 1 or class_bound < 1:
+        raise CascadixError("enumeration bounds must be positive")
+    # each family's area against the bound, once per call, not per row
+    shapes = {point: [(f, f.area <= class_bound) for f in fams]
+              for point, fams in families(setup).items()}
     types: List[CascadeType] = []
     violations: List[str] = []
     warnings: List[str] = []
     for target in targets:
-        rows, found = _contributions(shapes, target, k_max, class_bound)
+        rows, needs = [], set()
+        for family, within in shapes.get(target.point, ()):
+            t = family.row(target, k_max)
+            if t is None:
+                continue
+            if within:
+                rows.append((t, family))
+            else:
+                needs.add(family.area)
+        if len(rows) > 1:
+            rows.sort(key=lambda row: row[0].sort_key())
         for t, family in rows:
             types.append(t)
             violations.extend(f"{t.target.display_name} <- "
                               f"{t.source.display_name}: {problem}"
                               for problem in family.problems)
-        warnings.extend(found)
+        if isinstance(target, OrbitGenerator) and k_max < target.k:
+            warnings.append(f"k_max={k_max} below target winding "
+                            f"{target.k}: sources missed")
+        warnings.extend(f"class_bound={class_bound} admits areas only up "
+                        f"to {class_bound}, need {area}"
+                        for area in sorted(needs))
     return CertificationReport(tuple(types), tuple(violations),
                                tuple(dict.fromkeys(warnings)))

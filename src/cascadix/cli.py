@@ -467,7 +467,7 @@ def report_cmd(setup_path, kmax, classbound, profile_spec, levels):
     certification = cascades.certify_classification(setup, kmax, classbound)
     catalog = _catalog_rows(setup, certification.types)
 
-    print(f"# report: {setup.name or Path(setup_path).stem}")
+    print(f"# report: {setup.name}")
     print("")
     print("## setup")
     print(f"n={setup.n} tau_X={format_rational(setup.tau_x)} "
@@ -600,6 +600,13 @@ def main(args=None, prog_name="cascadix"):
     if extra:
         subparsers.choices[name].error(
             f"unrecognized arguments: {' '.join(extra)}")
+    # Exact values derived from valid input (a slope ratio, a torsion
+    # factor) can be longer than the interpreter's limit on int <-> str
+    # conversion, so the command runs without it; `errors` keeps that cap
+    # on the literals of the input files.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         COMMANDS[name][0](**kwargs)
     except UsageError as exc:
@@ -612,6 +619,9 @@ def main(args=None, prog_name="cascadix"):
         # traceback, and keep the final flush from raising again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.exit(1)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 # perfbench/run.py::run_cli_traced calls the entry point as

@@ -4,15 +4,21 @@ Setups, Morse data and instances are read by `read_json_object`, their
 numbers by `json_int` and `parse_rational`, their names by `json_name`,
 their fields under `malformed`:
 a malformed file of any kind is one engine error (exit 1), not a traceback.
+No integer literal may have more than MAX_DIGITS digits.
 """
 
 import contextlib
 import json
 import re
 
+# The most digits an integer literal of an input may have: the
+# interpreter's default limit on int <-> str conversion, which `cli.main`
+# lifts so that derived values print in full.
+MAX_DIGITS = 4300
+
 # the strings `parse_rational` hands to `Fraction`, which takes far more
 # (spaces, decimals, exponents that cost time exponential in their digits)
-_RATIONAL = r"[+-]?[0-9]+(/[0-9]+)?"
+_RATIONAL = rf"[+-]?[0-9]{{1,{MAX_DIGITS}}}(/[0-9]{{1,{MAX_DIGITS}}})?"
 
 
 class CascadixError(Exception):
@@ -29,13 +35,22 @@ def read_json_object(path, what: str, error: type = CascadixError) -> dict:
     (nesting too deep included) or holds no object."""
     try:
         with open(path, encoding="utf-8") as file:
-            raw = json.load(file)
+            raw = json.load(file, parse_int=_json_integer)
     except (OSError, ValueError, RecursionError) as exc:
         # UnicodeDecodeError and JSONDecodeError are ValueErrors
         raise error(f"cannot read {what} {path}: {exc}") from None
     if not isinstance(raw, dict):
         raise error(f"{what} must be a JSON object")
     return raw
+
+
+def _json_integer(text: str) -> int:
+    """A JSON integer literal of at most MAX_DIGITS digits, as an int."""
+    digits = len(text.lstrip("-"))
+    if digits > MAX_DIGITS:
+        raise ValueError(f"integer literal has {digits} digits, more than "
+                         f"{MAX_DIGITS}")
+    return int(text)
 
 
 @contextlib.contextmanager

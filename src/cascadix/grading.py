@@ -9,9 +9,11 @@ fractional part.
 
 On one setup every degree lies in (1/D)Z, with D the denominator of the
 winding slope 2(tau_X - K)/K = p/D (`SetupDescriptor.degree_scale`).  So
-the catalog path sorts, solves and compares degrees as the integers
-D*degree (`scaled_degree`, `degree_difference`), and `grade` turns one into
-the printed `Fraction`.
+degrees are sorted, solved and compared as the integers D*degree
+(`scaled_degree`, `degree_difference`), and `grade` and `coset_label` turn
+one into the printed `Fraction`.  An orbit's D*degree is affine in its
+winding with slope p, so the winding at which a lift has a given degree is
+one division by p (`winding_at`), the one place a winding is solved.
 
 The per-piece index terms the cascade solver adds up live here too, each an
 int: the Reeb weight of a plane's orbit, as D times itself
@@ -23,7 +25,6 @@ across one cascade level.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import floor
 from typing import List, NamedTuple, Optional, Sequence, Union
 
 from .errors import CascadixError
@@ -183,17 +184,13 @@ def multiplicity_balance(setup: SetupDescriptor, class_a: Sequence[int],
     return True
 
 
-def augmentation_index(setup: SetupDescriptor, class_b: Sequence[int],
-                       covering_m: int = 1) -> int:
+def augmentation_index(setup: SetupDescriptor, class_b: Sequence[int]) -> int:
     """Deformation index 2(<c1(TX), B> - B.Sigma - 1) of an augmentation plane.
 
     Raises NonPositiveArea unless omega(B) > 0.  On a valid monotone setup
-    the value is never negative, and an m-fold covered plane has index at
-    least 2(m - 1); both bounds are re-checked here and their failure means
-    the input data is not what it claims to be.
+    the value is never negative; that bound is re-checked here and its
+    failure means the input data is not what it claims to be.
     """
-    if covering_m < 1:
-        raise CascadixError(f"covering multiplicity must be >= 1, got {covering_m}")
     area = pair(setup.lattice_x, class_b, Functional.OMEGA)
     if area <= 0:
         raise NonPositiveArea(f"omega(B) = {area} is not positive")
@@ -202,17 +199,13 @@ def augmentation_index(setup: SetupDescriptor, class_b: Sequence[int],
         raise CascadixError(
             f"augmentation index {value} negative on a positive-area class"
         )
-    if covering_m > 1 and value < 2 * (covering_m - 1):
-        raise CascadixError(
-            f"index {value} below the covered-plane floor {2 * (covering_m - 1)}"
-        )
     return value
 
 
 def coset_label(setup: SetupDescriptor, gen: Generator) -> Fraction:
     """Fractional part of the degree; constant on each interacting block."""
-    g = grade(setup, gen)
-    return g - floor(g)
+    d = setup.degree_scale[0]
+    return Fraction(scaled_degree(setup, gen) % d, d)
 
 
 def _sort_key(setup: SetupDescriptor, gen: Generator):
@@ -222,20 +215,18 @@ def _sort_key(setup: SetupDescriptor, gen: Generator):
     return (scaled_degree(setup, gen), gen.kind, gen.point.name, "", 0)
 
 
-def winding_of_degree(setup: SetupDescriptor, point: LiftedCriticalPoint,
-                      degree) -> Fraction:
-    """The winding k at which the lift `point` has the given degree.
+def winding_at(setup: SetupDescriptor, point: LiftedCriticalPoint,
+               scaled: int) -> Optional[int]:
+    """The winding k >= 1 at which the lift `point` has D*degree `scaled`,
+    or None if there is none.
 
-    The degree is affine in k with slope 2*(tau_X - K)/K = p/D, positive
-    by validation, so this is the one solution,
-    k = 1 + (D*degree - D*deg(point at k = 1)) / p; it is a generator's
-    winding only when it is an integer >= 1.
+    D*degree is D*(lifted index + 1 - n) + p*k, with p > 0 by validation,
+    so k is one division by p; it is a winding only when the division is
+    exact and k >= 1.
     """
     d, p = setup.degree_scale
-    degree = Fraction(degree)
-    at_zero = scaled_degree(setup, OrbitGenerator(point, 1)) - p
-    return Fraction(d * degree.numerator - at_zero * degree.denominator,
-                    p * degree.denominator)
+    k, rest = divmod(scaled - d * (point.lifted_index + 1 - setup.n), p)
+    return None if rest or k < 1 else k
 
 
 def enumerate_generators(setup: SetupDescriptor, k_max: int,
@@ -244,8 +235,9 @@ def enumerate_generators(setup: SetupDescriptor, k_max: int,
 
     Without a degree filter the list has |crit W| + 2 * |crit Sigma| * k_max
     entries.  With one, only generators of exactly that degree are built:
-    each lift has it at one winding at most (`winding_of_degree`), so the
-    cost does not grow with k_max.
+    none when D*degree is not an integer, and otherwise each lift at the
+    one winding `winding_at` gives, if any, so the cost does not grow with
+    k_max.
     """
     if k_max < 0:
         raise CascadixError(f"k_max must be >= 0, got {k_max}")
@@ -257,10 +249,13 @@ def enumerate_generators(setup: SetupDescriptor, k_max: int,
                  for k in range(1, k_max + 1)]
     else:
         scaled = setup.degree_scale[0] * Fraction(degree)
+        if scaled.denominator != 1:
+            return []
+        scaled = scaled.numerator
         gens = [g for g in gens if scaled_degree(setup, g) == scaled]
         for point in lifts:
-            k = winding_of_degree(setup, point, degree)
-            if k.denominator == 1 and 1 <= k <= k_max:
-                gens.append(OrbitGenerator(point, int(k)))
+            k = winding_at(setup, point, scaled)
+            if k is not None and k <= k_max:
+                gens.append(OrbitGenerator(point, k))
     gens.sort(key=lambda g: _sort_key(setup, g))
     return gens

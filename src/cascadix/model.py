@@ -293,8 +293,8 @@ def _lattice_from_dict(raw: dict, where: str, want_sigma_int: bool) -> HomologyL
                 out.append(r)
         return tuple(out)
 
-    omega = vec("omega", expect_int=False) or ()
-    c1 = vec("c1", expect_int=True) or ()
+    omega = vec("omega", expect_int=False)
+    c1 = vec("c1", expect_int=True)
     sig = vec("sigma_intersection", expect_int=True)
     if want_sigma_int and sig is None and rank > 0:
         raise ValidationError("sigma_intersection missing on X-lattice")

@@ -12,7 +12,6 @@ The index terms the cascade solver shares live in `grading`.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import CascadixError
@@ -37,7 +36,7 @@ def _check_point(point: CriticalPoint, ambient: Ambient, role: str) -> None:
 
 def _chain_term(setup: SetupDescriptor, classes_a: Sequence[IntVector],
                 aug_count: int,
-                aug_classes: Optional[Sequence[IntVector]]) -> Fraction:
+                aug_classes: Optional[Sequence[IntVector]]) -> int:
     """N - 1 + sum_i 2<c1(T Sigma), A_i> + the augmentation term.
 
     The augmentation term is 2k when only the count k is known, and the
@@ -46,23 +45,16 @@ def _chain_term(setup: SetupDescriptor, classes_a: Sequence[IntVector],
     if aug_count < 0:
         raise VariantMismatch("augmentation count must be >= 0")
     if aug_classes is None:
-        total = Fraction(2 * aug_count)
+        total = 2 * aug_count
     elif len(aug_classes) != aug_count:
         raise VariantMismatch(
             f"{len(aug_classes)} augmentation classes for count {aug_count}")
     else:
-        total = sum((filling_class_term(setup, b) for b in aug_classes),
-                    Fraction(0))
+        total = sum(filling_class_term(setup, b) for b in aug_classes)
     total += len(classes_a) - 1
     for a in classes_a:
         total += 2 * pair(setup.lattice_sigma, a, Functional.C1)
     return total
-
-
-def _pearl_dimension(total: Fraction) -> int:
-    if total.denominator != 1:
-        raise VariantMismatch(f"non-integer pearl dimension {total}")
-    return int(total)
 
 
 def pearl_in_sigma_dimension(setup: SetupDescriptor, q: CriticalPoint,
@@ -75,7 +67,7 @@ def pearl_in_sigma_dimension(setup: SetupDescriptor, q: CriticalPoint,
     total = _chain_term(setup, classes_a, aug_count, aug_classes)
     _check_point(p, Ambient.SIGMA, "p")
     _check_point(q, Ambient.SIGMA, "q")
-    return _pearl_dimension(total + p.morse_index - q.morse_index)
+    return total + p.morse_index - q.morse_index
 
 
 def pearl_with_sphere_dimension(setup: SetupDescriptor, x: CriticalPoint,
@@ -94,7 +86,7 @@ def pearl_with_sphere_dimension(setup: SetupDescriptor, x: CriticalPoint,
     if not any(sphere_b):
         raise VariantMismatch("filling sphere class must be nonzero")
     total += p.morse_index + filling_class_term(setup, sphere_b)
-    return _pearl_dimension(total + x.morse_index - 2 * (setup.n - 1))
+    return total + x.morse_index - 2 * (setup.n - 1)
 
 
 def _check_generator(gen: Generator, species: type, role: str) -> None:

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from fractions import Fraction
 from typing import Iterable, List, NamedTuple, Union
 
 from .errors import CascadixError
@@ -227,6 +226,6 @@ def cz_perturbed(op: AsymptoticOperator, side: Side) -> int:
 def operator_catalog() -> Iterable[AsymptoticOperator]:
     """Representative operators used by exhaustive invariant checks."""
     ops: List[AsymptoticOperator] = [VerticalC(0.0)]
-    ops += [VerticalC(c) for c in (0.3, float(Fraction(1, 2)), 1.0, 5.0, 100.0)]
+    ops += [VerticalC(c) for c in (0.3, 0.5, 1.0, 5.0, 100.0)]
     ops += [ComplexLinear(m) for m in range(1, 7)]
     return ops

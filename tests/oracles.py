@@ -308,7 +308,7 @@ TAU2_CASE_COUNTS = {0: 3, 1: 5, 2: 4, 3: 2}
 # each handed to classify_type; the feasible ones within class_bound,
 # sorted, are the reference catalog of one target, and those above it give
 # its class-bound warnings.  Returns (types, warnings) with the same meaning
-# as the fields of an EnumerationResult.
+# as the fields of the report `cascades.enumerate_contributions` returns.
 
 BRUTE_MAX_LEVELS = 2
 BRUTE_MAX_AUG = 2
@@ -669,6 +669,13 @@ def fraction_winding(setup, point, degree):
     slope = 2 * (setup.tau_x - setup.k_const) / setup.k_const
     return 1 + ((Fraction(degree)
                  - fraction_degree(setup, OrbitGenerator(point, 1))) / slope)
+
+
+def fraction_winding_at(setup, point, degree):
+    """`fraction_winding` when it is a winding, an integer >= 1; else
+    None."""
+    k = fraction_winding(setup, point, degree)
+    return int(k) if k.denominator == 1 and k >= 1 else None
 
 
 def fraction_sorted_generators(setup, k_max, degree=None):

@@ -240,7 +240,7 @@ def test_07_augmentation_bounds(announce, cp2, tau2, rank0):
                 area = pair(setup.lattice_x, covered, Functional.OMEGA)
                 if area > 10:
                     continue
-                value = augmentation_index(setup, covered, covering_m=m)
+                value = augmentation_index(setup, covered)
                 assert value >= 2 * (m - 1)
                 cover_checked += 1
 

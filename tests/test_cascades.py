@@ -29,7 +29,7 @@ from cascadix.grading import (
     grade,
     interior_generator,
     orbit_generator,
-    winding_of_degree,
+    winding_at,
 )
 from cascadix.model import (FibreFlag, Functional, LiftedCriticalPoint,
                             area_classes, load_setup, pair, parse_setup)
@@ -805,9 +805,10 @@ def shipped_setup(name):
 
 
 def assert_generators_match_fraction_order(setup, k_max, data):
-    """`enumerate_generators` and `winding_of_degree` against the
-    `Fraction` reference: no degree filter, a degree some generator has, or
-    one drawn at random, fractional, negative or never attained."""
+    """`enumerate_generators` and `winding_at` against the `Fraction`
+    reference: no degree filter, a degree some generator has, or one drawn
+    at random, fractional, negative or never attained.  A degree outside
+    (1/D)Z is no lift's degree at any winding, integer or not."""
     everything = enumerate_generators(setup, k_max)
     assert everything == oracles.fraction_sorted_generators(setup, k_max)
     attained = sorted({oracles.fraction_degree(setup, g) for g in everything})
@@ -819,10 +820,15 @@ def assert_generators_match_fraction_order(setup, k_max, data):
         got = enumerate_generators(setup, k_max, degree)
         assert got == oracles.fraction_sorted_generators(
             setup, k_max, degree), (setup.name, k_max, degree)
+        scaled = setup.degree_scale[0] * degree
         for point in (LiftedCriticalPoint(q, flag) for q in setup.morse_sigma
                       for flag in FibreFlag):
-            assert winding_of_degree(setup, point, degree) == \
-                oracles.fraction_winding(setup, point, degree)
+            if scaled.denominator == 1:
+                assert winding_at(setup, point, int(scaled)) == \
+                    oracles.fraction_winding_at(setup, point, degree)
+            else:
+                assert oracles.fraction_winding(
+                    setup, point, degree).denominator != 1
 
 
 @settings(max_examples=100, deadline=None,

@@ -1,3 +1,4 @@
+import contextlib
 import importlib.util
 import json
 import os
@@ -5,6 +6,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,7 +17,7 @@ import oracles
 
 from cascadix import cli, morse, pearls
 from cascadix.grading import orbit_generator
-from cascadix.model import FibreFlag
+from cascadix.model import FibreFlag, format_rational
 
 
 # --- exit code contract ------------------------------------------------
@@ -519,6 +521,19 @@ FAULTY_FILES = {
         json.dumps({"kind": "fibre_sum", "v1": {"dim": 1}, "v2": {"dim": 1},
                     "w": {"dim": 1}, "f1": [[0.1]], "f2": [[1e-1]]}).encode(),
         ["orient", "--instance", "{file}"]),
+    # literals past the 4,300-digit cap, which stays while the commands
+    # print longer derived values
+    "setup_5000_digit_integer": (
+        _cp2_with(t0=0).replace('"t0": 0', '"t0": ' + "7" * 5000).encode(),
+        ["validate", "--setup", "{file}"]),
+    "setup_5000_digit_rational": (
+        _cp2_with(t0="7" * 5000).encode(), ["validate", "--setup", "{file}"]),
+    "morse_5000_digit_count": (
+        json.dumps({"points": [{"name": "a", "index": 0},
+                               {"name": "b", "index": 1}],
+                    "flows": [{"source": "b", "target": "a", "count": 0}]})
+        .replace('"count": 0', '"count": ' + "3" * 5000).encode(),
+        ["morse", "--data", "{file}"]),
 }
 
 
@@ -533,6 +548,81 @@ def test_faulty_file_is_one_error_line_within_10s(data_dir, tmp_path, name):
     assert proc.stdout == b""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(b"error:"), proc.stderr
+
+
+# --- exact values past the interpreter's int <-> str digit limit --------
+
+
+@contextlib.contextmanager
+def _long_int_strings():
+    """The test's own inputs and expected values are built without the
+    interpreter's 4,300-digit limit on int <-> str, where it has one."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def _digit_limit():
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+def test_long_slope_ratio_prints_in_full(run_cli, data_dir, tmp_path):
+    """A rank-0 setup of 4,001-digit literals has an 8,000-digit slope
+    ratio; every setup command prints it or runs on it without a traceback,
+    and leaves the digit limit as it found it."""
+    raw = json.loads((data_dir / "rank0.json").read_text())
+    with _long_int_strings():
+        raw["tau_x"] = f"{10**4000 + 3}/{10**3999 + 1}"
+        raw["k_const"] = f"{10**3999 + 7}/{10**3999 + 9}"
+        tau, k = Fraction(raw["tau_x"]), Fraction(raw["k_const"])
+        ratio = format_rational((tau - k) / k)
+    assert len(ratio) > 8000
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(raw))
+    limit = _digit_limit()
+    result = run_cli("validate", "--setup", str(path))
+    assert result.exit_code == 0, result.output
+    assert f"slope ratio: {ratio}" in result.stdout.splitlines()
+    result = run_cli("report", "--setup", str(path))
+    assert result.exit_code == 0, result.output
+    assert f"slope={ratio}" in result.stdout
+    for command in (["grade"], ["enumerate", "--all-targets"]):
+        result = run_cli(*command, "--setup", str(path))
+        assert (result.exit_code, result.stderr) == (0, ""), command
+    assert _digit_limit() == limit
+
+
+def test_long_torsion_factor_prints_in_full(run_cli, tmp_path):
+    """Torsion Z/(10^3000 + 1) + Z/(10^3000 - 1) = Z/(10^6000 - 1), whose
+    one factor has 6,000 digits."""
+    with _long_int_strings():
+        text = json.dumps({
+            "points": [{"name": n, "index": i}
+                       for n, i in (("a", 0), ("b", 0), ("c", 1), ("e", 1))],
+            "flows": [{"source": "c", "target": "a", "count": 10**3000 + 1},
+                      {"source": "e", "target": "b",
+                       "count": 10**3000 - 1}]})
+    path = tmp_path / "long_morse.json"
+    path.write_text(text)
+    result = run_cli("morse", "--data", str(path))
+    assert result.exit_code == 0, result.output
+    assert result.stdout.splitlines()[-2].split() == ["0", "0", "9" * 6000]
+
+
+def test_long_target_winding(run_cli, data_dir):
+    """A target wound 10^5000 - 1 times has no source within k_max, and
+    the warning names its winding in full."""
+    result = run_cli("enumerate", "--setup", str(data_dir / "cp2.json"),
+                     "--target", "m_check_" + "9" * 5000)
+    assert result.exit_code == 0, result.output
+    assert result.stdout.splitlines() == [",".join(cli.CATALOG_HEADER)]
+    assert result.stderr == (f"warning: k_max=3 below target winding "
+                             f"{'9' * 5000}: sources missed\n")
 
 
 def _morse_file(index=1, count=1, key="flows"):

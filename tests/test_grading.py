@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -19,10 +20,11 @@ from cascadix.grading import (
     orbit_generator,
     scaled_degree,
     scaled_reeb_weight,
+    winding_at,
 )
-from cascadix.model import FibreFlag
+from cascadix.model import Ambient, CriticalPoint, FibreFlag, LiftedCriticalPoint
 from oracles import CapMismatch, cz_cap, grade_reeb
-from test_cascades import monotone_setups
+from test_cascades import monotone_setups, shipped_setup
 
 FLAGS = {"check": FibreFlag.CHECK, "hat": FibreFlag.HAT}
 
@@ -66,6 +68,49 @@ def test_scaled_reeb_weight_shipped(name, request):
 @given(setup=monotone_setups())
 def test_scaled_reeb_weight_random(setup):
     assert_scaled_reeb_weight(setup)
+
+
+def assert_integer_forms(setup, data):
+    """`coset_label` is g - floor(g) of the `Fraction` degree g, negative
+    degrees included, and `winding_at` is the `Fraction` winding where
+    that is an integer >= 1, else None."""
+    d, p = setup.degree_scale
+    lifts = [LiftedCriticalPoint(q, flag) for q in setup.morse_sigma
+             for flag in FibreFlag]
+    windings = data.draw(st.lists(st.integers(1, 10**6), max_size=3))
+    # interior indices 0..2n give every degree from n down to -n
+    gens = [InteriorGenerator(CriticalPoint(f"z{i}", i, Ambient.W))
+            for i in range(2 * setup.n + 1)]
+    gens += [OrbitGenerator(point, k) for point in lifts
+             for k in [1, 2, 3] + windings]
+    for gen in gens:
+        g = oracles.fraction_degree(setup, gen)
+        assert coset_label(setup, gen) == g - math.floor(g), gen
+    # each attained D*degree, the D*degrees one and two windings lower
+    # (which reach windings 0 and -1, where there is no generator), and
+    # values drawn at random
+    scaled = {scaled_degree(setup, gen) - j * p for gen in gens
+              for j in range(3)}
+    scaled.update(data.draw(st.lists(st.integers(-10**6, 10**6),
+                                     max_size=4)))
+    for value in scaled:
+        for point in lifts:
+            assert winding_at(setup, point, value) == \
+                oracles.fraction_winding_at(setup, point, Fraction(value, d)), \
+                (setup.name, point, value)
+
+
+@pytest.mark.parametrize("name", ["cp2", "tau2", "rank0", "rank2"])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_integer_forms_shipped(name, data):
+    assert_integer_forms(shipped_setup(name), data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(setup=monotone_setups(), data=st.data())
+def test_integer_forms_random(setup, data):
+    assert_integer_forms(setup, data)
 
 
 def test_reeb_weight_vs_minimum_check_orbit_in_dim_two(cp2):

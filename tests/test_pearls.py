@@ -161,7 +161,7 @@ class TestAugmentationIndex:
         assert augmentation_index(cp2, (1,)) == oracles.AUG_INDEX_CP2_B1
 
     def test_cp2_double_cover(self, cp2):
-        assert augmentation_index(cp2, (2,), covering_m=2) == \
+        assert augmentation_index(cp2, (2,)) == \
             oracles.AUG_INDEX_CP2_B2_COVER2
         assert oracles.AUG_INDEX_CP2_B2_COVER2 >= 2 * (2 - 1)
 
@@ -182,17 +182,10 @@ class TestAugmentationIndex:
                 assert val >= 0
                 assert val % 2 == 0
 
-    def test_cover_floor(self, cp2, tau2):
+    def test_cover_floor(self, cp2):
         for m in range(2, 6):
-            val = augmentation_index(cp2, (m,), covering_m=m)
+            val = augmentation_index(cp2, (m,))
             assert val >= 2 * (m - 1)
-        # tau2's line is rigid, so a double cover violates the floor
-        with pytest.raises(CascadixError):
-            augmentation_index(tau2, (1,), covering_m=2)
-
-    def test_bad_cover(self, cp2):
-        with pytest.raises(CascadixError):
-            augmentation_index(cp2, (1,), covering_m=0)
 
 
 class TestChernGate:

@@ -15,7 +15,6 @@ from cascadix.cascades import (
     CascadeType,
     Case,
     CertificationReport,
-    EnumerationResult,
     Family,
 )
 from cascadix.errors import CascadixError
@@ -132,12 +131,6 @@ RECORDS = {
         "classes_a=((1,),), sphere_b=None, aug=(), case_label=<Case.CASE1: "
         "1>, budget=BudgetTerms(terms=(('fibre', Fraction(1, 1)),)), "
         "infeasible_reason=None)", []),
-    "EnumerationResult": (
-        EnumerationResult, (TARGET, (), ()), (TARGET, (), ("w",)),
-        "EnumerationResult(target=OrbitGenerator(point=LiftedCriticalPoint("
-        "base=CriticalPoint(name='p', morse_index=0, ambient=<Ambient.SIGMA: "
-        "'Sigma'>), flag=<FibreFlag.CHECK: 'check'>), k=2), types=(), "
-        "warnings=())", []),
     "Family": (
         Family, (ROW, 1, F(1), ()), (ROW, None, F(1), ()),
         "Family(template=" + repr(ROW) + ", step=1, area=Fraction(1, 1), "
