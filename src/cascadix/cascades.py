@@ -256,15 +256,12 @@ def classify_type(setup: SetupDescriptor, target: Generator, source: Generator,
     if multiplicities[-1] != target.k:
         return bail("top winding != target winding")
 
-    # per-level winding bookkeeping and stability; the filling sphere
-    # stabilizes the bottom level of an interior source
+    # per-level winding bookkeeping; stability is the budget's spare term
     for i in range(1, n_levels + 1):
         a_i = classes_a[i - 1]
         augs_here = tuple(a.multiplicity for a in aug if a.level == i)
         if any(a_i) and pair(setup.lattice_sigma, a_i, Functional.OMEGA) <= 0:
             return bail(f"level {i} sphere has non-positive area")
-        if not any(a_i) and not augs_here and not (w_to_y and i == 1):
-            return bail(f"level {i} constant and unstabilized")
         if not multiplicity_balance(setup, a_i, multiplicities[i],
                                     multiplicities[i - 1], augs_here):
             return bail(f"level {i} winding balance fails")
@@ -276,7 +273,11 @@ def classify_type(setup: SetupDescriptor, target: Generator, source: Generator,
             return bail(f"augmentation rejected: {exc}")
 
     # budget: each term non-negative, total below the cap; an interior
-    # source's filling sphere counts as one more stabilizer
+    # source's filling sphere counts as one more stabilizer.  The spare
+    # term is what refuses a constant level that no plane stabilizes:
+    # Y -> Y it asks k_aug >= N0, so the planes sit on other levels and
+    # N1 + k_aug >= 2 exceeds the cap 1; W -> Y the cap 0 leaves one
+    # constant level and no plane, the bottom one the sphere stabilizes
     if w_to_y:
         first = ("fibre_index", target.point.fibre_index)
         spare, cap = 1, BUDGET_CAP_W_TO_Y

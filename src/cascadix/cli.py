@@ -1,12 +1,12 @@
 """Command line front end.
 
-Every subcommand prints a deterministic table: identical inputs (and seed,
-for `selftest`) give byte-identical output.  CSV is RFC 4180 (CRLF line
-ends, minimal quoting); rationals render as p/q; floating point columns use
-12 significant digits.  Exit codes: 0 success, 1 for any validation or
-feasibility error raised by the engine (printed module-qualified on
-stderr), 2 for usage errors.  A usage error prints the `usage:` line of the
-command followed by one `<prog> <cmd>: error: <message>` line on stderr.
+Every subcommand prints a deterministic table: identical inputs give
+byte-identical output.  CSV is RFC 4180 (CRLF line ends, minimal quoting);
+rationals render as p/q; floating point columns use 12 significant digits.
+Exit codes: 0 success, 1 for any validation or feasibility error raised by
+the engine (printed module-qualified on stderr), 2 for usage errors.  A
+usage error prints the `usage:` line of the command followed by one
+`<prog> <cmd>: error: <message>` line on stderr.
 The command line is parsed with `argparse` alone, and each command imports
 the engine modules it runs itself, so a launch loads only those and starts
 quickly.
@@ -496,41 +496,6 @@ def report_cmd(setup_path, kmax, classbound, profile_spec, levels):
         print(f"warning: {message}")
     for violation in certification.violations:
         print(f"violation: {violation}")
-
-
-# --- selftest ----------------------------------------------------------
-
-
-@command("selftest",
-         option("--seed", type=int, default=0, help=DEFAULT),
-         option("--instances", type=int, default=50, help=DEFAULT))
-def selftest_cmd(seed, instances):
-    """Exhaustive crossing identity plus randomized orientation properties."""
-    from . import selfcheck
-
-    if instances < 1:
-        raise CascadixError(f"instances must be >= 1, got {instances}")
-    problems = []
-    bad_ops = selfcheck.crossing_identity_failures()
-    if bad_ops:
-        problems.append(f"crossing identity: {len(bad_ops)} operator(s)")
-    checks = [
-        ("associativity",
-         selfcheck.run_associativity_trials(seed, instances)),
-        ("basis independence",
-         selfcheck.run_basis_independence_trials(seed + 1, instances)),
-    ]
-    for i, which in enumerate(("v1", "v2", "w")):
-        checks.append((f"{which} sign flip",
-                       selfcheck.run_flip_trials(seed + 2 + i, instances,
-                                                 which)))
-    for name, failures in checks:
-        if failures:
-            problems.append(f"{name}: {len(failures)} failing instance(s)")
-    if problems:
-        raise CascadixError("; ".join(problems))
-    print(f"selftest OK: crossing identity exhaustive, "
-               f"{instances} instances per randomized property (seed={seed})")
 
 
 # --- parsing -------------------------------------------------------------

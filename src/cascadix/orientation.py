@@ -8,10 +8,9 @@ multipliers (so no sign is ever touched), then a fraction-free (Bareiss)
 Gauss-Jordan elimination runs in integers.  Every pivot entry then equals one
 nonzero d, so the returned rows divided by d are the reduced row echelon
 form.  A fibre sum takes surjectivity, kernel and sign from one elimination
-of its difference map; a frame comparison takes independence, span and the
-change-of-basis matrix from one elimination of [a | b].  A quotient maps
-its subspace's basis in integers: clearing denominators with positive
-column scalings keeps both the span and every determinant sign.
+of its difference map.  A quotient maps its subspace's basis in integers:
+clearing denominators with positive column scalings keeps both the span
+and every determinant sign.
 
 Two conventions drive everything:
 
@@ -68,17 +67,6 @@ def _from_columns(cols: Sequence[Vector]) -> Matrix:
         return ()
     n = len(cols[0])
     return tuple(tuple(col[i] for col in cols) for i in range(n))
-
-
-def _matmul(a: Matrix, b: Matrix) -> Matrix:
-    if not a or not b:
-        return ()
-    inner = len(b)
-    return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(inner)), Fraction(0))
-              for j in range(len(b[0])))
-        for i in range(len(a))
-    )
 
 
 def _echelon(m: Matrix) -> Tuple[List[List[int]], List[int], int]:
@@ -324,24 +312,3 @@ def fibre_sum_orientation(v1: OrientedSpace, v2: OrientedSpace,
     sign = product_sign * parity * w.sign * w.basis_det_sign() \
         * pivot_sign * v1.basis_det_sign() * v2.basis_det_sign()
     return OrientedFrame(tuple(kernel), sign)
-
-
-def frame_orientations_agree(a: OrientedFrame, b: OrientedFrame) -> bool:
-    """Do two oriented frames of the same subspace give the same orientation?"""
-    if a.dim != b.dim:
-        raise CascadixError("frames have different dimensions")
-    k = a.dim
-    if k == 0:
-        return a.sign == b.sign
-    if len({len(v) for v in a.vectors + b.vectors}) != 1:
-        raise CascadixError("frame vectors live in different ambient spaces")
-    rows, pivots, _ = _echelon(_from_columns(list(a.vectors + b.vectors)))
-    if pivots[:k] != list(range(k)):
-        raise CascadixError("matrix has too few independent rows")
-    # b lies in the span of the independent a iff [a | b] has rank k
-    if len(pivots) != k:
-        raise CascadixError("frames span different subspaces")
-    # b = a M, and the top k rows of the elimination are d [I | M]
-    d_sign = 1 if rows[0][0] > 0 or k % 2 == 0 else -1
-    dm = tuple(tuple(row[k:]) for row in rows[:k])
-    return a.sign * b.sign * det_sign(dm) * d_sign == 1

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Iterable, List, NamedTuple, Union
+from typing import List, NamedTuple, Union
 
 from .errors import CascadixError
 
@@ -221,11 +221,3 @@ def cz_perturbed(op: AsymptoticOperator, side: Side) -> int:
     if op.c == 0.0:
         return -1 if plus else 1
     return 0 if plus else 1
-
-
-def operator_catalog() -> Iterable[AsymptoticOperator]:
-    """Representative operators used by exhaustive invariant checks."""
-    ops: List[AsymptoticOperator] = [VerticalC(0.0)]
-    ops += [VerticalC(c) for c in (0.3, 0.5, 1.0, 5.0, 100.0)]
-    ops += [ComplexLinear(m) for m in range(1, 7)]
-    return ops

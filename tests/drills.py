@@ -1,9 +1,11 @@
-"""Randomized property drills backing the `selftest` subcommand.
+"""Randomized property drills of the orientation and Conley-Zehnder
+conventions.
 
 Everything here is deterministic given the seed: instances are drawn from a
 private random.Random, and each runner returns the list of failing
-instances (empty = pass).  The same machinery drives the test suite and the
-acceptance checks, so the CLI exercises exactly what the tests do.
+instances (empty = pass).  Frames are compared with the oracle
+`reference_frame_orientations_agree`, and basis changes are multiplied out
+with the oracle `matmul`.
 """
 
 from __future__ import annotations
@@ -11,17 +13,23 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .orientation import (
+from oracles import matmul, reference_frame_orientations_agree
+
+from cascadix.orientation import (
     LinearMapSpec,
     NotSurjective,
     OrientedFrame,
     OrientedSpace,
-    _matmul,
     det_sign,
     fibre_sum_orientation,
-    frame_orientations_agree,
 )
-from .spectrum import Side, cz_perturbed, kernel_dimension, operator_catalog
+from cascadix.spectrum import (
+    ComplexLinear,
+    Side,
+    VerticalC,
+    cz_perturbed,
+    kernel_dimension,
+)
 
 ENTRY_POOL = (
     [Fraction(n) for n in (-2, -1, 0, 0, 1, 1, 2)]
@@ -123,7 +131,7 @@ def associativity_verdict(instance):
         rf = right_association(*instance)
     except NotSurjective:
         return None
-    return frame_orientations_agree(lf, rf)
+    return reference_frame_orientations_agree(lf, rf)
 
 
 def _trials(seed, instances, check):
@@ -151,7 +159,10 @@ def run_associativity_trials(seed, instances):
 
 
 def run_basis_independence_trials(seed, instances):
-    """Positive-determinant basis changes must fix every output sign."""
+    """Positive-determinant basis changes must fix every output sign, and
+    over a W of dimension >= 1 the kernel vectors too: they depend only on
+    the maps (over a point the frame is the product reference basis, which
+    does move)."""
     def check(rng, inst):
         v1, v2, v3, w12, w23, f1, f2, g2, g3 = inst
         try:
@@ -161,11 +172,12 @@ def run_basis_independence_trials(seed, instances):
         transformed = []
         for space in (v1, v2, w12):
             p = random_positive_transform(rng, space.dim)
-            new_basis = _matmul(space.reference_basis, p)
+            new_basis = matmul(space.reference_basis, p)
             transformed.append(OrientedSpace(space.dim, new_basis, space.sign))
         again = fibre_sum_orientation(transformed[0], transformed[1],
                                       transformed[2], f1, f2)
-        return again.sign == base.sign
+        return again.sign == base.sign and (
+            w12.dim == 0 or again.vectors == base.vectors)
 
     return _trials(seed, instances, check)
 
@@ -195,6 +207,14 @@ def run_flip_trials(seed, instances, which):
         return flipped.sign == -base.sign and flipped.vectors == base.vectors
 
     return _trials(seed, instances, check)
+
+
+def operator_catalog():
+    """Representative operators for the exhaustive crossing check."""
+    ops = [VerticalC(0.0)]
+    ops += [VerticalC(c) for c in (0.3, 0.5, 1.0, 5.0, 100.0)]
+    ops += [ComplexLinear(m) for m in range(1, 7)]
+    return ops
 
 
 def crossing_identity_failures():

@@ -28,16 +28,19 @@ package's generator types.  `grade_reeb`, `fraction_budget` and
 `fraction_index_identity` are the budget terms and index identity as
 `Fraction` sums from their definitions, kept as the reference the solver's
 integer and D-scaled sums are compared against; they read the package's
-generator and cascade records.  `reference_fibre_sum_orientation` and
-`reference_frame_orientations_agree` are the earlier multi-elimination
-orientation code (product space, basis extension, a `Fraction` product and
-determinant signs), kept as the reference the one-elimination code is
-compared against; they use the package's exact linear-algebra primitives.
+generator and cascade records.  `reference_fibre_sum_orientation` is the
+earlier multi-elimination fibre sum (product space, basis extension, a
+`Fraction` product and determinant signs), kept as the reference the
+one-elimination code is compared against;
+`reference_frame_orientations_agree` is the frame comparison the
+orientation drills (`drills.py`) judge associativity with; both use the
+package's exact linear-algebra primitives.
 `reference_quotient_orientation` is the earlier quotient, whose subspace
 image is a `Fraction` matrix product, kept as the reference the integer
-image columns are compared against.  `negated`, `glue`,
-`rigid_plane_classes`, `chern_gate_applies`, `smith_invariant_factors` and
-`cz_cap` (with its `CapMismatch`) are helpers no command runs, moved here
+image columns are compared against; `matmul` is that product, for the
+references and the drills.  `negated`, `glue`, `rigid_plane_classes`,
+`chern_gate_applies`, `smith_invariant_factors` and `cz_cap` (with its
+`CapMismatch`) are helpers no command runs, moved here
 from the package with the tests that pin them; they and `disjoint_copies`
 build or read the package's own types.  `smith_invariant_factors` is the
 package's sparse Smith form fed a dense matrix; `cz_cap` is the degree
@@ -823,10 +826,20 @@ def _product_space(v1, v2):
     return OrientedSpace(n1 + n2, tuple(rows), v1.sign * v2.sign)
 
 
+def matmul(a, b):
+    """The `Fraction` product of two matrices given as rows."""
+    if not a or not b:
+        return ()
+    return tuple(
+        tuple(sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0))
+              for j in range(len(b[0])))
+        for i in range(len(a)))
+
+
 def reference_quotient_orientation(total, sub):
     """The quotient with the subspace's image taken as a `Fraction` product."""
     from cascadix.orientation import (NotASubspace, OrientedFrame, _columns,
-                                      _extend_to_basis, _matmul)
+                                      _extend_to_basis)
     inc = sub.inclusion
     if inc.rows != total.dim or inc.cols_or(sub.space.dim) != sub.space.dim:
         raise NotASubspace(
@@ -835,7 +848,7 @@ def reference_quotient_orientation(total, sub):
         )
     if sub.space.dim > total.dim:
         raise NotASubspace("inclusion image is degenerate")
-    s_cols = _columns(_matmul(inc.matrix, sub.space.reference_basis)) \
+    s_cols = _columns(matmul(inc.matrix, sub.space.reference_basis)) \
         if sub.space.dim else []
     reps, combined_sign = _extend_to_basis(
         s_cols, _columns(total.reference_basis), total.dim)
@@ -848,7 +861,7 @@ def reference_fibre_sum_orientation(v1, v2, w, f1, f2):
     from cascadix.errors import CascadixError
     from cascadix.orientation import (NotSurjective, OrientedFrame, _columns,
                                       _extend_to_basis, _from_columns,
-                                      _matmul, det_sign)
+                                      det_sign)
     d1, d2, dw = v1.dim, v2.dim, w.dim
     for f, d, name in ((f1, d1, "f1"), (f2, d2, "f2")):
         if f.rows != dw or f.cols_or(d) != d:
@@ -874,7 +887,7 @@ def reference_fibre_sum_orientation(v1, v2, w, f1, f2):
     reps, combined_sign = _extend_to_basis(
         kernel, _columns(product.reference_basis), d1 + d2)
     epsilon = -1 if (d2 * dw) % 2 else 1
-    image = _matmul(diff, _from_columns(reps))
+    image = matmul(diff, _from_columns(reps))
     sign_q = epsilon * w.sign * det_sign(image) * w.basis_det_sign()
     sign_k = sign_q * product.sign * combined_sign \
         * product.basis_det_sign()

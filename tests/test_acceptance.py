@@ -13,9 +13,10 @@ from fractions import Fraction
 
 import pytest
 
+import drills
 import oracles
 
-from cascadix import morse, profiles, selfcheck, spectrum
+from cascadix import morse, profiles, spectrum
 from cascadix.cascades import Case, certify_classification
 from cascadix.fredholm import (
     KernelSubspace,
@@ -157,9 +158,9 @@ def test_03_vertical_index_populations(announce):
 
 
 def test_04_crossing_formula(announce):
-    failures = selfcheck.crossing_identity_failures()
+    failures = drills.crossing_identity_failures()
     assert failures == []
-    count = len(spectrum.operator_catalog())
+    count = len(drills.operator_catalog())
     announce(4, f"CZ(-d) - CZ(+d) == dim ker on all {count} catalog operators")
 
 
@@ -284,10 +285,10 @@ def test_08_multiplicity_balance(announce, cp2, tau2, rank0):
 
 
 def test_09_orientation_properties(announce):
-    assert selfcheck.run_associativity_trials(20260822, 200) == []
-    assert selfcheck.run_basis_independence_trials(7, 200) == []
+    assert drills.run_associativity_trials(20260822, 200) == []
+    assert drills.run_basis_independence_trials(7, 200) == []
     for which in ("v1", "v2", "w"):
-        assert selfcheck.run_flip_trials(11, 200, which) == []
+        assert drills.run_flip_trials(11, 200, which) == []
     announce(9, "fibre-sum associativity, basis independence, and all "
                 "three sign flips on 200 instances each")
 

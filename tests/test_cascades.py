@@ -165,7 +165,21 @@ class TestClassifyValidation:
         t = classify_type(tau2, gen_by_name(tau2, "m_check_2"),
                           gen_by_name(tau2, "m_hat_1"), (1, 2), ((0,),))
         assert t.case_label is Case.INFEASIBLE
-        assert t.infeasible_reason == "level 1 constant and unstabilized"
+        assert t.infeasible_reason == "level 1 winding balance fails"
+
+    @pytest.mark.parametrize("target,source,mults,classes,sphere", [
+        ("M_check_1", "m_hat_1", (1, 1), ((0,),), None),
+        ("m_check_1", "x0", (1, 1, 1), ((0,), (0,)), (1,)),
+    ], ids=["y-to-y", "w-to-y-level-2"])
+    def test_balanced_unstabilized_level_fails_the_spare_term(
+            self, cp2, target, source, mults, classes, sphere):
+        # a constant level without a plane (the filling sphere stabilizes
+        # only level 1) is refused by the budget's spare term alone
+        t = classify_type(cp2, gen_by_name(cp2, target),
+                          gen_by_name(cp2, source), mults, classes, sphere)
+        assert t.case_label is Case.INFEASIBLE
+        assert t.infeasible_reason == \
+            "budget term negative: spare_stabilizers"
 
     def test_case2_base_point_pin(self):
         # two distinct minima: the Case 2 arithmetic passes between them,
@@ -690,9 +704,8 @@ def test_template_budgets_match_fractions_random(setup):
 # (label, reason) of each classify_type call the brute force makes on
 # cp2, tau2 and rank0, targets to winding 5 at k_max 4 and class bound 6.
 BRUTE_VERDICTS = {
-    (Case.INFEASIBLE, "level 1 constant and unstabilized"): 60,
-    (Case.INFEASIBLE, "level 2 constant and unstabilized"): 39,
-    (Case.INFEASIBLE, "budget 2 exceeds 1"): 33,
+    (Case.INFEASIBLE, "budget term negative: spare_stabilizers"): 87,
+    (Case.INFEASIBLE, "budget 2 exceeds 1"): 45,
     (Case.INFEASIBLE, "budget 3 exceeds 1"): 13,
     (Case.CASE0, None): 12,
     (Case.CASE1, None): 15,

@@ -170,7 +170,6 @@ COMMAND_OPTIONS = {
     "orient": ["--instance"],
     "morse": ["--data"],
     "report": ["--setup", "--kmax", "--classbound", "--profile", "--levels"],
-    "selftest": ["--seed", "--instances"],
 }
 
 
@@ -937,19 +936,6 @@ def test_report_accepts_custom_expr_profile(run_cli, data_dir):
     assert strip == strip_quad
 
 
-def test_selftest_passes(run_cli):
-    result = run_cli("selftest", "--instances", "5", "--seed", "3")
-    assert result.exit_code == 0
-    assert result.output.startswith("selftest OK")
-
-
-@pytest.mark.parametrize("instances", ["0", "-1"])
-def test_selftest_rejects_vacuous_instance_count(run_cli, instances):
-    result = run_cli("selftest", "--instances", instances)
-    line = _assert_one_error_line(result)
-    assert f"instances must be >= 1, got {instances}" in line
-
-
 # --- byte determinism and the golden catalog ---------------------------
 
 
@@ -972,6 +958,16 @@ def run_python(*argv, timeout=120):
 def run_script(*args, flags=(), timeout=120):
     """`python [flags] -m cascadix args` on the source tree under test."""
     return run_python(*flags, "-m", "cascadix", *args, timeout=timeout)
+
+
+def test_selftest_is_not_a_command():
+    """`selftest` is no command: exit 2, nothing on stdout, and argparse's
+    invalid-choice line on stderr."""
+    proc = run_script("selftest")
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.decode().splitlines()[-1].startswith(
+        "cascadix: error: argument COMMAND: invalid choice: 'selftest'")
 
 
 def test_golden_cp2_catalog(data_dir):

@@ -79,7 +79,6 @@ def command_lines(data, tmp_path):
         ["spectrum", "--complex-rank", "2"],
         ["index", "--n", "2"],
         ["index", "--n", "3", "--bottom", "reeb", "--aug", "1"],
-        ["selftest", "--instances", "2"],
     ]
     for name in ("morse_circle", "morse_s2", "morse_hopf", "morse_lens3"):
         lines.append(["morse", "--data", str(data / f"{name}.json")])

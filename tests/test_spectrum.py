@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from drills import operator_catalog
 from cascadix.spectrum import (
     MAX_POINTS,
     ComplexLinear,
@@ -16,7 +17,6 @@ from cascadix.spectrum import (
     VerticalC,
     cz_perturbed,
     kernel_dimension,
-    operator_catalog,
     spectrum_window,
     vertical_eigenvalue,
 )
