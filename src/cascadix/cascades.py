@@ -23,14 +23,14 @@ winding fixed by its class and stands alone.  `families` solves each step
 from the degree equation and each class from the level balance, and
 `classify_type` confirms one representative per family, before any bound
 is applied; the rows at each winding are then read off without further
-checks.  Validation makes every functional a multiple of the area, and the
-balance fixes the area, so each shape takes the one class
-`model.area_classes` gives, in any lattice rank.  The catalog is complete
-within user bounds (max source winding, max class area, never a
-coordinate box) and names each row-bearing area the class bound leaves
-out, so an empty answer with no warnings is a certificate, not an
-accident.  Counts and signs of actual solutions are out of scope; this is
-the catalog of candidates only.
+checks.  Validation makes c1 and the divisor intersection positive
+multiples of the area, and the balance fixes the area, so each shape takes
+the one class `model.area_classes` gives for them, in any lattice rank.
+The catalog is complete within user bounds (max source winding, max class
+area, never a coordinate box) and names each row-bearing area the class
+bound leaves out, so an empty answer with no warnings is a certificate,
+not an accident.  Counts and signs of actual solutions are out of scope;
+this is the catalog of candidates only.
 """
 
 from __future__ import annotations
@@ -52,12 +52,12 @@ from .grading import (
     multiplicity_balance,
     scaled_degree,
     scaled_reeb_weight,
+    sigma_c1_of_step,
     winding_at,
 )
 from .model import (
     CriticalPoint,
     FibreFlag,
-    Functional,
     IntVector,
     LiftedCriticalPoint,
     Rational,
@@ -170,7 +170,7 @@ def index_identity(setup: SetupDescriptor, t: CascadeType) -> Rational:
     weights = sum(scaled_reeb_weight(setup, a.multiplicity) for a in t.aug)
     value = t.target.point.lifted_index + 2 * t.aug_count
     for a in t.classes_a:
-        value += 2 * pair(setup.lattice_sigma, a, Functional.C1)
+        value += 2 * pair(setup.lattice_sigma.c1, a)
     if isinstance(t.source, InteriorGenerator):
         value += (1 - 2 * setup.n + t.source.point.morse_index
                   + filling_class_term(setup, t.sphere_b))
@@ -221,8 +221,7 @@ def classify_type(setup: SetupDescriptor, target: Generator, source: Generator,
     for a in aug:
         if not 1 <= a.level <= max(n_levels, 1):
             raise CascadixError(f"augmentation level {a.level} out of range")
-        expected = pair(setup.lattice_x, a.class_b,
-                        Functional.SIGMA_INTERSECTION)
+        expected = pair(setup.lattice_x.sigma_intersection, a.class_b)
         if expected != a.multiplicity:
             raise CascadixError(
                 f"augmentation winding {a.multiplicity} != divisor "
@@ -241,9 +240,8 @@ def classify_type(setup: SetupDescriptor, target: Generator, source: Generator,
             raise CascadixError("orbit-to-interior cascades carry a filling sphere")
         if n_levels < 1:
             return bail("interior sources need at least one level")
-        if pair(setup.lattice_x, sphere_b, Functional.OMEGA) <= 0:
-            return bail("filling sphere has non-positive area")
-        k0 = pair(setup.lattice_x, sphere_b, Functional.SIGMA_INTERSECTION)
+        # B.Sigma = K*omega(B): a winding exactly when the area is positive
+        k0 = pair(setup.lattice_x.sigma_intersection, sphere_b)
         if k0 < 1:
             return bail("filling sphere divisor intersection not a winding")
         if multiplicities[0] != k0:
@@ -260,14 +258,15 @@ def classify_type(setup: SetupDescriptor, target: Generator, source: Generator,
     for i in range(1, n_levels + 1):
         a_i = classes_a[i - 1]
         augs_here = tuple(a.multiplicity for a in aug if a.level == i)
-        if any(a_i) and pair(setup.lattice_sigma, a_i, Functional.OMEGA) <= 0:
+        # c1 = (tau - K)*omega on Sigma: the sign of the area
+        if any(a_i) and pair(setup.lattice_sigma.c1, a_i) <= 0:
             return bail(f"level {i} sphere has non-positive area")
         if not multiplicity_balance(setup, a_i, multiplicities[i],
                                     multiplicities[i - 1], augs_here):
             return bail(f"level {i} winding balance fails")
 
     for a in aug:
-        try:   # raises on a plane of non-positive area or negative index
+        try:   # raises on a plane of non-positive filling class term
             augmentation_index(setup, a.class_b)
         except CascadixError as exc:
             return bail(f"augmentation rejected: {exc}")
@@ -368,16 +367,17 @@ def _representatives(setup: SetupDescriptor):
     source at winding 1.  "Degree difference 1" fixes the target winding
     k_t for each (check, hat) pair (`grading.winding_at`), and the shape is
     kept when the step s = k_t - 1 is >= 1.  A non-constant level of class
-    A steps K*omega(A) (Case 1); a constant level carrying one plane of
-    class B steps B.Sigma = K*omega(B) (Case 2); either class has area
-    s/K.  Case 3: the budget of an interior source must vanish outright,
-    leaving one constant level on a filling sphere with B.Sigma = k_t, and
-    the degree fixes k_t for each (check, interior) pair the same way.
+    A steps K*omega(A) (Case 1), looked up by its c1
+    (`grading.sigma_c1_of_step`); a constant level carrying one plane of
+    class B steps B.Sigma = K*omega(B) (Case 2).  Case 3: the budget of an
+    interior source must vanish outright, leaving one constant level on a
+    filling sphere with B.Sigma = k_t, and the degree fixes k_t for each
+    (check, interior) pair the same way.
     """
     d = setup.degree_scale[0]
     zero = tuple([0] * setup.lattice_sigma.rank)
-    sigma_class = area_classes(setup.lattice_sigma, setup.k_const)
-    x_class = area_classes(setup.lattice_x, setup.k_const)
+    sigma_class = area_classes(setup.lattice_sigma.c1)
+    x_class = area_classes(setup.lattice_x.sigma_intersection)
     interior = [InteriorGenerator(x) for x in setup.morse_w]
     for x in interior:
         for y in interior:
@@ -404,7 +404,8 @@ def _representatives(setup: SetupDescriptor):
                 continue
             s = kt - 1
             target = OrbitGenerator(p, kt)
-            a = sigma_class(s)
+            c1 = sigma_c1_of_step(setup, s)
+            a = None if c1 is None else sigma_class(c1)
             if a is not None:
                 yield s, s, target, source, (1, kt), (a,), None, ()
             b = x_class(s)

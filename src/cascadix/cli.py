@@ -79,12 +79,11 @@ def _emit_csv(header, rows):
 
 def _generator_by_name(setup, name):
     from . import grading
-    from .model import FibreFlag
+    from .model import orbit_name_parts
 
-    parts = name.rsplit("_", 2)
-    if len(parts) == 3 and parts[1] in ("check", "hat") and parts[2].isdigit():
-        flag = FibreFlag.CHECK if parts[1] == "check" else FibreFlag.HAT
-        return grading.orbit_generator(setup, parts[0], flag, int(parts[2]))
+    parts = orbit_name_parts(name)
+    if parts is not None:
+        return grading.orbit_generator(setup, *parts)
     return grading.interior_generator(setup, name)
 
 

@@ -19,7 +19,7 @@ The per-piece index terms the cascade solver adds up live here too, each an
 int: the Reeb weight of a plane's orbit, as D times itself
 (`scaled_reeb_weight`), the filling class term 2(<c1(TX), B> - B.Sigma)
 and the deformation index of an augmentation plane; and the winding balance
-across one cascade level.
+across one cascade level, read through c1 (`sigma_c1_of_step`).
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .model import (
     Ambient,
     CriticalPoint,
     FibreFlag,
-    Functional,
     LiftedCriticalPoint,
     SetupDescriptor,
     pair,
@@ -163,8 +162,17 @@ def scaled_reeb_weight(setup: SetupDescriptor, k: int) -> int:
 def filling_class_term(setup: SetupDescriptor,
                        class_b: Sequence[int]) -> int:
     """2(<c1(TX), B> - B.Sigma): the index a filling class B contributes."""
-    return 2 * (pair(setup.lattice_x, class_b, Functional.C1)
-                - pair(setup.lattice_x, class_b, Functional.SIGMA_INTERSECTION))
+    return 2 * (pair(setup.lattice_x.c1, class_b)
+                - pair(setup.lattice_x.sigma_intersection, class_b))
+
+
+def sigma_c1_of_step(setup: SetupDescriptor, step: int) -> Optional[int]:
+    """c1(A) of the classes A on Sigma with K*omega(A) = step, or None when
+    it is not an integer: on Sigma c1 = (tau - K)*omega, so
+    K*omega(A) = (2D/p)*c1(A), where p/D = 2*(tau - K)/K."""
+    d, p = setup.degree_scale
+    c1, rest = divmod(step * p, 2 * d)
+    return None if rest else c1
 
 
 def multiplicity_balance(setup: SetupDescriptor, class_a: Sequence[int],
@@ -172,12 +180,12 @@ def multiplicity_balance(setup: SetupDescriptor, class_a: Sequence[int],
                          aug_multiplicities: Sequence[int]) -> bool:
     """Winding bookkeeping across one cascade level.
 
-    True iff k_plus - k_minus - sum(aug) equals K * omega(A) exactly, and the
-    level is winding-increasing (k_plus > k_minus) whenever it is
-    non-trivial (A nonzero or augmented).
+    True iff k_plus - k_minus - sum(aug) equals K * omega(A) exactly, read
+    as c1(A) (`sigma_c1_of_step`), and the level is winding-increasing
+    (k_plus > k_minus) whenever it is non-trivial (A nonzero or augmented).
     """
-    omega_a = pair(setup.lattice_sigma, class_a, Functional.OMEGA)
-    if k_plus - k_minus - sum(aug_multiplicities) != setup.k_const * omega_a:
+    step = k_plus - k_minus - sum(aug_multiplicities)
+    if sigma_c1_of_step(setup, step) != pair(setup.lattice_sigma.c1, class_a):
         return False
     if (any(class_a) or len(aug_multiplicities) > 0) and not k_plus > k_minus:
         return False
@@ -187,19 +195,14 @@ def multiplicity_balance(setup: SetupDescriptor, class_a: Sequence[int],
 def augmentation_index(setup: SetupDescriptor, class_b: Sequence[int]) -> int:
     """Deformation index 2(<c1(TX), B> - B.Sigma - 1) of an augmentation plane.
 
-    Raises NonPositiveArea unless omega(B) > 0.  On a valid monotone setup
-    the value is never negative; that bound is re-checked here and its
-    failure means the input data is not what it claims to be.
+    Raises NonPositiveArea unless the filling class term, 2(tau - K)*omega(B)
+    on a valid setup, is positive; being even, it then leaves the index >= 0.
     """
-    area = pair(setup.lattice_x, class_b, Functional.OMEGA)
-    if area <= 0:
-        raise NonPositiveArea(f"omega(B) = {area} is not positive")
-    value = filling_class_term(setup, class_b) - 2
-    if value < 0:
-        raise CascadixError(
-            f"augmentation index {value} negative on a positive-area class"
-        )
-    return value
+    term = filling_class_term(setup, class_b)
+    if term <= 0:
+        raise NonPositiveArea(
+            f"2(<c1(TX), B> - B.Sigma) = {term} is not positive")
+    return term - 2
 
 
 def coset_label(setup: SetupDescriptor, gen: Generator) -> Fraction:

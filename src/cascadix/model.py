@@ -4,8 +4,8 @@ The input to every computation is a closed monotone symplectic manifold
 together with a distinguished symplectic hypersurface, auxiliary Morse data on
 the hypersurface and on the complement, and an exact description of the two
 relevant second-homology lattices.  This module holds the immutable setup
-descriptor, the JSON loader, and the pairing of lattice classes against the
-area, Chern, and intersection functionals.
+descriptor, the JSON loader, and the pairing of lattice classes against one
+functional; past `validate_setup` the engine reads only the integer ones.
 
 Every scalar here is an exact `fractions.Fraction` (or int); floats are
 rejected at parse time so downstream index arithmetic stays exact.
@@ -48,10 +48,6 @@ class DimensionMismatch(CascadixError):
     """Raised when a class vector does not match the lattice rank."""
 
 
-class MissingFunctional(CascadixError):
-    """Raised when pairing against a functional the lattice does not carry."""
-
-
 class Ambient(Enum):
     SIGMA = "Sigma"
     W = "W"
@@ -60,12 +56,6 @@ class Ambient(Enum):
 class FibreFlag(Enum):
     CHECK = "check"
     HAT = "hat"
-
-
-class Functional(Enum):
-    OMEGA = "omega"
-    C1 = "c1"
-    SIGMA_INTERSECTION = "sigma_intersection"
 
 
 Rational = Union[int, Fraction]
@@ -100,69 +90,48 @@ class HomologyLattice(NamedTuple):
     def rank(self) -> int:
         return len(self.generator_names)
 
-    def functional(self, which: Functional) -> tuple[Rational, ...]:
-        if which is Functional.OMEGA:
-            return self.omega
-        if which is Functional.C1:
-            return self.c1
-        if self.sigma_intersection is None:
-            raise MissingFunctional("lattice carries no sigma_intersection")
-        return self.sigma_intersection
 
-
-def pair(lattice: HomologyLattice, cls: Sequence[int],
-         which: Functional) -> Rational:
-    """Pair an integer class vector against one of the lattice functionals.
-
-    Exact: returns an int for c1 and sigma_intersection, whose values are
-    integers, and an exact rational (a `Fraction`, or the int 0) for
-    omega.  The zero vector pairs to 0 with every functional.
-    """
-    if len(cls) != lattice.rank:
-        raise DimensionMismatch(
-            f"class vector of length {len(cls)} against lattice of rank {lattice.rank}"
-        )
-    values = lattice.functional(which)
+def pair(values: Sequence[Rational], cls: Sequence[int]) -> Rational:
+    """Pair an integer class vector against a functional's values on the
+    generators, e.g. `pair(setup.lattice_x.c1, b)`: exact, and an int
+    against integer values.  The zero vector pairs to 0."""
+    if len(cls) != len(values):
+        raise DimensionMismatch(f"class vector of length {len(cls)} "
+                                f"against lattice of rank {len(values)}")
     return sum(c * v for c, v in zip(cls, values) if c)
 
 
-def area_classes(lattice: HomologyLattice, per: Rational = 1
+def area_classes(values: Sequence[Rational]
                  ) -> Callable[[Rational], Optional[IntVector]]:
-    """The map v -> class of area v/per on one lattice, its unit class
+    """The map v -> class of value v under one functional, its unit class
     found once.
 
-    The value v goes to m times the unit class if v/per = m*g with m > 0,
-    and to None otherwise; the catalog asks by v = K*area, so an integer
-    winding step is looked up without a `Fraction`.  The areas of the
-    lattice form g*Z.  The unit class of area g comes from the extended
-    Euclidean algorithm over the generators in file order, passing over a
-    generator whose area g so far divides.  In rank 1 it is the only class
-    of its area; in rank 0, or with all areas 0, none exists.
+    The values form g*Z; v goes to m times the unit class if v = m*g with
+    m > 0, and to None otherwise.  The unit class of value g comes from the
+    extended Euclidean algorithm over the generators in file order, passing
+    over a generator whose value g so far divides.  Scaling every value by
+    one positive constant leaves each quotient alone, so on c1 and the
+    divisor intersection, positive multiples of the area on a valid setup,
+    it is the unit class of the area.  In rank 1 it is the only class of
+    its value; in rank 0, or with all values 0, none exists.
     """
-    g, unit = Fraction(0), (0,) * lattice.rank
-    for i, w in enumerate(lattice.omega):
+    g, unit = 0, (0,) * len(values)
+    for i, w in enumerate(values):
         if g and w % g == 0:
             continue
-        # Euclid on (area, class) pairs, each class having its pair's area
-        a, b = (g, unit), (w, tuple(int(j == i) for j in range(lattice.rank)))
+        # Euclid on (value, class) pairs, each class having its pair's value
+        a, b = (g, unit), (w, tuple(int(j == i) for j in range(len(values))))
         while b[0]:
             q = a[0] // b[0]
             a, b = b, (a[0] - q * b[0],
                        tuple(x - q * y for x, y in zip(a[1], b[1])))
         g, unit = a if a[0] >= 0 else (-a[0], tuple(-x for x in a[1]))
 
-    # m * unit has area v/per exactly when m = v/(per*g)
-    per_unit = Fraction(per) * g
+    def of_value(v: Rational) -> Optional[IntVector]:
+        m, rest = divmod(v, g) if g else (0, 0)
+        return None if rest or m <= 0 else tuple(m * c for c in unit)
 
-    def of_area(v: Rational) -> Optional[IntVector]:
-        if not per_unit:
-            return None
-        m, rest = divmod(v * per_unit.denominator, per_unit.numerator)
-        if rest or m <= 0:
-            return None
-        return tuple(m * c for c in unit)
-
-    return of_area
+    return of_value
 
 
 class CriticalPoint(NamedTuple):
@@ -258,6 +227,15 @@ class SetupDescriptor(_SetupDescriptorFields):
             if p.name == name:
                 return p
         raise ValidationError(f"no filling critical point named {name!r}")
+
+
+def orbit_name_parts(name: str) -> Optional[Tuple[str, FibreFlag, int]]:
+    """(base point name, flag, winding) of an orbit generator's name
+    `<point>_<check|hat>_<digits>`, or None for any other name."""
+    parts = name.rsplit("_", 2)
+    if len(parts) == 3 and parts[1] in ("check", "hat") and parts[2].isdecimal():
+        return parts[0], FibreFlag(parts[1]), int(parts[2])
+    return None
 
 
 def _lattice_from_dict(raw: dict, where: str, want_sigma_int: bool) -> HomologyLattice:
@@ -401,6 +379,9 @@ def validate_setup(desc: SetupDescriptor) -> None:
     for p in desc.morse_w:
         if not 0 <= p.morse_index <= 2 * desc.n:
             raise ValidationError(f"Morse index out of range on W: {p.name}")
+        if orbit_name_parts(p.name) is not None:
+            raise ValidationError(
+                f"filling critical point named like an orbit generator: {p.name}")
 
     seen = set()
     for p in desc.morse_sigma + desc.morse_w:

@@ -17,8 +17,8 @@ from typing import Optional, Sequence
 from .errors import CascadixError
 from .grading import (Generator, InteriorGenerator, OrbitGenerator,
                       degree_difference, filling_class_term, grade)
-from .model import (Ambient, CriticalPoint, Functional, IntVector,
-                    SetupDescriptor, pair)
+from .model import (Ambient, CriticalPoint, IntVector, SetupDescriptor,
+                    pair)
 
 
 class VariantMismatch(CascadixError):
@@ -53,7 +53,7 @@ def _chain_term(setup: SetupDescriptor, classes_a: Sequence[IntVector],
         total = sum(filling_class_term(setup, b) for b in aug_classes)
     total += len(classes_a) - 1
     for a in classes_a:
-        total += 2 * pair(setup.lattice_sigma, a, Functional.C1)
+        total += 2 * pair(setup.lattice_sigma.c1, a)
     return total
 
 

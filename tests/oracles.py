@@ -28,7 +28,12 @@ package's generator types.  `grade_reeb`, `fraction_budget` and
 `fraction_index_identity` are the budget terms and index identity as
 `Fraction` sums from their definitions, kept as the reference the solver's
 integer and D-scaled sums are compared against; they read the package's
-generator and cascade records.  `reference_fibre_sum_orientation` is the
+generator and cascade records.  `omega_balance`, `omega_class_of_area`
+and `omega_plane_positive` are the level balance, the class of an area
+and the plane's area test read through omega, kept as the reference the
+engine's c1 and divisor-intersection forms are compared against;
+`omega_class_of_area` runs the package's `area_classes` on omega.
+`reference_fibre_sum_orientation` is the
 earlier multi-elimination fibre sum (product space, basis extension, a
 `Fraction` product and determinant signs), kept as the reference the
 one-elimination code is compared against;
@@ -329,12 +334,12 @@ def _box_classes(lattice, class_bound):
     one area apart, and in rank > 1 keeping them all would multiply the
     search by the many classes of each area.
     """
-    from cascadix.model import Functional, pair
+    from cascadix.model import pair
     nonzero = [abs(w) for w in lattice.omega if w]
     side = math.ceil(class_bound / min(nonzero)) if nonzero else 0
     out = {}
     for v in product(range(-side, side + 1), repeat=lattice.rank):
-        area = pair(lattice, v, Functional.OMEGA)
+        area = pair(lattice.omega, v)
         if any(v) and 0 < area <= class_bound:
             out.setdefault(area, v)
     return list(out.values())
@@ -342,12 +347,12 @@ def _box_classes(lattice, class_bound):
 
 def _brute_aug_assignments(setup, n_levels, x_classes):
     from cascadix.cascades import AugPuncture
-    from cascadix.model import Functional, pair
+    from cascadix.model import pair
     out = [()]
     singles = []
     for level in range(1, n_levels + 1):
         for b in x_classes:
-            mult = int(pair(setup.lattice_x, b, Functional.SIGMA_INTERSECTION))
+            mult = int(pair(setup.lattice_x.sigma_intersection, b))
             singles.append(AugPuncture(level, b, mult))
     out.extend((s,) for s in singles)
     if BRUTE_MAX_AUG >= 2:
@@ -359,10 +364,10 @@ def _brute_aug_assignments(setup, n_levels, x_classes):
 
 def _brute_chain_multiplicities(setup, k0, classes, aug):
     """Windings k0 <= k1 <= ... forced by per-level balance, or None."""
-    from cascadix.model import Functional, pair
+    from cascadix.model import pair
     mults = [k0]
     for i, a in enumerate(classes, start=1):
-        step = setup.k_const * pair(setup.lattice_sigma, a, Functional.OMEGA)
+        step = setup.k_const * pair(setup.lattice_sigma.omega, a)
         step += sum(p.multiplicity for p in aug if p.level == i)
         if step.denominator != 1 or step < 0:
             return None
@@ -373,13 +378,13 @@ def _brute_chain_multiplicities(setup, k0, classes, aug):
 def _row_area(setup, t):
     """The largest area of a class in a cascade type, 0 when it has none:
     the least class bound that keeps the type in the catalog."""
-    from cascadix.model import Functional, pair
-    areas = [pair(setup.lattice_sigma, a, Functional.OMEGA)
+    from cascadix.model import pair
+    areas = [pair(setup.lattice_sigma.omega, a)
              for a in t.classes_a]
-    areas += [pair(setup.lattice_x, p.class_b, Functional.OMEGA)
+    areas += [pair(setup.lattice_x.omega, p.class_b)
               for p in t.aug]
     if t.sphere_b is not None:
-        areas.append(pair(setup.lattice_x, t.sphere_b, Functional.OMEGA))
+        areas.append(pair(setup.lattice_x.omega, t.sphere_b))
     return max(areas, default=Fraction(0))
 
 
@@ -410,7 +415,7 @@ def _split_at_bound(setup, target, k_max, class_bound, types):
 def brute_force_contributions(setup, target, k_max, class_bound):
     from cascadix.cascades import CascadeType, classify_type
     from cascadix.grading import InteriorGenerator, OrbitGenerator, grade
-    from cascadix.model import (FibreFlag, Functional, LiftedCriticalPoint,
+    from cascadix.model import (FibreFlag, LiftedCriticalPoint,
                                 pair)
 
     found = []
@@ -430,7 +435,7 @@ def brute_force_contributions(setup, target, k_max, class_bound):
     sigma_classes += _box_classes(setup.lattice_sigma, wide)
     x_classes = []
     for v in _box_classes(setup.lattice_x, wide):
-        inter = pair(setup.lattice_x, v, Functional.SIGMA_INTERSECTION)
+        inter = pair(setup.lattice_x.sigma_intersection, v)
         if inter.denominator == 1 and inter >= 1:
             x_classes.append(v)
     one = Fraction(1)
@@ -476,8 +481,7 @@ def brute_force_contributions(setup, target, k_max, class_bound):
             for n_levels in range(1, BRUTE_MAX_LEVELS + 1):
                 zeros = (tuple([0] * setup.lattice_sigma.rank),) * n_levels
                 for b in x_classes:
-                    k0 = int(pair(setup.lattice_x, b,
-                                  Functional.SIGMA_INTERSECTION))
+                    k0 = int(pair(setup.lattice_x.sigma_intersection, b))
                     mults = _brute_chain_multiplicities(setup, k0, zeros, ())
                     if mults is None or mults[-1] != kt:
                         continue
@@ -542,7 +546,7 @@ def proposals(setup, target, k_max, class_bound):
 
     def solve(lattice, step):
         area = Fraction(step) / setup.k_const
-        return area_classes(lattice)(area) if area <= class_bound else None
+        return area_classes(lattice.omega)(area) if area <= class_bound else None
 
     for q in setup.morse_sigma:
         hat = LiftedCriticalPoint(q, FibreFlag.HAT)
@@ -623,7 +627,7 @@ def scan_level_shapes(setup, target, k_max, class_bound):
 
     def solve(lattice, step):
         area = Fraction(step) / setup.k_const
-        return area_classes(lattice)(area) if area <= class_bound else None
+        return area_classes(lattice.omega)(area) if area <= class_bound else None
 
     for q in setup.morse_sigma:
         for k0 in range(1, min(k_max, kt) + 1):
@@ -772,6 +776,34 @@ def fraction_index_identity(setup, t):
     return (value + 1 - 2 * setup.n + t.source.point.morse_index
             + 2 * (_fraction_pair(x.c1, t.sphere_b)
                    - _fraction_pair(x.sigma_intersection, t.sphere_b)))
+
+
+# ---------------------------------------------------------------------------
+# The catalog's class tests read through the area omega.
+#
+# The engine reads a class through c1 and the divisor intersection only,
+# which validation makes positive multiples of omega.  These are the same
+# tests from their definitions in omega.
+
+
+def omega_balance(setup, class_a, k_plus, k_minus, aug_multiplicities):
+    """The level balance k_+ - k_- - sum(aug) = K * omega(A), with
+    k_+ > k_- on a level that has a class or a plane."""
+    area = _fraction_pair(setup.lattice_sigma.omega, class_a)
+    if k_plus - k_minus - sum(aug_multiplicities) != setup.k_const * area:
+        return False
+    return not (any(class_a) or aug_multiplicities) or k_plus > k_minus
+
+
+def omega_class_of_area(lattice, area):
+    """The class the catalog lists for an area: `area_classes` on omega."""
+    from cascadix.model import area_classes
+    return area_classes(lattice.omega)(area)
+
+
+def omega_plane_positive(setup, class_b):
+    """The area test of an augmentation plane, omega(B) > 0."""
+    return _fraction_pair(setup.lattice_x.omega, class_b) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -1147,7 +1179,7 @@ def rigid_plane_classes(setup, omega_bound):
     Only at that area does the index 2((tau - K)*omega(B) - 1) vanish."""
     from cascadix.model import area_classes
     area = 1 / (setup.tau_x - setup.k_const)
-    b = area_classes(setup.lattice_x)(area)
+    b = area_classes(setup.lattice_x.omega)(area)
     return [b] if b is not None and area <= Fraction(omega_bound) else []
 
 
@@ -1188,10 +1220,10 @@ def cz_cap(setup, gen, class_b):
     """
     from cascadix.errors import CascadixError
     from cascadix.grading import OrbitGenerator, filling_class_term
-    from cascadix.model import Functional, pair
+    from cascadix.model import pair
     if not isinstance(gen, OrbitGenerator):
         raise CascadixError("cz_cap applies to orbit generators")
-    inter = pair(setup.lattice_x, class_b, Functional.SIGMA_INTERSECTION)
+    inter = pair(setup.lattice_x.sigma_intersection, class_b)
     if inter != gen.k:
         raise CapMismatch(
             f"capping class meets the divisor {inter} times, orbit winds {gen.k}"

@@ -35,7 +35,7 @@ from cascadix.grading import (
     augmentation_index,
     multiplicity_balance,
 )
-from cascadix.model import FibreFlag, Functional, pair
+from cascadix.model import FibreFlag, pair
 from cascadix.spectrum import ComplexLinear, Side, VerticalC
 
 TWO_PI = 2.0 * math.pi
@@ -176,7 +176,7 @@ def test_05_split_index_sums(announce, cp2):
         total = 0
         c1_sum = 0
         for cls, aug in zip(classes, augs):
-            c1 = int(pair(cp2.lattice_sigma, cls, Functional.C1))
+            c1 = int(pair(cp2.lattice_sigma.c1, cls))
             c1_sum += c1
             v, h = split_cylinder_problems(
                 cp2.n, c1, aug_count=aug,
@@ -238,7 +238,7 @@ def test_07_augmentation_bounds(announce, cp2, tau2, rank0):
         for m in range(2, 6):
             for vec in vectors:
                 covered = tuple(m * c for c in vec)
-                area = pair(setup.lattice_x, covered, Functional.OMEGA)
+                area = pair(setup.lattice_x.omega, covered)
                 if area > 10:
                     continue
                 value = augmentation_index(setup, covered)

@@ -31,7 +31,7 @@ from cascadix.grading import (
     orbit_generator,
     winding_at,
 )
-from cascadix.model import (FibreFlag, Functional, LiftedCriticalPoint,
+from cascadix.model import (FibreFlag, LiftedCriticalPoint,
                             area_classes, load_setup, pair, parse_setup)
 
 
@@ -236,15 +236,17 @@ class TestClassifyValidation:
         assert t.infeasible_reason == "non-integer degree difference"
 
     @pytest.mark.parametrize("target,source,mults,classes,sphere,aug,reason", [
+        # a zero sphere meets the divisor K*omega(B) = 0 times
         ("m_check_1", "x0", (1, 1), ((0,),), (0,), (),
-         "filling sphere has non-positive area"),
+         "filling sphere divisor intersection not a winding"),
         ("m_check_1", "x0", (2, 1), ((0,),), (1,), (),
          "bottom winding != sphere divisor intersection"),
         ("m_check_2", "M_hat_1", (1, 2), ((-1,),), None, (),
          "level 1 sphere has non-positive area"),
         ("m_check_2", "M_hat_1", (1, 2), ((2,),), None,
          (AugPuncture(1, (-1,), -1),),
-         "augmentation rejected: omega(B) = -1 is not positive"),
+         "augmentation rejected: 2(<c1(TX), B> - B.Sigma) = -4 is not "
+         "positive"),
         ("x0", "x0", (), (), None, (), "endpoints coincide"),
         # a bare flow from a generator to itself fits the budget
         ("m_check_1", "m_check_1", (1,), (), None, (),
@@ -260,22 +262,23 @@ class TestClassifyValidation:
         assert t.infeasible_reason == reason
 
     def test_infeasible_verdicts_of_inconsistent_data(self, cp2):
-        # A validated setup never reaches these verdicts: the index of a
-        # plane of positive area and the Reeb weight of its orbit are both
-        # (tau - K) * omega(B) - 1 or more, and a sphere of positive area
-        # meets the divisor K * omega(B) > 0 times.  A descriptor built
-        # without validation can break that, and then the type is refused.
+        # A validated setup never reaches these verdicts: a plane of
+        # positive area has filling class term 2(tau - K) * omega(B) > 0,
+        # the Reeb weight of its orbit is (tau - K) * omega(B) - 1 or more,
+        # and a sphere of positive area meets the divisor K * omega(B) > 0
+        # times.  A descriptor built without validation can break that,
+        # and then the type is refused.
         target, source = gen_by_name(cp2, "m_check_2"), gen_by_name(cp2, "M_hat_1")
         shape = ((1, 2), ((0,),), None, (AugPuncture(1, (1,), 1),))
         # on cp2 itself the plane passes and the budget decides
         t = classify_type(cp2, target, source, *shape)
         assert t.infeasible_reason == "budget 3 exceeds 1"
-        # c1(B) = B.Sigma: the plane's index is 2(1 - 1) - 2 = -2
+        # c1(B) = B.Sigma: the plane's filling class term is 2(1 - 1) = 0
         flat = cp2._replace(lattice_x=cp2.lattice_x._replace(c1=(1,)))
         t = classify_type(flat, target, source, *shape)
-        assert t.infeasible_reason == ("augmentation rejected: augmentation "
-                                       "index -2 negative on a positive-area "
-                                       "class")
+        assert t.infeasible_reason == ("augmentation rejected: "
+                                       "2(<c1(TX), B> - B.Sigma) = 0 is not "
+                                       "positive")
         # tau = 3/2: the Reeb weight of a once-wound plane is -2 + 1 = -1
         slow = cp2._replace(tau_x=Fraction(3, 2))
         t = classify_type(slow, gen_by_name(slow, "m_check_2"),
@@ -485,10 +488,10 @@ def test_count_breaking_rows_refused(cp2, tau2, data_dir):
     Each such row breaks the shape rule of its label."""
     templates = 0
     for setup in (cp2, tau2, rank2_cp2(data_dir)):
-        a = area_classes(setup.lattice_sigma)(1)
-        b = area_classes(setup.lattice_x)(1)
+        a = area_classes(setup.lattice_sigma.omega)(1)
+        b = area_classes(setup.lattice_x.omega)(1)
         zero = (0,) * len(a)
-        winding = int(pair(setup.lattice_x, b, Functional.SIGMA_INTERSECTION))
+        winding = int(pair(setup.lattice_x.sigma_intersection, b))
         plane, upper_plane = AugPuncture(1, b, winding), AugPuncture(2, b, winding)
         for t in (f.template for fams in cascades.families(setup).values()
                   for f in fams):
@@ -517,10 +520,10 @@ def _by_area(setup, t):
     """The type with every class replaced by its area."""
     sigma, x = setup.lattice_sigma, setup.lattice_x
     return t._replace(
-        classes_a=tuple(pair(sigma, a, Functional.OMEGA) for a in t.classes_a),
+        classes_a=tuple(pair(sigma.omega, a) for a in t.classes_a),
         sphere_b=(None if t.sphere_b is None
-                  else pair(x, t.sphere_b, Functional.OMEGA)),
-        aug=tuple(p._replace(class_b=pair(x, p.class_b, Functional.OMEGA))
+                  else pair(x.omega, t.sphere_b)),
+        aug=tuple(p._replace(class_b=pair(x.omega, p.class_b))
                   for p in t.aug))
 
 
@@ -923,13 +926,13 @@ def test_class_of_area_matches_box(setup):
         side = 12 if nonzero else 0
         box = {}
         for v in product(range(-side, side + 1), repeat=lattice.rank):
-            box.setdefault(pair(lattice, v, Functional.OMEGA), []).append(v)
+            box.setdefault(pair(lattice.omega, v), []).append(v)
         for m in range(-4, 13):
             for d in range(1, 5):
                 area = Fraction(m, d) * u
-                got = area_classes(lattice)(area)
+                got = area_classes(lattice.omega)(area)
                 if area > 0 and area in box:
-                    assert pair(lattice, got, Functional.OMEGA) == area
+                    assert pair(lattice.omega, got) == area
                     if lattice.rank == 1:
                         assert [got] == box[area]
                 else:

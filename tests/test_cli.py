@@ -64,6 +64,46 @@ def test_validate_names_the_fault(run_cli, data_dir, tmp_path, field, value,
     assert result.stderr == f"error: model: {error}\n"
 
 
+@pytest.mark.parametrize("name", ["m_check_1", "z_hat_2", "_check_0"])
+def test_orbit_form_filling_name_refused(run_cli, data_dir, tmp_path, name):
+    # `enumerate --target` reads <point>_<check|hat>_<digits> as an orbit
+    # generator, so a filling point so named could not be asked for, and
+    # `grade` and the catalog could print two generators of one name
+    raw = json.loads((data_dir / "cp2.json").read_text())
+    raw["morse_w"][0]["name"] = name
+    path = tmp_path / "setup.json"
+    path.write_text(json.dumps(raw))
+    for command in ("validate", "grade", "enumerate --all-targets",
+                    f"enumerate --target {name}"):
+        result = run_cli(*command.split(), "--setup", str(path))
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == ("error: model: ValidationError: filling "
+                                 "critical point named like an orbit "
+                                 f"generator: {name}\n")
+
+
+@pytest.mark.parametrize("name", ["x_check", "x_hat_", "check_1", "x_hat_1a",
+                                  "x_hat_\u00b2"])
+def test_filling_names_near_the_orbit_form_load(run_cli, data_dir, tmp_path,
+                                                name):
+    # none is an orbit name; a superscript digit is no decimal digit, and
+    # `int` cannot read it as a winding
+    raw = json.loads((data_dir / "cp2.json").read_text())
+    raw["morse_w"][0]["name"] = name
+    path = tmp_path / "setup.json"
+    path.write_text(json.dumps(raw))
+    assert run_cli("validate", "--setup", str(path)).exit_code == 0
+    # the catalog reads the point as cp2 reads x0, under its new name
+    for target, shipped_target in ((name, "x0"), ("m_check_1", "m_check_1")):
+        shipped = run_cli("enumerate", "--setup", str(data_dir / "cp2.json"),
+                          "--target", shipped_target)
+        renamed = run_cli("enumerate", "--setup", str(path),
+                          "--target", target)
+        assert renamed.exit_code == shipped.exit_code == 0
+        assert renamed.stdout == shipped.stdout.replace("x0", name)
+
+
 def test_usage_errors_exit_two(run_cli, data_dir):
     setup = str(data_dir / "cp2.json")
     r1 = run_cli("enumerate", "--setup", setup)

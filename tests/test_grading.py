@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,9 @@ from cascadix.errors import CascadixError
 from cascadix.grading import (
     InteriorGenerator,
     OrbitGenerator,
+    NonPositiveArea,
     UnknownCriticalPoint,
+    augmentation_index,
     coset_label,
     degree_difference,
     enumerate_generators,
@@ -19,10 +22,13 @@ from cascadix.grading import (
     interior_generator,
     orbit_generator,
     scaled_degree,
+    multiplicity_balance,
     scaled_reeb_weight,
+    sigma_c1_of_step,
     winding_at,
 )
-from cascadix.model import Ambient, CriticalPoint, FibreFlag, LiftedCriticalPoint
+from cascadix.model import (Ambient, CriticalPoint, FibreFlag,
+                            LiftedCriticalPoint, area_classes, pair)
 from oracles import CapMismatch, cz_cap, grade_reeb
 from test_cascades import monotone_setups, shipped_setup
 
@@ -111,6 +117,41 @@ def test_integer_forms_shipped(name, data):
 @given(setup=monotone_setups(), data=st.data())
 def test_integer_forms_random(setup, data):
     assert_integer_forms(setup, data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(setup=monotone_setups())
+def test_integer_functionals_match_omega(setup):
+    """The catalog reads classes through c1 on Sigma and B.Sigma on X; each
+    test gives what its omega form gives: the class of each step, the unit
+    class included in rank 2, the level balance and the plane's refusal."""
+    sigma, x, k = setup.lattice_sigma, setup.lattice_x, setup.k_const
+    sigma_class = area_classes(sigma.c1)
+    x_class = area_classes(x.sigma_intersection)
+    sigma_box = list(product(range(-2, 3), repeat=sigma.rank))
+    x_box = list(product(range(-2, 3), repeat=x.rank))
+    steps = set(range(-2, 13))
+    steps |= {k * pair(sigma.omega, a) for a in sigma_box}
+    steps |= {k * pair(x.omega, b) for b in x_box}
+    for step in sorted(s for s in steps if s.denominator == 1):
+        step = int(step)
+        c1 = sigma_c1_of_step(setup, step)
+        exact = (setup.tau_x - k) * step / k
+        assert c1 == (exact if exact.denominator == 1 else None)
+        assert (None if c1 is None else sigma_class(c1)) == \
+            oracles.omega_class_of_area(sigma, step / k)
+        assert x_class(step) == oracles.omega_class_of_area(x, step / k)
+    for a in sigma_box:
+        for k_plus, k_minus in product(range(5), repeat=2):
+            for aug in ((), (1,), (2, 1)):
+                assert multiplicity_balance(setup, a, k_plus, k_minus, aug) \
+                    == oracles.omega_balance(setup, a, k_plus, k_minus, aug)
+    for b in x_box:
+        if oracles.omega_plane_positive(setup, b):
+            assert augmentation_index(setup, b) >= 0
+        else:
+            with pytest.raises(NonPositiveArea):
+                augmentation_index(setup, b)
 
 
 def test_reeb_weight_vs_minimum_check_orbit_in_dim_two(cp2):

@@ -11,10 +11,8 @@ from cascadix.model import (
     CriticalPoint,
     DimensionMismatch,
     FibreFlag,
-    Functional,
     HomologyLattice,
     LiftedCriticalPoint,
-    MissingFunctional,
     ParseError,
     ValidationError,
     load_setup,
@@ -61,18 +59,23 @@ def test_rank_zero_valid(rank0):
 
 
 def test_pair_examples(cp2):
-    assert pair(cp2.lattice_x, [1], Functional.OMEGA) == 1
-    assert pair(cp2.lattice_x, [2], Functional.C1) == 6
-    assert pair(cp2.lattice_x, [0], Functional.OMEGA) == 0
-    assert pair(cp2.lattice_x, [2], Functional.SIGMA_INTERSECTION) == 2
-    assert pair(cp2.lattice_sigma, [1], Functional.C1) == 2
+    assert pair(cp2.lattice_x.omega, [1]) == 1
+    assert pair(cp2.lattice_x.c1, [2]) == 6
+    assert pair(cp2.lattice_x.omega, [0]) == 0
+    assert pair(cp2.lattice_x.sigma_intersection, [2]) == 2
+    assert pair(cp2.lattice_sigma.c1, [1]) == 2
 
 
-def test_pair_errors(cp2):
+def test_pair_errors(cp2, rank0):
     with pytest.raises(DimensionMismatch):
-        pair(cp2.lattice_x, [1, 0], Functional.OMEGA)
-    with pytest.raises(MissingFunctional):
-        pair(cp2.lattice_sigma, [1], Functional.SIGMA_INTERSECTION)
+        pair(cp2.lattice_x.omega, [1, 0])
+    with pytest.raises(DimensionMismatch, match="^class vector of length 0 "
+                       "against lattice of rank 1$"):
+        pair(cp2.lattice_sigma.c1, [])
+    # the divisor intersection lives on the X-lattice alone, and on a rank-0
+    # one it is the empty functional
+    assert cp2.lattice_sigma.sigma_intersection is None
+    assert pair(rank0.lattice_x.sigma_intersection, ()) == 0
 
 
 @given(st.lists(st.integers(-50, 50), min_size=2, max_size=2),
@@ -80,8 +83,7 @@ def test_pair_errors(cp2):
 def test_pair_is_linear(u, v):
     lat = HomologyLattice(("a", "b"), (Fraction(1, 3), Fraction(5, 2)), (1, 2))
     s = [u[i] + v[i] for i in range(2)]
-    assert pair(lat, s, Functional.OMEGA) == \
-        pair(lat, u, Functional.OMEGA) + pair(lat, v, Functional.OMEGA)
+    assert pair(lat.omega, s) == pair(lat.omega, u) + pair(lat.omega, v)
 
 
 def test_monotonicity_identities(cp2, tau2):
@@ -91,15 +93,15 @@ def test_monotonicity_identities(cp2, tau2):
         for i in range(desc.lattice_x.rank):
             e = [0] * desc.lattice_x.rank
             e[i] = 1
-            assert pair(desc.lattice_x, e, Functional.C1) == \
-                desc.tau_x * pair(desc.lattice_x, e, Functional.OMEGA)
-            assert pair(desc.lattice_x, e, Functional.SIGMA_INTERSECTION) == \
-                desc.k_const * pair(desc.lattice_x, e, Functional.OMEGA)
+            assert pair(desc.lattice_x.c1, e) == \
+                desc.tau_x * pair(desc.lattice_x.omega, e)
+            assert pair(desc.lattice_x.sigma_intersection, e) == \
+                desc.k_const * pair(desc.lattice_x.omega, e)
         for i in range(desc.lattice_sigma.rank):
             e = [0] * desc.lattice_sigma.rank
             e[i] = 1
-            assert pair(desc.lattice_sigma, e, Functional.C1) == \
-                (desc.tau_x - desc.k_const) * pair(desc.lattice_sigma, e, Functional.OMEGA)
+            assert pair(desc.lattice_sigma.c1, e) == \
+                (desc.tau_x - desc.k_const) * pair(desc.lattice_sigma.omega, e)
 
 
 def test_bad_chern_convention_rejected():

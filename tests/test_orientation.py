@@ -137,18 +137,6 @@ def test_kernel_vectors_are_primitive_integers():
 # --- invariance properties ---------------------------------------------
 
 
-def test_basis_independence():
-    # seed 7, 40 checked triples; the runner also holds the kernel vectors
-    # fixed when dim W >= 1
-    assert drills.run_basis_independence_trials(7, 40) == []
-
-
-def test_single_sign_flip_flips_output():
-    # seed 11, 30 checked triples per flipped space
-    for which in ("v1", "v2", "w"):
-        assert drills.run_flip_trials(11, 30, which) == []
-
-
 def test_packaged_property_runners_pass():
     assert drills.run_basis_independence_trials(5, 25) == []
     for which in ("v1", "v2", "w"):
