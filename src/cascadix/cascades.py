@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from collections import Counter
 from enum import Enum
-from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import CascadixError
@@ -48,6 +47,7 @@ from .grading import (
     augmentation_index,
     degree_difference,
     enumerate_generators,
+    exact_quotient,
     filling_class_term,
     multiplicity_balance,
     scaled_degree,
@@ -149,12 +149,6 @@ class CascadeType(NamedTuple):
                 self.source.display_name)
 
 
-def _exact(scaled: int, d: int) -> Rational:
-    """scaled/d: an int when d divides it, else a `Fraction`."""
-    value, rest = divmod(scaled, d)
-    return Fraction(scaled, d) if rest else value
-
-
 def index_identity(setup: SetupDescriptor, t: CascadeType) -> Rational:
     """Expand the degree difference of a cascade ending on an orbit.
 
@@ -176,7 +170,7 @@ def index_identity(setup: SetupDescriptor, t: CascadeType) -> Rational:
                   + filling_class_term(setup, t.sphere_b))
     else:
         value -= t.source.point.lifted_index
-    return _exact(d * value + weights, d)
+    return exact_quotient(d * value + weights, d)
 
 
 def classify_type(setup: SetupDescriptor, target: Generator, source: Generator,
@@ -292,8 +286,8 @@ def classify_type(setup: SetupDescriptor, target: Generator, source: Generator,
         ("augmentations", k_aug),
         ("spare_stabilizers", k_aug + spare - draft.n_constant),
         ("augmentation_weights",
-         _exact(sum(scaled_reeb_weight(setup, a.multiplicity) for a in aug),
-                d)),
+         exact_quotient(sum(scaled_reeb_weight(setup, a.multiplicity)
+                            for a in aug), d)),
     ))
     bad = budget.first_negative()
     if bad is not None:
@@ -386,12 +380,14 @@ def _representatives(setup: SetupDescriptor):
 
     lifts = [LiftedCriticalPoint(q, flag) for q in setup.morse_sigma
              for flag in (FibreFlag.CHECK, FibreFlag.HAT)]
+    by_index: Dict[int, List[LiftedCriticalPoint]] = {}
+    for q in lifts:
+        by_index.setdefault(q.lifted_index, []).append(q)
     for p in lifts:
-        for q in lifts:
-            # at a common winding the degrees differ as the lifted indices
-            if p.lifted_index - q.lifted_index == 1:
-                yield (0, 0, OrbitGenerator(p, 1),
-                       OrbitGenerator(q, 1), (1,), (), None, ())
+        # at a common winding the degrees differ as the lifted indices
+        for q in by_index.get(p.lifted_index - 1, ()):
+            yield (0, 0, OrbitGenerator(p, 1),
+                   OrbitGenerator(q, 1), (1,), (), None, ())
 
     hats = [OrbitGenerator(q, 1) for q in lifts if q.flag is FibreFlag.HAT]
     for p in lifts:
@@ -452,7 +448,8 @@ def families(setup: SetupDescriptor) -> Families:
         t = classify_type(setup, target, *shape)
         if t.feasible:
             by_target.setdefault(target.point, []).append(
-                Family(t, step, _exact(k_area * k.denominator, k.numerator),
+                Family(t, step,
+                       exact_quotient(k_area * k.denominator, k.numerator),
                        tuple(_structural_violations(setup, t))))
     return {point: tuple(fams) for point, fams in by_target.items()}
 
@@ -549,7 +546,7 @@ def enumerate_contributions(setup: SetupDescriptor, target: Generator,
     Warnings name the bounds that leave rows out; no warnings means the
     list is provably complete.
     """
-    return _catalog(setup, [target], k_max, class_bound)
+    return _catalog(families(setup), [target], k_max, class_bound)
 
 
 def certify_classification(setup: SetupDescriptor, k_max: int,
@@ -559,16 +556,21 @@ def certify_classification(setup: SetupDescriptor, k_max: int,
     Every feasible type is re-checked (its degree, index identity and
     case shape) once per family (see `families`), and any mismatch is
     reported against each row of the family as a counterexample.  Targets
-    are taken in generator order.
+    are taken in generator order; a generator at a point that carries no
+    family ends no row and names no area, so only the points that carry
+    one are enumerated.
     """
-    targets = enumerate_generators(setup, k_max)   # refuses k_max < 0 first
-    return _catalog(setup, targets, k_max, class_bound)
+    solved = families(setup)
+    # refuses k_max < 0 before `_catalog` refuses a bound below 1
+    targets = enumerate_generators(setup, k_max, points=solved)
+    return _catalog(solved, targets, k_max, class_bound)
 
 
-def _catalog(setup: SetupDescriptor, targets: Sequence[Generator],
+def _catalog(solved: Families, targets: Sequence[Generator],
              k_max: int, class_bound: int) -> CertificationReport:
     """The rows ending on each target in turn, each target's sorted, with
-    the violations of their families and the targets' warnings.
+    the violations of their families and the targets' warnings.  `solved`
+    is the setup's `families`.
 
     A row whose class area is above class_bound is left out and named in a
     warning instead, with its area, so no warnings means nothing is left
@@ -580,7 +582,7 @@ def _catalog(setup: SetupDescriptor, targets: Sequence[Generator],
         raise CascadixError("enumeration bounds must be positive")
     # each family's area against the bound, once per call, not per row
     shapes = {point: [(f, f.area <= class_bound) for f in fams]
-              for point, fams in families(setup).items()}
+              for point, fams in solved.items()}
     types: List[CascadeType] = []
     violations: List[str] = []
     warnings: List[str] = []

@@ -114,13 +114,12 @@ GEN_HEADER = ["name", "kind", "degree", "coset"]
 
 def _generator_rows(setup, k_max, degree):
     from . import grading
-    from .model import format_rational
 
     rows = []
     for gen in grading.enumerate_generators(setup, k_max, degree):
         rows.append([gen.display_name, gen.kind,
-                     format_rational(grading.grade(setup, gen)),
-                     format_rational(grading.coset_label(setup, gen))])
+                     str(grading.grade(setup, gen)),
+                     str(grading.coset_label(setup, gen))])
     return rows
 
 
@@ -297,7 +296,6 @@ CATALOG_HEADER = [
 
 def _catalog_rows(setup, types):
     from . import grading
-    from .model import format_rational
 
     return [[
         t.target.display_name,
@@ -313,8 +311,8 @@ def _catalog_rows(setup, types):
         ";".join(_vec(a) for a in t.classes_a),
         "" if t.sphere_b is None else _vec(t.sphere_b),
         ";".join(f"{a.level}:{_vec(a.class_b)}" for a in t.aug),
-        format_rational(grading.grade(setup, t.target)),
-        format_rational(grading.grade(setup, t.source)),
+        str(grading.grade(setup, t.target)),
+        str(grading.grade(setup, t.source)),
     ] for t in types]
 
 

@@ -11,9 +11,11 @@ On one setup every degree lies in (1/D)Z, with D the denominator of the
 winding slope 2(tau_X - K)/K = p/D (`SetupDescriptor.degree_scale`).  So
 degrees are sorted, solved and compared as the integers D*degree
 (`scaled_degree`, `degree_difference`), and `grade` and `coset_label` turn
-one into the printed `Fraction`.  An orbit's D*degree is affine in its
-winding with slope p, so the winding at which a lift has a given degree is
-one division by p (`winding_at`), the one place a winding is solved.
+one into the printed value.  Each divides by D once and builds a
+`Fraction` only when D does not divide (`exact_quotient`).  An orbit's
+D*degree is affine in its winding with slope p, so the winding at which a
+lift has a given degree is one division by p (`winding_at`), the one place
+a winding is solved.
 
 The per-piece index terms the cascade solver adds up live here too, each an
 int: the Reeb weight of a plane's orbit, as D times itself
@@ -25,7 +27,7 @@ across one cascade level, read through c1 (`sigma_c1_of_step`).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, NamedTuple, Optional, Sequence, Union
+from typing import Container, List, NamedTuple, Optional, Sequence, Union
 
 from .errors import CascadixError
 from .model import (
@@ -33,6 +35,7 @@ from .model import (
     CriticalPoint,
     FibreFlag,
     LiftedCriticalPoint,
+    Rational,
     SetupDescriptor,
     pair,
 )
@@ -132,13 +135,19 @@ def scaled_degree(setup: SetupDescriptor, gen: Generator) -> int:
     return d * (gen.point.lifted_index + 1 - setup.n) + p * gen.k
 
 
-def grade(setup: SetupDescriptor, gen: Generator) -> Fraction:
-    """Degree of a generator.
+def exact_quotient(scaled: int, d: int) -> Rational:
+    """scaled/d: an int when d divides it, else a `Fraction`."""
+    value, rest = divmod(scaled, d)
+    return Fraction(scaled, d) if rest else value
+
+
+def grade(setup: SetupDescriptor, gen: Generator) -> Rational:
+    """Degree of a generator: an int when it is one, else a `Fraction`.
 
     Orbit generators: (lifted Morse index) + 1 - n + 2*(tau_X - K)/K * k.
     Interior generators: n - (Morse index).
     """
-    return Fraction(scaled_degree(setup, gen), setup.degree_scale[0])
+    return exact_quotient(scaled_degree(setup, gen), setup.degree_scale[0])
 
 
 def degree_difference(setup: SetupDescriptor, a: Generator,
@@ -205,10 +214,11 @@ def augmentation_index(setup: SetupDescriptor, class_b: Sequence[int]) -> int:
     return term - 2
 
 
-def coset_label(setup: SetupDescriptor, gen: Generator) -> Fraction:
-    """Fractional part of the degree; constant on each interacting block."""
+def coset_label(setup: SetupDescriptor, gen: Generator) -> Rational:
+    """Fractional part of the degree; constant on each interacting block.
+    The int 0 when the degree is an integer, else a `Fraction`."""
     d = setup.degree_scale[0]
-    return Fraction(scaled_degree(setup, gen) % d, d)
+    return exact_quotient(scaled_degree(setup, gen) % d, d)
 
 
 def _sort_key(setup: SetupDescriptor, gen: Generator):
@@ -233,20 +243,26 @@ def winding_at(setup: SetupDescriptor, point: LiftedCriticalPoint,
 
 
 def enumerate_generators(setup: SetupDescriptor, k_max: int,
-                         degree: Optional[Fraction] = None) -> List[Generator]:
+                         degree: Optional[Fraction] = None,
+                         points: Optional[Container] = None
+                         ) -> List[Generator]:
     """All generators with winding <= k_max, sorted by degree then name.
 
     Without a degree filter the list has |crit W| + 2 * |crit Sigma| * k_max
     entries.  With one, only generators of exactly that degree are built:
     none when D*degree is not an integer, and otherwise each lift at the
     one winding `winding_at` gives, if any, so the cost does not grow with
-    k_max.
+    k_max.  With `points`, only the generators at those filling critical
+    points and lifts are built; the order is that of the full list.
     """
     if k_max < 0:
         raise CascadixError(f"k_max must be >= 0, got {k_max}")
     gens: List[Generator] = [InteriorGenerator(p) for p in setup.morse_w]
     lifts = [LiftedCriticalPoint(p, flag) for p in setup.morse_sigma
              for flag in (FibreFlag.CHECK, FibreFlag.HAT)]
+    if points is not None:
+        gens = [g for g in gens if g.point in points]
+        lifts = [q for q in lifts if q in points]
     if degree is None:
         gens += [OrbitGenerator(point, k) for point in lifts
                  for k in range(1, k_max + 1)]

@@ -824,9 +824,15 @@ def assert_generators_match_fraction_order(setup, k_max, data):
     """`enumerate_generators` and `winding_at` against the `Fraction`
     reference: no degree filter, a degree some generator has, or one drawn
     at random, fractional, negative or never attained.  A degree outside
-    (1/D)Z is no lift's degree at any winding, integer or not."""
+    (1/D)Z is no lift's degree at any winding, integer or not.  A set of
+    points picks the full list's generators at those points, in order."""
     everything = enumerate_generators(setup, k_max)
     assert everything == oracles.fraction_sorted_generators(setup, k_max)
+    points = data.draw(st.sets(st.sampled_from(
+        [LiftedCriticalPoint(q, flag) for q in setup.morse_sigma
+         for flag in FibreFlag] + list(setup.morse_w))))
+    assert enumerate_generators(setup, k_max, points=points) == \
+        [g for g in everything if g.point in points]
     attained = sorted({oracles.fraction_degree(setup, g) for g in everything})
     drawn = st.fractions(-40, 40, max_denominator=12) \
         | st.integers(-10**6, 10**6).map(Fraction)

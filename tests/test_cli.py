@@ -1,6 +1,7 @@
 import contextlib
 import importlib.util
 import json
+import math
 import os
 import re
 import subprocess
@@ -16,8 +17,11 @@ from hypothesis import strategies as st
 import oracles
 
 from cascadix import cli, morse, pearls
-from cascadix.grading import orbit_generator
+from cascadix.cascades import certify_classification
+from cascadix.grading import (coset_label, enumerate_generators, grade,
+                              orbit_generator)
 from cascadix.model import FibreFlag, format_rational
+from test_cascades import monotone_setups, shipped_setup
 
 
 # --- exit code contract ------------------------------------------------
@@ -304,6 +308,43 @@ def test_grade_degree_independent_of_kmax(data_dir):
                       "--degree", "5", "--csv", timeout=30)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == b"name,kind,degree,coset\r\nM_check_1,orbit,5,0\r\n"
+
+
+def assert_degree_cells_match_fractions(setup, k_max, class_bound):
+    """The catalog's degree_target and degree_source cells and the grade
+    table's degree and coset cells print the `Fraction` degrees, and
+    `grade` and `coset_label` are ints exactly when the degree is one."""
+    report = certify_classification(setup, k_max, class_bound)
+    for t, row in zip(report.types, cli._catalog_rows(setup, report.types)):
+        ends = (t.target, t.source)
+        assert row[-2:] == [format_rational(grade(setup, g)) for g in ends]
+        assert row[-2:] == [format_rational(oracles.fraction_degree(setup, g))
+                            for g in ends]
+    gens = enumerate_generators(setup, k_max)
+    rows = cli._generator_rows(setup, k_max, None)
+    assert [row[0] for row in rows] == [g.display_name for g in gens]
+    for gen, (_, _, degree, coset) in zip(gens, rows):
+        want = oracles.fraction_degree(setup, gen)
+        assert degree == format_rational(grade(setup, gen)) \
+            == format_rational(want)
+        assert coset == format_rational(want - math.floor(want))
+        assert (type(grade(setup, gen)) is int) == (want.denominator == 1)
+        assert (type(coset_label(setup, gen)) is int) == \
+            (want.denominator == 1)
+
+
+@pytest.mark.parametrize("name", ["cp2", "tau2", "rank0", "rank2"])
+def test_degree_cells_match_fractions_shipped(name):
+    assert_degree_cells_match_fractions(shipped_setup(name), 40, 40)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+@given(setup=monotone_setups().filter(lambda s: s.degree_scale[0] > 1),
+       k_max=st.integers(1, 12), class_bound=st.integers(1, 12))
+def test_degree_cells_match_fractions_random(setup, k_max, class_bound):
+    assert_degree_cells_match_fractions(setup, k_max, class_bound)
 
 
 def test_dim_matches_library(run_cli, data_dir, tmp_path, cp2):
