@@ -351,7 +351,16 @@ Families = Dict[Union[LiftedCriticalPoint, CriticalPoint],
 
 def _representatives(setup: SetupDescriptor):
     """(step, K*area, target, source, multiplicities, classes, sphere, aug)
-    of one shape per family the budget allows.
+    of one proposed shape per family; `families` keeps the ones
+    `classify_type` accepts.
+
+    The proposals include shapes that are always refused.  Every Case 0
+    pair of a hat target over a check source (fibre step 2) is refused by
+    the budget, and so is a constant level carrying a plane between
+    different base points when the plane's Reeb weight pushes the budget
+    past 1 (on cp2 and tau2, the level over `M_hat_1`); a lighter such
+    plane is refused by the constant level's base-point pin.  On cp2, tau2
+    and rank0 the budget refuses 3 of 6, 3 of 11 and 2 of 3 proposals.
 
     Interior flows: every pair of interior points one degree apart.  Case
     0: a bare flow at a common winding between two lifts whose lifted

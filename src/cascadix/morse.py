@@ -11,11 +11,17 @@ works on that.  `boundaries` assembles each degree once, straight from the
 flows, as sparse columns of nonzero counts, and checks d^2 = 0;
 `homology_from` runs the Smith form on those same columns, and no dense
 matrix is ever built.  The d^2 = 0 check multiplies the columns' nonzero
-entries, so its cost follows the nonzeros, not the full matrix sizes.  The
-Smith form is one elimination on a sparse row/column form: the pivot is an
-entry of least absolute value (ties to least Markowitz cost, so +-1 entries
-go first, as in Dumas-Saunders-Villard 2001), its column is cleared with
-floor quotients, then its row once the column holds no remainder, and a
+entries, so its cost follows the nonzeros, not the full matrix sizes, and
+the names for its error message are looked up only when it fails.  The
+Smith form is one elimination on a sparse row/column form.  It first takes
+every fill-free pivot in one worklist sweep: a +-1 entry alone in its row
+or in its column, or any entry alone in both, whose row and column are
+removed with no other entry changed; a removal that leaves another line
+with one entry puts that line back on the worklist, so chains of such
+pivots go in one sweep.  On what is left, the pivot is an entry of least
+absolute value (ties to least Markowitz cost, so +-1 entries go first, as
+in Dumas-Saunders-Villard 2001), its column is cleared with floor
+quotients, then its row once the column holds no remainder, and a
 remainder, being smaller than the pivot, is simply the next pivot.  Rows
 and columns are bucketed by least |entry| and number of entries, so the
 pivot search reads a few lines instead of the whole matrix, and only the
@@ -174,16 +180,18 @@ def _check_square_zero(data: MorseData, columns: Dict[int, Columns]) -> None:
         if d - 1 not in columns:
             continue
         lower = columns[d - 1]
-        finals = data.points_of_degree(d - 2)
-        for src, column in zip(data.points_of_degree(d), columns[d]):
+        for j, column in enumerate(columns[d]):
             totals: Dict[int, int] = {}
             for k, u in column.items():
                 for i, w in lower[k].items():
                     totals[i] = totals.get(i, 0) + w * u
-            bad = min((i for i, t in totals.items() if t), default=None)
-            if bad is not None:
+            if any(totals.values()):
+                # names only for the message: looked up on failure alone
+                bad = min(i for i, t in totals.items() if t)
+                src = data.points_of_degree(d)[j]
+                final = data.points_of_degree(d - 2)[bad]
                 raise BoundarySquaredNonzero(
-                    f"d^2 sends {src.name} to {finals[bad].name} "
+                    f"d^2 sends {src.name} to {final.name} "
                     f"with coefficient {totals[bad]}")
 
 
@@ -228,8 +236,9 @@ def _invariant_factors(columns: Sequence[Dict[int, int]]) -> List[int]:
 
     One elimination diagonalises the matrix; the Smith form is unique, so
     folding the diagonal into a divisibility chain gives the invariant
-    factors whatever the pivot order.  After each pivot only the lines it
-    touched are re-bucketed.
+    factors whatever the pivot order.  `_take_fill_free` first takes every
+    pivot that changes no other entry; the rest are found by `_pivot`, and
+    after each of those only the lines it touched are re-bucketed.
     """
     rows, cols = _Lines(), _Lines()
     for j, column in enumerate(columns):
@@ -237,9 +246,9 @@ def _invariant_factors(columns: Sequence[Dict[int, int]]) -> List[int]:
             cols.lines[j] = dict(column)
             for i, v in column.items():
                 rows.lines.setdefault(i, {})[j] = v
+    diagonal = _take_fill_free(rows.lines, cols.lines)
     rows.rekey(list(rows.lines))
     cols.rekey(list(cols.lines))
-    diagonal: List[int] = []
     while rows.lines:
         i0, j0 = _pivot(rows, cols)
         # every entry the two clearings change lies in these rows and columns
@@ -256,6 +265,43 @@ def _invariant_factors(columns: Sequence[Dict[int, int]]) -> List[int]:
         rows.rekey(touched_rows)
         cols.rekey(touched_cols)
     return _divisibility_chain(diagonal)
+
+
+def _take_fill_free(rows: Dict[int, Dict[int, int]],
+                    cols: Dict[int, Dict[int, int]]) -> List[int]:
+    """Take every fill-free pivot; return their absolute values.
+
+    A pivot is fill-free when it is a +-1 entry alone in its row or in its
+    column, or any entry alone in both.  Clearing the rest of its column
+    (or row) with it changes no other entry, so up to unimodular moves the
+    matrix is the pivot beside what is left once its row and column are
+    removed.  Taking a pivot alone in its row removes its column, which
+    can leave other rows with one entry (they go back on the worklist, and
+    empty ones are dropped) but changes no other column; so one sweep over
+    the rows, then one over the columns, leaves no fill-free pivot.
+    """
+    diagonal = []
+    for lines, cross in ((rows, cols), (cols, rows)):
+        work = list(lines)
+        while work:
+            i = work.pop()
+            line = lines.get(i)
+            if line is None or len(line) != 1:
+                continue
+            (j, v), = line.items()
+            if v != 1 and v != -1 and len(cross[j]) != 1:
+                continue
+            diagonal.append(abs(v))
+            del lines[i]
+            for k in cross.pop(j):
+                if k != i:
+                    other = lines[k]
+                    del other[j]
+                    if len(other) == 1:
+                        work.append(k)
+                    elif not other:
+                        del lines[k]
+    return diagonal
 
 
 def _divisibility_chain(diagonal: List[int]) -> List[int]:

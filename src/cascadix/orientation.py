@@ -4,13 +4,14 @@ An OrientedSpace is an abstract rational vector space with a reference basis
 and a sign; every orientation question below reduces to the sign of a
 determinant, a rank or a kernel.  Each question reads them off one exact
 elimination, `_echelon`: denominators are cleared row by row with positive
-multipliers (so no sign is ever touched), then a fraction-free (Bareiss)
-Gauss-Jordan elimination runs in integers.  Every pivot entry then equals one
-nonzero d, so the returned rows divided by d are the reduced row echelon
-form.  A fibre sum takes surjectivity, kernel and sign from one elimination
-of its difference map.  A quotient maps its subspace's basis in integers:
-clearing denominators with positive column scalings keeps both the span
-and every determinant sign.
+multipliers (so no sign is ever touched), then a forward-only fraction-free
+(Bareiss) elimination runs in integers, each pivot updating only the rows
+below it and the columns to its right.  Pivots and sign are all a
+determinant or a basis extension reads.  A fibre sum takes surjectivity,
+kernel and sign from one elimination of its difference map, the kernel by
+integer back-substitution on the forward rows.  A quotient maps its
+subspace's basis in integers: clearing denominators with positive column
+scalings keeps both the span and every determinant sign.
 
 Two conventions drive everything:
 
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple, Union
 
 from .errors import CascadixError
 
@@ -43,7 +44,7 @@ class NotSurjective(CascadixError):
     """The difference map does not reach all of W."""
 
 
-Vector = Tuple[Fraction, ...]
+Vector = Tuple[Union[int, Fraction], ...]
 Matrix = Tuple[Vector, ...]  # rows
 
 
@@ -70,13 +71,16 @@ def _from_columns(cols: Sequence[Vector]) -> Matrix:
 
 
 def _echelon(m: Matrix) -> Tuple[List[List[int]], List[int], int]:
-    """Fraction-free Gauss-Jordan elimination of a rational matrix.
+    """Forward-only fraction-free (Bareiss) elimination of a rational matrix.
 
-    Returns the integer rows, the pivot columns and a sign.  Every pivot
-    entry of the rows equals one nonzero d (1 without pivots), so rows/d is
-    the reduced row echelon form of m.  The sign is the row-swap parity
-    times sign(d); when m has full row rank it is the determinant sign of
-    the square matrix of m's pivot columns (of m itself when m is square).
+    Returns the integer rows, the pivot columns and a sign.  Each pivot
+    updates only the rows below it and the columns to its right, so row k
+    (k < len(pivots)) is exact from its pivot column on; its entries left
+    of that column are never read again.  Pivot k is the minor of the first
+    k + 1 rows (after the swaps) on the first k + 1 pivot columns.  The sign
+    is the row-swap parity times the sign of the last pivot; when m has
+    full row rank it is the determinant sign of the square matrix of m's
+    pivot columns (of m itself when m is square).
     """
     a = []
     for row in m:
@@ -95,14 +99,16 @@ def _echelon(m: Matrix) -> Tuple[List[List[int]], List[int], int]:
         if p != r:
             a[r], a[p] = a[p], a[r]
             sign = -sign
-        top, pv = a[r], a[r][c]
-        for i in range(nrows):
-            f = a[i][c]
-            # with f = 0 the update only scales the row by pv / prev, so
-            # it is a no-op when pv == prev
-            if i != r and (f or pv != prev):
-                # every entry is a minor of the cleared m: exact division
-                a[i] = [(pv * x - f * y) // prev for x, y in zip(a[i], top)]
+        pv, right = a[r][c], a[r][c + 1:]
+        for row in a[r + 1:]:
+            f = row[c]
+            # every entry is a minor of the cleared m: exact division; with
+            # f = 0 the update only scales by pv / prev, a no-op when equal
+            if f:
+                row[c + 1:] = [(pv * x - f * y) // prev
+                               for x, y in zip(row[c + 1:], right)]
+            elif pv != prev:
+                row[c + 1:] = [pv * x // prev for x in row[c + 1:]]
         pivots.append(c)
         prev = pv
     return a, pivots, sign if prev > 0 else -sign
@@ -122,18 +128,28 @@ def _kernel(rows: List[List[int]], pivots: List[int],
     """Canonical primitive integer kernel basis from `_echelon`'s output.
 
     One vector per free column, positive at its free column and zero at the
-    other free columns.
+    other free columns.  The free entry is set to the last pivot d, the
+    minor of the pivot rows and columns, and the pivot entries follow by
+    back-substitution, bottom row first, each reading only the pivot
+    columns to its right and the free column.  By Cramer's rule they are d
+    times a solution of that minor's system, so integers: every division
+    is exact.
     """
-    d = rows[0][pivots[0]] if pivots else 1
+    d = rows[len(pivots) - 1][pivots[-1]] if pivots else 1
     free = [c for c in range(ncols) if c not in pivots]
+    steps = [(rows[k], p, pivots[k + 1:]) for k, p in enumerate(pivots)]
+    steps.reverse()
     basis = []
     for f in free:
         v = [0] * ncols
         v[f] = d
-        for row, p in zip(rows, pivots):
-            v[p] = -row[f]
+        for row, p, later in steps:
+            s = sum(row[j] * v[j] for j in later)
+            if f > p:
+                s += row[f] * d
+            v[p] = -s // row[p]
         g = gcd(*v) if d > 0 else -gcd(*v)
-        basis.append(tuple(Fraction(x // g) for x in v))
+        basis.append(tuple(x // g for x in v))
     return basis
 
 

@@ -38,8 +38,10 @@ earlier multi-elimination fibre sum (product space, basis extension, a
 `Fraction` product and determinant signs), kept as the reference the
 one-elimination code is compared against;
 `reference_frame_orientations_agree` is the frame comparison the
-orientation drills (`drills.py`) judge associativity with; both use the
-package's exact linear-algebra primitives.
+orientation drills (`drills.py`) judge associativity with.  Both take
+every rank, kernel and determinant sign from `_gauss`, a plain `Fraction`
+Gauss-Jordan elimination of their own, and read only the package's space,
+map and frame types.
 `reference_quotient_orientation` is the earlier quotient, whose subspace
 image is a `Fraction` matrix product, kept as the reference the integer
 image columns are compared against; `matmul` is that product, for the
@@ -834,17 +836,95 @@ QUOTIENT_BY_E2 = (((1, 0),), -1)      # rep e1, det(e2,e1)=-1
 # The fibre sum below builds the block-diagonal product space, extends the
 # kernel to a basis from the product's reference columns, maps those
 # representatives into W and takes determinant signs; the frame comparison
-# finds independent rows of a and compares two square minors.
+# finds independent rows of a and compares two square minors.  Every rank,
+# kernel and determinant sign here comes from `_gauss`, a plain `Fraction`
+# Gauss-Jordan elimination that shares no code with the package's integer
+# elimination.
+
+
+def _gauss(m):
+    """Reduced row echelon form of a matrix given as rows, in `Fraction`s.
+
+    Returns the reduced rows, the pivot columns and the row-swap parity
+    times the sign of the product of the pivots; for a square matrix of
+    full rank that is the sign of its determinant."""
+    a = [[Fraction(x) for x in row] for row in m]
+    nrows, ncols = len(a), (len(a[0]) if a else 0)
+    pivots, sign = [], 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        p = next((i for i in range(r, nrows) if a[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            a[r], a[p] = a[p], a[r]
+            sign = -sign
+        pv = a[r][c]
+        if pv < 0:
+            sign = -sign
+        a[r] = [x / pv for x in a[r]]
+        for i in range(nrows):
+            f = a[i][c]
+            if i != r and f:
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a, pivots, sign
+
+
+def columns_of(m):
+    """The columns of a matrix given as rows."""
+    return [tuple(row[j] for row in m) for j in range(len(m[0]))] if m else []
+
+
+def from_columns(cols):
+    """The rows of the matrix with these columns."""
+    return tuple(zip(*cols)) if cols else ()
+
+
+def reference_det_sign(m):
+    """Sign of the determinant of a square matrix: -1, 0 or +1."""
+    _, pivots, sign = _gauss(m)
+    return sign if len(pivots) == len(m) else 0
 
 
 def kernel_basis(m, ncols):
-    from cascadix.orientation import _echelon, _kernel
-    return _kernel(*_echelon(m)[:2], ncols)
+    """One primitive integer kernel vector per free column, positive at its
+    free column and zero at the other free columns."""
+    rows, pivots, _ = _gauss(m)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for row, p in zip(rows, pivots):
+            v[p] = -row[f]
+        scale = math.lcm(*(x.denominator for x in v))
+        ints = [int(x * scale) for x in v]
+        g = math.gcd(*ints)
+        basis.append(tuple(Fraction(x // g) for x in ints))
+    return basis
 
 
 def matrix_rank(m):
-    from cascadix.orientation import _echelon
-    return len(_echelon(m)[1])
+    return len(_gauss(m)[1])
+
+
+def _reference_extend_to_basis(cols, candidates, dim):
+    """Extend independent cols by candidates, left to right, each taken when
+    it raises the rank; returns the chosen ones and the determinant sign of
+    [cols | chosen]."""
+    from cascadix.errors import CascadixError
+    from cascadix.orientation import NotASubspace
+    if matrix_rank(cols) != len(cols):
+        raise NotASubspace("inclusion image is degenerate")
+    chosen = []
+    for c in candidates:
+        if matrix_rank(list(cols) + chosen + [c]) > len(cols) + len(chosen):
+            chosen.append(c)
+    if len(cols) + len(chosen) != dim:
+        raise CascadixError("could not extend to a full basis")
+    return chosen, reference_det_sign(from_columns(list(cols) + chosen))
 
 
 def _product_space(v1, v2):
@@ -870,8 +950,7 @@ def matmul(a, b):
 
 def reference_quotient_orientation(total, sub):
     """The quotient with the subspace's image taken as a `Fraction` product."""
-    from cascadix.orientation import (NotASubspace, OrientedFrame, _columns,
-                                      _extend_to_basis)
+    from cascadix.orientation import NotASubspace, OrientedFrame
     inc = sub.inclusion
     if inc.rows != total.dim or inc.cols_or(sub.space.dim) != sub.space.dim:
         raise NotASubspace(
@@ -880,20 +959,18 @@ def reference_quotient_orientation(total, sub):
         )
     if sub.space.dim > total.dim:
         raise NotASubspace("inclusion image is degenerate")
-    s_cols = _columns(matmul(inc.matrix, sub.space.reference_basis)) \
+    s_cols = columns_of(matmul(inc.matrix, sub.space.reference_basis)) \
         if sub.space.dim else []
-    reps, combined_sign = _extend_to_basis(
-        s_cols, _columns(total.reference_basis), total.dim)
+    reps, combined_sign = _reference_extend_to_basis(
+        s_cols, columns_of(total.reference_basis), total.dim)
     sign = sub.space.sign * total.sign * combined_sign \
-        * total.basis_det_sign()
+        * reference_det_sign(total.reference_basis)
     return OrientedFrame(tuple(reps), sign)
 
 
 def reference_fibre_sum_orientation(v1, v2, w, f1, f2):
     from cascadix.errors import CascadixError
-    from cascadix.orientation import (NotSurjective, OrientedFrame, _columns,
-                                      _extend_to_basis, _from_columns,
-                                      det_sign)
+    from cascadix.orientation import NotSurjective, OrientedFrame
     d1, d2, dw = v1.dim, v2.dim, w.dim
     for f, d, name in ((f1, d1, "f1"), (f2, d2, "f2")):
         if f.rows != dw or f.cols_or(d) != d:
@@ -910,47 +987,47 @@ def reference_fibre_sum_orientation(v1, v2, w, f1, f2):
 
     product = _product_space(v1, v2)
     if dw == 0:
-        return OrientedFrame(tuple(_columns(product.reference_basis)),
+        return OrientedFrame(tuple(columns_of(product.reference_basis)),
                              product.sign)
     kernel = kernel_basis(diff, d1 + d2)
     # rank-nullity: the map is onto W iff its kernel has d1 + d2 - dw vectors
     if len(kernel) != d1 + d2 - dw:
         raise NotSurjective("difference map is not onto W")
-    reps, combined_sign = _extend_to_basis(
-        kernel, _columns(product.reference_basis), d1 + d2)
+    reps, combined_sign = _reference_extend_to_basis(
+        kernel, columns_of(product.reference_basis), d1 + d2)
     epsilon = -1 if (d2 * dw) % 2 else 1
-    image = matmul(diff, _from_columns(reps))
-    sign_q = epsilon * w.sign * det_sign(image) * w.basis_det_sign()
+    image = matmul(diff, from_columns(reps))
+    sign_q = epsilon * w.sign * reference_det_sign(image) \
+        * reference_det_sign(w.reference_basis)
     sign_k = sign_q * product.sign * combined_sign \
-        * product.basis_det_sign()
+        * reference_det_sign(product.reference_basis)
     return OrientedFrame(tuple(kernel), sign_k)
 
 
 def reference_frame_orientations_agree(a, b):
     from cascadix.errors import CascadixError
-    from cascadix.orientation import _from_columns, det_sign
     if a.dim != b.dim:
         raise CascadixError("frames have different dimensions")
     if a.dim == 0:
         return a.sign == b.sign
     if len({len(v) for v in a.vectors + b.vectors}) != 1:
         raise CascadixError("frame vectors live in different ambient spaces")
-    basis = _from_columns(list(a.vectors))
+    basis = from_columns(list(a.vectors))
     rows_idx = _independent_rows(basis, a.dim)
     # b lies in the span of the independent a iff [a | b] has rank dim
-    if matrix_rank(_from_columns(list(a.vectors + b.vectors))) != a.dim:
+    if matrix_rank(list(a.vectors + b.vectors)) != a.dim:
         raise CascadixError("frames span different subspaces")
     # b = a M; on the independent rows R, det b_R = det a_R * det M
     sq_a = tuple(basis[i] for i in rows_idx)
     sq_b = tuple(tuple(v[i] for v in b.vectors) for i in rows_idx)
-    return a.sign * b.sign * det_sign(sq_a) * det_sign(sq_b) == 1
+    return a.sign * b.sign * reference_det_sign(sq_a) \
+        * reference_det_sign(sq_b) == 1
 
 
 def _independent_rows(m, want):
-    """The first `want` rows of m, left to right, independent of those before."""
+    """The first `want` rows of m, top to bottom, independent of those before."""
     from cascadix.errors import CascadixError
-    from cascadix.orientation import _columns, _echelon
-    pivots = _echelon(tuple(_columns(m)))[1]
+    pivots = _gauss(columns_of(m))[1]
     if len(pivots) < want:
         raise CascadixError("matrix has too few independent rows")
     return pivots[:want]

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -948,3 +949,45 @@ def test_class_of_area_matches_box(setup):
 @pytest.mark.parametrize("k_max,class_bound", [(2, 2), (3, 1), (6, 5)])
 def test_rank2_families_match_per_row(data_dir, k_max, class_bound):
     assert_matches_per_row(rank2_cp2(data_dir), k_max, class_bound)
+
+
+def _refused_proposals(setup):
+    """(refused on sight, `classify_type`'s verdict) for each shape of
+    `_representatives`.  Refused on sight: a Case 0 pair of a hat target
+    over a check source (fibre step 2), or a constant level carrying a
+    plane between different base points."""
+    out = []
+    for step, _, target, source, *shape in cascades._representatives(setup):
+        plane = bool(shape[-1])
+        hat_over_check = step == 0 and target.point.flag is FibreFlag.HAT \
+            and source.point.flag is FibreFlag.CHECK
+        apart = plane and target.point.base != source.point.base
+        t = classify_type(setup, target, source, *shape)
+        out.append((hat_over_check or apart, plane, t.infeasible_reason))
+    return out
+
+
+BUDGET_REFUSAL = re.compile(r"budget \d+ exceeds 1")
+
+
+@pytest.mark.parametrize("name,proposed,refused", [
+    ("cp2", 6, 3), ("tau2", 11, 3), ("rank0", 3, 2)])
+def test_representatives_refused_by_the_budget_alone(name, proposed, refused):
+    verdicts = _refused_proposals(shipped_setup(name))
+    assert len(verdicts) == proposed
+    reasons = [r for _, _, r in verdicts if r is not None]
+    assert len(reasons) == refused
+    assert all(BUDGET_REFUSAL.fullmatch(r) for r in reasons), reasons
+    assert all((r is not None) == doomed for doomed, _, r in verdicts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(setup=monotone_setups())
+def test_representatives_refused_only_as_documented(setup):
+    """The budget refuses every hat-over-check pair; a plane between
+    different base points is refused by the budget or, when that allows
+    it, by the constant level's base-point pin; all else is kept."""
+    for doomed, plane, reason in _refused_proposals(setup):
+        assert (reason is not None) == doomed, reason
+        if reason is not None and not BUDGET_REFUSAL.fullmatch(reason):
+            assert plane and reason == "constant level forces equal base points"

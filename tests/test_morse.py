@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import oracles
 
+from cascadix import morse
 from cascadix.cascades import Case, certify_classification
 from cascadix.errors import CascadixError
 from cascadix.grading import InteriorGenerator, OrbitGenerator
@@ -288,6 +289,117 @@ def test_invariant_factors_unit_and_remainder_hand_cases():
         == [1, 30, 30]
     # a remainder below the least entry forces a second pivot
     assert smith_invariant_factors(((-2, 3), (4, -5))) == [1, 2]
+
+
+# --- fill-free pivots, taken before any bucketing ------------------------
+
+
+UNITS = st.sampled_from((1, -1))
+NON_UNITS = st.sampled_from((2, -2, 3, -4, 6))
+
+
+@st.composite
+def fill_free_matrices(draw):
+    """A small core beside every kind of line the fill-free sweep reads.
+
+    The matrix is [[core, above], [0, chain]] with chain upper bidiagonal
+    and +-1 on its diagonal: its bottom row is a unit alone in its row,
+    and taking it leaves the next row alone, up the chain.  Beside it come
+    isolated non-unit entries, non-unit entries alone in their column but
+    added to a core row (not fill-free while that row holds another entry),
+    empty rows and columns, and a shuffle of rows and columns."""
+    nr, nc = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    core = [[draw(st.sampled_from((0, 0, 1, -1, 2, -3))) for _ in range(nc)]
+            for _ in range(nr)]
+    n = draw(st.integers(0, 5))
+    chain = [[0] * n for _ in range(n)]
+    for k in range(n):
+        chain[k][k] = draw(UNITS)
+        if k + 1 < n:
+            chain[k][k + 1] = draw(st.integers(-4, 4))
+    above = [[draw(st.sampled_from((0, 1, 5))) for _ in range(n)]
+             for _ in range(nr)]
+    rows = [c + a for c, a in zip(core, above)]
+    rows += [[0] * nc + c for c in chain]
+    width = nc + n
+    for v in draw(st.lists(NON_UNITS, max_size=3)):      # isolated entries
+        rows = [row + [0] for row in rows] + [[0] * width + [v]]
+        width += 1
+    if nr:                                   # alone in a column, not a row
+        for v in draw(st.lists(NON_UNITS, max_size=2)):
+            i = draw(st.integers(0, nr - 1))
+            rows = [row + [v if k == i else 0] for k, row in enumerate(rows)]
+            width += 1
+    for _ in range(draw(st.integers(0, 2))):            # empty rows
+        rows.append([0] * width)
+    for _ in range(draw(st.integers(0, 2))):            # empty columns
+        rows = [row + [0] for row in rows]
+        width += 1
+    rows = draw(st.permutations(rows)) if rows else []
+    order = draw(st.permutations(range(width))) if width else []
+    return tuple(tuple(row[j] for j in order) for row in rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fill_free_matrices())
+def test_fill_free_sweep_matches_dense_elimination(m):
+    mine = smith_invariant_factors(m)
+    assert mine == oracles.dense_smith_invariant_factors(m), m
+    nr, nc = len(m), len(m[0]) if m else 0
+    if 0 < nr <= 8 and 0 < nc <= 8:
+        from sympy import Matrix
+        from sympy.matrices.normalforms import smith_normal_form
+
+        snf = smith_normal_form(Matrix([list(r) for r in m]))
+        theirs = [abs(snf[i, i]) for i in range(min(nr, nc)) if snf[i, i]]
+        assert mine == theirs, m
+
+
+def _lines(m):
+    rows, cols = {}, {}
+    for i, row in enumerate(m):
+        for j, v in enumerate(row):
+            if v:
+                rows.setdefault(i, {})[j] = v
+                cols.setdefault(j, {})[i] = v
+    return rows, cols
+
+
+def test_fill_free_sweep_takes_chains_and_leaves_shared_non_units():
+    # a unit chain: each pivot taken leaves the next row alone
+    rows, cols = _lines(((1, 5, 0, 0), (0, -1, 7, 0), (0, 0, 1, 2),
+                         (0, 0, 0, -1)))
+    assert morse._take_fill_free(rows, cols) == [1, 1, 1, 1]
+    assert rows == cols == {}
+    # 2 and 3 are alone in their columns, but share their row: untouched
+    rows, cols = _lines(((2, 3),))
+    before = (dict(rows), dict(cols))
+    assert morse._take_fill_free(rows, cols) == []
+    assert (rows, cols) == before
+    # a non-unit alone in row and column is taken; the -1 alone in its row
+    # takes its column away, which leaves the 4 alone in both
+    rows, cols = _lines(((6, 0, 0), (0, 4, 1), (0, 0, -1)))
+    assert sorted(morse._take_fill_free(rows, cols)) == [1, 4, 6]
+    assert rows == cols == {}
+
+
+def test_fill_free_matrix_never_reaches_the_bucketed_pivot(monkeypatch):
+    calls = []
+    pivot = morse._pivot
+
+    def counted(rows, cols):
+        calls.append(1)
+        return pivot(rows, cols)
+
+    monkeypatch.setattr(morse, "_pivot", counted)
+    # unit chain, isolated non-units, an empty row and an empty column
+    m = ((1, 3, 0, 0, 0, 0), (0, -1, 2, 0, 0, 0), (0, 0, 1, 0, 0, 0),
+         (0, 0, 0, 4, 0, 0), (0, 0, 0, 0, 0, -6), (0, 0, 0, 0, 0, 0))
+    assert smith_invariant_factors(m) == [1, 1, 1, 2, 12]
+    assert calls == []
+    # the counter does count: a 2x2 with no fill-free pivot needs one
+    assert smith_invariant_factors(((1, 1), (1, -1))) == [1, 2]
+    assert calls
 
 
 # --- the d^2 check against the dense triple loop -----------------------

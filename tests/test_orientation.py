@@ -339,9 +339,10 @@ def test_one_elimination_per_orientation_question(monkeypatch):
 
 @st.composite
 def rational_matrices(draw):
-    """0x0 up to 7x9 over the drills' entry pool, with zero rows and
-    columns and negative first pivots drawn on purpose."""
-    nrows, ncols = draw(st.integers(0, 7)), draw(st.integers(0, 9))
+    """0x0 up to 12x16 over the drills' entry pool, tall and wide, with
+    zero rows and columns, rows that combine earlier ones and negative
+    first pivots drawn on purpose."""
+    nrows, ncols = draw(st.integers(0, 12)), draw(st.integers(0, 16))
     entry = st.sampled_from(drills.ENTRY_POOL)
     m = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
     if nrows and draw(st.booleans()):
@@ -350,6 +351,13 @@ def rational_matrices(draw):
         j = draw(st.integers(0, ncols - 1))
         for row in m:
             row[j] = Fraction(0)
+    if nrows >= 2:
+        # later rows made combinations of earlier ones: the rank falls
+        # below the row count, leaving zero rows under the forward pivots
+        for i in draw(st.sets(st.integers(1, nrows - 1), max_size=nrows - 1)):
+            a, b = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            x, y = draw(entry), draw(entry)
+            m[i] = [x * u + y * v for u, v in zip(m[a], m[b])]
     first = next((row for j in range(ncols) for row in m if row[j]), None)
     if first is not None and draw(st.booleans()):
         # the first pivot found is the first nonzero of its column: negate
@@ -378,7 +386,9 @@ def test_linear_algebra_matches_sympy(drawn):
     assert len(_echelon(m)[1]) == ref.rank()
     want = [_primitive([Fraction(int(x.p), int(x.q)) for x in v])
             for v in ref.nullspace()]
-    assert _kernel(*_echelon(m)[:2], ncols) == want
+    kernel = _kernel(*_echelon(m)[:2], ncols)
+    assert kernel == want
+    assert all(type(x) is int for v in kernel for x in v)
     n = min(len(m), ncols)
     square = tuple(row[:n] for row in m[:n])
     assert det_sign(square) == int(sign(ref[:n, :n].det()))
