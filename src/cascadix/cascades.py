@@ -321,8 +321,8 @@ class Family(NamedTuple):
     step K times the class area.  A family without one (a Case 3 row, an
     interior flow) has the template as its only row.  `area` is the area of
     the shape's class, 0 when it has none, an int when it is one;
-    `problems` are the template's structural violations, each row naming
-    itself in front of them.
+    `problems` are the template's structural violations, its refusal if
+    `classify_type` refused it, each row naming itself in front of them.
     """
 
     template: CascadeType
@@ -351,20 +351,12 @@ Families = Dict[Union[LiftedCriticalPoint, CriticalPoint],
 
 def _representatives(setup: SetupDescriptor):
     """(step, K*area, target, source, multiplicities, classes, sphere, aug)
-    of one proposed shape per family; `families` keeps the ones
-    `classify_type` accepts.
-
-    The proposals include shapes that are always refused.  Every Case 0
-    pair of a hat target over a check source (fibre step 2) is refused by
-    the budget, and so is a constant level carrying a plane between
-    different base points when the plane's Reeb weight pushes the budget
-    past 1 (on cp2 and tau2, the level over `M_hat_1`); a lighter such
-    plane is refused by the constant level's base-point pin.  On cp2, tau2
-    and rank0 the budget refuses 3 of 6, 3 of 11 and 2 of 3 proposals.
+    of one shape per family, only shapes that `classify_type` accepts.
 
     Interior flows: every pair of interior points one degree apart.  Case
     0: a bare flow at a common winding between two lifts whose lifted
-    indices differ by 1, taken at winding 1.  Any level needs a check
+    indices differ by 1, taken at winding 1, never a hat over a check
+    (fibre step 2, over the cap 1).  Any level needs a check
     target (the budget has +1 for each non-constant level or augmentation,
     and every level carries one).  Cases 1 and 2: one level above a hat
     source at winding 1.  "Degree difference 1" fixes the target winding
@@ -372,7 +364,9 @@ def _representatives(setup: SetupDescriptor):
     kept when the step s = k_t - 1 is >= 1.  A non-constant level of class
     A steps K*omega(A) (Case 1), looked up by its c1
     (`grading.sigma_c1_of_step`); a constant level carrying one plane of
-    class B steps B.Sigma = K*omega(B) (Case 2).  Case 3: the budget of an
+    class B steps B.Sigma = K*omega(B) (Case 2) over one base point (over
+    two, degree 1 makes the plane's Reeb weight M(source) - M(target), and
+    the budget or the base-point pin refuses it).  Case 3: the budget of an
     interior source must vanish outright, leaving one constant level on a
     filling sphere with B.Sigma = k_t, and the degree fixes k_t for each
     (check, interior) pair the same way.
@@ -395,8 +389,9 @@ def _representatives(setup: SetupDescriptor):
     for p in lifts:
         # at a common winding the degrees differ as the lifted indices
         for q in by_index.get(p.lifted_index - 1, ()):
-            yield (0, 0, OrbitGenerator(p, 1),
-                   OrbitGenerator(q, 1), (1,), (), None, ())
+            if q.fibre_index >= p.fibre_index:
+                yield (0, 0, OrbitGenerator(p, 1),
+                       OrbitGenerator(q, 1), (1,), (), None, ())
 
     hats = [OrbitGenerator(q, 1) for q in lifts if q.flag is FibreFlag.HAT]
     for p in lifts:
@@ -413,7 +408,7 @@ def _representatives(setup: SetupDescriptor):
             a = None if c1 is None else sigma_class(c1)
             if a is not None:
                 yield s, s, target, source, (1, kt), (a,), None, ()
-            b = x_class(s)
+            b = x_class(s) if p.base == source.point.base else None
             if b is not None:
                 yield (s, s, target, source, (1, kt), (zero,), None,
                        (AugPuncture(1, b, s),))
@@ -428,7 +423,8 @@ def _representatives(setup: SetupDescriptor):
 
 
 def families(setup: SetupDescriptor) -> Families:
-    """Every feasible catalog shape once, by target point.
+    """Every proposed catalog shape once, by target point; a shape that
+    `classify_type` refuses is kept, and its refusal is its violation.
 
     The keys are the target's lifted point (orbit targets) or critical point
     (interior targets).  `classify_type` and `_structural_violations` run
@@ -455,11 +451,10 @@ def families(setup: SetupDescriptor) -> Families:
     k = setup.k_const
     for step, k_area, target, *shape in _representatives(setup):
         t = classify_type(setup, target, *shape)
-        if t.feasible:
-            by_target.setdefault(target.point, []).append(
-                Family(t, step,
-                       exact_quotient(k_area * k.denominator, k.numerator),
-                       tuple(_structural_violations(setup, t))))
+        by_target.setdefault(target.point, []).append(
+            Family(t, step,
+                   exact_quotient(k_area * k.denominator, k.numerator),
+                   tuple(_structural_violations(setup, t))))
     return {point: tuple(fams) for point, fams in by_target.items()}
 
 
@@ -485,10 +480,12 @@ class CertificationReport(NamedTuple):
 
 
 def _structural_violations(setup: SetupDescriptor, t: CascadeType) -> List[str]:
-    """Re-check one feasible type: its degree, index identity and case shape.
-
+    """Re-check one type: its degree, index identity and case shape, or
+    only its refusal ("refused: <reason>") if `classify_type` refused it.
     The messages do not name the row; the caller puts the row in front.
     """
+    if not t.feasible:
+        return [f"refused: {t.infeasible_reason}"]
     v = []
     bad = v.append
 
@@ -546,7 +543,7 @@ def _structural_violations(setup: SetupDescriptor, t: CascadeType) -> List[str]:
 def enumerate_contributions(setup: SetupDescriptor, target: Generator,
                             k_max: int, class_bound: int
                             ) -> CertificationReport:
-    """Every feasible cascade type ending on the given target.
+    """Every catalog type ending on the given target.
 
     Sources have degree exactly one less and winding at most k_max; classes
     have area in (0, class_bound], one class per area.  The rows are read
@@ -562,8 +559,8 @@ def certify_classification(setup: SetupDescriptor, k_max: int,
                            class_bound: int) -> CertificationReport:
     """Enumerate over every generator up to the bounds and check the shapes.
 
-    Every feasible type is re-checked (its degree, index identity and
-    case shape) once per family (see `families`), and any mismatch is
+    Every type is re-checked (its degree, index identity and case shape,
+    or its refusal) once per family (see `families`), and any mismatch is
     reported against each row of the family as a counterexample.  Targets
     are taken in generator order; a generator at a point that carries no
     family ends no row and names no area, so only the points that carry

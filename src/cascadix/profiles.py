@@ -65,6 +65,8 @@ class OrbitLevel(NamedTuple):
 
 
 def power_profile(p: float) -> Profile:
+    if not math.isfinite(p):   # nan < 2 is false
+        raise ProfileParseError(f"power profile needs a finite p >= 2, got {p}")
     if p < 2:
         raise ProfileParseError(f"power profile needs p >= 2, got {p}")
     return Profile(

@@ -1,6 +1,5 @@
 import json
 import math
-import re
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -951,43 +950,67 @@ def test_rank2_families_match_per_row(data_dir, k_max, class_bound):
     assert_matches_per_row(rank2_cp2(data_dir), k_max, class_bound)
 
 
-def _refused_proposals(setup):
-    """(refused on sight, `classify_type`'s verdict) for each shape of
-    `_representatives`.  Refused on sight: a Case 0 pair of a hat target
-    over a check source (fibre step 2), or a constant level carrying a
-    plane between different base points."""
-    out = []
-    for step, _, target, source, *shape in cascades._representatives(setup):
-        plane = bool(shape[-1])
-        hat_over_check = step == 0 and target.point.flag is FibreFlag.HAT \
-            and source.point.flag is FibreFlag.CHECK
-        apart = plane and target.point.base != source.point.base
-        t = classify_type(setup, target, source, *shape)
-        out.append((hat_over_check or apart, plane, t.infeasible_reason))
-    return out
+def _verdicts(setup):
+    """`classify_type`'s verdict on each shape of `_representatives`."""
+    return [classify_type(setup, target, *shape)
+            for _, _, target, *shape in cascades._representatives(setup)]
 
 
-BUDGET_REFUSAL = re.compile(r"budget \d+ exceeds 1")
-
-
-@pytest.mark.parametrize("name,proposed,refused", [
-    ("cp2", 6, 3), ("tau2", 11, 3), ("rank0", 3, 2)])
-def test_representatives_refused_by_the_budget_alone(name, proposed, refused):
-    verdicts = _refused_proposals(shipped_setup(name))
+@pytest.mark.parametrize("name,proposed", [
+    ("cp2", 3), ("tau2", 8), ("rank0", 1)])
+def test_representatives_all_accepted_shipped(name, proposed):
+    setup = shipped_setup(name)
+    verdicts = _verdicts(setup)
     assert len(verdicts) == proposed
-    reasons = [r for _, _, r in verdicts if r is not None]
-    assert len(reasons) == refused
-    assert all(BUDGET_REFUSAL.fullmatch(r) for r in reasons), reasons
-    assert all((r is not None) == doomed for doomed, _, r in verdicts)
+    assert [t.infeasible_reason for t in verdicts] == [None] * proposed
+    assert not any(cascades._structural_violations(setup, t)
+                   for t in verdicts)
 
 
 @settings(max_examples=60, deadline=None)
 @given(setup=monotone_setups())
-def test_representatives_refused_only_as_documented(setup):
-    """The budget refuses every hat-over-check pair; a plane between
-    different base points is refused by the budget or, when that allows
-    it, by the constant level's base-point pin; all else is kept."""
-    for doomed, plane, reason in _refused_proposals(setup):
-        assert (reason is not None) == doomed, reason
-        if reason is not None and not BUDGET_REFUSAL.fullmatch(reason):
-            assert plane and reason == "constant level forces equal base points"
+def test_representatives_all_accepted_random(setup):
+    """No hat-over-check Case 0 pair and no plane between different base
+    points is proposed, so `classify_type` refuses nothing and the
+    re-check finds nothing."""
+    for t in _verdicts(setup):
+        assert t.feasible, t.infeasible_reason
+        assert cascades._structural_violations(setup, t) == [], t
+
+
+def propose_hat_over_check(monkeypatch):
+    """Make `_representatives` also propose the Case 0 pair m_hat_1 <-
+    m_check_1 of a setup with a Sigma point `m`, which the budget refuses
+    (fibre step 2)."""
+    propose = cascades._representatives
+
+    def proposing(setup):
+        yield from propose(setup)
+        m = next(q for q in setup.morse_sigma if q.name == "m")
+        yield (0, 0, OrbitGenerator(LiftedCriticalPoint(m, FibreFlag.HAT), 1),
+               OrbitGenerator(LiftedCriticalPoint(m, FibreFlag.CHECK), 1),
+               (1,), (), None, ())
+
+    monkeypatch.setattr(cascades, "_representatives", proposing)
+
+
+def test_refused_proposal_fails_certification(cp2, monkeypatch):
+    """A shape the solver proposes and `classify_type` refuses is not
+    dropped: each of its rows is in the catalog as Infeasible, with its
+    refusal as a violation, and the catalog is not certified."""
+    clean = certify_classification(cp2, 3, 3)
+    propose_hat_over_check(monkeypatch)
+    report = certify_classification(cp2, 3, 3)
+    assert not report.certified
+    assert report.violations == tuple(
+        f"m_hat_{k} <- m_check_{k}: refused: budget 2 exceeds 1"
+        for k in (1, 2, 3))
+    refused = [t for t in report.types if not t.feasible]
+    assert [(t.target.display_name, t.source.display_name, t.case_label)
+            for t in refused] == [(f"m_hat_{k}", f"m_check_{k}",
+                                   Case.INFEASIBLE) for k in (1, 2, 3)]
+    assert tuple(t for t in report.types if t.feasible) == clean.types
+    assert report.warnings == clean.warnings
+    assert report.summary() == ("NOT certified: 3 violation(s), first: "
+                                "m_hat_1 <- m_check_1: refused: budget 2 "
+                                "exceeds 1")

@@ -21,7 +21,8 @@ from cascadix.cascades import certify_classification
 from cascadix.grading import (coset_label, enumerate_generators, grade,
                               orbit_generator)
 from cascadix.model import FibreFlag, format_rational
-from test_cascades import monotone_setups, shipped_setup
+from test_cascades import (monotone_setups, propose_hat_over_check,
+                           shipped_setup)
 
 
 # --- exit code contract ------------------------------------------------
@@ -973,6 +974,28 @@ def test_report_rank0_is_morse_only(run_cli, data_dir):
     result = run_cli("report", "--setup", str(data_dir / "rank0.json"),
                      "--kmax", "2", "--classbound", "2")
     assert "certified: all feasible types in {Case0}" in result.output
+
+
+def test_uncertified_catalog_prints_each_violation(run_cli, data_dir,
+                                                  monkeypatch):
+    """A refused proposal: `report` still exits 0, with the summary under
+    `## certification` and one `violation:` line per refused row, and
+    `enumerate --all-targets` prints each such row with case -1."""
+    propose_hat_over_check(monkeypatch)
+    bounds = ("--setup", str(data_dir / "cp2.json"),
+              "--kmax", "3", "--classbound", "3")
+    refused = [f"m_hat_{k} <- m_check_{k}: refused: budget 2 exceeds 1"
+               for k in (1, 2, 3)]
+    report = run_cli("report", *bounds)
+    assert report.exit_code == 0 and not report.stderr
+    assert report.stdout.split("## certification\n")[1].splitlines() == [
+        f"NOT certified: 3 violation(s), first: {refused[0]}",
+        *(f"violation: {v}" for v in refused)]
+    listed = run_cli("enumerate", "--all-targets", *bounds)
+    assert listed.exit_code == 0 and not listed.stderr
+    rows = [line.split(",")[:3] for line in listed.stdout.splitlines()]
+    assert [row for row in rows if row[2] == "-1"] == [
+        [f"m_hat_{k}", f"m_check_{k}", "-1"] for k in (1, 2, 3)]
 
 
 def test_report_rejects_inadmissible_profile(run_cli, data_dir):

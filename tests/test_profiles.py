@@ -126,6 +126,22 @@ def test_profile_parse_errors():
         make_profile("nope")
 
 
+@pytest.mark.parametrize("spec,message", [
+    ("power:nan", "power profile needs a finite p >= 2, got nan"),
+    ("power:inf", "power profile needs a finite p >= 2, got inf"),
+    ("power:1e400", "power profile needs a finite p >= 2, got inf"),
+    ("power:-inf", "power profile needs a finite p >= 2, got -inf"),
+    ("power:1.5", "power profile needs p >= 2, got 1.5"),
+], ids=["nan", "inf", "overflow", "minus-inf", "below-two"])
+def test_power_exponent_refused_up_front(spec, message):
+    """`nan < 2` is false, so a NaN exponent would pass a bare `p < 2`
+    test and fail only at the admissibility scan; it and an infinite one
+    are refused when the profile is made, naming the exponent."""
+    with pytest.raises(ProfileParseError) as exc:
+        make_profile(spec)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("spec,field,bad", [
     ("expr:(rho-2)**2;2*(rho-2);2/(rho-2-rho+2)", 2, "2/(rho-2-rho+2)"),
     ("expr:rho;1;[1]", 2, "[1]"),
