@@ -23,7 +23,11 @@ winding fixed by its class and stands alone.  `families` solves each step
 from the degree equation and each class from the level balance, and
 `classify_type` confirms one representative per family, before any bound
 is applied; the rows at each winding are then read off without further
-checks.  Validation makes c1 and the divisor intersection positive
+checks.  `stream_catalog` gives the warnings first and then the rows one
+at a time, each target's from its point's families, ordered once per
+call; `report` and `enumerate` write each row as it comes, and
+`certify_classification` and `enumerate_contributions` hold them in one
+report.  Validation makes c1 and the divisor intersection positive
 multiples of the area, and the balance fixes the area, so each shape takes
 the one class `model.area_classes` gives for them, in any lattice rank.
 The catalog is complete within user bounds (max source winding, max class
@@ -37,7 +41,8 @@ from __future__ import annotations
 
 from collections import Counter
 from enum import Enum
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple, Union)
 
 from .errors import CascadixError
 from .grading import (
@@ -46,10 +51,10 @@ from .grading import (
     OrbitGenerator,
     augmentation_index,
     degree_difference,
-    enumerate_generators,
     exact_quotient,
     filling_class_term,
     multiplicity_balance,
+    ordered_generators,
     scaled_degree,
     scaled_reeb_weight,
     sigma_c1_of_step,
@@ -330,18 +335,31 @@ class Family(NamedTuple):
     area: Rational
     problems: Tuple[str, ...]
 
-    def row(self, target: Generator, k_max: int) -> Optional[CascadeType]:
-        """The family's row ending on `target`, if it has one within k_max."""
+    def window(self, k_max: int) -> Tuple[int, int]:
+        """The least and the greatest target winding of the family's rows
+        within k_max; an interior target counts as winding 0."""
+        if self.step is None:
+            k = getattr(self.template.target, "k", 0)
+            return k, k
+        return self.step + 1, self.step + k_max
+
+    def row(self, target: Generator) -> CascadeType:
+        """The family's row ending on `target`, a generator at the family's
+        target point with its winding in the family's window."""
         t = self.template
         if self.step is None:
-            return t if t.target == target else None
+            return t
         k0 = target.k - self.step
-        if not 1 <= k0 <= k_max:
-            return None
         shift = k0 - t.source.k
         # the fields after the multiplicities do not move
         return CascadeType(target, OrbitGenerator(t.source.point, k0),
-                           tuple(m + shift for m in t.multiplicities), *t[3:])
+                           tuple([m + shift for m in t.multiplicities]),
+                           *t[3:])
+
+    def violations(self, row: CascadeType) -> List[str]:
+        """The family's problems, one of its rows named in front of each."""
+        return [f"{row.target.display_name} <- {row.source.display_name}: "
+                f"{problem}" for problem in self.problems]
 
 
 # The families of each target point, as `families` returns them.
@@ -471,12 +489,18 @@ class CertificationReport(NamedTuple):
         return dict(Counter(t.case_label.value for t in self.types))
 
     def summary(self) -> str:
-        if not self.certified:
-            return (f"NOT certified: {len(self.violations)} violation(s), "
-                    f"first: {self.violations[0]}")
-        present = sorted(self.case_counts())
-        cases = ",".join(f"Case{c}" for c in present)
-        return f"certified: all feasible types in {{{cases}}}"
+        return certification_summary(self.violations, self.case_counts())
+
+
+def certification_summary(violations: Sequence[str],
+                          cases: Iterable[int]) -> str:
+    """The one-line verdict on a catalog with these violations, whose rows
+    have these case values."""
+    if violations:
+        return (f"NOT certified: {len(violations)} violation(s), "
+                f"first: {violations[0]}")
+    present = ",".join(f"Case{c}" for c in sorted(cases))
+    return f"certified: all feasible types in {{{present}}}"
 
 
 def _structural_violations(setup: SetupDescriptor, t: CascadeType) -> List[str]:
@@ -552,7 +576,7 @@ def enumerate_contributions(setup: SetupDescriptor, target: Generator,
     Warnings name the bounds that leave rows out; no warnings means the
     list is provably complete.
     """
-    return _catalog(families(setup), [target], k_max, class_bound)
+    return _report(*stream_catalog(setup, k_max, class_bound, target))
 
 
 def certify_classification(setup: SetupDescriptor, k_max: int,
@@ -566,54 +590,139 @@ def certify_classification(setup: SetupDescriptor, k_max: int,
     family ends no row and names no area, so only the points that carry
     one are enumerated.
     """
-    solved = families(setup)
-    # refuses k_max < 0 before `_catalog` refuses a bound below 1
-    targets = enumerate_generators(setup, k_max, points=solved)
-    return _catalog(solved, targets, k_max, class_bound)
+    return _report(*stream_catalog(setup, k_max, class_bound))
 
 
-def _catalog(solved: Families, targets: Sequence[Generator],
-             k_max: int, class_bound: int) -> CertificationReport:
-    """The rows ending on each target in turn, each target's sorted, with
-    the violations of their families and the targets' warnings.  `solved`
-    is the setup's `families`.
+def _report(warnings: Tuple[str, ...],
+            rows: Iterator[Tuple[CascadeType, Family]]) -> CertificationReport:
+    """`stream_catalog`'s warnings and rows, the rows held."""
+    types: List[CascadeType] = []
+    violations: List[str] = []
+    for t, family in rows:
+        types.append(t)
+        if family.problems:
+            violations.extend(family.violations(t))
+    return CertificationReport(tuple(types), tuple(violations), warnings)
+
+
+def stream_catalog(setup: SetupDescriptor, k_max: int, class_bound: int,
+                   target: Optional[Generator] = None
+                   ) -> Tuple[Tuple[str, ...],
+                              Iterator[Tuple[CascadeType, Family]]]:
+    """(warnings, rows) of the catalog ending on `target`, or on every
+    generator up to k_max if it is None: the rows come one at a time, each
+    with its family, in the order of `enumerate_contributions` target by
+    target, and the warnings are known before the first row.
 
     A row whose class area is above class_bound is left out and named in a
     warning instead, with its area, so no warnings means nothing is left
     out.  A target's areas are listed once each, in increasing order,
     after the warning that k_max cuts off sources of a target wound beyond
-    it; a warning repeated by a later target is dropped.
+    it; a warning repeated by a later target is dropped.  The bounds are
+    checked here, before any row.
     """
+    solved = families(setup)
+    if target is None:
+        def targets():
+            return ordered_generators(setup, k_max, points=solved)
+    else:
+        def targets():
+            return (target,)
+    # refuses k_max < 0 before a bound below 1 is refused
+    walk = targets()
     if k_max < 1 or class_bound < 1:
         raise CascadixError("enumeration bounds must be positive")
-    # each family's area against the bound, once per call, not per row
-    shapes = {point: [(f, f.area <= class_bound) for f in fams]
-              for point, fams in solved.items()}
-    types: List[CascadeType] = []
-    violations: List[str] = []
-    warnings: List[str] = []
-    for target in targets:
-        rows, needs = [], set()
-        for family, within in shapes.get(target.point, ()):
-            t = family.row(target, k_max)
-            if t is None:
-                continue
-            if within:
-                rows.append((t, family))
+    # each family's window and its area against the bound, once per call,
+    # not per row
+    within: Dict[Union[LiftedCriticalPoint, CriticalPoint],
+                 List[Tuple[int, int, Family]]] = {}
+    beyond: Dict[LiftedCriticalPoint, List[Tuple[int, int, Rational]]] = {}
+    for point, fams in solved.items():
+        for f in fams:
+            if f.area <= class_bound:
+                within.setdefault(point, []).append((*f.window(k_max), f))
             else:
-                needs.add(family.area)
-        if len(rows) > 1:
-            rows.sort(key=lambda row: row[0].sort_key())
-        for t, family in rows:
-            types.append(t)
-            violations.extend(f"{t.target.display_name} <- "
-                              f"{t.source.display_name}: {problem}"
-                              for problem in family.problems)
-        if isinstance(target, OrbitGenerator) and k_max < target.k:
+                beyond.setdefault(point, []).append((*f.window(k_max), f.area))
+    # no generator of the stream is wound beyond k_max, so without an area
+    # above the bound it has no warning to walk for
+    warnings = (_warnings(beyond, targets(), k_max, class_bound)
+                if beyond or target is not None else ())
+    return warnings, _rows({point: _ties(windows)
+                            for point, windows in within.items()}, walk)
+
+
+def _warnings(beyond, targets: Iterator[Generator], k_max: int,
+              class_bound: int) -> Tuple[str, ...]:
+    """The warnings of `stream_catalog`.  `beyond` holds each target
+    point's (first, last, area) of the families above the class bound,
+    and is emptied as the areas are named: the targets are walked only
+    until every such area is, or through a single target, which may be
+    wound beyond k_max."""
+    warnings = []
+    for target in targets:
+        orbit = isinstance(target, OrbitGenerator)
+        if orbit and k_max < target.k:
             warnings.append(f"k_max={k_max} below target winding "
                             f"{target.k}: sources missed")
-        warnings.extend(f"class_bound={class_bound} admits areas only up "
-                        f"to {class_bound}, need {area}"
-                        for area in sorted(needs))
-    return CertificationReport(tuple(types), tuple(violations),
-                               tuple(dict.fromkeys(warnings)))
+        if orbit and target.point in beyond:
+            needs = sorted({area for first, last, area in beyond[target.point]
+                            if first <= target.k <= last})
+            warnings.extend(f"class_bound={class_bound} admits areas only "
+                            f"up to {class_bound}, need {area}"
+                            for area in needs)
+            # a named area needs no second warning
+            for point in list(beyond):
+                beyond[point] = [w for w in beyond[point] if w[2] not in needs]
+                if not beyond[point]:
+                    del beyond[point]
+        if not beyond:
+            break
+    return tuple(dict.fromkeys(warnings))
+
+
+def _ties(windows: List[Tuple[int, int, Family]]
+          ) -> List[List[Tuple[int, int, Family]]]:
+    """One target point's families in catalog order, as runs of families
+    whose rows tie on all of `CascadeType.sort_key` but the source name.
+
+    At one target every row has the target's winding kt, so the key with
+    kt taken off each multiplicity orders the rows as `sort_key` does up
+    to the source name, at every kt.  A run of more than one family is
+    ordered per row by source name: names such as `p_hat_k` and
+    `p_hat_1_hat_k` swap places as k grows.
+    """
+    def key(window):
+        t = window[2].template
+        kt = getattr(t.target, "k", 0)
+        return (t.n_levels, tuple(m - kt for m in t.multiplicities),
+                t.classes_a, t.sphere_b or (),
+                tuple((a.level, a.class_b) for a in t.aug))
+
+    runs: List[List[Tuple[int, int, Family]]] = []
+    last = None
+    for here, window in sorted(((key(w), w) for w in windows),
+                               key=lambda keyed: keyed[0]):
+        if runs and here == last:
+            runs[-1].append(window)
+        else:
+            runs.append([window])
+        last = here
+    return runs
+
+
+def _rows(runs, targets: Iterator[Generator]
+          ) -> Iterator[Tuple[CascadeType, Family]]:
+    """The rows ending on each target in turn, each with its family;
+    `runs` holds each target point's `_ties`."""
+    for target in targets:
+        kt = getattr(target, "k", 0)
+        for run in runs.get(target.point, ()):
+            if len(run) == 1:
+                (first, last, family), = run
+                if first <= kt <= last:
+                    yield family.row(target), family
+                continue
+            rows = [(family.row(target), family)
+                    for first, last, family in run if first <= kt <= last]
+            rows.sort(key=lambda row: row[0].source.display_name)
+            yield from rows

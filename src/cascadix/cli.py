@@ -67,14 +67,20 @@ def _vec(v) -> str:
 
 
 def _emit_csv(header, rows):
+    """Write the header and then each row as it comes."""
     import csv
-    import io
 
-    buf = io.StringIO()
-    writer = csv.writer(buf)
+    writer = csv.writer(sys.stdout)
     writer.writerow(header)
     writer.writerows(rows)
-    sys.stdout.write(buf.getvalue())
+
+
+def _emit_text(rows):
+    """Write each row as it comes, its cells joined by spaces, an empty
+    cell as `-`."""
+    write = sys.stdout.write
+    for row in rows:
+        write(" ".join(cell or "-" for cell in row) + "\n")
 
 
 def _generator_by_name(setup, name):
@@ -113,14 +119,16 @@ GEN_HEADER = ["name", "kind", "degree", "coset"]
 
 
 def _generator_rows(setup, k_max, degree):
+    """The cells of each generator, one generator at a time; the bounds are
+    checked before the first."""
     from . import grading
 
-    rows = []
-    for gen in grading.enumerate_generators(setup, k_max, degree):
-        rows.append([gen.display_name, gen.kind,
-                     str(grading.grade(setup, gen)),
-                     str(grading.coset_label(setup, gen))])
-    return rows
+    if degree is None:
+        gens = grading.ordered_generators(setup, k_max)
+    else:
+        gens = grading.enumerate_generators(setup, k_max, degree)
+    return ([gen.display_name, gen.kind, str(grading.grade(setup, gen)),
+             str(grading.coset_label(setup, gen))] for gen in gens)
 
 
 @command("grade",
@@ -294,26 +302,45 @@ CATALOG_HEADER = [
 ]
 
 
-def _catalog_rows(setup, types):
+def _catalog_cells(setup, rows, violations, cases):
+    """The cells of each catalog row, one row at a time, from the (row,
+    family) pairs of `cascades.stream_catalog`.
+
+    The cells that do not move within a family (case, N, N0, N1,
+    aug_count, classes_a, sphere_b, aug) are rendered once per family, the
+    target's name and degree once per target; a source's degree is the
+    target's less the family's degree difference.  Each row's violations
+    are appended to `violations` and each family's case value added to
+    `cases`.
+    """
     from . import grading
 
-    return [[
-        t.target.display_name,
-        t.source.display_name,
-        str(t.case_label.value),
-        str(t.n_levels),
-        str(t.n_constant),
-        str(t.n_nonconstant),
-        str(t.aug_count),
-        "" if t.k_minus is None else str(t.k_minus),
-        "" if t.k_plus is None else str(t.k_plus),
-        ";".join(str(m) for m in t.multiplicities),
-        ";".join(_vec(a) for a in t.classes_a),
-        "" if t.sphere_b is None else _vec(t.sphere_b),
-        ";".join(f"{a.level}:{_vec(a.class_b)}" for a in t.aug),
-        str(grading.grade(setup, t.target)),
-        str(grading.grade(setup, t.source)),
-    ] for t in types]
+    fixed = {}    # id(family) -> (cells before k_minus, after, degree gap)
+    target = None
+    for t, family in rows:
+        cells = fixed.get(id(family))
+        if cells is None:
+            s = family.template
+            cases.add(s.case_label.value)
+            cells = fixed[id(family)] = (
+                [str(s.case_label.value), str(s.n_levels), str(s.n_constant),
+                 str(s.n_nonconstant), str(s.aug_count)],
+                [";".join(_vec(a) for a in s.classes_a),
+                 "" if s.sphere_b is None else _vec(s.sphere_b),
+                 ";".join(f"{a.level}:{_vec(a.class_b)}" for a in s.aug)],
+                grading.grade(setup, s.target)
+                - grading.grade(setup, s.source))
+        head, tail, gap = cells
+        if family.problems:
+            violations.extend(family.violations(t))
+        if t.target is not target:
+            target = t.target
+            name, degree = target.display_name, grading.grade(setup, target)
+            degree_cell = str(degree)
+        ks = t.multiplicities
+        yield [name, t.source.display_name, *head,
+               str(ks[0]) if ks else "", str(ks[-1]) if ks else "",
+               ";".join(map(str, ks)), *tail, degree_cell, str(degree - gap)]
 
 
 @command("enumerate",
@@ -334,20 +361,20 @@ def enumerate_cmd(setup_path, target, all_targets, kmax, classbound, as_text):
     if (target is None) == (not all_targets):
         raise UsageError("give exactly one of --target or --all-targets")
     setup = load_setup(setup_path)
-    if all_targets:
-        result = cascades.certify_classification(setup, kmax, classbound)
-    else:
-        result = cascades.enumerate_contributions(
-            setup, _generator_by_name(setup, target), kmax, classbound)
-    rows = _catalog_rows(setup, result.types)
-    for message in result.warnings:
+    if not all_targets:
+        target = _generator_by_name(setup, target)
+    warnings, rows = cascades.stream_catalog(setup, kmax, classbound, target)
+    for message in warnings:
         print(f"warning: {message}", file=sys.stderr)
+    violations = []
+    cells = _catalog_cells(setup, rows, violations, set())
     if as_text:
         print(" ".join(CATALOG_HEADER))
-        for row in rows:
-            print(" ".join(cell or "-" for cell in row))
-        return
-    _emit_csv(CATALOG_HEADER, rows)
+        _emit_text(cells)
+    else:
+        _emit_csv(CATALOG_HEADER, cells)
+    for violation in violations:
+        print(f"violation: {violation}", file=sys.stderr)
 
 
 # --- orient ------------------------------------------------------------
@@ -448,8 +475,9 @@ def report_cmd(setup_path, kmax, classbound, profile_spec, levels):
     from . import cascades, profiles
     from .model import format_rational, load_setup
 
-    # Everything is computed before the first line goes out, so a rejected
-    # input prints nothing on stdout.
+    # Everything that can reject the input is checked before the first
+    # line goes out, so a rejected input prints nothing on stdout; the
+    # tables are then written as they are computed.
     if levels < 1:
         raise CascadixError(f"levels must be >= 1, got {levels}")
     setup = load_setup(setup_path)
@@ -461,8 +489,7 @@ def report_cmd(setup_path, kmax, classbound, profile_spec, levels):
             f"profile {profile_spec!r} rejected: {admissibility.first_violation}")
     actions = [profiles.orbit_level(prof, k, setup.t0)
                for k in range(1, levels + 1)]
-    certification = cascades.certify_classification(setup, kmax, classbound)
-    catalog = _catalog_rows(setup, certification.types)
+    warnings, rows = cascades.stream_catalog(setup, kmax, classbound)
 
     print(f"# report: {setup.name}")
     print("")
@@ -473,8 +500,7 @@ def report_cmd(setup_path, kmax, classbound, profile_spec, levels):
     print("")
     print(f"## generators (kmax={kmax})")
     print(" ".join(GEN_HEADER))
-    for row in generators:
-        print(" ".join(row))
+    _emit_text(generators)
     print("")
     print(f"## actions ({profile_spec}, T0={format_rational(setup.t0)})")
     print("k rho action vertical_C")
@@ -484,14 +510,14 @@ def report_cmd(setup_path, kmax, classbound, profile_spec, levels):
     print("")
     print(f"## cascade catalog (kmax={kmax}, classbound={classbound})")
     print(" ".join(CATALOG_HEADER))
-    for row in catalog:
-        print(" ".join(cell or "-" for cell in row))
+    violations, cases = [], set()
+    _emit_text(_catalog_cells(setup, rows, violations, cases))
     print("")
     print("## certification")
-    print(certification.summary())
-    for message in certification.warnings:
+    print(cascades.certification_summary(violations, cases))
+    for message in warnings:
         print(f"warning: {message}")
-    for violation in certification.violations:
+    for violation in violations:
         print(f"violation: {violation}")
 
 

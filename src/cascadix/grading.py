@@ -15,7 +15,11 @@ one into the printed value.  Each divides by D once and builds a
 `Fraction` only when D does not divide (`exact_quotient`).  An orbit's
 D*degree is affine in its winding with slope p, so the winding at which a
 lift has a given degree is one division by p (`winding_at`), the one place
-a winding is solved.
+a winding is solved.  The same slope orders the generators without a
+sort: writing a point's D*degree at winding 0 as p*q + r with 0 <= r < p,
+its generator at winding k lies in block q + k, and within a block
+D*degree orders as r.  So `ordered_generators` walks the blocks with the
+points ordered once, and yields the generators in order one at a time.
 
 The per-piece index terms the cascade solver adds up live here too, each an
 int: the Reeb weight of a plane's orbit, as D times itself
@@ -27,7 +31,8 @@ across one cascade level, read through c1 (`sigma_c1_of_step`).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Container, List, NamedTuple, Optional, Sequence, Union
+from typing import (Container, Iterator, List, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 from .errors import CascadixError
 from .model import (
@@ -221,13 +226,6 @@ def coset_label(setup: SetupDescriptor, gen: Generator) -> Rational:
     return exact_quotient(scaled_degree(setup, gen) % d, d)
 
 
-def _sort_key(setup: SetupDescriptor, gen: Generator):
-    if isinstance(gen, OrbitGenerator):
-        return (scaled_degree(setup, gen), gen.kind, gen.point.base.name,
-                gen.point.flag.value, gen.k)
-    return (scaled_degree(setup, gen), gen.kind, gen.point.name, "", 0)
-
-
 def winding_at(setup: SetupDescriptor, point: LiftedCriticalPoint,
                scaled: int) -> Optional[int]:
     """The winding k >= 1 at which the lift `point` has D*degree `scaled`,
@@ -242,39 +240,108 @@ def winding_at(setup: SetupDescriptor, point: LiftedCriticalPoint,
     return None if rest or k < 1 else k
 
 
+def _points_in_order(setup: SetupDescriptor, points: Optional[Container]
+                     ) -> List[Tuple[int, Union[CriticalPoint,
+                                               LiftedCriticalPoint]]]:
+    """(q, point) of each filling critical point and lift (only those in
+    `points`, if given), in generator order within one block.
+
+    With p/D the winding slope, an interior point's D*degree is p*q + r and
+    a lift's at winding k is p*(q + k) + r, with 0 <= r < p.  So q + k (q
+    for an interior point) numbers the block of p consecutive D*degrees a
+    generator lies in, and within a block D*degree orders as r.  The list
+    is in (r, kind, name, flag) order, the order of the generators of one
+    block.
+    """
+    d, p = setup.degree_scale
+    keyed = []
+    for x in setup.morse_w:
+        if points is None or x in points:
+            q, r = divmod(d * (setup.n - x.morse_index), p)
+            keyed.append(((r, "interior", x.name, ""), q, x))
+    for base in setup.morse_sigma:
+        for flag in (FibreFlag.CHECK, FibreFlag.HAT):
+            lift = LiftedCriticalPoint(base, flag)
+            if points is None or lift in points:
+                q, r = divmod(d * (lift.lifted_index + 1 - setup.n), p)
+                keyed.append(((r, "orbit", base.name, flag.value), q, lift))
+    keyed.sort(key=lambda item: item[0])
+    return [(q, point) for _, q, point in keyed]
+
+
+def ordered_generators(setup: SetupDescriptor, k_max: int,
+                       points: Optional[Container] = None
+                       ) -> Iterator[Generator]:
+    """Every generator with winding <= k_max (only those at `points`, if
+    given), sorted by degree then name, one at a time.
+
+    The order is (D*degree, kind, name, flag), taken block by block (see
+    `_points_in_order`): a lift has a generator in each block from q + 1
+    to q + k_max, an interior point in block q alone.  Between two blocks
+    where some point starts or stops, the same points have a generator in
+    every block, in the same order, so nothing is sorted per generator and
+    nothing is held.  k_max < 0 is refused here, not at the first
+    generator.
+    """
+    _refuse_negative(k_max)
+    # (first block, block after the last, lift, q) or, for an interior
+    # point, (q, q + 1, its generator, None)
+    order = []
+    for q, point in _points_in_order(setup, points):
+        if isinstance(point, CriticalPoint):
+            order.append((q, q + 1, InteriorGenerator(point), None))
+        elif k_max:
+            order.append((q + 1, q + k_max + 1, point, q))
+    return _in_blocks(order)
+
+
+def _refuse_negative(k_max: int) -> None:
+    if k_max < 0:
+        raise CascadixError(f"k_max must be >= 0, got {k_max}")
+
+
+def _in_blocks(order):
+    """The generators of `ordered_generators`' `order`, block by block."""
+    edges = sorted({edge for lo, hi, _, _ in order for edge in (lo, hi)})
+    for lo, hi in zip(edges, edges[1:]):
+        here = [(point, q) for first, stop, point, q in order
+                if first <= lo < stop]
+        if not here:   # a stretch between far-apart points, skipped whole
+            continue
+        for m in range(lo, hi):
+            for point, q in here:
+                yield point if q is None else OrbitGenerator(point, m - q)
+
+
 def enumerate_generators(setup: SetupDescriptor, k_max: int,
                          degree: Optional[Fraction] = None,
                          points: Optional[Container] = None
                          ) -> List[Generator]:
     """All generators with winding <= k_max, sorted by degree then name.
 
-    Without a degree filter the list has |crit W| + 2 * |crit Sigma| * k_max
-    entries.  With one, only generators of exactly that degree are built:
-    none when D*degree is not an integer, and otherwise each lift at the
-    one winding `winding_at` gives, if any, so the cost does not grow with
-    k_max.  With `points`, only the generators at those filling critical
-    points and lifts are built; the order is that of the full list.
+    Without a degree filter the list is `ordered_generators`, with
+    |crit W| + 2 * |crit Sigma| * k_max entries.  With one, only generators
+    of exactly that degree are built: none when D*degree is not an
+    integer, and otherwise each lift at the one winding `winding_at` gives,
+    if any, so the cost does not grow with k_max; one degree is one r, so
+    `_points_in_order` is already their order.  With `points`, only the
+    generators at those filling critical points and lifts are built; the
+    order is that of the full list.
     """
-    if k_max < 0:
-        raise CascadixError(f"k_max must be >= 0, got {k_max}")
-    gens: List[Generator] = [InteriorGenerator(p) for p in setup.morse_w]
-    lifts = [LiftedCriticalPoint(p, flag) for p in setup.morse_sigma
-             for flag in (FibreFlag.CHECK, FibreFlag.HAT)]
-    if points is not None:
-        gens = [g for g in gens if g.point in points]
-        lifts = [q for q in lifts if q in points]
     if degree is None:
-        gens += [OrbitGenerator(point, k) for point in lifts
-                 for k in range(1, k_max + 1)]
-    else:
-        scaled = setup.degree_scale[0] * Fraction(degree)
-        if scaled.denominator != 1:
-            return []
-        scaled = scaled.numerator
-        gens = [g for g in gens if scaled_degree(setup, g) == scaled]
-        for point in lifts:
-            k = winding_at(setup, point, scaled)
+        return list(ordered_generators(setup, k_max, points))
+    _refuse_negative(k_max)
+    scaled = setup.degree_scale[0] * Fraction(degree)
+    if scaled.denominator != 1:
+        return []
+    gens: List[Generator] = []
+    for _, point in _points_in_order(setup, points):
+        if isinstance(point, CriticalPoint):
+            gen = InteriorGenerator(point)
+            if scaled_degree(setup, gen) == scaled.numerator:
+                gens.append(gen)
+        else:
+            k = winding_at(setup, point, scaled.numerator)
             if k is not None and k <= k_max:
                 gens.append(OrbitGenerator(point, k))
-    gens.sort(key=lambda g: _sort_key(setup, g))
     return gens

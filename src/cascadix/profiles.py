@@ -85,22 +85,63 @@ _EXPR_NAMES = {
 
 
 def _compile_expr(src: str, label: str) -> Callable[[float], float]:
-    """The expression as a function of rho, each integer literal made a
-    float: an exact integer power such as 9**9**9 would run without bound,
-    a float one overflows at once."""
+    """The expression as a function of rho.  Only the arithmetic of
+    docs/profiles.md compiles: + - * / ** and unary + -, calls of the
+    `_EXPR_NAMES` functions, those names and rho, and numbers, each made a
+    float.  Every value is then a float, so a power such as 9**9**9
+    overflows at once instead of running without bound, as an exact int or
+    bool one would."""
     import ast   # here, so that a launch without an expression skips it
+
+    binary = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
+    unary = (ast.UAdd, ast.USub)
+
+    def refuse(what):
+        raise ProfileParseError(
+            f"{label} expression {src!r} uses {what}, which a profile "
+            f"expression may not")
+
+    def check(node):
+        if isinstance(node, ast.BinOp):
+            if not isinstance(node.op, binary):
+                refuse(f"the operator {type(node.op).__name__}")
+            check(node.left)
+            check(node.right)
+        elif isinstance(node, ast.UnaryOp):
+            if not isinstance(node.op, unary):
+                refuse(f"the operator {type(node.op).__name__}")
+            check(node.operand)
+        elif isinstance(node, ast.Call):
+            if not isinstance(node.func, ast.Name) or node.keywords:
+                refuse("a call other than f(x, ...) of a named function")
+            check(node.func)
+            for arg in node.args:
+                check(arg)
+        elif isinstance(node, ast.Name):
+            if node.id not in _EXPR_NAMES and node.id != "rho":
+                raise ProfileParseError(
+                    f"{label} expression uses unknown name {node.id!r}")
+        elif isinstance(node, ast.Constant):
+            if type(node.value) not in (int, float):
+                refuse(f"the constant {node.value!r}")
+            try:
+                node.value = float(node.value)
+            except OverflowError as exc:
+                raise ProfileParseError(
+                    f"bad {label} expression {src!r}: {exc}") from exc
+        else:
+            refuse(f"the construct {type(node).__name__}")
 
     try:
         tree = ast.parse(src, f"<profile {label}>", "eval")
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Constant) and type(node.value) is int:
-                node.value = float(node.value)
+        check(tree.body)
         code = compile(tree, f"<profile {label}>", "eval")
-    except (SyntaxError, OverflowError) as exc:
+    except SyntaxError as exc:
         raise ProfileParseError(f"bad {label} expression {src!r}: {exc}") from exc
-    for name in code.co_names:
-        if name not in _EXPR_NAMES and name != "rho":
-            raise ProfileParseError(f"{label} expression uses unknown name {name!r}")
+    except (RecursionError, MemoryError):
+        # the parser's and this check's depth limits
+        raise ProfileParseError(
+            f"{label} expression nested too deeply") from None
 
     def call(r: float) -> float:
         if r <= 2.0:

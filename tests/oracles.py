@@ -24,9 +24,13 @@ package's `grade` and `area_classes`.  `fraction_sorted_generators` is
 the generator list as it was before degrees were compared as integers, each
 degree a `Fraction` computed from the setup's fields, kept as the reference
 the integer sort and winding solve are compared against; it builds the
-package's generator types.  `grade_reeb`, `fraction_budget` and
-`fraction_index_identity` are the budget terms and index identity as
-`Fraction` sums from their definitions, kept as the reference the solver's
+package's generator types.  `list_catalog` is the catalog as it was
+before it streamed, each target's rows held and sorted, kept as the
+reference the streamed rows and their warnings are compared against; it
+reads the package's `families` and record types.  `grade_reeb`,
+`fraction_budget` and `fraction_index_identity` are the budget terms and
+index identity as `Fraction`
+sums from their definitions, kept as the reference the solver's
 integer and D-scaled sums are compared against; they read the package's
 generator and cascade records.  `omega_balance`, `omega_class_of_area`
 and `omega_plane_positive` are the level balance, the class of an area
@@ -605,6 +609,63 @@ def per_row_certify(setup, k_max, class_bound):
         warnings.extend(w)
     violations = [f"{t.target.display_name} <- {t.source.display_name}: {v}"
                   for t in types for v in _structural_violations(setup, t)]
+    return CertificationReport(tuple(types), tuple(violations),
+                               tuple(dict.fromkeys(warnings)))
+
+
+def list_catalog(setup, k_max, class_bound, target=None):
+    """`enumerate_contributions` (one target) or `certify_classification`
+    (target None) as they were before the catalog streamed: every row of
+    each target built from each family of its point, held and sorted by
+    `CascadeType.sort_key`, and the warnings gathered target by target.
+    The targets come from `fraction_sorted_generators`."""
+    from cascadix.cascades import (CascadeType, CertificationReport,
+                                   families)
+    from cascadix.errors import CascadixError
+    from cascadix.grading import OrbitGenerator
+
+    def row(family, target):
+        t = family.template
+        if family.step is None:
+            return t if t.target == target else None
+        k0 = target.k - family.step
+        if not 1 <= k0 <= k_max:
+            return None
+        shift = k0 - t.source.k
+        return CascadeType(target, OrbitGenerator(t.source.point, k0),
+                           tuple(m + shift for m in t.multiplicities), *t[3:])
+
+    solved = families(setup)
+    if target is None:
+        targets = [g for g in fraction_sorted_generators(setup, k_max)
+                   if g.point in solved]
+    else:
+        targets = [target]
+    if k_max < 1 or class_bound < 1:
+        raise CascadixError("enumeration bounds must be positive")
+    types, violations, warnings = [], [], []
+    for target in targets:
+        rows, needs = [], set()
+        for family in solved.get(target.point, ()):
+            t = row(family, target)
+            if t is None:
+                continue
+            if family.area <= class_bound:
+                rows.append((t, family))
+            else:
+                needs.add(family.area)
+        rows.sort(key=lambda r: r[0].sort_key())
+        for t, family in rows:
+            types.append(t)
+            violations.extend(f"{t.target.display_name} <- "
+                              f"{t.source.display_name}: {problem}"
+                              for problem in family.problems)
+        if isinstance(target, OrbitGenerator) and k_max < target.k:
+            warnings.append(f"k_max={k_max} below target winding "
+                            f"{target.k}: sources missed")
+        warnings.extend(f"class_bound={class_bound} admits areas only up "
+                        f"to {class_bound}, need {area}"
+                        for area in sorted(needs))
     return CertificationReport(tuple(types), tuple(violations),
                                tuple(dict.fromkeys(warnings)))
 

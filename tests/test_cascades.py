@@ -1014,3 +1014,140 @@ def test_refused_proposal_fails_certification(cp2, monkeypatch):
     assert report.summary() == ("NOT certified: 3 violation(s), first: "
                                 "m_hat_1 <- m_check_1: refused: budget 2 "
                                 "exceeds 1")
+
+
+# --- the streamed catalog against the list-building one -----------------
+
+
+def assert_stream_matches_list_catalog(setup, k_max, class_bound):
+    """Row for row, with the same warnings and violations: all targets at
+    once, and each target up to one winding past k_max alone, so the
+    truncation warning is compared too."""
+    whole = oracles.list_catalog(setup, k_max, class_bound)
+    assert certify_classification(setup, k_max, class_bound) == whole
+    for target in [None] + oracles.fraction_sorted_generators(setup,
+                                                              k_max + 1):
+        warnings, rows = cascades.stream_catalog(setup, k_max, class_bound,
+                                                 target)
+        rows = list(rows)
+        want = whole if target is None else oracles.list_catalog(
+            setup, k_max, class_bound, target)
+        where = (setup.name, k_max, class_bound, target)
+        assert tuple(t for t, _ in rows) == want.types, where
+        assert warnings == want.warnings, where
+        assert tuple(v for t, family in rows
+                     for v in family.violations(t)) == want.violations, where
+        if target is not None:
+            assert enumerate_contributions(setup, target, k_max,
+                                           class_bound) == want, where
+
+
+@pytest.mark.parametrize("name", ["cp2", "tau2", "rank0", "rank2"])
+@pytest.mark.parametrize("k_max,class_bound",
+                         [(1, 1), (3, 3), (6, 1), (12, 5), (40, 40)])
+def test_stream_matches_list_catalog_shipped(name, k_max, class_bound):
+    assert_stream_matches_list_catalog(shipped_setup(name), k_max,
+                                       class_bound)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(setup=monotone_setups(), k_max=st.integers(1, 12),
+       class_bound=st.integers(1, 12))
+def test_stream_matches_list_catalog_random(setup, k_max, class_bound):
+    assert_stream_matches_list_catalog(setup, k_max, class_bound)
+
+
+def test_stream_matches_list_catalog_with_a_refused_family(cp2, monkeypatch):
+    propose_hat_over_check(monkeypatch)
+    assert_stream_matches_list_catalog(cp2, 3, 3)
+
+
+def test_families_read_only_inside_their_windows(tau2, monkeypatch):
+    """Each family is read only at the target windings of its window, so
+    every call of `Family.row` is a row of the catalog."""
+    calls = []
+    row = cascades.Family.row
+
+    def counted(family, target):
+        calls.append(target)
+        return row(family, target)
+
+    monkeypatch.setattr(cascades.Family, "row", counted)
+    report = certify_classification(tau2, 6, 6)
+    assert len(calls) == len(report.types) == 32
+
+
+def test_tied_rows_ordered_by_source_name_per_winding(data_dir):
+    """Two Sigma points of equal index, `p` and `p_hat_1`: their Case 0
+    rows into M_check_k tie on all of the sort key but the source name,
+    and the names swap places between source windings 1 and 2
+    ("p_hat_1" < "p_hat_1_hat_1", but "p_hat_1_hat_2" < "p_hat_2")."""
+    raw = json.loads((data_dir / "cp2.json").read_text())
+    raw["morse_sigma"] = [{"name": "p", "index": 0},
+                          {"name": "p_hat_1", "index": 0},
+                          {"name": "M", "index": 2}]
+    setup = parse_setup(raw)
+    report = certify_classification(setup, 3, 3)
+    sources = {}
+    for t in report.types:
+        if t.target.point.base.name == "M":
+            sources.setdefault(t.target.k, []).append(t.source.display_name)
+    assert sources == {1: ["p_hat_1", "p_hat_1_hat_1"],
+                       2: ["p_hat_1_hat_2", "p_hat_2"],
+                       3: ["p_hat_1_hat_3", "p_hat_3"]}
+    assert report == oracles.list_catalog(setup, 3, 3)
+    assert_stream_matches_list_catalog(setup, 6, 6)
+
+
+# D = 3: degrees lie in thirds, interior points of equal index and a
+# Sigma point of each index, so blocks hold several remainders and
+# interior degrees meet orbit degrees (x1 and m_check_3 both have 1).
+THIRDS = {
+    "name": "thirds", "n": 2, "tau_x": 4, "k_const": 3, "t0": 1,
+    "lattice_sigma": {"generators": ["A"], "omega": [1], "c1": [1]},
+    "lattice_x": {"generators": ["L"], "omega": [1], "c1": [4],
+                  "sigma_intersection": [3]},
+    "morse_sigma": [{"name": "m", "index": 0}, {"name": "b", "index": 1},
+                    {"name": "M", "index": 2}],
+    "morse_w": [{"name": "z", "index": 1}, {"name": "x1", "index": 1},
+                {"name": "x0", "index": 0}, {"name": "x3", "index": 3}],
+}
+
+
+def test_block_order_is_fraction_order_with_interior_ties():
+    setup = parse_setup(THIRDS)
+    assert setup.degree_scale == (3, 2)
+    for k_max in range(0, 13):
+        gens = enumerate_generators(setup, k_max)
+        assert gens == oracles.fraction_sorted_generators(setup, k_max)
+        assert list(grading.ordered_generators(setup, k_max)) == gens
+    degrees = {}
+    for g in enumerate_generators(setup, 6):
+        degrees.setdefault(oracles.fraction_degree(setup, g), set()).add(
+            g.kind)
+    assert sum(kinds == {"interior", "orbit"}
+               for kinds in degrees.values()) >= 2
+    for kept in ({"z", "m"}, {"x1", "x3"}, set()):
+        points = [p for p in setup.morse_w if p.name in kept] + [
+            LiftedCriticalPoint(q, flag) for q in setup.morse_sigma
+            for flag in FibreFlag if q.name in kept]
+        assert enumerate_generators(setup, 9, points=points) == [
+            g for g in oracles.fraction_sorted_generators(setup, 9)
+            if g.point in points]
+
+
+def test_generator_stream_skips_empty_blocks():
+    """Degrees far apart in blocks (a huge D with p = 1 puts the filling's
+    points and the lifts up to 10**50 blocks apart) cost nothing to cross:
+    only blocks that hold a generator are visited."""
+    big = 10 ** 50
+    raw = {**THIRDS, "tau_x": f"{big + 2}/{big}", "k_const": 1,
+           "lattice_sigma": {"generators": [], "omega": [], "c1": []},
+           "lattice_x": {"generators": [], "omega": [], "c1": [],
+                         "sigma_intersection": []}}
+    setup = parse_setup(raw)
+    assert setup.degree_scale == (big // 4, 1)
+    gens = list(grading.ordered_generators(setup, 3))
+    assert len(gens) == 4 + 3 * 3 * 2
+    assert gens == oracles.fraction_sorted_generators(setup, 3)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import oracles
 
 from cascadix import cli, morse, pearls
-from cascadix.cascades import certify_classification
+from cascadix.cascades import certify_classification, stream_catalog
 from cascadix.grading import (coset_label, enumerate_generators, grade,
                               orbit_generator)
 from cascadix.model import FibreFlag, format_rational
@@ -316,13 +316,16 @@ def assert_degree_cells_match_fractions(setup, k_max, class_bound):
     table's degree and coset cells print the `Fraction` degrees, and
     `grade` and `coset_label` are ints exactly when the degree is one."""
     report = certify_classification(setup, k_max, class_bound)
-    for t, row in zip(report.types, cli._catalog_rows(setup, report.types)):
+    _, stream = stream_catalog(setup, k_max, class_bound)
+    cells = list(cli._catalog_cells(setup, stream, [], set()))
+    assert len(cells) == len(report.types)
+    for t, row in zip(report.types, cells):
         ends = (t.target, t.source)
         assert row[-2:] == [format_rational(grade(setup, g)) for g in ends]
         assert row[-2:] == [format_rational(oracles.fraction_degree(setup, g))
                             for g in ends]
     gens = enumerate_generators(setup, k_max)
-    rows = cli._generator_rows(setup, k_max, None)
+    rows = list(cli._generator_rows(setup, k_max, None))
     assert [row[0] for row in rows] == [g.display_name for g in gens]
     for gen, (_, _, degree, coset) in zip(gens, rows):
         want = oracles.fraction_degree(setup, gen)
@@ -980,7 +983,8 @@ def test_uncertified_catalog_prints_each_violation(run_cli, data_dir,
                                                   monkeypatch):
     """A refused proposal: `report` still exits 0, with the summary under
     `## certification` and one `violation:` line per refused row, and
-    `enumerate --all-targets` prints each such row with case -1."""
+    `enumerate` prints each such row with case -1 and its violation on
+    stderr, after the warnings."""
     propose_hat_over_check(monkeypatch)
     bounds = ("--setup", str(data_dir / "cp2.json"),
               "--kmax", "3", "--classbound", "3")
@@ -992,10 +996,20 @@ def test_uncertified_catalog_prints_each_violation(run_cli, data_dir,
         f"NOT certified: 3 violation(s), first: {refused[0]}",
         *(f"violation: {v}" for v in refused)]
     listed = run_cli("enumerate", "--all-targets", *bounds)
-    assert listed.exit_code == 0 and not listed.stderr
+    assert listed.exit_code == 0
+    assert listed.stderr.splitlines() == [f"violation: {v}" for v in refused]
     rows = [line.split(",")[:3] for line in listed.stdout.splitlines()]
     assert [row for row in rows if row[2] == "-1"] == [
         [f"m_hat_{k}", f"m_check_{k}", "-1"] for k in (1, 2, 3)]
+    one = run_cli("enumerate", "--target", "m_hat_5", *bounds)
+    assert one.exit_code == 0
+    assert one.stderr.splitlines() == [
+        "warning: k_max=3 below target winding 5: sources missed"]
+    one = run_cli("enumerate", "--target", "m_hat_2", "--text", *bounds)
+    assert one.exit_code == 0
+    assert one.stderr.splitlines() == [f"violation: {refused[1]}"]
+    assert [line.split()[:3] for line in one.stdout.splitlines()[1:]] == [
+        ["m_hat_2", "m_check_2", "-1"]]
 
 
 def test_report_rejects_inadmissible_profile(run_cli, data_dir):
@@ -1013,7 +1027,7 @@ def test_report_rejects_inadmissible_profile(run_cli, data_dir):
                                    ["--levels", "0"],
                                    ["--profile", "expr:(rho-2)**2;2*(rho-2);"
                                                  "2/(rho-2-rho+2)"],
-                                   ["--profile", "expr:rho;1;[1]"],
+                                   ["--profile", "expr:rho;1;pi(1)"],
                                    ["--profile", "expr:log(2-rho);1;1"]],
                          ids=["classbound", "unknown-profile",
                               "inadmissible-profile", "levels",
@@ -1024,6 +1038,27 @@ def test_report_rejected_input_prints_nothing(run_cli, data_dir, extra):
     result = run_cli(
         "report", "--setup", str(data_dir / "cp2.json"), *extra)
     _assert_one_error_line(result)
+
+
+@pytest.mark.parametrize("profile", [
+    "expr:((rho>1)+(rho>1))**((rho>1)+(rho>1))**((rho>1)+(rho>1))**"
+    "((rho>1)+(rho>1))**((rho>1)+(rho>1))**((rho>1)+(rho>1));1;1",
+    "expr:(rho-2)**2;2*(rho-2);(True+True)**(True+True)**(True+True)**"
+    "(True+True)**(True+True)**(True+True)",
+    "expr:[1];1;1",
+], ids=["compare-tower", "bool-tower", "list"])
+def test_report_refuses_unlisted_expression_at_once(data_dir, profile):
+    """Exact ints from comparisons or bools would make these towers
+    2**(2**65536) and more; they are refused when parsed, with exit 1 and
+    one error line."""
+    proc = run_script("report", "--setup", str(data_dir / "cp2.json"),
+                      "--profile", profile, timeout=30)
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith("error: profiles: ProfileParseError: ")
+    assert "which a profile expression may not" in lines[0]
 
 
 def test_report_accepts_custom_expr_profile(run_cli, data_dir):

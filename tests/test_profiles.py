@@ -144,17 +144,72 @@ def test_power_exponent_refused_up_front(spec, message):
 
 @pytest.mark.parametrize("spec,field,bad", [
     ("expr:(rho-2)**2;2*(rho-2);2/(rho-2-rho+2)", 2, "2/(rho-2-rho+2)"),
-    ("expr:rho;1;[1]", 2, "[1]"),
+    ("expr:rho;1;pi(1)", 2, "pi(1)"),
     ("expr:log(2-rho);2*(rho-2);2", 0, "log(2-rho)"),
     ("expr:(rho-2)**2+9**9**9*0;2*(rho-2);2", 0, "(rho-2)**2+9**9**9*0"),
 ], ids=["zero-division", "type", "math-domain", "integer-power-overflow"])
 def test_expression_errors_become_parse_errors(spec, field, bad):
-    """Arithmetic, type and math-domain errors raised while evaluating an
-    expression come out as ProfileParseError naming the expression and rho.
-    Integer literals are floats, so 9**9**9 overflows at once instead of
-    being computed exactly."""
+    """Arithmetic, type (calling the float `pi`) and math-domain errors
+    raised while evaluating an expression come out as ProfileParseError
+    naming the expression and rho.  Integer literals are floats, so
+    9**9**9 overflows at once instead of being computed exactly."""
     prof = make_profile(spec)
     call = (prof.h, prof.h_prime, prof.h_double_prime)[field]
     with pytest.raises(ProfileParseError, match=r"fails at rho=3\.0") as info:
         call(3.0)
     assert repr(bad) in str(info.value)
+
+
+TOWER = "((rho>1)+(rho>1))**((rho>1)+(rho>1))**((rho>1)+(rho>1))"
+
+
+@pytest.mark.parametrize("expression,construct", [
+    (TOWER, "the construct Compare"),
+    ("(rho-2)**2*True", "the constant True"),
+    ("(rho-2)**2 if rho else 1", "the construct IfExp"),
+    ("(rho-2)**2 or 1", "the construct BoolOp"),
+    ("[1]", "the construct List"),
+    ("rho[0]", "the construct Subscript"),
+    ("exp([r for r in (rho,)])", "the construct ListComp"),
+    ("(rho-2)**2 % 7", "the operator Mod"),
+    ("(rho-2)**2 // 1", "the operator FloorDiv"),
+    ("~rho", "the operator Invert"),
+    ("not rho", "the operator Not"),
+    ("'rho'", "the constant 'rho'"),
+    ("1j*rho", "the constant 1j"),
+    ("math.pi", "the construct Attribute"),
+    ("pow(rho, exp=2)", "a call other than f(x, ...) of a named function"),
+], ids=["compare-tower", "bool", "ifexp", "boolop", "list", "subscript",
+        "comprehension", "mod", "floordiv", "invert", "not", "string",
+        "complex", "attribute", "keyword"])
+def test_expression_constructs_refused_when_parsed(expression, construct):
+    """Only + - * / **, unary + -, calls of the allowed functions, their
+    names, rho and numbers compile, so every value is a float: a tower of
+    comparisons (exact ints) or bools cannot compute an exact power
+    without bound.  Anything else is refused by name when the profile is
+    made, before any evaluation."""
+    with pytest.raises(ProfileParseError) as exc:
+        make_profile(f"expr:{expression};1;1")
+    assert str(exc.value) == (f"h expression {expression!r} uses "
+                              f"{construct}, which a profile expression "
+                              f"may not")
+
+
+@pytest.mark.parametrize("spec", [
+    "expr:" + "-" * 5000 + "rho;1;1",
+    "expr:" + "+".join(["rho"] * 5000) + ";1;1",
+], ids=["unary", "sum"])
+def test_expression_nested_too_deeply_is_a_parse_error(spec):
+    with pytest.raises(ProfileParseError,
+                       match="^h expression nested too deeply$"):
+        make_profile(spec)
+
+
+def test_documented_expressions_still_compile():
+    prof = make_profile("expr:(rho-2)**2;2*(rho-2);2")
+    assert (prof.h(3.0), prof.h_prime(3.0), prof.h_double_prime(3.0)) == \
+        (1.0, 2.0, 2.0)
+    prof = make_profile("expr:-(-exp(rho-2)+1+(rho-2));+exp(rho-2)-1;"
+                        "pow(e, rho-2)*1.0e0")
+    assert prof.h(2.5) == pytest.approx(math.exp(0.5) - 1.5)
+    assert prof.h_double_prime(2.5) == pytest.approx(math.exp(0.5))
