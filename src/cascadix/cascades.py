@@ -23,11 +23,14 @@ winding fixed by its class and stands alone.  `families` solves each step
 from the degree equation and each class from the level balance, and
 `classify_type` confirms one representative per family, before any bound
 is applied; the rows at each winding are then read off without further
-checks.  `stream_catalog` gives the warnings first and then the rows one
-at a time, each target's from its point's families, ordered once per
-call; `report` and `enumerate` write each row as it comes, and
-`certify_classification` and `enumerate_contributions` hold them in one
-report.  Validation makes c1 and the divisor intersection positive
+checks.  `classify_type` normalizes its inputs once and builds one record
+per verdict straight from them, so a family's solve makes no draft record
+and no copy of one; lifts and critical points hash in C, their enums by
+identity (see `model`).  `stream_catalog` gives the warnings first and
+then the rows one at a time, each target's from its point's families,
+ordered once per call; `report` and `enumerate` write each row as it
+comes, and `certify_classification` and `enumerate_contributions` hold
+them in one report.  Validation makes c1 and the divisor intersection positive
 multiples of the area, and the balance fixes the area, so each shape takes
 the one class `model.area_classes` gives for them, in any lattice rank.
 The catalog is complete within user bounds (max source winding, max class
@@ -99,7 +102,7 @@ class BudgetTerms(NamedTuple):
 
     @property
     def total(self) -> Rational:
-        return sum(v for _, v in self.terms)
+        return sum([v for _, v in self.terms])
 
     def first_negative(self) -> Optional[str]:
         for name, v in self.terms:
@@ -166,15 +169,17 @@ def index_identity(setup: SetupDescriptor, t: CascadeType) -> Rational:
     the sum is taken as D times itself.
     """
     d = setup.degree_scale[0]
-    weights = sum(scaled_reeb_weight(setup, a.multiplicity) for a in t.aug)
-    value = t.target.point.lifted_index + 2 * t.aug_count
+    aug, source = t.aug, t.source
+    weights = sum([scaled_reeb_weight(setup, a.multiplicity) for a in aug])
+    value = t.target.point.lifted_index + 2 * len(aug)
+    c1 = setup.lattice_sigma.c1
     for a in t.classes_a:
-        value += 2 * pair(setup.lattice_sigma.c1, a)
-    if isinstance(t.source, InteriorGenerator):
-        value += (1 - 2 * setup.n + t.source.point.morse_index
+        value += 2 * pair(c1, a)
+    if isinstance(source, InteriorGenerator):
+        value += (1 - 2 * setup.n + source.point.morse_index
                   + filling_class_term(setup, t.sphere_b))
     else:
-        value -= t.source.point.lifted_index
+        value -= source.point.lifted_index
     return exact_quotient(d * value + weights, d)
 
 
@@ -187,15 +192,14 @@ def classify_type(setup: SetupDescriptor, target: Generator, source: Generator,
 
     Structural nonsense (wrong lengths, unknown shapes) raises; arithmetic
     infeasibility comes back as a labeled Infeasible type with a reason.
+    The inputs are normalized once into the record's first six fields, and
+    the one record of the verdict is built from them.
     """
-    draft = CascadeType(target, source, tuple(map(int, multiplicities)),
-                        tuple(tuple(map(int, a)) for a in classes_a),
-                        sphere_b, tuple(aug), Case.INFEASIBLE, BudgetTerms(()))
-    multiplicities, classes_a, aug, n_levels = (
-        draft.multiplicities, draft.classes_a, draft.aug, draft.n_levels)
-
-    def bail(reason, budget=draft.budget):
-        return draft._replace(budget=budget, infeasible_reason=reason)
+    fields = (target, source, tuple(map(int, multiplicities)),
+              tuple([tuple(map(int, a)) for a in classes_a]), sphere_b,
+              tuple(aug))
+    _, _, multiplicities, classes_a, _, aug = fields
+    n_levels = len(classes_a)
 
     # interior-to-interior: a Morse flow line in the filling
     if isinstance(target, InteriorGenerator):
@@ -204,10 +208,10 @@ def classify_type(setup: SetupDescriptor, target: Generator, source: Generator,
         if n_levels or sphere_b is not None or aug or multiplicities:
             raise CascadixError("interior flows carry no levels or classes")
         if target.point.name == source.point.name:
-            return bail("endpoints coincide")
+            return _refused(fields, "endpoints coincide")
         if degree_difference(setup, target, source) != 1:
-            return bail("degree difference != 1")
-        return draft._replace(case_label=Case.CASE0)
+            return _refused(fields, "degree difference != 1")
+        return CascadeType(*fields, Case.CASE0, _NO_BUDGET)
 
     if not isinstance(target, OrbitGenerator):
         raise CascadixError(f"unsupported target {target!r}")
@@ -229,46 +233,55 @@ def classify_type(setup: SetupDescriptor, target: Generator, source: Generator,
 
     diff = degree_difference(setup, target, source)
     if diff is None:
-        return bail("non-integer degree difference")
+        return _refused(fields, "non-integer degree difference")
     if diff != 1:
-        return bail("degree difference != 1")
+        return _refused(fields, "degree difference != 1")
 
     w_to_y = isinstance(source, InteriorGenerator)
     if w_to_y:
         if sphere_b is None:
             raise CascadixError("orbit-to-interior cascades carry a filling sphere")
         if n_levels < 1:
-            return bail("interior sources need at least one level")
+            return _refused(fields,
+                            "interior sources need at least one level")
         # B.Sigma = K*omega(B): a winding exactly when the area is positive
         k0 = pair(setup.lattice_x.sigma_intersection, sphere_b)
         if k0 < 1:
-            return bail("filling sphere divisor intersection not a winding")
+            return _refused(
+                fields, "filling sphere divisor intersection not a winding")
         if multiplicities[0] != k0:
-            return bail("bottom winding != sphere divisor intersection")
+            return _refused(fields,
+                            "bottom winding != sphere divisor intersection")
     else:
         if sphere_b is not None:
             raise CascadixError("orbit-to-orbit cascades carry no filling sphere")
         if multiplicities[0] != source.k:
-            return bail("bottom winding != source winding")
+            return _refused(fields, "bottom winding != source winding")
     if multiplicities[-1] != target.k:
-        return bail("top winding != target winding")
+        return _refused(fields, "top winding != target winding")
 
-    # per-level winding bookkeeping; stability is the budget's spare term
+    # per-level winding bookkeeping; stability is the budget's spare term.
+    # The non-constant levels are counted on the way.
+    n1 = 0
+    c1 = setup.lattice_sigma.c1
     for i in range(1, n_levels + 1):
         a_i = classes_a[i - 1]
-        augs_here = tuple(a.multiplicity for a in aug if a.level == i)
-        # c1 = (tau - K)*omega on Sigma: the sign of the area
-        if any(a_i) and pair(setup.lattice_sigma.c1, a_i) <= 0:
-            return bail(f"level {i} sphere has non-positive area")
+        augs_here = [a.multiplicity for a in aug if a.level == i] if aug else ()
+        if any(a_i):
+            n1 += 1
+            # c1 = (tau - K)*omega on Sigma: the sign of the area
+            if pair(c1, a_i) <= 0:
+                return _refused(fields,
+                                f"level {i} sphere has non-positive area")
         if not multiplicity_balance(setup, a_i, multiplicities[i],
                                     multiplicities[i - 1], augs_here):
-            return bail(f"level {i} winding balance fails")
+            return _refused(fields, f"level {i} winding balance fails")
 
     for a in aug:
         try:   # raises on a plane of non-positive filling class term
             augmentation_index(setup, a.class_b)
         except CascadixError as exc:
-            return bail(f"augmentation rejected: {exc}")
+            return _refused(fields, f"augmentation rejected: {exc}")
 
     # budget: each term non-negative, total below the cap; an interior
     # source's filling sphere counts as one more stabilizer.  The spare
@@ -283,22 +296,23 @@ def classify_type(setup: SetupDescriptor, target: Generator, source: Generator,
         first = ("fibre_step", target.point.fibre_index
                  - source.point.fibre_index + 1)
         spare, cap = 0, BUDGET_CAP_Y_TO_Y
-    n1, k_aug = draft.n_nonconstant, draft.aug_count
-    d = setup.degree_scale[0]
+    k_aug = len(aug)
+    weights = exact_quotient(sum([scaled_reeb_weight(setup, a.multiplicity)
+                                  for a in aug]),
+                             setup.degree_scale[0]) if aug else 0
     budget = BudgetTerms((
         first,
         ("nonconstant_levels", n1),
         ("augmentations", k_aug),
-        ("spare_stabilizers", k_aug + spare - draft.n_constant),
-        ("augmentation_weights",
-         exact_quotient(sum(scaled_reeb_weight(setup, a.multiplicity)
-                            for a in aug), d)),
+        ("spare_stabilizers", k_aug + spare - (n_levels - n1)),
+        ("augmentation_weights", weights),
     ))
     bad = budget.first_negative()
     if bad is not None:
-        return bail(f"budget term negative: {bad}", budget)
-    if budget.total > cap:
-        return bail(f"budget {budget.total} exceeds {cap}", budget)
+        return _refused(fields, f"budget term negative: {bad}", budget)
+    total = budget.total
+    if total > cap:
+        return _refused(fields, f"budget {total} exceeds {cap}", budget)
 
     # the survivors: with every term non-negative, the budget leaves only
     # the four shapes
@@ -311,10 +325,20 @@ def classify_type(setup: SetupDescriptor, target: Generator, source: Generator,
     elif target.point.base.name != source.point.base.name:
         # one constant level carrying one rigid augmentation plane; the
         # constant projection pins both ends to the same base point
-        return bail("constant level forces equal base points", budget)
+        return _refused(fields, "constant level forces equal base points",
+                        budget)
     else:
         label = Case.CASE2
-    return draft._replace(case_label=label, budget=budget)
+    return CascadeType(*fields, label, budget)
+
+
+_NO_BUDGET = BudgetTerms(())
+
+
+def _refused(fields, reason: str, budget: BudgetTerms = _NO_BUDGET
+             ) -> CascadeType:
+    """The Infeasible record of `classify_type`'s normalized fields."""
+    return CascadeType(*fields, Case.INFEASIBLE, budget, reason)
 
 
 class Family(NamedTuple):
@@ -411,10 +435,9 @@ def _representatives(setup: SetupDescriptor):
                 yield (0, 0, OrbitGenerator(p, 1),
                        OrbitGenerator(q, 1), (1,), (), None, ())
 
-    hats = [OrbitGenerator(q, 1) for q in lifts if q.flag is FibreFlag.HAT]
-    for p in lifts:
-        if p.flag is not FibreFlag.CHECK:
-            continue
+    # the lifts alternate check, hat
+    hats = [OrbitGenerator(q, 1) for q in lifts[1::2]]
+    for p in lifts[::2]:
         for source in hats:
             # the target sits one degree above the source at winding 1
             kt = winding_at(setup, p, scaled_degree(setup, source) + d)
@@ -466,12 +489,12 @@ def families(setup: SetupDescriptor) -> Families:
     """
     by_target: Dict[Union[LiftedCriticalPoint, CriticalPoint],
                     List[Family]] = {}
-    k = setup.k_const
+    # area = K*area / K, with K = num/den read once per call
+    num, den = setup.k_const.numerator, setup.k_const.denominator
     for step, k_area, target, *shape in _representatives(setup):
         t = classify_type(setup, target, *shape)
         by_target.setdefault(target.point, []).append(
-            Family(t, step,
-                   exact_quotient(k_area * k.denominator, k.numerator),
+            Family(t, step, exact_quotient(k_area * den, num),
                    tuple(_structural_violations(setup, t))))
     return {point: tuple(fams) for point, fams in by_target.items()}
 
@@ -508,57 +531,61 @@ def _structural_violations(setup: SetupDescriptor, t: CascadeType) -> List[str]:
     only its refusal ("refused: <reason>") if `classify_type` refused it.
     The messages do not name the row; the caller puts the row in front.
     """
-    if not t.feasible:
+    label = t.case_label
+    if label is Case.INFEASIBLE:
         return [f"refused: {t.infeasible_reason}"]
     v = []
     bad = v.append
+    target, source, classes_a = t.target, t.source, t.classes_a
 
-    if degree_difference(setup, t.target, t.source) != 1:
+    if degree_difference(setup, target, source) != 1:
         bad("degree difference != 1")
-    orbit_pair = isinstance(t.target, OrbitGenerator) and \
-        isinstance(t.source, OrbitGenerator)
+    orbit_pair = isinstance(target, OrbitGenerator) and \
+        isinstance(source, OrbitGenerator)
     if orbit_pair and index_identity(setup, t) != 1:
         bad("index identity != 1")
-    if t.case_label is Case.CASE0:
-        if t.classes_a or t.aug or t.sphere_b is not None:
+    # a single level is non-constant exactly when its class is non-zero
+    one_level = len(classes_a) == 1
+    if label is Case.CASE0:
+        if classes_a or t.aug or t.sphere_b is not None:
             bad("Case 0 must be bare")
         if orbit_pair:
-            if t.target.k != t.source.k:
+            if target.k != source.k:
                 bad("Case 0 windings differ")
-            di = t.target.point.fibre_index - t.source.point.fibre_index
+            di = target.point.fibre_index - source.point.fibre_index
             if di not in (0, -1):
                 bad(f"Case 0 fibre step {di}")
-    elif t.case_label is Case.CASE1:
-        if not (orbit_pair and t.n_levels == 1 and t.n_nonconstant == 1
+    elif label is Case.CASE1:
+        if not (orbit_pair and one_level and any(classes_a[0])
                 and not t.aug and t.sphere_b is None):
             bad("Case 1 shape")
-        elif not (t.target.point.flag is FibreFlag.CHECK
-                  and t.source.point.flag is FibreFlag.HAT
+        elif not (target.point.flag is FibreFlag.CHECK
+                  and source.point.flag is FibreFlag.HAT
                   and t.k_plus > t.k_minus):
             bad("Case 1 ends")
-    elif t.case_label is Case.CASE2:
-        if not (orbit_pair and t.n_levels == 1 and t.n_constant == 1
-                and t.aug_count == 1 and t.sphere_b is None):
+    elif label is Case.CASE2:
+        if not (orbit_pair and one_level and not any(classes_a[0])
+                and len(t.aug) == 1 and t.sphere_b is None):
             bad("Case 2 shape")
         else:
-            if t.target.point.base.name != t.source.point.base.name:
+            if target.point.base.name != source.point.base.name:
                 bad("Case 2 base points differ")
-            if not (t.target.point.flag is FibreFlag.CHECK
-                    and t.source.point.flag is FibreFlag.HAT):
+            if not (target.point.flag is FibreFlag.CHECK
+                    and source.point.flag is FibreFlag.HAT):
                 bad("Case 2 ends")
             if augmentation_index(setup, t.aug[0].class_b) != 0:
                 bad("Case 2 plane not rigid")
-    elif t.case_label is Case.CASE3:
-        if not isinstance(t.source, InteriorGenerator):
+    elif label is Case.CASE3:
+        if not isinstance(source, InteriorGenerator):
             bad("Case 3 source not interior")
-        elif not (isinstance(t.target, OrbitGenerator) and t.n_levels == 1
-                  and t.n_constant == 1 and not t.aug
+        elif not (isinstance(target, OrbitGenerator) and one_level
+                  and not any(classes_a[0]) and not t.aug
                   and t.sphere_b is not None):
             bad("Case 3 shape")
         else:
             if index_identity(setup, t) != 1:
                 bad("index identity != 1")
-            if not (t.target.point.flag is FibreFlag.CHECK
+            if not (target.point.flag is FibreFlag.CHECK
                     and t.multiplicities[0] == t.multiplicities[1]):
                 bad("Case 3 ends")
     return v

@@ -48,14 +48,32 @@ class DimensionMismatch(CascadixError):
     """Raised when a class vector does not match the lattice rank."""
 
 
+# Both enums hash by identity, in C: `Enum.__hash__` hashes the member's
+# name in Python, and every lookup keyed by a lift or a critical point (a
+# tuple holding one of them) paid that call.  A member is a singleton and
+# equal only to itself, so the identity hash agrees with equality; it
+# varies from run to run, as a str hash does under PYTHONHASHSEED, and
+# nothing that is printed reads it.
+
+
 class Ambient(Enum):
+    __hash__ = object.__hash__
+
     SIGMA = "Sigma"
     W = "W"
 
 
 class FibreFlag(Enum):
+    __hash__ = object.__hash__
+
     CHECK = "check"
     HAT = "hat"
+
+
+# Before Python 3.12 a member read off an Enum class goes through
+# `EnumType.__getattr__`, about as slow as a function call; the index
+# properties of a lift, read for every degree, compare with this name.
+_HAT = FibreFlag.HAT
 
 
 Rational = Union[int, Fraction]
@@ -162,11 +180,12 @@ class LiftedCriticalPoint(_LiftedCriticalPointFields):
 
     @property
     def fibre_index(self) -> int:
-        return 1 if self.flag is FibreFlag.HAT else 0
+        return 1 if self.flag is _HAT else 0
 
     @property
     def lifted_index(self) -> int:
-        return self.base.morse_index + self.fibre_index
+        # the flag read here, not through `fibre_index`: one property less
+        return self.base.morse_index + (1 if self.flag is _HAT else 0)
 
     @property
     def display_name(self) -> str:

@@ -13,10 +13,13 @@ package's decoration and operator types and reads CZ indices from the
 frozen tables below.
 `brute_force_contributions` is the exhaustive generate-and-filter cascade
 search, kept as the reference the case solver is compared against; it uses
-the package's `classify_type` as its judge.  `per_row_certify` is the case
-solver as it was before it went by winding families, one classification per
-row through `proposals`, kept as the reference the family solver is compared
-against; it uses the package's `classify_type`, `grade`, `area_classes` and
+the package's `classify_type` as its judge.  `reference_classify_type` is
+`classify_type` as it was before it built one record per verdict, kept as
+the reference the package's classification is compared against; it reads
+the package's record types and the `grading` index terms.
+`per_row_certify` is the case solver as it was before it went by winding
+families, one classification per row through `proposals`, kept as the
+reference the family solver is compared against; it uses the package's `classify_type`, `grade`, `area_classes` and
 structural check.  `scan_level_shapes` is the earlier winding scan of the
 case solver, kept as the reference the family solver's two-level rows are
 compared against once `classify_type` has judged its shapes; it uses the
@@ -497,6 +500,144 @@ def brute_force_contributions(setup, target, k_max, class_bound):
                         found.append(cand)
 
     return _split_at_bound(setup, target, k_max, class_bound, found)
+
+
+# ---------------------------------------------------------------------------
+# Reference classification.
+#
+# `classify_type` as it was before it built one record per verdict: a draft
+# record of the normalized inputs, each verdict a `_replace` of it, and the
+# level counts read through the record's `n_nonconstant` and `n_constant`.
+# The package's classification is held `==` to it on every field, and to
+# the type and message of each exception it raises.
+
+
+def reference_classify_type(setup, target, source, multiplicities,
+                            classes_a=(), sphere_b=None, aug=()):
+    from cascadix.cascades import (BUDGET_CAP_W_TO_Y, BUDGET_CAP_Y_TO_Y,
+                                   BudgetTerms, Case, CascadeType)
+    from cascadix.errors import CascadixError
+    from cascadix.grading import (InteriorGenerator, OrbitGenerator,
+                                  augmentation_index, degree_difference,
+                                  exact_quotient, multiplicity_balance,
+                                  scaled_reeb_weight)
+    from cascadix.model import pair
+
+    draft = CascadeType(target, source, tuple(map(int, multiplicities)),
+                        tuple(tuple(map(int, a)) for a in classes_a),
+                        sphere_b, tuple(aug), Case.INFEASIBLE, BudgetTerms(()))
+    multiplicities, classes_a, aug, n_levels = (
+        draft.multiplicities, draft.classes_a, draft.aug, draft.n_levels)
+
+    def bail(reason, budget=draft.budget):
+        return draft._replace(budget=budget, infeasible_reason=reason)
+
+    if isinstance(target, InteriorGenerator):
+        if not isinstance(source, InteriorGenerator):
+            raise CascadixError("interior targets pair with interior sources")
+        if n_levels or sphere_b is not None or aug or multiplicities:
+            raise CascadixError("interior flows carry no levels or classes")
+        if target.point.name == source.point.name:
+            return bail("endpoints coincide")
+        if degree_difference(setup, target, source) != 1:
+            return bail("degree difference != 1")
+        return draft._replace(case_label=Case.CASE0)
+
+    if not isinstance(target, OrbitGenerator):
+        raise CascadixError(f"unsupported target {target!r}")
+
+    if len(multiplicities) != n_levels + 1:
+        raise CascadixError(
+            f"{n_levels} levels need {n_levels + 1} multiplicities, "
+            f"got {len(multiplicities)}"
+        )
+    for a in aug:
+        if not 1 <= a.level <= max(n_levels, 1):
+            raise CascadixError(f"augmentation level {a.level} out of range")
+        expected = pair(setup.lattice_x.sigma_intersection, a.class_b)
+        if expected != a.multiplicity:
+            raise CascadixError(
+                f"augmentation winding {a.multiplicity} != divisor "
+                f"intersection {expected}"
+            )
+
+    diff = degree_difference(setup, target, source)
+    if diff is None:
+        return bail("non-integer degree difference")
+    if diff != 1:
+        return bail("degree difference != 1")
+
+    w_to_y = isinstance(source, InteriorGenerator)
+    if w_to_y:
+        if sphere_b is None:
+            raise CascadixError("orbit-to-interior cascades carry a filling sphere")
+        if n_levels < 1:
+            return bail("interior sources need at least one level")
+        k0 = pair(setup.lattice_x.sigma_intersection, sphere_b)
+        if k0 < 1:
+            return bail("filling sphere divisor intersection not a winding")
+        if multiplicities[0] != k0:
+            return bail("bottom winding != sphere divisor intersection")
+    else:
+        if sphere_b is not None:
+            raise CascadixError("orbit-to-orbit cascades carry no filling sphere")
+        if multiplicities[0] != source.k:
+            return bail("bottom winding != source winding")
+    if multiplicities[-1] != target.k:
+        return bail("top winding != target winding")
+
+    for i in range(1, n_levels + 1):
+        a_i = classes_a[i - 1]
+        augs_here = tuple(a.multiplicity for a in aug if a.level == i)
+        if any(a_i) and pair(setup.lattice_sigma.c1, a_i) <= 0:
+            return bail(f"level {i} sphere has non-positive area")
+        if not multiplicity_balance(setup, a_i, multiplicities[i],
+                                    multiplicities[i - 1], augs_here):
+            return bail(f"level {i} winding balance fails")
+
+    for a in aug:
+        try:
+            augmentation_index(setup, a.class_b)
+        except CascadixError as exc:
+            return bail(f"augmentation rejected: {exc}")
+
+    if w_to_y:
+        first = ("fibre_index", target.point.fibre_index)
+        spare, cap = 1, BUDGET_CAP_W_TO_Y
+    else:
+        first = ("fibre_step", target.point.fibre_index
+                 - source.point.fibre_index + 1)
+        spare, cap = 0, BUDGET_CAP_Y_TO_Y
+    n1, k_aug = draft.n_nonconstant, draft.aug_count
+    d = setup.degree_scale[0]
+    budget = BudgetTerms((
+        first,
+        ("nonconstant_levels", n1),
+        ("augmentations", k_aug),
+        ("spare_stabilizers", k_aug + spare - draft.n_constant),
+        ("augmentation_weights",
+         exact_quotient(sum(scaled_reeb_weight(setup, a.multiplicity)
+                            for a in aug), d)),
+    ))
+    # `BudgetTerms.first_negative` and `.total` as they were
+    bad = next((name for name, v in budget.terms if v < 0), None)
+    if bad is not None:
+        return bail(f"budget term negative: {bad}", budget)
+    total = sum(v for _, v in budget.terms)
+    if total > cap:
+        return bail(f"budget {total} exceeds {cap}", budget)
+
+    if w_to_y:
+        label = Case.CASE3
+    elif not n_levels:
+        label = Case.CASE0
+    elif n1:
+        label = Case.CASE1
+    elif target.point.base.name != source.point.base.name:
+        return bail("constant level forces equal base points", budget)
+    else:
+        label = Case.CASE2
+    return draft._replace(case_label=label, budget=budget)
 
 
 # ---------------------------------------------------------------------------

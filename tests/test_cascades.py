@@ -1016,6 +1016,205 @@ def test_refused_proposal_fails_certification(cp2, monkeypatch):
                                 "exceeds 1")
 
 
+# --- classification against the frozen reference ------------------------
+
+
+def _verdict(classify, setup, shape):
+    """What `classify` makes of one shape: its record, with the record's
+    repr and the type of each budget term, or the type and message of what
+    it raises."""
+    try:
+        t = classify(setup, *shape)
+    except Exception as exc:   # structural nonsense, compared as it is
+        return type(exc), str(exc)
+    return t, repr(t), [type(v) for _, v in t.budget.terms]
+
+
+def assert_classify_matches_reference(setup, shape):
+    """The verdict on `shape`, once it is the reference's."""
+    verdict = _verdict(classify_type, setup, shape)
+    assert verdict == _verdict(oracles.reference_classify_type, setup,
+                               shape), (setup.name, shape)
+    return verdict
+
+
+def broken_shapes(setup, t):
+    """The shape of the record `t`, as it stands and then broken one way
+    at a time: wrong end windings, a target one winding up, each
+    non-constant class negated (a non-positive area), a constant level
+    without its plane, a multiplicity too many, a plane on an out-of-range
+    level or with a winding that does not match it, a plane of negated
+    class, and a filling sphere added, dropped or negated."""
+    target, source, mults, classes, sphere, aug = t[:6]
+    yield target, source, mults, classes, sphere, aug
+    if mults:
+        for broken in ((mults[0] + 1,) + mults[1:],
+                       mults[:-1] + (mults[-1] + 1,), mults + mults[-1:]):
+            yield target, source, broken, classes, sphere, aug
+    if isinstance(target, OrbitGenerator):
+        up = OrbitGenerator(target.point, target.k + 1)
+        yield up, source, mults, classes, sphere, aug
+        yield up, source, mults[:-1] + (up.k,), classes, sphere, aug
+    for i, a in enumerate(classes):
+        if any(a):
+            flipped = tuple(-c for c in a)
+            yield (target, source, mults, classes[:i] + (flipped,)
+                   + classes[i + 1:], sphere, aug)
+    if aug:
+        yield target, source, mults, classes, sphere, ()
+    for p in aug:
+        rest = tuple(q for q in aug if q is not p)
+        for broken in (p._replace(level=0),
+                       p._replace(level=len(classes) + 1),
+                       p._replace(multiplicity=p.multiplicity + 1),
+                       AugPuncture(p.level, tuple(-c for c in p.class_b),
+                                   -p.multiplicity)):
+            yield target, source, mults, classes, sphere, rest + (broken,)
+    zero = (0,) * setup.lattice_x.rank
+    if sphere is None:
+        yield target, source, mults, classes, zero, aug
+    else:
+        yield target, source, mults, classes, None, aug
+        yield (target, source, mults, classes, tuple(-c for c in sphere),
+               aug)
+
+
+@st.composite
+def random_shapes(draw, setup):
+    """A shape of any kind on `setup`: ends at windings up to 6 or at
+    interior points, up to two levels, the multiplicity count sometimes
+    wrong, classes sometimes of the wrong rank, any sphere, and planes on
+    any level whose winding mostly matches their class."""
+    lifts = [LiftedCriticalPoint(q, flag) for q in setup.morse_sigma
+             for flag in FibreFlag]
+    ends = st.builds(OrbitGenerator, st.sampled_from(lifts),
+                     st.integers(1, 6))
+    if setup.morse_w:
+        ends |= st.sampled_from([InteriorGenerator(x) for x in setup.morse_w])
+    target, source = draw(ends), draw(ends)
+    n = draw(st.integers(0, 2))
+    size = draw(st.sampled_from([n + 1] * 4 + [n, n + 2]))
+    mults = draw(st.lists(st.integers(-1, 8), min_size=size, max_size=size))
+
+    def vectors(rank):
+        return st.lists(st.integers(-2, 3), min_size=rank, max_size=rank
+                        ).map(tuple)
+
+    sigma_rank = setup.lattice_sigma.rank
+    classes = draw(st.lists(vectors(sigma_rank) | vectors(sigma_rank + 1)
+                            if draw(st.booleans()) else vectors(sigma_rank),
+                            min_size=n, max_size=n))
+    sphere = draw(st.none() | vectors(setup.lattice_x.rank))
+    planes = []
+    for _ in range(draw(st.integers(0, 2))):
+        b = draw(vectors(setup.lattice_x.rank))
+        winding = pair(setup.lattice_x.sigma_intersection, b)
+        planes.append(AugPuncture(draw(st.integers(0, n + 1)), b,
+                                  winding + draw(st.sampled_from(
+                                      [0, 0, 0, 1, -1]))))
+    return target, source, tuple(mults), tuple(classes), sphere, tuple(planes)
+
+
+# what the broken templates of cp2, tau2, rank0 and rank-2 cp2 reach
+# between them: each refusal reason and each raise message
+BROKEN_TEMPLATE_VERDICTS = {
+    None, "degree difference != 1",
+    "bottom winding != source winding", "top winding != target winding",
+    "level 1 sphere has non-positive area", "level 1 winding balance fails",
+    "filling sphere divisor intersection not a winding",
+    "bottom winding != sphere divisor intersection",
+    "0 levels need 1 multiplicities, got 2",
+    "1 levels need 2 multiplicities, got 3",
+    "augmentation level 0 out of range", "augmentation level 2 out of range",
+    "augmentation winding 2 != divisor intersection 1",
+    "orbit-to-orbit cascades carry no filling sphere",
+    "orbit-to-interior cascades carry a filling sphere",
+}
+
+
+def test_classify_matches_reference_on_broken_templates():
+    """Every family template and each way of breaking it: accepted,
+    refused and raising shapes all come out as the reference's."""
+    seen = set()
+    for name in ("cp2", "tau2", "rank0", "rank2"):
+        setup = shipped_setup(name)
+        for t in (f.template for fams in cascades.families(setup).values()
+                  for f in fams):
+            for shape in broken_shapes(setup, t):
+                got = assert_classify_matches_reference(setup, shape)
+                seen.add(got[0].infeasible_reason if len(got) == 3
+                         else got[1])
+    assert seen == BROKEN_TEMPLATE_VERDICTS
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(setup=monotone_setups(), data=st.data())
+def test_classify_matches_reference_random(setup, data):
+    for t in (f.template for fams in cascades.families(setup).values()
+              for f in fams):
+        for shape in broken_shapes(setup, t):
+            assert_classify_matches_reference(setup, shape)
+    for shape in data.draw(st.lists(random_shapes(setup), max_size=8)):
+        assert_classify_matches_reference(setup, shape)
+
+
+@pytest.mark.parametrize("name", ["cp2", "tau2", "rank0", "rank2"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_classify_matches_reference_random_shapes_shipped(name, data):
+    setup = shipped_setup(name)
+    for shape in data.draw(st.lists(random_shapes(setup), max_size=8)):
+        assert_classify_matches_reference(setup, shape)
+
+
+def test_classify_matches_reference_on_brute_force(cp2, tau2, rank0,
+                                                   monkeypatch):
+    """Every shape the brute-force search judges, most of them refused by
+    the budget (see `BRUTE_VERDICTS`)."""
+    shapes = []
+    classify = cascades.classify_type
+
+    def recorded(setup, *shape):
+        shapes.append((setup, shape))
+        return classify(setup, *shape)
+
+    monkeypatch.setattr(cascades, "classify_type", recorded)
+    for setup in (cp2, tau2, rank0):
+        for target in enumerate_generators(setup, 5):
+            oracles.brute_force_contributions(setup, target, 4, 6)
+    assert len(shapes) == sum(BRUTE_VERDICTS.values())
+    for setup, shape in shapes:
+        assert_classify_matches_reference(setup, shape)
+
+
+@pytest.mark.parametrize("name", ["cp2", "tau2", "rank0", "rank2",
+                                  "cp2 with a refused proposal"])
+def test_families_classify_and_check_once_per_proposal(name, monkeypatch):
+    """`families` reaches `classify_type` and `_structural_violations`
+    through the module, once each per proposal, refused or not."""
+    if name.endswith("refused proposal"):
+        propose_hat_over_check(monkeypatch)
+    setup = shipped_setup(name.split()[0])
+    proposals = len(list(cascades._representatives(setup)))
+    calls = Counter()
+
+    def counted(fn):
+        original = getattr(cascades, fn)
+
+        def counting(*args):
+            calls[fn] += 1
+            return original(*args)
+        monkeypatch.setattr(cascades, fn, counting)
+
+    counted("classify_type")
+    counted("_structural_violations")
+    solved = cascades.families(setup)
+    assert sum(map(len, solved.values())) == proposals >= 1
+    assert calls == {"classify_type": proposals,
+                     "_structural_violations": proposals}, name
+
+
 # --- the streamed catalog against the list-building one -----------------
 
 

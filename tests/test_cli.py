@@ -1084,19 +1084,22 @@ def test_report_accepts_custom_expr_profile(run_cli, data_dir):
 PACKAGE_ROOT = Path(cli.__file__).resolve().parents[1]
 
 
-def run_python(*argv, timeout=120):
-    """`python argv` with the source tree under test first on the path;
-    `subprocess.TimeoutExpired` after `timeout` seconds."""
+def run_python(*argv, timeout=120, environ=None):
+    """`python argv` with the source tree under test first on the path and
+    the variables of `environ` set; `subprocess.TimeoutExpired` after
+    `timeout` seconds."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(PACKAGE_ROOT), env.get("PYTHONPATH")]))
+    env.update(environ or {})
     return subprocess.run([sys.executable, *argv],
                           capture_output=True, env=env, timeout=timeout)
 
 
-def run_script(*args, flags=(), timeout=120):
+def run_script(*args, flags=(), timeout=120, environ=None):
     """`python [flags] -m cascadix args` on the source tree under test."""
-    return run_python(*flags, "-m", "cascadix", *args, timeout=timeout)
+    return run_python(*flags, "-m", "cascadix", *args, timeout=timeout,
+                      environ=environ)
 
 
 def test_selftest_is_not_a_command():
@@ -1167,6 +1170,24 @@ def test_enumerate_byte_deterministic(data_dir, command):
     assert first.returncode == second.returncode == 0
     assert first.stdout
     assert first.stdout == second.stdout
+
+
+def test_catalog_bytes_do_not_depend_on_the_hash_seed(data_dir):
+    """Lifts and critical points hash by their flag's and ambient's
+    identity, so their hashes change with every launch, as str hashes do
+    with the hash seed.  `report` and `enumerate --all-targets` at 40/40
+    under hash seeds 0, 1 and random, two launches each, print the same
+    bytes on stdout and stderr and exit the same way."""
+    for name in ("cp2", "tau2", "rank0"):
+        for command in (("report",), ("enumerate", "--all-targets")):
+            args = (*command, "--setup", str(data_dir / f"{name}.json"),
+                    "--kmax", "40", "--classbound", "40")
+            runs = {(proc.returncode, proc.stdout, proc.stderr)
+                    for seed in ("0", "1", "random") for _ in range(2)
+                    for proc in [run_script(
+                        *args, environ={"PYTHONHASHSEED": seed})]}
+            [(code, stdout, _)] = runs
+            assert code == 0 and stdout, (name, command)
 
 
 # --- lean launches -------------------------------------------------------
