@@ -26,7 +26,7 @@ is applied; the rows at each winding are then read off without further
 checks.  `classify_type` normalizes its inputs once and builds one record
 per verdict straight from them, so a family's solve makes no draft record
 and no copy of one; lifts and critical points hash in C, their enums by
-identity (see `model`).  `stream_catalog` gives the warnings first and
+identity, and enum members are read through module names (see `model`).  `stream_catalog` gives the warnings first and
 then the rows one at a time, each target's from its point's families,
 ordered once per call; `report` and `enumerate` write each row as it
 comes, and `certify_classification` and `enumerate_contributions` hold
@@ -44,6 +44,7 @@ from __future__ import annotations
 
 from collections import Counter
 from enum import Enum
+from operator import itemgetter
 from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
                     Sequence, Tuple, Union)
 
@@ -65,11 +66,12 @@ from .grading import (
 )
 from .model import (
     CriticalPoint,
-    FibreFlag,
     IntVector,
     LiftedCriticalPoint,
     Rational,
     SetupDescriptor,
+    _CHECK,
+    _HAT,
     area_classes,
     pair,
 )
@@ -84,6 +86,14 @@ class Case(Enum):
     CASE2 = 2
     CASE3 = 3
     INFEASIBLE = -1
+
+
+# read as module names, not off `Case`, for the reason given at `model._HAT`
+_CASE0 = Case.CASE0
+_CASE1 = Case.CASE1
+_CASE2 = Case.CASE2
+_CASE3 = Case.CASE3
+_INFEASIBLE = Case.INFEASIBLE
 
 
 class AugPuncture(NamedTuple):
@@ -124,7 +134,7 @@ class CascadeType(NamedTuple):
 
     @property
     def feasible(self) -> bool:
-        return self.case_label is not Case.INFEASIBLE
+        return self.case_label is not _INFEASIBLE
 
     @property
     def n_levels(self) -> int:
@@ -211,7 +221,7 @@ def classify_type(setup: SetupDescriptor, target: Generator, source: Generator,
             return _refused(fields, "endpoints coincide")
         if degree_difference(setup, target, source) != 1:
             return _refused(fields, "degree difference != 1")
-        return CascadeType(*fields, Case.CASE0, _NO_BUDGET)
+        return CascadeType(*fields, _CASE0, _NO_BUDGET)
 
     if not isinstance(target, OrbitGenerator):
         raise CascadixError(f"unsupported target {target!r}")
@@ -317,18 +327,18 @@ def classify_type(setup: SetupDescriptor, target: Generator, source: Generator,
     # the survivors: with every term non-negative, the budget leaves only
     # the four shapes
     if w_to_y:
-        label = Case.CASE3
+        label = _CASE3
     elif not n_levels:
-        label = Case.CASE0
+        label = _CASE0
     elif n1:
-        label = Case.CASE1
+        label = _CASE1
     elif target.point.base.name != source.point.base.name:
         # one constant level carrying one rigid augmentation plane; the
         # constant projection pins both ends to the same base point
         return _refused(fields, "constant level forces equal base points",
                         budget)
     else:
-        label = Case.CASE2
+        label = _CASE2
     return CascadeType(*fields, label, budget)
 
 
@@ -338,7 +348,7 @@ _NO_BUDGET = BudgetTerms(())
 def _refused(fields, reason: str, budget: BudgetTerms = _NO_BUDGET
              ) -> CascadeType:
     """The Infeasible record of `classify_type`'s normalized fields."""
-    return CascadeType(*fields, Case.INFEASIBLE, budget, reason)
+    return CascadeType(*fields, _INFEASIBLE, budget, reason)
 
 
 class Family(NamedTuple):
@@ -375,10 +385,12 @@ class Family(NamedTuple):
             return t
         k0 = target.k - self.step
         shift = k0 - t.source.k
-        # the fields after the multiplicities do not move
-        return CascadeType(target, OrbitGenerator(t.source.point, k0),
-                           tuple([m + shift for m in t.multiplicities]),
-                           *t[3:])
+        # the fields after the multiplicities do not move.  All nine go to
+        # `tuple.__new__`, in C: the template's went through `classify_type`
+        # and the new source through the checked `OrbitGenerator`
+        return tuple.__new__(CascadeType, (
+            target, OrbitGenerator(t.source.point, k0),
+            tuple([m + shift for m in t.multiplicities]), *t[3:]))
 
     def violations(self, row: CascadeType) -> List[str]:
         """The family's problems, one of its rows named in front of each."""
@@ -424,7 +436,7 @@ def _representatives(setup: SetupDescriptor):
                 yield None, 0, x, y, (), (), None, ()
 
     lifts = [LiftedCriticalPoint(q, flag) for q in setup.morse_sigma
-             for flag in (FibreFlag.CHECK, FibreFlag.HAT)]
+             for flag in (_CHECK, _HAT)]
     by_index: Dict[int, List[LiftedCriticalPoint]] = {}
     for q in lifts:
         by_index.setdefault(q.lifted_index, []).append(q)
@@ -532,7 +544,7 @@ def _structural_violations(setup: SetupDescriptor, t: CascadeType) -> List[str]:
     The messages do not name the row; the caller puts the row in front.
     """
     label = t.case_label
-    if label is Case.INFEASIBLE:
+    if label is _INFEASIBLE:
         return [f"refused: {t.infeasible_reason}"]
     v = []
     bad = v.append
@@ -546,7 +558,7 @@ def _structural_violations(setup: SetupDescriptor, t: CascadeType) -> List[str]:
         bad("index identity != 1")
     # a single level is non-constant exactly when its class is non-zero
     one_level = len(classes_a) == 1
-    if label is Case.CASE0:
+    if label is _CASE0:
         if classes_a or t.aug or t.sphere_b is not None:
             bad("Case 0 must be bare")
         if orbit_pair:
@@ -555,27 +567,27 @@ def _structural_violations(setup: SetupDescriptor, t: CascadeType) -> List[str]:
             di = target.point.fibre_index - source.point.fibre_index
             if di not in (0, -1):
                 bad(f"Case 0 fibre step {di}")
-    elif label is Case.CASE1:
+    elif label is _CASE1:
         if not (orbit_pair and one_level and any(classes_a[0])
                 and not t.aug and t.sphere_b is None):
             bad("Case 1 shape")
-        elif not (target.point.flag is FibreFlag.CHECK
-                  and source.point.flag is FibreFlag.HAT
+        elif not (target.point.flag is _CHECK
+                  and source.point.flag is _HAT
                   and t.k_plus > t.k_minus):
             bad("Case 1 ends")
-    elif label is Case.CASE2:
+    elif label is _CASE2:
         if not (orbit_pair and one_level and not any(classes_a[0])
                 and len(t.aug) == 1 and t.sphere_b is None):
             bad("Case 2 shape")
         else:
             if target.point.base.name != source.point.base.name:
                 bad("Case 2 base points differ")
-            if not (target.point.flag is FibreFlag.CHECK
-                    and source.point.flag is FibreFlag.HAT):
+            if not (target.point.flag is _CHECK
+                    and source.point.flag is _HAT):
                 bad("Case 2 ends")
             if augmentation_index(setup, t.aug[0].class_b) != 0:
                 bad("Case 2 plane not rigid")
-    elif label is Case.CASE3:
+    elif label is _CASE3:
         if not isinstance(source, InteriorGenerator):
             bad("Case 3 source not interior")
         elif not (isinstance(target, OrbitGenerator) and one_level
@@ -585,7 +597,7 @@ def _structural_violations(setup: SetupDescriptor, t: CascadeType) -> List[str]:
         else:
             if index_identity(setup, t) != 1:
                 bad("index identity != 1")
-            if not (target.point.flag is FibreFlag.CHECK
+            if not (target.point.flag is _CHECK
                     and t.multiplicities[0] == t.multiplicities[1]):
                 bad("Case 3 ends")
     return v
@@ -718,17 +730,20 @@ def _ties(windows: List[Tuple[int, int, Family]]
     ordered per row by source name: names such as `p_hat_k` and
     `p_hat_1_hat_k` swap places as k grows.
     """
+    if len(windows) == 1:
+        return [windows]
+
     def key(window):
         t = window[2].template
         kt = getattr(t.target, "k", 0)
-        return (t.n_levels, tuple(m - kt for m in t.multiplicities),
+        return (len(t.classes_a), tuple([m - kt for m in t.multiplicities]),
                 t.classes_a, t.sphere_b or (),
-                tuple((a.level, a.class_b) for a in t.aug))
+                tuple([(a.level, a.class_b) for a in t.aug]))
 
     runs: List[List[Tuple[int, int, Family]]] = []
     last = None
-    for here, window in sorted(((key(w), w) for w in windows),
-                               key=lambda keyed: keyed[0]):
+    for here, window in sorted([(key(w), w) for w in windows],
+                               key=itemgetter(0)):
         if runs and here == last:
             runs[-1].append(window)
         else:

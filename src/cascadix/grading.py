@@ -42,6 +42,8 @@ from .model import (
     LiftedCriticalPoint,
     Rational,
     SetupDescriptor,
+    _CHECK,
+    _HAT,
     pair,
 )
 
@@ -67,10 +69,11 @@ class OrbitGenerator(_OrbitGeneratorFields):
     # `_replace` builds its copy with `_make`: check the copy too
     _make = classmethod(lambda cls, fields: cls(*fields))
 
+    # checked here, then built in C, as `LiftedCriticalPoint` is
     def __new__(cls, point: LiftedCriticalPoint, k: int):
         if k < 1:
             raise CascadixError(f"orbit winding must be >= 1, got {k}")
-        return super().__new__(cls, point, k)
+        return tuple.__new__(cls, (point, k))
 
     @property
     def display_name(self) -> str:
@@ -97,7 +100,7 @@ class InteriorGenerator(_InteriorGeneratorFields):
             raise CascadixError(
                 f"interior generator needs a W critical point, got {point.name}"
             )
-        return super().__new__(cls, point)
+        return tuple.__new__(cls, (point,))
 
     @property
     def display_name(self) -> str:
@@ -137,7 +140,11 @@ def scaled_degree(setup: SetupDescriptor, gen: Generator) -> int:
     d, p = setup.degree_scale
     if isinstance(gen, InteriorGenerator):
         return d * (setup.n - gen.point.morse_index)
-    return d * (gen.point.lifted_index + 1 - setup.n) + p * gen.k
+    # the lift unpacked as its (base, flag) tuple: one property call per
+    # degree less than reading `lifted_index`
+    (base, flag), k = gen
+    lifted = base.morse_index + 1 if flag is _HAT else base.morse_index
+    return d * (lifted + 1 - setup.n) + p * k
 
 
 def exact_quotient(scaled: int, d: int) -> Rational:
@@ -260,11 +267,11 @@ def _points_in_order(setup: SetupDescriptor, points: Optional[Container]
             q, r = divmod(d * (setup.n - x.morse_index), p)
             keyed.append(((r, "interior", x.name, ""), q, x))
     for base in setup.morse_sigma:
-        for flag in (FibreFlag.CHECK, FibreFlag.HAT):
+        for flag in (_CHECK, _HAT):
             lift = LiftedCriticalPoint(base, flag)
             if points is None or lift in points:
                 q, r = divmod(d * (lift.lifted_index + 1 - setup.n), p)
-                keyed.append(((r, "orbit", base.name, flag.value), q, lift))
+                keyed.append(((r, "orbit", base.name, flag._value_), q, lift))
     keyed.sort(key=lambda item: item[0])
     return [(q, point) for _, q, point in keyed]
 

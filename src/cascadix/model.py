@@ -26,6 +26,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -71,8 +72,13 @@ class FibreFlag(Enum):
 
 
 # Before Python 3.12 a member read off an Enum class goes through
-# `EnumType.__getattr__`, about as slow as a function call; the index
-# properties of a lift, read for every degree, compare with this name.
+# `EnumType.__getattr__`, about as slow as a function call (about 100 ns a
+# read on Python 3.11, against under 10 ns for a module name), and a
+# member's `value` is an `enum.property` descriptor, just as slow.  The
+# catalog path reads a lift's flag for every degree, name and shape check,
+# so it compares flags with these names and reads a flag's string as
+# `_value_`, the plain instance attribute behind `value`.
+_CHECK = FibreFlag.CHECK
 _HAT = FibreFlag.HAT
 
 
@@ -112,11 +118,13 @@ class HomologyLattice(NamedTuple):
 def pair(values: Sequence[Rational], cls: Sequence[int]) -> Rational:
     """Pair an integer class vector against a functional's values on the
     generators, e.g. `pair(setup.lattice_x.c1, b)`: exact, and an int
-    against integer values.  The zero vector pairs to 0."""
+    against integer values.  The zero vector pairs to 0.  The terms are
+    multiplied and summed in C (`map`, `sum`), with no Python frame per
+    term."""
     if len(cls) != len(values):
         raise DimensionMismatch(f"class vector of length {len(cls)} "
                                 f"against lattice of rank {len(values)}")
-    return sum(c * v for c, v in zip(cls, values) if c)
+    return sum(map(mul, cls, values))
 
 
 def area_classes(values: Sequence[Rational]
@@ -133,21 +141,22 @@ def area_classes(values: Sequence[Rational]
     it is the unit class of the area.  In rank 1 it is the only class of
     its value; in rank 0, or with all values 0, none exists.
     """
-    g, unit = 0, (0,) * len(values)
+    rank = len(values)
+    g, unit = 0, (0,) * rank
     for i, w in enumerate(values):
         if g and w % g == 0:
             continue
         # Euclid on (value, class) pairs, each class having its pair's value
-        a, b = (g, unit), (w, tuple(int(j == i) for j in range(len(values))))
+        a, b = (g, unit), (w, (0,) * i + (1,) + (0,) * (rank - i - 1))
         while b[0]:
             q = a[0] // b[0]
             a, b = b, (a[0] - q * b[0],
-                       tuple(x - q * y for x, y in zip(a[1], b[1])))
-        g, unit = a if a[0] >= 0 else (-a[0], tuple(-x for x in a[1]))
+                       tuple([x - q * y for x, y in zip(a[1], b[1])]))
+        g, unit = a if a[0] >= 0 else (-a[0], tuple([-x for x in a[1]]))
 
     def of_value(v: Rational) -> Optional[IntVector]:
         m, rest = divmod(v, g) if g else (0, 0)
-        return None if rest or m <= 0 else tuple(m * c for c in unit)
+        return None if rest or m <= 0 else tuple([m * c for c in unit])
 
     return of_value
 
@@ -173,10 +182,12 @@ class LiftedCriticalPoint(_LiftedCriticalPointFields):
     # `_replace` builds its copy with `_make`: check the copy too
     _make = classmethod(lambda cls, fields: cls(*fields))
 
+    # checked here, then built in C: the fields' generated `__new__` would
+    # be a second Python frame per lift
     def __new__(cls, base: CriticalPoint, flag: FibreFlag):
         if base.ambient is not Ambient.SIGMA:
             raise ValidationError("only hypersurface critical points lift")
-        return super().__new__(cls, base, flag)
+        return tuple.__new__(cls, (base, flag))
 
     @property
     def fibre_index(self) -> int:
@@ -189,7 +200,7 @@ class LiftedCriticalPoint(_LiftedCriticalPointFields):
 
     @property
     def display_name(self) -> str:
-        return f"{self.base.name}_{self.flag.value}"
+        return f"{self.base.name}_{self.flag._value_}"
 
 
 class _SetupDescriptorFields(NamedTuple):

@@ -938,6 +938,13 @@ def _fraction_pair(values, cls):
     return sum((Fraction(v) * c for v, c in zip(values, cls)), Fraction(0))
 
 
+def reference_pair(values, cls):
+    """`model.pair` as it was before its terms were summed in C: a
+    generator expression over the non-zero entries of the class, without the
+    length check."""
+    return sum(c * v for c, v in zip(cls, values) if c)
+
+
 def fraction_budget(setup, t):
     """The budget terms of an orbit-target type, by name: the fibre step
     i_fib(target) - i_fib(source) + 1 (the target's fibre index alone for

@@ -624,10 +624,16 @@ def test_solver_matches_brute_force_random(setup, k_max, class_bound):
 
 
 def assert_matches_per_row(setup, k_max, class_bound):
-    """Same types, violations and warnings, in the same order."""
-    assert certify_classification(setup, k_max, class_bound) == \
-        oracles.per_row_certify(setup, k_max, class_bound), \
+    """Same types, violations and warnings, in the same order, each row a
+    `CascadeType` of generator records (tuples compare equal whatever their
+    class)."""
+    report = certify_classification(setup, k_max, class_bound)
+    assert report == oracles.per_row_certify(setup, k_max, class_bound), \
         (setup.name, k_max, class_bound)
+    for t in report.types:
+        assert type(t) is CascadeType and len(t) == len(CascadeType._fields)
+        assert {type(t.target), type(t.source)} <= {OrbitGenerator,
+                                                    InteriorGenerator}
 
 
 @pytest.mark.parametrize("name", ["cp2", "tau2", "rank0"])

@@ -2,7 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 import oracles
 
@@ -84,6 +84,35 @@ def test_pair_is_linear(u, v):
     lat = HomologyLattice(("a", "b"), (Fraction(1, 3), Fraction(5, 2)), (1, 2))
     s = [u[i] + v[i] for i in range(2)]
     assert pair(lat.omega, s) == pair(lat.omega, u) + pair(lat.omega, v)
+
+
+functionals = st.one_of(
+    st.lists(st.integers(-10**6, 10**6), max_size=7),
+    st.lists(st.fractions(min_value=-100, max_value=100, max_denominator=60),
+             max_size=7))
+
+
+@given(st.data(), functionals)
+def test_pair_matches_reference(data, values):
+    """`pair` agrees with the generator-expression sum on int and
+    `Fraction` functionals of rank 0-7, the zero class included, and gives
+    an int on int functionals."""
+    entries = st.integers(-50, 50)
+    for cls in (data.draw(st.lists(entries, min_size=len(values),
+                                   max_size=len(values))),
+                [0] * len(values)):
+        got = pair(values, cls)
+        assert got == oracles.reference_pair(values, cls)
+        if all(type(v) is int for v in values):
+            assert type(got) is int
+
+
+@given(functionals, st.lists(st.integers(-50, 50), max_size=8))
+def test_pair_refuses_other_lengths(values, cls):
+    assume(len(cls) != len(values))
+    with pytest.raises(DimensionMismatch, match=f"^class vector of length "
+                       f"{len(cls)} against lattice of rank {len(values)}$"):
+        pair(values, cls)
 
 
 def test_monotonicity_identities(cp2, tau2):

@@ -105,7 +105,8 @@ RECORDS = {
         "OrbitGenerator(point=LiftedCriticalPoint(base=CriticalPoint(name='p', "
         "morse_index=0, ambient=<Ambient.SIGMA: 'Sigma'>), flag=<FibreFlag."
         "CHECK: 'check'>), k=1)",
-        [((LIFT, 0), CascadixError, "orbit winding must be >= 1, got 0")]),
+        [((LIFT, 0), CascadixError, "orbit winding must be >= 1, got 0"),
+         ((LIFT, -3), CascadixError, "orbit winding must be >= 1, got -3")]),
     "InteriorGenerator": (
         InteriorGenerator, (Q,), (CriticalPoint("r", 4, Ambient.W),),
         "InteriorGenerator(point=CriticalPoint(name='q', morse_index=4, "
@@ -253,9 +254,11 @@ def test_record_contract(name):
     assert record == twin and hash(record) == hash(twin)
     assert record != other
     assert repr(record) == text
+    made = cls._make(record)
+    assert type(made) is cls and made == record
     for args, error, message in refused:
-        # a changed copy goes through the same checks
-        for build in (lambda: cls(*args),
+        # `_make` and a changed copy go through the same checks
+        for build in (lambda: cls(*args), lambda: cls._make(args),
                       lambda: record._replace(**dict(zip(cls._fields, args)))):
             with pytest.raises(error) as excinfo:
                 build()
