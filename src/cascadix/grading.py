@@ -75,9 +75,11 @@ class OrbitGenerator(_OrbitGeneratorFields):
             raise CascadixError(f"orbit winding must be >= 1, got {k}")
         return tuple.__new__(cls, (point, k))
 
+    # one frame: the lift's own `display_name` would be a second per row end
     @property
     def display_name(self) -> str:
-        return f"{self.point.display_name}_{self.k}"
+        (base, flag), k = self
+        return f"{base.name}_{flag._value_}_{k}"
 
     @property
     def kind(self) -> str:

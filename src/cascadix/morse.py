@@ -18,16 +18,18 @@ every fill-free pivot in one worklist sweep: a +-1 entry alone in its row
 or in its column, or any entry alone in both, whose row and column are
 removed with no other entry changed; a removal that leaves another line
 with one entry puts that line back on the worklist, so chains of such
-pivots go in one sweep.  On what is left, the pivot is an entry of least
-absolute value (ties to least Markowitz cost, so +-1 entries go first, as
-in Dumas-Saunders-Villard 2001), its column is cleared with floor
-quotients, then its row once the column holds no remainder, and a
-remainder, being smaller than the pivot, is simply the next pivot.  Rows
-and columns are bucketed by least |entry| and number of entries, so the
-pivot search reads a few lines instead of the whole matrix, and only the
-lines a pivot touched are re-bucketed.  The diagonal this leaves is folded
-into a divisibility chain, giving the invariant factors.  No bound on entry
-growth is proved, so its cost is measured, not guaranteed.
+pivots go in one sweep.  What is left is eliminated column by column, as
+is usual for boundary matrices (Kaczynski-Mischaikow-Mrozek, Computational
+Homology, 2004): each sweep visits the remaining columns once, shortest
+first by their lengths as it starts, and there is no global pivot search.
+In a column the pivot is an entry of least absolute value, its column is
+cleared with floor quotients, then its row.  A remainder is smaller than
+the pivot: one left in the column is the next pivot, and for one left in
+the row the next pivot is a least entry of the remainder's column, so
+Euclid's algorithm runs inside the pivot's row and column.  The diagonal
+this leaves is folded into a divisibility chain, giving the invariant
+factors.  No bound on entry growth is proved, so its cost is measured, not
+guaranteed.
 
 One derived complex matters downstream: the circle-bundle lift, where
 every base point p contributes a pair of generators p_check (index M(p)) and
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 from collections import Counter
 from math import gcd
-from typing import Dict, List, NamedTuple, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .errors import (CascadixError, json_int, json_name, malformed,
                      read_json_object)
@@ -195,41 +197,6 @@ def _check_square_zero(data: MorseData, columns: Dict[int, Columns]) -> None:
                     f"with coefficient {totals[bad]}")
 
 
-class _Lines:
-    """The rows (or the columns) of a sparse matrix, each a dict of its
-    nonzero entries, bucketed by (least |entry|, number of entries) so the
-    pivot search reads only lines that can hold the pivot."""
-
-    def __init__(self):
-        self.lines: Dict[int, Dict[int, int]] = {}
-        self.key: Dict[int, Tuple[int, int]] = {}
-        self.bucket: Dict[int, Dict[int, Set[int]]] = {}
-
-    def rekey(self, ids) -> None:
-        """Re-bucket lines whose entries changed; drop the empty ones."""
-        lines, keys, bucket = self.lines, self.key, self.bucket
-        for i in ids:
-            line = lines.get(i)
-            key = (min(map(abs, line.values())), len(line)) if line else None
-            old = keys.get(i)
-            if key == old:
-                continue
-            if old is not None:
-                by_count = bucket[old[0]]
-                same = by_count[old[1]]
-                same.discard(i)
-                if not same:
-                    del by_count[old[1]]
-                    if not by_count:
-                        del bucket[old[0]]
-            if key is None:
-                del keys[i]
-                lines.pop(i, None)
-                continue
-            keys[i] = key
-            bucket.setdefault(key[0], {}).setdefault(key[1], set()).add(i)
-
-
 def _invariant_factors(columns: Sequence[Dict[int, int]]) -> List[int]:
     """Positive invariant factors of the integer matrix with these sparse
     columns ({row: nonzero entry}), in divisibility order.
@@ -237,33 +204,57 @@ def _invariant_factors(columns: Sequence[Dict[int, int]]) -> List[int]:
     One elimination diagonalises the matrix; the Smith form is unique, so
     folding the diagonal into a divisibility chain gives the invariant
     factors whatever the pivot order.  `_take_fill_free` first takes every
-    pivot that changes no other entry; the rest are found by `_pivot`, and
-    after each of those only the lines it touched are re-bucketed.
+    pivot that changes no other entry.  Each sweep then visits the columns
+    left once each, shortest first by their lengths as the sweep starts,
+    and takes one pivot from each:
+
+    - the pivot is an entry of least |value| in the column, ties to the
+      shortest row, and row operations clear the column; while a remainder
+      is left there, it is the next pivot;
+    - once the column is clear, column operations clear the pivot's row if
+      the pivot is also of least |value| there;
+    - while the row holds a smaller entry, or a remainder, the elimination
+      moves to that row's least entry (ties to the shortest column) and
+      pivots on a least entry of its column.
+
+    So `_reduce` always runs with a pivot of least |value| in the line it
+    clears, and every move strictly shrinks |pivot|; a visit ends with the
+    pivot alone in its row and column, and its absolute value joins the
+    diagonal.  Sweeps repeat until no row is left.
     """
-    rows, cols = _Lines(), _Lines()
+    rows: Dict[int, Dict[int, int]] = {}
+    cols: Dict[int, Dict[int, int]] = {}
     for j, column in enumerate(columns):
         if column:
-            cols.lines[j] = dict(column)
+            cols[j] = dict(column)
             for i, v in column.items():
-                rows.lines.setdefault(i, {})[j] = v
-    diagonal = _take_fill_free(rows.lines, cols.lines)
-    rows.rekey(list(rows.lines))
-    cols.rekey(list(cols.lines))
-    while rows.lines:
-        i0, j0 = _pivot(rows, cols)
-        # every entry the two clearings change lies in these rows and columns
-        touched_rows, touched_cols = list(cols.lines[j0]), list(rows.lines[i0])
-        _reduce(rows.lines, cols.lines, i0, j0)   # row operations clear column j0
-        # a remainder left in column j0 is smaller than the pivot, so a new
-        # pivot comes first and clearing row i0 now would be wasted
-        if len(cols.lines[j0]) == 1:
-            _reduce(cols.lines, rows.lines, j0, i0)   # column operations clear row i0
-        # a nonzero remainder is smaller than the pivot: pick again
-        if len(rows.lines[i0]) == 1 and len(cols.lines[j0]) == 1:
-            diagonal.append(abs(rows.lines.pop(i0)[j0]))
-            del cols.lines[j0]
-        rows.rekey(touched_rows)
-        cols.rekey(touched_cols)
+                rows.setdefault(i, {})[j] = v
+    diagonal = _take_fill_free(rows, cols)
+    while rows:
+        # lengths read as the sweep starts: taking the column that is
+        # shortest now, pivot by pivot, did three times the entry updates
+        # on a 2000-cell Morse-like complex (323,841 against 100,752)
+        for start in sorted(cols, key=lambda j: len(cols[j])):
+            j, column = start, cols.get(start)
+            if column is None:
+                continue
+            while True:
+                i = min(column, key=lambda i: (abs(column[i]), len(rows[i])))
+                _reduce(rows, cols, i, j)   # row operations clear column j
+                if len(column) > 1:
+                    continue                # a remainder: the next pivot
+                row = rows[i]
+                v = abs(row[j])
+                k = min(row, key=lambda k: (abs(row[k]), len(cols[k])))
+                if abs(row[k]) == v:
+                    _reduce(cols, rows, j, i)   # column operations clear row i
+                    if len(row) == 1:
+                        diagonal.append(v)
+                        del rows[i], cols[j]
+                        break
+                    k = min(row, key=lambda k: (abs(row[k]), len(cols[k])))
+                # an entry of row i below v: pivot in its column next
+                j, column = k, cols[k]
     return _divisibility_chain(diagonal)
 
 
@@ -324,48 +315,17 @@ def _divisibility_chain(diagonal: List[int]) -> List[int]:
     return chain
 
 
-def _pivot(rows: _Lines, cols: _Lines) -> Tuple[int, int]:
-    """An entry (row, column) of least |value|, ties to least Markowitz cost
-    (row nonzeros - 1) * (column nonzeros - 1).
-
-    Every entry of least |value| a lies in a row and a column whose least
-    |entry| is a.  Those lines are searched by increasing number of entries
-    k, columns then rows; once every such line with fewer than k entries
-    is read, an unread entry costs at least (k - 1)^2, so the search stops
-    when it has found that cost or less.
-    """
-    a = min(rows.bucket)
-    by_row, by_col = rows.bucket[a], cols.bucket[a]
-    best = None
-    for k in sorted(by_row.keys() | by_col.keys()):
-        floor = (k - 1) * (k - 1)
-        if best is not None and best[0] <= floor:
-            break
-        for j in by_col.get(k, ()):
-            for i, v in cols.lines[j].items():
-                if v == a or v == -a:
-                    cost = (len(rows.lines[i]) - 1) * (k - 1)
-                    if best is None or cost < best[0]:
-                        best = cost, i, j
-            if best[0] <= floor:
-                return best[1], best[2]
-        for i in by_row.get(k, ()):
-            for j, v in rows.lines[i].items():
-                if v == a or v == -a:
-                    cost = (k - 1) * (len(cols.lines[j]) - 1)
-                    if best is None or cost < best[0]:
-                        best = cost, i, j
-            if best[0] <= floor:
-                return best[1], best[2]
-    return best[1], best[2]
-
-
 def _reduce(lines: Dict[int, Dict[int, int]], cross: Dict[int, Dict[int, int]],
             i0: int, j0: int) -> None:
     """line_i -= (a // v) * line_i0 for every other line i, where a is its
     entry in cross line j0 and v the pivot; each entry left in cross line
     j0 is then a remainder, smaller than |v|.  Rows as lines and columns
-    as cross lines give row operations, swapped they give column ones."""
+    as cross lines give row operations, swapped they give column ones.
+
+    The pivot must be of least |value| in cross line j0, so that no
+    quotient is zero: a zero quotient would leave line i as it is, and on
+    an entry of line i0 that line i lacks it would delete an entry that is
+    not there (KeyError)."""
     top = lines[i0]
     v = top[j0]
     for i, a in list(cross[j0].items()):
