@@ -3,15 +3,16 @@
 An OrientedSpace is an abstract rational vector space with a reference basis
 and a sign; every orientation question below reduces to the sign of a
 determinant, a rank or a kernel.  Each question reads them off one exact
-elimination, `_echelon`: denominators are cleared row by row with positive
-multipliers (so no sign is ever touched), then a forward-only fraction-free
-(Bareiss) elimination runs in integers, each pivot updating only the rows
-below it and the columns to its right.  Pivots and sign are all a
-determinant or a basis extension reads.  A fibre sum takes surjectivity,
-kernel and sign from one elimination of its difference map, the kernel by
-integer back-substitution on the forward rows.  A quotient maps its
-subspace's basis in integers: clearing denominators with positive column
-scalings keeps both the span and every determinant sign.
+elimination, `_echelon`, which takes integer rows: the question clears the
+denominators of each rational input vector once, by a positive multiplier
+(`_cleared`), so no span and no determinant sign is ever touched.  The
+elimination is forward-only and fraction-free (Bareiss), each pivot updating
+only the rows below it and the columns to its right.  Pivots and sign are
+all a determinant or a basis extension reads.  A fibre sum takes
+surjectivity, kernel and sign from one elimination of its difference map,
+the kernel by integer back-substitution on the forward rows.  A quotient
+eliminates its inclusion's own columns next to the total space's basis
+columns: the subspace's basis enters only through its determinant sign.
 
 Two conventions drive everything:
 
@@ -58,34 +59,32 @@ def _identity(n: int) -> Matrix:
 
 
 def _columns(m: Matrix) -> List[Vector]:
-    if not m:
-        return []
-    return [tuple(m[i][j] for i in range(len(m))) for j in range(len(m[0]))]
+    return list(zip(*m))
 
 
-def _from_columns(cols: Sequence[Vector]) -> Matrix:
-    if not cols:
-        return ()
-    n = len(cols[0])
-    return tuple(tuple(col[i] for col in cols) for i in range(n))
+def _cleared(vector: Vector) -> List[int]:
+    """The rational vector times the least positive integer that makes it
+    integral: the same line with the same direction."""
+    ratios = [x.as_integer_ratio() for x in vector]
+    mult = lcm(*[d for _, d in ratios])
+    if mult == 1:
+        return [n for n, _ in ratios]
+    return [n * (mult // d) for n, d in ratios]
 
 
-def _echelon(m: Matrix) -> Tuple[List[List[int]], List[int], int]:
-    """Forward-only fraction-free (Bareiss) elimination of a rational matrix.
+def _echelon(a: List[List[int]]) -> Tuple[List[List[int]], List[int], int]:
+    """Forward-only fraction-free (Bareiss) elimination of integer rows.
 
-    Returns the integer rows, the pivot columns and a sign.  Each pivot
-    updates only the rows below it and the columns to its right, so row k
-    (k < len(pivots)) is exact from its pivot column on; its entries left
-    of that column are never read again.  Pivot k is the minor of the first
-    k + 1 rows (after the swaps) on the first k + 1 pivot columns.  The sign
-    is the row-swap parity times the sign of the last pivot; when m has
-    full row rank it is the determinant sign of the square matrix of m's
-    pivot columns (of m itself when m is square).
+    Works in place on the list `a` and its rows, and returns them with the
+    pivot columns and a sign.  Each pivot updates only the rows below it
+    and the columns to its right, so row k (k < len(pivots)) is exact from
+    its pivot column on; its entries left of that column are never read
+    again.  Pivot k is the minor of the first k + 1 rows (after the swaps)
+    on the first k + 1 pivot columns.  The sign is the row-swap parity
+    times the sign of the last pivot; when a has full row rank it is the
+    determinant sign of the square matrix of a's pivot columns (of a itself
+    when a is square).
     """
-    a = []
-    for row in m:
-        mult = lcm(*(x.denominator for x in row))
-        a.append([x.numerator * (mult // x.denominator) for x in row])
     nrows, ncols = len(a), (len(a[0]) if a else 0)
     pivots: List[int] = []
     sign, prev = 1, 1
@@ -102,7 +101,7 @@ def _echelon(m: Matrix) -> Tuple[List[List[int]], List[int], int]:
         pv, right = a[r][c], a[r][c + 1:]
         for row in a[r + 1:]:
             f = row[c]
-            # every entry is a minor of the cleared m: exact division; with
+            # every entry is a minor of the input: exact division; with
             # f = 0 the update only scales by pv / prev, a no-op when equal
             if f:
                 row[c + 1:] = [(pv * x - f * y) // prev
@@ -119,7 +118,8 @@ def det_sign(m: Matrix) -> int:
     n = len(m)
     if any(len(row) != n for row in m):
         raise CascadixError("determinant of a non-square matrix")
-    _, pivots, sign = _echelon(m)
+    # positive row scalings keep the determinant sign
+    _, pivots, sign = _echelon([_cleared(row) for row in m])
     return sign if len(pivots) == n else 0
 
 
@@ -133,43 +133,52 @@ def _kernel(rows: List[List[int]], pivots: List[int],
     back-substitution, bottom row first, each reading only the pivot
     columns to its right and the free column.  By Cramer's rule they are d
     times a solution of that minor's system, so integers: every division
-    is exact.
+    is exact.  Each pivot entry is solved for every free column at once.
     """
     d = rows[len(pivots) - 1][pivots[-1]] if pivots else 1
     free = [c for c in range(ncols) if c not in pivots]
-    steps = [(rows[k], p, pivots[k + 1:]) for k, p in enumerate(pivots)]
-    steps.reverse()
+    solved = [None] * len(pivots)   # pivot k's entry in each kernel vector
+    for k in range(len(pivots) - 1, -1, -1):
+        row, p = rows[k], pivots[k]
+        s = [row[f] * d if f > p else 0 for f in free]
+        for j in range(k + 1, len(pivots)):
+            x = row[pivots[j]]
+            if x:
+                s = [a + x * b for a, b in zip(s, solved[j])]
+        solved[k] = [-a // row[p] for a in s]
+    # column c of a vector is its entry where[c]: pivot k's solved entry,
+    # or the 0 appended for the free columns, its own set to d below
+    solved.append([0] * len(free))
+    where = [len(pivots)] * ncols
+    for k, p in enumerate(pivots):
+        where[p] = k
     basis = []
-    for f in free:
-        v = [0] * ncols
+    for f, entries in zip(free, zip(*solved)):
+        v = list(map(entries.__getitem__, where))
         v[f] = d
-        for row, p, later in steps:
-            s = sum(row[j] * v[j] for j in later)
-            if f > p:
-                s += row[f] * d
-            v[p] = -s // row[p]
         g = gcd(*v) if d > 0 else -gcd(*v)
-        basis.append(tuple(x // g for x in v))
+        basis.append(tuple([x // g for x in v]))
     return basis
 
 
-def _extend_to_basis(cols: List[Vector], candidates: List[Vector],
-                     dim: int) -> Tuple[List[Vector], int]:
-    """Extend independent cols by candidates to a basis of dimension dim.
+def _extend_to_basis(cols: List[List[int]], candidates: List[List[int]],
+                     dim: int) -> Tuple[List[int], int]:
+    """Extend independent integer cols by candidates to a basis of dimension
+    dim.
 
     Greedy left-to-right choice: a candidate is taken when it is not in the
     span of cols and the candidates taken before it, which is exactly when
-    its column is a pivot of [cols | candidates].  Returns the chosen
-    candidates and the determinant sign of [cols | chosen], read off the
-    same elimination.  Raises NotASubspace when cols are dependent.
+    its column is a pivot of [cols | candidates].  Returns the indices of
+    the chosen candidates and the determinant sign of [cols | chosen], read
+    off the same elimination.  Raises NotASubspace when cols are dependent.
     """
-    _, pivots, sign = _echelon(_from_columns(cols + candidates))
+    _, pivots, sign = _echelon([list(row) for row in zip(*cols, *candidates)])
     k = len(cols)
     if pivots[:k] != list(range(k)):
         raise NotASubspace("inclusion image is degenerate")
     if len(pivots) != dim:
         raise CascadixError("could not extend to a full basis")
-    return [candidates[c - k] for c in pivots[k:]], sign
+    return [c - k for c in pivots[k:]], sign
 
 
 class _OrientedSpaceFields(NamedTuple):
@@ -266,23 +275,16 @@ def quotient_orientation(total: OrientedSpace,
         )
     if sub.space.dim > total.dim:
         raise NotASubspace("inclusion image is degenerate")
-    # sub's basis mapped in integers: the inclusion times the lcm of all its
-    # denominators, each basis column times the lcm of its own, so each
-    # image column is a positive multiple of the true one (same span, same
-    # determinant signs)
-    mult = lcm(*(x.denominator for row in inc.matrix for x in row))
-    inc_rows = [[x.numerator * (mult // x.denominator) for x in row]
-                for row in inc.matrix]
-    s_cols = []
-    for col in _columns(sub.space.reference_basis):
-        scale = lcm(*(x.denominator for x in col))
-        col = [x.numerator * (scale // x.denominator) for x in col]
-        s_cols.append(tuple(sum(a * b for a, b in zip(row, col))
-                            for row in inc_rows))
-    reps, combined_sign = _extend_to_basis(
-        s_cols, _columns(total.reference_basis), total.dim)
+    # [inc S_b | C] = [inc | C] diag(S_b, I) for sub's basis S_b: the
+    # inclusion's own columns give the same choice of C, and the sign
+    # differs by sign det S_b
+    candidates = _columns(total.reference_basis)
+    chosen, combined_sign = _extend_to_basis(
+        [_cleared(col) for col in _columns(inc.matrix)],
+        [_cleared(col) for col in candidates], total.dim)
+    reps = [candidates[c] for c in chosen]
     sign = sub.space.sign * total.sign * combined_sign \
-        * total.basis_det_sign()
+        * total.basis_det_sign() * sub.space.basis_det_sign()
     return OrientedFrame(tuple(reps), sign)
 
 
@@ -308,10 +310,13 @@ def fibre_sum_orientation(v1: OrientedSpace, v2: OrientedSpace,
         cols += [zero1 + col for col in _columns(v2.reference_basis)]
         return OrientedFrame(tuple(cols), product_sign)
 
-    # difference map on raw product coordinates
-    diff = tuple(
-        tuple(f1.matrix[i]) + tuple(-x for x in f2.matrix[i])
-        for i in range(dw))
+    # difference map on raw product coordinates; each row is cleared as one
+    # vector, so its f1 and f2 parts are scaled alike
+    diff = []
+    for row1, row2 in zip(f1.matrix, f2.matrix):
+        row = _cleared(row1 + row2)
+        row[d1:] = [-x for x in row[d1:]]
+        diff.append(row)
     rows, pivots, pivot_sign = _echelon(diff)
     if len(pivots) != dw:
         raise NotSurjective("difference map is not onto W")

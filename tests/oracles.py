@@ -50,9 +50,12 @@ every rank, kernel and determinant sign from `_gauss`, a plain `Fraction`
 Gauss-Jordan elimination of their own, and read only the package's space,
 map and frame types.
 `reference_quotient_orientation` is the earlier quotient, whose subspace
-image is a `Fraction` matrix product, kept as the reference the integer
-image columns are compared against; `matmul` is that product, for the
-references and the drills.  `negated`, `glue`, `rigid_plane_classes`,
+image is a `Fraction` matrix product, kept as the reference the
+elimination of the inclusion's own columns is compared against; `matmul`
+is that product, for the references and the drills.  `reference_kernel`
+is the integer back-substitution on `_echelon`'s rows as it was before it
+solved every free column at once, one free column at a time, kept as the
+reference the package's `_kernel` is compared against.  `negated`, `glue`, `rigid_plane_classes`,
 `chern_gate_applies`, `smith_invariant_factors` and `cz_cap` (with its
 `CapMismatch`) are helpers no command runs, moved here
 from the package with the tests that pin them; they and `disjoint_copies`
@@ -1117,6 +1120,28 @@ def kernel_basis(m, ncols):
 
 def matrix_rank(m):
     return len(_gauss(m)[1])
+
+
+def reference_kernel(rows, pivots, ncols):
+    """The primitive integer kernel basis from forward Bareiss rows, one free
+    column at a time: the free entry set to the last pivot d, then each
+    pivot entry by back-substitution, bottom row first."""
+    d = rows[len(pivots) - 1][pivots[-1]] if pivots else 1
+    free = [c for c in range(ncols) if c not in pivots]
+    steps = [(rows[k], p, pivots[k + 1:]) for k, p in enumerate(pivots)]
+    steps.reverse()
+    basis = []
+    for f in free:
+        v = [0] * ncols
+        v[f] = d
+        for row, p, later in steps:
+            s = sum(row[j] * v[j] for j in later)
+            if f > p:
+                s += row[f] * d
+            v[p] = -s // row[p]
+        g = math.gcd(*v) if d > 0 else -math.gcd(*v)
+        basis.append(tuple(x // g for x in v))
+    return basis
 
 
 def _reference_extend_to_basis(cols, candidates, dim):

@@ -18,6 +18,7 @@ from cascadix.orientation import (
     NotSurjective,
     OrientedFrame,
     OrientedSpace,
+    _cleared,
     _echelon,
     _kernel,
     det_sign,
@@ -79,6 +80,48 @@ def test_quotient_rejects_dependent_inclusion():
                                LinearMapSpec(((1, 1), (0, 0))))
     with pytest.raises(NotASubspace):
         quotient_orientation(R2, doubled)
+
+
+def test_quotient_rejects_dependent_inclusion_under_a_swapped_basis():
+    # the second inclusion column is twice the first; the subspace's basis
+    # (e2, e1) is nonsingular, so its image is just as dependent
+    sub = IncludedSubspace(OrientedSpace(2, ((0, 1), (1, 0))),
+                           LinearMapSpec(((1, 2), (0, 0), (1, 2))))
+    with pytest.raises(NotASubspace, match="^inclusion image is degenerate$"):
+        quotient_orientation(OrientedSpace(3), sub)
+
+
+def test_quotient_by_zero_subspace():
+    # a point in a point: the bare product of the two signs
+    point = IncludedSubspace(OrientedSpace(0, (), -1), LinearMapSpec(()))
+    frame = quotient_orientation(OrientedSpace(0, (), -1), point)
+    assert (frame.vectors, frame.sign) == ((), 1)
+    # in a plane the inclusion has two empty rows, and every reference
+    # column of the total space is a representative: det (e2, e1) = -1
+    # twice, times the two signs
+    swapped = OrientedSpace(2, ((0, 1), (1, 0)), -1)
+    origin = IncludedSubspace(OrientedSpace(0, (), -1),
+                              LinearMapSpec(((), ())))
+    frame = quotient_orientation(swapped, origin)
+    assert frame.vectors == ((0, 1), (1, 0))
+    assert frame.sign == 1
+    # inclusion () has no rows at all: a shape mismatch in the plane
+    with pytest.raises(NotASubspace, match="^inclusion is 0x0, need 2x0$"):
+        quotient_orientation(swapped, point)
+
+
+def test_quotient_by_whole_space_reads_the_subspace_basis_sign():
+    # det inc = -3/2 and det S_b = -1 for S_b = (e2, e1): the image basis
+    # inc S_b has determinant +3/2, so (sub, nothing) carries total's
+    # orientation and the sign is +1
+    total = OrientedSpace(2, ((1, 1), (0, 2)))
+    sub = IncludedSubspace(OrientedSpace(2, ((0, 1), (1, 0))),
+                           LinearMapSpec(((1, Fraction(1, 2)), (3, 0))))
+    frame = quotient_orientation(total, sub)
+    assert (frame.vectors, frame.sign) == ((), 1)
+    flipped = IncludedSubspace(OrientedSpace(2, ((0, 1), (-1, 0))),
+                               sub.inclusion)
+    assert quotient_orientation(total, flipped).sign == -1
 
 
 def test_quotient_rejects_shape_mismatch():
@@ -313,6 +356,66 @@ def test_quotient_matches_fraction_product_reference(inputs):
         == _outcome(oracles.reference_quotient_orientation, *inputs)
 
 
+def _scaled_column(m, j, c):
+    return tuple(row[:j] + (c * row[j],) + row[j + 1:] for row in m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(inputs=quotient_inputs(), data=st.data())
+def test_quotient_flips_with_a_negated_subspace_basis_vector(inputs, data):
+    total, sub = inputs
+    k = sub.space.dim
+    if k == 0:
+        return
+    j = data.draw(st.integers(0, k - 1))
+    negated = IncludedSubspace(
+        sub.space._replace(reference_basis=_scaled_column(
+            sub.space.reference_basis, j, -1)),
+        sub.inclusion)
+    before = _outcome(quotient_orientation, total, sub)
+    after = _outcome(quotient_orientation, total, negated)
+    if isinstance(before[1], int):
+        assert after == (before[0], -before[1])
+    else:
+        assert after == before
+
+
+POSITIVE = st.sampled_from((Fraction(1, 3), Fraction(1, 2), Fraction(2),
+                            Fraction(7, 5), Fraction(4)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(inputs=quotient_inputs(), data=st.data())
+def test_quotient_ignores_positive_column_scalings(inputs, data):
+    total, sub = inputs
+    before = _outcome(quotient_orientation, total, sub)
+    c = data.draw(POSITIVE)
+    inc = sub.inclusion.matrix
+    if inc and inc[0]:
+        j = data.draw(st.integers(0, len(inc[0]) - 1))
+        scaled = IncludedSubspace(sub.space,
+                                  LinearMapSpec(_scaled_column(inc, j, c)))
+        assert _outcome(quotient_orientation, total, scaled) == before
+    if sub.space.dim:
+        j = data.draw(st.integers(0, sub.space.dim - 1))
+        space = sub.space._replace(reference_basis=_scaled_column(
+            sub.space.reference_basis, j, c))
+        scaled = IncludedSubspace(space, sub.inclusion)
+        assert _outcome(quotient_orientation, total, scaled) == before
+    if total.dim:
+        # the same representatives are chosen, the scaled one scaled
+        j = data.draw(st.integers(0, total.dim - 1))
+        col = tuple(row[j] for row in total.reference_basis)
+        scaled = total._replace(reference_basis=_scaled_column(
+            total.reference_basis, j, c))
+        if isinstance(before[1], int):
+            want = (tuple(tuple(c * x for x in v) if v == col else v
+                          for v in before[0]), before[1])
+        else:
+            want = before
+        assert _outcome(quotient_orientation, scaled, sub) == want
+
+
 def test_one_elimination_per_orientation_question(monkeypatch):
     v1 = OrientedSpace(2, ((1, 2), (0, 1)), -1)
     v2 = OrientedSpace(1, ((3,),))
@@ -322,16 +425,31 @@ def test_one_elimination_per_orientation_question(monkeypatch):
     calls = []
     echelon = orientation._echelon
 
-    def counted(m):
-        calls.append(m)
-        return echelon(m)
+    def counted(rows):
+        # _echelon works in place: record the rows it was given
+        calls.append([list(row) for row in rows])
+        return echelon(rows)
+
+    def all_ints(rows):
+        return all(type(x) is int for row in rows for x in row)
 
     monkeypatch.setattr(orientation, "_echelon", counted)
     fibre_sum_orientation(v1, v2, w, f1, f2)
     assert len(calls) == 1
+    assert [len(row) for row in calls[0]] == [3] and all_ints(calls[0])
     calls.clear()
     fibre_sum_orientation(v1, v2, ZERO, empty, empty)
     assert calls == []
+
+    total = OrientedSpace(3, ((1, 0, 2), (0, Fraction(1, 2), 0), (1, 1, 1)))
+    sub = IncludedSubspace(
+        OrientedSpace(2, ((Fraction(1, 3), 1), (2, 0)), -1),
+        LinearMapSpec(((1, 0), (Fraction(-1, 2), 1), (0, Fraction(2, 3)))))
+    calls.clear()   # building the spaces checked their bases
+    quotient_orientation(total, sub)
+    assert len(calls) == 1
+    assert [len(row) for row in calls[0]] == [5, 5, 5]
+    assert all_ints(calls[0])
 
 
 # --- exact linear algebra against sympy -----------------------------------
@@ -383,12 +501,27 @@ def test_linear_algebra_matches_sympy(drawn):
     m, ncols = drawn
     ref = Matrix(len(m), ncols,
                  [Rational(x.numerator, x.denominator) for r in m for x in r])
-    assert len(_echelon(m)[1]) == ref.rank()
+    rows, pivots, _ = _echelon([_cleared(row) for row in m])
+    assert len(pivots) == ref.rank()
     want = [_primitive([Fraction(int(x.p), int(x.q)) for x in v])
             for v in ref.nullspace()]
-    kernel = _kernel(*_echelon(m)[:2], ncols)
+    kernel = _kernel(rows, pivots, ncols)
     assert kernel == want
     assert all(type(x) is int for v in kernel for x in v)
     n = min(len(m), ncols)
     square = tuple(row[:n] for row in m[:n])
     assert det_sign(square) == int(sign(ref[:n, :n].det()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=rational_matrices())
+def test_kernel_matches_one_column_reference(drawn):
+    m, ncols = drawn
+    cleared = [_cleared(row) for row in m]
+    # each row times the least positive integer that clears it, in ints
+    assert cleared == [[x * lcm(*(y.denominator for y in row)) for x in row]
+                       for row in m]
+    assert all(type(x) is int for row in cleared for x in row)
+    rows, pivots, _ = _echelon(cleared)
+    assert _kernel(rows, pivots, ncols) \
+        == oracles.reference_kernel(rows, pivots, ncols)
